@@ -22,15 +22,12 @@ Two protocol rules, learned the hard way (see ``docs/performance.md``):
   ratio is over the tail, which is what a long-running churn study
   actually sees.
 
-Three engines run the schedule: the serial baseline, the incremental
-engine with batched level-synchronous descents + delta cache repair
-(the default), and the same engine in ``descent_mode="legacy"`` — the
-PR 6 per-key descents, kept as an honest A/B for the miss-descent
-phase.  All three must agree byte for byte; the gates are the serial
-vs batched LBI+VSA speedup and the legacy vs batched ``miss_descent``
-phase ratio.
+Two engines run the schedule: the serial baseline and the incremental
+engine (batched level-synchronous descents + delta cache repair).  They
+must agree byte for byte; the gates are the serial vs incremental
+LBI+VSA speedup and zero stale cache misses.
 
-The ``--million`` configuration drives the batched engine alone
+The ``--million`` configuration drives the incremental engine alone
 through a 10^6-node steady-state schedule (no serial twin — the twin
 run would dominate the bench by an hour) and gates the post-warm-up
 wall-clock per round instead; digest identity at that scale is covered
@@ -89,15 +86,7 @@ PAPER_ROUNDS = 10
 QUICK_TARGET_SPEEDUP = 1.9
 PAPER_TARGET_SPEEDUP = 2.5
 
-#: Floors for the legacy-vs-batched ``miss_descent`` phase ratio (the
-#: ISSUE 9 acceptance gate: >= 2x at 10^5).  The smoke/quick floors are
-#: deliberately looser — at tiny rings the batched path's fixed NumPy
-#: overhead eats into the win and the gate exists to catch the batching
-#: being disabled or regressed to per-key work, not to measure it.
-QUICK_TARGET_DESCENT_SPEEDUP = 1.3
-PAPER_TARGET_DESCENT_SPEEDUP = 2.0
-
-#: The 10^6 steady-state configuration (``--million``): batched engine
+#: The 10^6 steady-state configuration (``--million``): incremental engine
 #: only, wall-clock ceiling on the post-warm-up rounds.  The ceiling is
 #: calibrated from measured runs with generous headroom (CI machines
 #: vary); the bench-trend baseline ratchets the deterministic counter
@@ -149,10 +138,6 @@ def _make_balancer(engine: str, ring) -> LoadBalancer:
         return LoadBalancer(ring, config, rng=BALANCER_SEED)
     if engine == "incremental":
         return IncrementalLoadBalancer(ring, config, rng=BALANCER_SEED)
-    if engine == "legacy":
-        return IncrementalLoadBalancer(
-            ring, config, rng=BALANCER_SEED, descent_mode="legacy"
-        )
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -161,8 +146,8 @@ def run_engine(
 ) -> tuple[list[str], list[dict[str, float]], dict[str, int]]:
     """Run one engine over the deterministic schedule, from scratch.
 
-    ``engine`` is ``"serial"``, ``"incremental"`` (batched descents) or
-    ``"legacy"`` (PR 6 per-key descents).  Returns per-round digests,
+    ``engine`` is ``"serial"`` or ``"incremental"``.  Returns per-round
+    digests,
     phase timings, and the engine's cumulative descent-economy stats
     (empty for serial).  Building the ring inside this function (rather
     than sharing replicas) keeps each engine's heap private — see the
@@ -193,12 +178,10 @@ def _steady(times: list[dict[str, float]], phase: str) -> float:
 def run_incremental_scaling(
     num_nodes: int, rounds: int
 ) -> dict[str, float]:
-    """All three engines over the same schedule; digest check + speedups.
+    """Both engines over the same schedule; digest check + speedup.
 
-    The serial-vs-batched LBI+VSA ratio is the scaling headline; the
-    legacy-vs-batched ``miss_descent`` ratio isolates exactly the work
-    this PR batches (cache-miss key resolution), with the legacy run
-    paying the same schedule through per-key descents and no repair.
+    The serial-vs-incremental LBI+VSA ratio is the scaling headline;
+    the incremental engine's descent economy is reported alongside.
     """
     assert rounds > WARMUP_ROUNDS, "need post-warm-up rounds to measure"
     t0 = time.perf_counter()
@@ -211,27 +194,20 @@ def run_incremental_scaling(
         "incremental", num_nodes, rounds
     )
     inc_wall = time.perf_counter() - t0
-    gc.collect()
 
-    legacy_digests, legacy_times, legacy_stats = run_engine(
-        "legacy", num_nodes, rounds
+    assert serial_digests == inc_digests, (
+        "serial/incremental divergence: first differing round "
+        f"{next(i for i, (a, b) in enumerate(zip(serial_digests, inc_digests)) if a != b)}"
     )
-
-    for name, digests in (("incremental", inc_digests), ("legacy", legacy_digests)):
-        assert serial_digests == digests, (
-            f"serial/{name} divergence: first differing round "
-            f"{next(i for i, (a, b) in enumerate(zip(serial_digests, digests)) if a != b)}"
-        )
 
     serial_lbi = _steady(serial_times, "lbi")
     serial_vsa = _steady(serial_times, "vsa")
     inc_lbi = _steady(inc_times, "lbi")
     inc_vsa = _steady(inc_times, "vsa")
     denom = inc_lbi + inc_vsa
-    # The descent ratio is measured over *all* rounds: the rebuild round
-    # is where the full miss set descends, and it must batch too.
+    # Descent time is summed over *all* rounds: the rebuild round is
+    # where the full miss set descends.
     inc_descent = sum(t.get("miss_descent", 0.0) for t in inc_times)
-    legacy_descent = sum(t.get("miss_descent", 0.0) for t in legacy_times)
     summary = {
         "nodes": float(num_nodes),
         "rounds": float(rounds),
@@ -244,14 +220,9 @@ def run_incremental_scaling(
         "lbi_speedup": serial_lbi / inc_lbi if inc_lbi > 0 else 0.0,
         "speedup": (serial_lbi + serial_vsa) / denom if denom > 0 else 0.0,
         "incremental_descent_seconds": inc_descent,
-        "legacy_descent_seconds": legacy_descent,
-        "descent_speedup": (
-            legacy_descent / inc_descent if inc_descent > 0 else 0.0
-        ),
         "miss_descents": float(inc_stats.get("miss_descents", 0)),
         "cache_repairs": float(inc_stats.get("cache_repairs", 0)),
         "stale_cache_misses": float(inc_stats.get("stale_cache_misses", 0)),
-        "legacy_miss_descents": float(legacy_stats.get("miss_descents", 0)),
     }
     metrics = current_metrics()
     if metrics is not None:
@@ -263,7 +234,7 @@ def run_incremental_scaling(
 def run_million_steady(
     num_nodes: int = MILLION_NODES, rounds: int = MILLION_ROUNDS
 ) -> dict[str, float]:
-    """Batched engine alone through a steady-state churn schedule.
+    """Incremental engine alone through a steady-state churn schedule.
 
     Measures the post-warm-up wall-clock per round at ``num_nodes`` —
     the regime the serial twin cannot reach in bench time.  Correctness
@@ -309,9 +280,7 @@ def run_million_steady(
     return summary
 
 
-def format_summary(
-    summary: dict[str, float], target: float, descent_target: float
-) -> str:
+def format_summary(summary: dict[str, float], target: float) -> str:
     """Human-readable timing table plus the gating verdicts."""
     rounds = int(summary["rounds"])
     measured = rounds - WARMUP_ROUNDS
@@ -320,7 +289,7 @@ def format_summary(
             (
                 "Incremental engine scaling - "
                 f"{int(summary['nodes'])} nodes, {rounds} rounds "
-                f"({CHURN_FRACTION:.0%} churn/round, digests verified 3-way)"
+                f"({CHURN_FRACTION:.0%} churn/round, digests verified)"
             ),
             (
                 f"  serial      lbi+vsa: {summary['serial_lbi_seconds']:>8.2f}s"
@@ -333,15 +302,13 @@ def format_summary(
             f"  lbi speedup:         {summary['lbi_speedup']:>8.2f}x",
             f"  lbi+vsa speedup:     {summary['speedup']:>8.2f}x (floor {target}x)",
             (
-                f"  miss descent:        {summary['legacy_descent_seconds']:>8.2f}s"
-                f" legacy -> {summary['incremental_descent_seconds']:.2f}s batched"
-                f" = {summary['descent_speedup']:.2f}x (floor {descent_target}x)"
+                f"  miss descent:        "
+                f"{summary['incremental_descent_seconds']:>8.2f}s"
             ),
             (
                 f"  descent economy:     {int(summary['miss_descents'])} descents,"
                 f" {int(summary['cache_repairs'])} repairs,"
                 f" {int(summary['stale_cache_misses'])} stale"
-                f" (legacy: {int(summary['legacy_miss_descents'])} descents)"
             ),
         ]
     )
@@ -354,7 +321,7 @@ def format_million_summary(summary: dict[str, float], ceiling: float) -> str:
             (
                 "Million-node steady state - "
                 f"{int(summary['nodes'])} nodes, {int(summary['rounds'])} rounds "
-                f"({CHURN_FRACTION:.0%} churn/round, batched engine)"
+                f"({CHURN_FRACTION:.0%} churn/round, incremental engine)"
             ),
             f"  build round:         {summary['build_round_seconds']:>8.2f}s",
             (
@@ -371,40 +338,26 @@ def format_million_summary(summary: dict[str, float], ceiling: float) -> str:
     )
 
 
-def _scale_params(settings: ExperimentSettings) -> tuple[int, int, float, float]:
-    """(nodes, rounds, speedup floor, descent floor) for REPRO_SCALE."""
+def _scale_params(settings: ExperimentSettings) -> tuple[int, int, float]:
+    """(nodes, rounds, speedup floor) for REPRO_SCALE."""
     if settings.num_nodes >= ExperimentSettings.paper().num_nodes:
-        return (
-            PAPER_NODES,
-            PAPER_ROUNDS,
-            PAPER_TARGET_SPEEDUP,
-            PAPER_TARGET_DESCENT_SPEEDUP,
-        )
-    return (
-        QUICK_NODES,
-        QUICK_ROUNDS,
-        QUICK_TARGET_SPEEDUP,
-        QUICK_TARGET_DESCENT_SPEEDUP,
-    )
+        return PAPER_NODES, PAPER_ROUNDS, PAPER_TARGET_SPEEDUP
+    return QUICK_NODES, QUICK_ROUNDS, QUICK_TARGET_SPEEDUP
 
 
 def test_incremental_scaling(settings, report_lines):
     from benchmarks.conftest import emit
 
-    nodes, rounds, target, descent_target = _scale_params(settings)
+    nodes, rounds, target = _scale_params(settings)
     summary = run_incremental_scaling(nodes, rounds)
     emit(
         report_lines,
         "Incremental scaling (churn-localized drift)",
-        format_summary(summary, target, descent_target),
+        format_summary(summary, target),
     )
     assert summary["speedup"] >= target, (
         f"steady-state lbi+vsa speedup {summary['speedup']:.2f}x below "
         f"floor {target}x at {nodes} nodes"
-    )
-    assert summary["descent_speedup"] >= descent_target, (
-        f"miss-descent speedup {summary['descent_speedup']:.2f}x below "
-        f"floor {descent_target}x at {nodes} nodes"
     )
     assert summary["stale_cache_misses"] == 0, (
         "delta repair let corridor re-descents through: "
@@ -432,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--million", action="store_true",
         help=(
-            "10^6-node steady-state configuration (batched engine only, "
+            "10^6-node steady-state configuration (incremental engine only, "
             "wall-clock ceiling gate); with --smoke or --nodes runs the "
             "same code path at reduced scale"
         ),
@@ -456,30 +409,23 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     if args.smoke:
-        nodes, rounds, target, descent_target = 512, 4, 0.0, 0.0
+        nodes, rounds, target = 512, 4, 0.0
     else:
-        nodes, rounds, target, descent_target = _scale_params(
-            ExperimentSettings.from_env()
-        )
+        nodes, rounds, target = _scale_params(ExperimentSettings.from_env())
     if args.nodes is not None:
-        nodes, target, descent_target = args.nodes, 0.0, 0.0
+        nodes, target = args.nodes, 0.0
     if args.rounds is not None:
         rounds = args.rounds
     summary = run_incremental_scaling(nodes, rounds)
-    print(format_summary(summary, target, descent_target))
+    print(format_summary(summary, target))
     if args.smoke:
         # Smoke still gates the *invariants* (identity is asserted in
         # run_incremental_scaling; the economy must show zero corridor
-        # re-descents and a strictly cheaper batched descent bill).
+        # re-descents).
         assert summary["stale_cache_misses"] == 0, summary
-        assert (
-            summary["miss_descents"] <= summary["legacy_miss_descents"]
-        ), summary
         print("smoke OK: digests identical on all rounds, zero stale misses")
         return 0
     if summary["speedup"] < target:
-        return 1
-    if summary["descent_speedup"] < descent_target:
         return 1
     return 0
 

@@ -52,7 +52,7 @@ python scripts/gen_api_docs.py --check
 echo "== bench trend: cost metrics vs checked-in baseline =="
 # Regenerate the deterministic smoke-workload metrics dump and compare
 # it against benchmarks/BENCH_BASELINE.json: any counter/gauge >20%
-# above baseline (messages, Dijkstra runs, shard dispatches, ...) fails
+# above baseline (messages, Dijkstra runs, descents, ...) fails
 # the build.  After an intentional cost change, regenerate with
 #   python scripts/check_bench_trend.py gen
 # and commit the new baseline.

@@ -39,7 +39,6 @@ from repro.core.placement import (
 )
 from repro.core.records import (
     Assignment,
-    LBIRecord,
     NodeClass,
     ShedCandidate,
     SpareCapacity,
@@ -56,7 +55,6 @@ from repro.faults.injector import FaultInjector, ensure_injector
 from repro.faults.plan import FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
 from repro.faults.stats import FaultRoundStats
-from repro.ktree.node import KTNode
 from repro.ktree.tree import KnaryTree
 from repro.membership import MembershipManager, MembershipView
 from repro.membership.views import ComponentRingView
@@ -393,7 +391,7 @@ class LoadBalancer:
                 # aggregate_lbi raises BalancerError on an empty report
                 # set with nothing cached — total aggregation failure in
                 # the very first round is unrecoverable by design.
-                system, agg_trace = self._aggregate_lbi(tree, reports)
+                system, agg_trace = aggregate_lbi(tree, reports, tracer=tracer)
                 self._stale_lbi = system
                 self._stale_lbi_age = 0
             elif self._stale_lbi_age < self.retry.lbi_staleness_rounds:
@@ -414,7 +412,7 @@ class LoadBalancer:
                     )
             else:
                 # The cached aggregate aged out: surface the failure.
-                system, agg_trace = self._aggregate_lbi(tree, reports)
+                system, agg_trace = aggregate_lbi(tree, reports, tracer=tracer)
         self._crash_point("post-lbi-fold")
 
         # Phase 2: classification.  Quarantined nodes sit the round out
@@ -436,9 +434,17 @@ class LoadBalancer:
             )
 
             # Phase 3b: bottom-up VSA sweep.
-            vsa_result = self._run_vsa_sweep(
-                tree, published, system.min_vs_load, stats
-            )
+            vsa_result = VSASweep(
+                tree,
+                threshold=cfg.rendezvous_threshold,
+                min_vs_load=system.min_vs_load,
+                strict_heaviest_first=cfg.strict_heaviest_first,
+                tracer=tracer,
+                faults=faults,
+                retry=self.retry,
+                rng=self._retry_rng,
+                fault_stats=stats,
+            ).run(published)
             vsa_span.end()
 
         # Phase 4: execute transfers.  Assignments that went stale because
@@ -630,9 +636,8 @@ class LoadBalancer:
         Transfers before the cut execute normally; the partition then
         activates, every remaining cross-component assignment is
         suspended in flight (its server detached until the heal), and
-        the same-component remainder executes against the whole ring —
-        all parent-side and in serial order, so sharded engines inherit
-        the identical behaviour.
+        the same-component remainder executes against the whole ring,
+        in serial order.
         """
         membership = self.membership
         faults = self.faults
@@ -675,14 +680,13 @@ class LoadBalancer:
         Each component sees only its own nodes through a
         :class:`~repro.membership.views.ComponentRingView`, builds an
         epoch-tagged tree over it and runs the identical
-        LBI/classify/VSA/VST pipeline (through the same phase hooks the
-        sharded engine overrides, so serial/sharded byte-identity is
-        inherited).  Components run in deterministic order; their
-        results merge into one report whose aggregate is the sum of the
-        component aggregates.  A component left without LBI reports (or
-        without virtual servers) classifies its nodes neutral and moves
-        nothing.  The cached whole-ring aggregate is invalidated — an
-        epoch change makes cross-epoch state inadmissible by definition.
+        LBI/classify/VSA/VST pipeline.  Components run in deterministic
+        order; their results merge into one report whose aggregate is
+        the sum of the component aggregates.  A component left without
+        LBI reports (or without virtual servers) classifies its nodes
+        neutral and moves nothing.  The cached whole-ring aggregate is
+        invalidated — an epoch change makes cross-epoch state
+        inadmissible by definition.
         """
         cfg = self.config
         ring = self.ring
@@ -767,7 +771,7 @@ class LoadBalancer:
                 if not reports:
                     neutral(comp_alive)
                     continue
-                system_c, agg_c = self._aggregate_lbi(tree, reports)
+                system_c, agg_c = aggregate_lbi(tree, reports, tracer=tracer)
             self._crash_point("post-lbi-fold")
             with clock.phase("classification"), tracer.span("classification"):
                 before_c = classify_all(
@@ -777,9 +781,17 @@ class LoadBalancer:
             with clock.phase("vsa"):
                 vsa_span = tracer.span("vsa")
                 published = self._publish_vsa_entries(comp_alive, before_c)
-                vsa_c = self._run_vsa_sweep(
-                    tree, published, system_c.min_vs_load, stats
-                )
+                vsa_c = VSASweep(
+                    tree,
+                    threshold=cfg.rendezvous_threshold,
+                    min_vs_load=system_c.min_vs_load,
+                    strict_heaviest_first=cfg.strict_heaviest_first,
+                    tracer=tracer,
+                    faults=faults,
+                    retry=self.retry,
+                    rng=self._retry_rng,
+                    fault_stats=stats,
+                ).run(published)
                 vsa_span.end()
             with clock.phase("vst"), tracer.span("vst"):
                 transfers_c = execute_transfers(
@@ -875,56 +887,6 @@ class LoadBalancer:
         if self.metrics is not None:
             self._record_metrics(report)
         return report
-
-    # ------------------------------------------------------------------
-    # Phase hooks (overridden by shard-parallel engines)
-    # ------------------------------------------------------------------
-    def _aggregate_lbi(
-        self,
-        tree: KnaryTree,
-        reports: dict[int, tuple[KTNode, list[LBIRecord]]],
-    ) -> tuple[SystemLBI, AggregationTrace]:
-        """Run the bottom-up LBI aggregation over collected reports.
-
-        Extracted as a hook so :class:`repro.parallel.ShardedLoadBalancer`
-        can fan the per-subtree folds out to worker processes while this
-        default stays the serial reference implementation.
-        """
-        return aggregate_lbi(tree, reports, tracer=self.tracer)
-
-    def _build_vsa_sweep(
-        self,
-        tree: KnaryTree,
-        min_vs_load: float,
-        stats: FaultRoundStats,
-    ) -> VSASweep:
-        """Construct the configured :class:`VSASweep` for this round."""
-        return VSASweep(
-            tree,
-            threshold=self.config.rendezvous_threshold,
-            min_vs_load=min_vs_load,
-            strict_heaviest_first=self.config.strict_heaviest_first,
-            tracer=self.tracer,
-            faults=self.faults,
-            retry=self.retry,
-            rng=self._retry_rng,
-            fault_stats=stats,
-        )
-
-    def _run_vsa_sweep(
-        self,
-        tree: KnaryTree,
-        published: list[tuple[int, ShedCandidate | SpareCapacity]],
-        min_vs_load: float,
-        stats: FaultRoundStats,
-    ) -> VSAResult:
-        """Run phase 3b (delivery + bottom-up rendezvous sweep).
-
-        Hook point for shard-parallel engines: delivery (which consumes
-        the retry rng and fault streams) always runs here, in publication
-        order; only the pure sweep may be decomposed.
-        """
-        return self._build_vsa_sweep(tree, min_vs_load, stats).run(published)
 
     def _record_metrics(self, report: BalanceReport) -> None:
         """Fold one round's profile into the attached registry."""

@@ -37,13 +37,15 @@ reproduces the serial ascending-child merge; and batched
 ``Generator.integers(0, counts)`` draws are stream-identical to the
 serial per-node scalar draws.
 
-Anything the fast path cannot reproduce exactly — fault injection,
-partitions, enabled tracing — falls back to the inherited serial round
-wholesale, so digest identity under those regimes holds by construction.
+Anything the fast path cannot reproduce exactly — fault injection, an
+active Byzantine adversary, partitions, an attached write-ahead journal,
+enabled tracing — falls back to the inherited serial round wholesale,
+so digest identity under those regimes holds by construction.
 """
 
 from __future__ import annotations
 
+from typing import Any
 
 import numpy as np
 
@@ -79,22 +81,10 @@ from repro.obs.profile import PhaseClock, profile_from_report
 class IncrementalLoadBalancer(LoadBalancer):
     """Drop-in :class:`LoadBalancer` with incremental, vectorized rounds.
 
-    Accepts the same constructor arguments plus ``descent_mode``;
-    selection between the fast path and the serial fallback happens per
-    round (see the module docstring).  The config is untouched — engine
-    choice is not part of the digested experiment identity.
-
-    Parameters
-    ----------
-    descent_mode:
-        ``"batched"`` (default) resolves cache misses through the
-        level-synchronous :meth:`KnaryTree.descend_batch` and repairs
-        key-to-leaf cache entries from each ``refresh_dirty`` delta.
-        ``"legacy"`` reproduces the PR 6 behaviour — per-key
-        :meth:`KnaryTree.ensure_leaf_for_key` descents and per-use cache
-        validation with no delta repair — and exists for honest A/B
-        timing of the miss-descent phase; both modes are byte-identical
-        in digest.
+    Accepts the same constructor arguments; selection between the fast
+    path and the serial fallback happens per round (see the module
+    docstring).  The config is untouched — engine choice is not part of
+    the digested experiment identity.
     """
 
     #: Above this many logged ring events per round (relative floor 64,
@@ -102,14 +92,8 @@ class IncrementalLoadBalancer(LoadBalancer):
     #: costs more than a from-scratch rebuild; the engine rebuilds.
     REBUILD_EVENT_FLOOR = 64
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        mode = kwargs.pop("descent_mode", "batched")
-        if mode not in ("batched", "legacy"):
-            raise BalancerError(
-                f"descent_mode must be 'batched' or 'legacy', got {mode!r}"
-            )
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self._descent_mode: str = str(mode)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._events = RingEventLog(self.ring)
         self._tree: KnaryTree | None = None
         self._index: TreeIndex | None = None
@@ -119,20 +103,18 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._center_cache: dict[int, int] = {}
         #: node index -> notional hash position (pure, survives rebuilds).
         self._hash_keys: dict[int, int] = {}
-        #: identifier key -> leaf slot.  In batched mode every entry
-        #: names a live leaf containing its key (maintained by
-        #: ``_repair_cache``); in legacy mode entries are validated on
-        #: use instead.
+        #: identifier key -> leaf slot.  Every entry names a live leaf
+        #: containing its key (maintained by ``_repair_cache``).
         self._key_leaf: dict[int, int] = {}
-        #: leaf slot -> keys cached there (reverse of ``_key_leaf``,
-        #: batched mode only; drives delta-driven repair).  Entries may
-        #: be stale after a key is remapped — repair re-checks against
-        #: ``_key_leaf`` before trusting one.
+        #: leaf slot -> keys cached there (reverse of ``_key_leaf``;
+        #: drives delta-driven repair).  Entries may be stale after a
+        #: key is remapped — repair re-checks against ``_key_leaf``
+        #: before trusting one.
         self._slot_keys: dict[int, list[int]] = {}
         #: Cumulative resolution economy: keys resolved via batch
         #: descent, cache entries surgically remapped without a descent,
-        #: and cached slots found invalid at use time (the PR 6 corridor
-        #: re-descents — zero in batched mode, by the repair invariant).
+        #: and cached slots found invalid at use time (corridor
+        #: re-descents — zero, by the repair invariant).
         self.descent_stats: dict[str, int] = {
             "miss_descents": 0,
             "cache_repairs": 0,
@@ -227,7 +209,7 @@ class IncrementalLoadBalancer(LoadBalancer):
                 doomed.append(slot)
         for vs_id in delta.affected_vs_ids:
             self._center_cache.pop(vs_id, None)
-        if doomed and self._descent_mode == "batched":
+        if doomed:
             self._repair_cache(doomed, clock)
 
     def _count(self, name: str, amount: int) -> None:
@@ -309,31 +291,6 @@ class IncrementalLoadBalancer(LoadBalancer):
             self._resolve_and_cache(np.asarray(affected, dtype=np.int64))
             descended = self.descent_stats["miss_descents"] - before
         self._count("cache_repairs", len(affected) - descended)
-
-    # ------------------------------------------------------------------
-    # Per-key key-to-leaf resolution (legacy descent mode)
-    # ------------------------------------------------------------------
-    def _leaf_slot_for_key(self, key: int) -> int:
-        """Leaf slot owning ``key``, via the per-use-validated cache.
-
-        A cached slot is reusable iff it still names a live leaf: leaf
-        regions are immutable and tree shape is a pure function of the
-        ring, so a live leaf containing ``key`` is always the node a
-        fresh root-to-leaf descent would end at.  This is the PR 6
-        resolution path, kept for ``descent_mode="legacy"``; the batched
-        mode resolves through :meth:`_resolve_and_cache` instead.
-        """
-        index = self._index
-        tree = self._tree
-        assert index is not None and tree is not None
-        slot = self._key_leaf.get(key)
-        if slot is not None and index.valid_leaf(slot):
-            return slot
-        leaf = tree.ensure_leaf_for_key(key)
-        slot = index.slot(leaf)
-        self._key_leaf[key] = slot
-        self._count("miss_descents", 1)
-        return slot
 
     # ------------------------------------------------------------------
     # The incremental round
@@ -599,16 +556,11 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._count("stale_cache_misses", stale)
         if miss_keys:
             with clock.phase("miss_descent"):
-                batch = np.asarray(miss_keys, dtype=np.int64)
-                if self._descent_mode == "batched":
-                    resolved = self._resolve_and_cache(batch)
-                else:
-                    resolved = np.fromiter(
-                        (self._leaf_slot_for_key(int(k)) for k in batch),
-                        dtype=np.int64,
-                        count=batch.size,
+                leaf_slots[np.asarray(miss_pos, dtype=np.int64)] = (
+                    self._resolve_and_cache(
+                        np.asarray(miss_keys, dtype=np.int64)
                     )
-                leaf_slots[np.asarray(miss_pos, dtype=np.int64)] = resolved
+                )
 
         index.new_stamp()
         fresh, count, height = index.stamp_paths(leaf_slots)
@@ -696,8 +648,7 @@ class IncrementalLoadBalancer(LoadBalancer):
         beyond the LBI walk (same stamp generation).
         """
         index = self._index
-        tree = self._tree
-        assert index is not None and tree is not None
+        assert index is not None
         result = VSAResult(entries_published=len(published))
         if not published:
             return result, 0, 0
@@ -714,16 +665,9 @@ class IncrementalLoadBalancer(LoadBalancer):
         if miss.size:
             # Placement keys are fresh draws each round, so they are
             # not worth a cache entry — but their descents batch just
-            # the same (legacy mode keeps the per-key PR 6 walks).
+            # the same.
             with clock.phase("miss_descent"):
-                if self._descent_mode == "batched":
-                    slots_e[miss] = self._descend_slots(keys[miss])
-                else:
-                    for i in miss:
-                        slots_e[i] = index.slot(
-                            tree.ensure_leaf_for_key(int(keys[i]))
-                        )
-                    self._count("miss_descents", int(miss.size))
+                slots_e[miss] = self._descend_slots(keys[miss])
         _, count, height = index.stamp_paths(slots_e)
 
         threshold = self.config.rendezvous_threshold

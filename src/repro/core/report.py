@@ -171,8 +171,8 @@ class BalanceReport:
         wall-clock measurements (``phase_seconds`` and ``profile``),
         which vary run to run without the protocol behaving differently.
         Two rounds are byte-identical iff their digests match; the
-        parallel subsystem's determinism contract (serial == sharded ==
-        multi-worker) is asserted in exactly these terms.
+        engine-identity contract (serial == incremental, crashed and
+        recovered == uncrashed) is asserted in exactly these terms.
         """
 
         def floats(values: Any) -> list[str]:

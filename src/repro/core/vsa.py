@@ -156,10 +156,9 @@ class VSASweep:
 
         Materialises leaf paths as needed, applies injected faults with
         bounded retries and returns the per-leaf pending buckets (keyed
-        by ``id(leaf)``).  Loss accounting lands on ``result``.  Split
-        out of :meth:`run` so shard-parallel engines can reuse the
-        fault/rng-consuming delivery verbatim and parallelise only the
-        pure bottom-up sweep.
+        by ``id(leaf)``).  Loss accounting lands on ``result``.  This is
+        the only part of :meth:`run` that consumes faults and the retry
+        rng; the bottom-up :meth:`sweep` that follows draws from neither.
         """
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled

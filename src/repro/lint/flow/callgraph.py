@@ -36,7 +36,7 @@ is catalogued in the docs.
 The builder also records the two pieces of scope information the
 stream/purity rules need: per-function generator bindings (which names
 hold :class:`numpy.random.Generator` objects, and whether they came
-from a per-shard ``spawn_rngs`` split) and every ``WorkerPool``
+from a per-task ``spawn_rngs`` split) and every ``WorkerPool``
 submission site (``*.map_ordered(fn, tasks)``).
 """
 
@@ -56,7 +56,7 @@ from repro.lint.rules.base import dotted_name
 #: aliasing at the cost of a theoretical false match.
 GENERATOR_FACTORIES = frozenset({"ensure_rng", "default_rng"})
 
-#: Callable names producing a *list* of per-shard generators.
+#: Callable names producing a *list* of per-task generators.
 GENERATOR_LIST_FACTORIES = frozenset({"spawn_rngs"})
 
 #: Method name that marks a WorkerPool submission boundary.  Matched by
@@ -90,7 +90,7 @@ class PoolSubmission:
     is_lambda: bool  # fn argument was a lambda expression
     line: int
     tasks: ast.expr | None  # the tasks argument expression, if present
-    #: Origin of a shared (non-per-shard) Generator embedded in the
+    #: Origin of a shared (non-per-task) Generator embedded in the
     #: tasks argument, or None when the tasks expression is stream-free
     #: or every embedded generator came from a ``spawn_rngs`` split.
     shared_stream_origin: str | None = None
@@ -115,7 +115,7 @@ class FunctionInfo:
     ``generator_origins`` maps dotted receiver names (``"gen"``,
     ``"self.rng"``) to how the Generator got there: ``"param"``
     (annotated parameter), ``"ensured"`` (local ``ensure_rng`` result),
-    ``"spawned"`` (element of a per-shard ``spawn_rngs`` split),
+    ``"spawned"`` (element of a per-task ``spawn_rngs`` split),
     ``"attribute"`` (instance state), ``"module-global"`` or
     ``"closure"``.  ``generator_carriers`` maps names whose *value
     embeds* a non-spawned generator object (e.g. a task list built from

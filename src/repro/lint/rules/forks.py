@@ -1,12 +1,15 @@
 """Rule ``no-fork-in-protocol``: process management stays in one place.
 
-The sharded balancer's byte-identity contract rests on two structural
-guarantees: every worker process is driven through
-:class:`repro.parallel.WorkerPool` (so inline and process execution are
-interchangeable), and workers receive *all* of their inputs explicitly
-through a picklable task (so no ambient rng, clock or registry state
-leaks across the fork).  This rule enforces both mechanically in the
-protocol packages:
+A process-pool seed sweep gives the same results as an inline one
+because of two structural guarantees: every worker process is driven
+through :class:`repro.parallel.WorkerPool` (so inline and process
+execution are interchangeable), and workers receive *all* of their
+inputs explicitly through a picklable task (so no ambient rng, clock or
+registry state leaks across the fork).  :class:`repro.parallel.TrialExecutor`
+is the positive pattern: each trial's function and integer seed travel
+in a frozen :class:`~repro.parallel.TrialTask` to the module-level
+``run_trial_worker(task)``.  This rule enforces both guarantees
+mechanically in the protocol packages:
 
 * importing ``multiprocessing``, ``subprocess`` or ``concurrent.futures``
   is forbidden everywhere in protocol code except

@@ -12,19 +12,22 @@ payload.
   import time is process-global state whose consumption order depends
   on import order and sharing, not on the scenario seed (local check);
 * no ``Generator`` object may cross a ``WorkerPool`` submission
-  boundary unless it came from a per-shard ``spawn_rngs`` split — a
+  boundary unless it came from a per-task ``spawn_rngs`` split — a
   *shared* stream consumed by N workers interleaves differently under
-  process and inline execution, silently breaking digest identity.
-  The positive pattern is the one ``ShardedLoadBalancer`` uses:
-  ``spawn_rngs(seed, n)`` then one child stream per task
+  process and inline execution, silently breaking digest identity
   (interprocedural check over the flow analysis's submission registry).
+  The positive pattern is the one :class:`repro.parallel.TrialExecutor`
+  uses: no stream crosses at all.  Each task carries an integer seed
+  (from ``spawn_trial_seeds`` or the experiment's seed schedule) and the
+  trial builds its own generator from it inside the worker.  A child
+  stream from ``spawn_rngs(seed, n)``, one per task, is also accepted.
 
 ``parallel-task-purity`` closes the loop on the *callable*: anything
 submitted to ``map_ordered`` must be effect-closed under the flow
 lattice — transitively free of wall-clock reads, I/O, global mutation,
 nested forking, unordered iteration, and global/ambient RNG draws.
 Draws from generators the task *receives in its payload* (parameters,
-per-shard spawns) are fine; draws from module globals, closures or
+per-task spawns) are fine; draws from module globals, closures or
 instance attributes are not, because that state is re-imported fresh
 in worker processes but shared in inline mode.  Lambdas and
 statically-unresolvable callables are rejected outright — the analysis
@@ -45,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Transitive site kinds that disqualify a submitted callable.
 #: ``rng-consume`` itself is *not* here: drawing from a payload stream
-#: is the sanctioned per-shard pattern.  The refinements are.
+#: is the sanctioned per-task pattern.  The refinements are.
 FORBIDDEN_TASK_KINDS = frozenset(
     {
         "ambient-rng",
@@ -72,7 +75,7 @@ class RngStreamDisciplineRule(Rule):
     description = (
         "Generators must trace to a per-run SeedSequence spawn: no "
         "module-level streams, and none crossing a WorkerPool boundary "
-        "unless spawned per-shard via spawn_rngs"
+        "unless spawned per-task via spawn_rngs"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -1,41 +1,19 @@
-"""Shard-parallel balancing rounds and a parallel experiment trial engine.
+"""A parallel experiment trial engine over one shared worker-pool policy.
 
-The KT aggregation is naturally partition-parallel: every depth-``d``
-subtree covers a contiguous identifier-space interval and folds its
-``<L, C, L_min>`` aggregate — and runs its sub-threshold rendezvous
-sweep — without looking outside the subtree.  This package exploits
-that structure on two layers:
-
-* :class:`ShardedLoadBalancer` splits the identifier space into
-  ``S = K**d`` contiguous shards, dispatches the per-shard LBI fold and
-  VSA sweep to worker processes through a :class:`WorkerPool`, and
-  merges shard results at the super-root exactly as KT parents merge
-  children — so serial mode, ``S=1`` and ``S>1`` produce byte-identical
-  :class:`~repro.core.report.BalanceReport`\\ s (asserted in terms of
-  :meth:`~repro.core.report.BalanceReport.canonical_digest`).
+* :class:`WorkerPool` is the one place allowed to spawn processes:
+  ordered dispatch, lazy creation, inline fallback.
 * :class:`TrialExecutor` fans experiment seed sweeps (variance, chaos,
-  figure benches) across worker processes, each trial under a fresh
-  :class:`~repro.obs.metrics.MetricsRegistry` that is merged back into
-  the caller's registry in trial order.
+  partition, byzantine) across worker processes, each trial under a
+  fresh :class:`~repro.obs.metrics.MetricsRegistry` that is merged back
+  into the caller's registry in trial order.
 
-Everything rng-, fault- or materialisation-dependent stays on the
-parent process; workers only ever see pure, picklable, path-keyed
-tasks.  See ``docs/parallelism.md`` for the determinism contract.
+Balancing rounds themselves run in one process; the trial seeds are
+what fan out.  Workers only ever see pure, picklable tasks, so a
+process-pool sweep and an inline sweep give identical results.  See
+``docs/parallelism.md`` for the determinism contract.
 """
 
-from repro.parallel.engine import ShardedLoadBalancer
 from repro.parallel.pool import WorkerPool
-from repro.parallel.shards import path_of, shard_depth, shard_index
-from repro.parallel.shardwork import (
-    LBIShardResult,
-    LBIShardTask,
-    ShardSweepResult,
-    VSAShardTask,
-    fold_lbi_paths,
-    lbi_shard_worker,
-    sweep_paths,
-    vsa_shard_worker,
-)
 from repro.parallel.trials import (
     TrialExecutor,
     TrialTask,
@@ -44,21 +22,9 @@ from repro.parallel.trials import (
 )
 
 __all__ = [
-    "LBIShardResult",
-    "LBIShardTask",
-    "ShardSweepResult",
-    "ShardedLoadBalancer",
     "TrialExecutor",
     "TrialTask",
-    "VSAShardTask",
     "WorkerPool",
-    "fold_lbi_paths",
-    "lbi_shard_worker",
-    "path_of",
     "run_trial_worker",
-    "shard_depth",
-    "shard_index",
     "spawn_trial_seeds",
-    "sweep_paths",
-    "vsa_shard_worker",
 ]

@@ -4,8 +4,7 @@ The ``no-fork-in-protocol`` lint rule confines process creation to this
 module so every fan-out in the codebase shares one executor policy:
 ordered dispatch, lazy pool creation, and graceful degradation to
 inline execution when a pool cannot be created or dies mid-flight
-(shard and trial tasks are pure, so rerunning them inline is always
-safe).
+(trial tasks are pure, so rerunning them inline is always safe).
 
 Two modes exist.  ``"process"`` backs :meth:`WorkerPool.map_ordered`
 with a :class:`concurrent.futures.ProcessPoolExecutor`; ``"inline"``

@@ -2,8 +2,8 @@
 
 The acceptance contract of the adversary subsystem: with an active
 :class:`~repro.adversary.AdversaryPlan` (defense on or off) the round
-digests must be byte-identical across the serial, incremental and
-sharded (S in {1, 2, 4}) engines, compose with fault plans and
+digests must be byte-identical across the serial and incremental
+engines, compose with fault plans and
 partitions, survive a crash-and-recover cycle unchanged, and — when the
 plan fields no active attacker (null plan, f=0 with defense armed, or
 armed-but-dormant ``start_round``) — stay byte-identical to a run with
@@ -19,7 +19,6 @@ from repro.adversary import AdversaryPlan
 from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.core.report import check_conservation
 from repro.faults import CrashPoint, FaultPlan, PartitionSpec
-from repro.parallel import ShardedLoadBalancer, WorkerPool
 from repro.recovery import RecoveryManager
 from repro.workloads import GaussianLoadModel, build_scenario
 
@@ -73,19 +72,6 @@ class TestEngineIdentity:
             IncrementalLoadBalancer(_ring(), CONFIG, rng=7, adversary=plan)
         )
         assert serial == incremental
-
-    @pytest.mark.parametrize("plan", [ATTACK, DEFENDED], ids=["off", "on"])
-    @pytest.mark.parametrize("num_shards", (1, 2, 4))
-    def test_sharded_matches_serial(self, plan, num_shards):
-        serial = _serial_digests(plan)
-        with WorkerPool(1, mode="inline") as pool:
-            sharded = _digests(
-                ShardedLoadBalancer(
-                    _ring(), CONFIG, rng=7, adversary=plan,
-                    num_shards=num_shards, pool=pool,
-                )
-            )
-        assert serial == sharded
 
     def test_attack_history_reproduces_byte_for_byte(self):
         first = LoadBalancer(_ring(), CONFIG, rng=7, adversary=ATTACK)

@@ -11,8 +11,8 @@ Three contracts from docs/performance.md are pinned here:
   constructor agree with their scalar/validating counterparts.
 * Delta-driven cache repair keeps every ``key -> leaf`` cache entry
   valid across churn without re-descending surviving reporter
-  corridors: ``stale_cache_misses`` stays zero and the batched engine
-  never descends more keys than the legacy per-key engine.
+  corridors: ``stale_cache_misses`` stays zero while repairs fire, and
+  the digests stay identical to the serial balancer's.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.dht import RingEventLog, crash_node, join_node, leave_node
-from repro.exceptions import BalancerError, RegionError, TreeError
+from repro.exceptions import RegionError, TreeError
 from repro.idspace import IdentifierSpace, Region
 from repro.ktree import KnaryTree, TreeIndex
 from repro.workloads import ParetoLoadModel, apply_load_drift, build_scenario
@@ -206,11 +206,9 @@ class TestDirectoryPatch:
                 assert index.node_at(a) is twin.node_at(b)
 
 
-def _run_rounds(engine, seed, rounds=6):
+def _run_rounds(seed, rounds=6):
     ring = _ring(seed, num_nodes=80, vs_per_node=4)
-    bal = IncrementalLoadBalancer(
-        ring, _config(), rng=seed + 1, descent_mode=engine
-    )
+    bal = IncrementalLoadBalancer(ring, _config(), rng=seed + 1)
     gen = np.random.default_rng(seed + 9)
     digests = []
     for rnd in range(rounds):
@@ -221,39 +219,24 @@ def _run_rounds(engine, seed, rounds=6):
 
 
 class TestDescentEconomy:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(BalancerError):
-            IncrementalLoadBalancer(
-                _ring(1), _config(), rng=2, descent_mode="eager"
-            )
-
     @pytest.mark.parametrize("seed", (2, 7))
     def test_repair_replaces_corridor_redescent(self, seed):
-        batched, digests_b = _run_rounds("batched", seed)
-        legacy, digests_l = _run_rounds("legacy", seed)
-        assert digests_b == digests_l
-        stats_b, stats_l = batched.descent_stats, legacy.descent_stats
+        bal, _ = _run_rounds(seed)
+        stats = bal.descent_stats
         # Repair must keep every surviving cache entry valid: a cached
         # slot that stopped being a live leaf would surface as a stale
-        # cache miss (a corridor re-descent), which the batched engine
-        # must never pay.
-        assert stats_b["stale_cache_misses"] == 0
-        # Churn invalidated some corridors, so repairs must have fired
-        # and the batched engine must descend no more keys than the
-        # legacy engine re-descends.
-        assert stats_b["cache_repairs"] > 0
-        assert stats_b["miss_descents"] <= stats_l["miss_descents"]
-        # The legacy engine pays a descent where the batched engine
-        # repairs; economy means strictly fewer descents once any repair
-        # happened.
-        assert stats_b["miss_descents"] < stats_l["miss_descents"]
+        # cache miss (a corridor re-descent), which the engine must
+        # never pay.
+        assert stats["stale_cache_misses"] == 0
+        # Churn invalidated some corridors, so repairs must have fired.
+        assert stats["cache_repairs"] > 0
 
     @pytest.mark.parametrize("seed", (4, 11))
     def test_cached_entries_validate_against_fresh_descent(self, seed):
         # Property: after any churn history, every key -> slot entry in
         # the repair-maintained cache names the exact leaf a fresh
         # serial descent reaches for that key.
-        bal, _ = _run_rounds("batched", seed)
+        bal, _ = _run_rounds(seed)
         index = bal._index
         tree = bal._tree
         assert bal._key_leaf, "cache unexpectedly empty"
@@ -263,7 +246,7 @@ class TestDescentEconomy:
             assert node.region.contains(key)
             assert tree.ensure_leaf_for_key(key) is node
 
-    def test_serial_identity_both_modes(self):
+    def test_serial_identity(self):
         seed = 33
         ring_s = _ring(seed, num_nodes=80, vs_per_node=4)
         serial = LoadBalancer(ring_s, _config(), rng=seed + 1)
@@ -273,6 +256,5 @@ class TestDescentEconomy:
             digests_s.append(serial.run_round().canonical_digest())
             if rnd < 5:
                 _churn(ring_s, gen)
-        _, digests_b = _run_rounds("batched", seed)
-        _, digests_l = _run_rounds("legacy", seed)
-        assert digests_s == digests_b == digests_l
+        _, digests_b = _run_rounds(seed)
+        assert digests_s == digests_b

@@ -7,8 +7,7 @@ digest — every float, assignment, transfer and counter, in order — is
 byte-identical to the serial :class:`~repro.core.balancer.LoadBalancer`
 run on a twin ring through the same history.  Under fault plans and
 partitions the engine must fall back to the serial path wholesale, so
-identity there is also asserted, as is three-way agreement with the
-sharded engine for S in {1, 2, 4}.
+identity there is also asserted.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.dht import crash_node, join_node, leave_node
 from repro.faults import FaultPlan, PartitionSpec
-from repro.parallel import ShardedLoadBalancer, WorkerPool
 from repro.workloads import (
     ParetoLoadModel,
     apply_load_drift,
@@ -159,54 +157,3 @@ class TestIncrementalFallback:
             assert digest_a == digest_b, f"round {rnd} diverged"
             _perturb(ring_a, gen_a)
             _perturb(ring_b, gen_b)
-
-
-class TestThreeWayAgreement:
-    @pytest.mark.parametrize("num_shards", (1, 2, 4))
-    def test_incremental_matches_sharded(self, num_shards):
-        seed = 31
-        ring_a, ring_b = _ring(seed), _ring(seed)
-        cfg = _config()
-        incremental = IncrementalLoadBalancer(ring_a, cfg, rng=seed)
-        sharded = ShardedLoadBalancer(
-            ring_b,
-            cfg,
-            rng=seed,
-            num_shards=num_shards,
-            pool=WorkerPool(1, mode="inline"),
-        )
-        gen_a = np.random.default_rng(seed + 7)
-        gen_b = np.random.default_rng(seed + 7)
-        try:
-            for rnd in range(4):
-                digest_a = incremental.run_round().canonical_digest()
-                digest_b = sharded.run_round().canonical_digest()
-                assert digest_a == digest_b, f"round {rnd} diverged"
-                _perturb(ring_a, gen_a)
-                _perturb(ring_b, gen_b)
-        finally:
-            sharded.close()
-
-    @pytest.mark.parametrize("num_shards", (1, 2, 4))
-    def test_sharded_faults_and_partitions_unchanged(self, num_shards):
-        # The classification/array refactors must leave the sharded
-        # engine's serial byte-identity intact under active fault plans.
-        seed = 23
-        cfg = _config()
-        serial = LoadBalancer(_ring(seed), cfg, rng=4, faults=PARTITION_FAULTS)
-        sharded = ShardedLoadBalancer(
-            _ring(seed),
-            cfg,
-            rng=4,
-            faults=PARTITION_FAULTS,
-            num_shards=num_shards,
-            pool=WorkerPool(1, mode="inline"),
-        )
-        try:
-            for rnd in range(4):
-                assert (
-                    serial.run_round().canonical_digest()
-                    == sharded.run_round().canonical_digest()
-                ), f"round {rnd} diverged"
-        finally:
-            sharded.close()

@@ -276,7 +276,7 @@ def test_shared_stream_crossing_pool_boundary_is_flagged(tmp_path):
         findings[0].message
     )
     assert "run_shared" in findings[0].message
-    # The per-shard spawn pattern passes: only the shared submission
+    # The per-task spawn pattern passes: only the shared submission
     # carries an origin.
     origins = {
         sub.caller: sub.shared_stream_origin
@@ -316,7 +316,7 @@ def test_payload_stream_task_is_accepted(tmp_path):
     write(tmp_path, "repro/analysis/pooluse.py", POOL_FIXTURE)
     analysis = analyze(tmp_path)
     # Both submissions pass purity: `work` draws only from the stream
-    # shipped in its task payload (the sanctioned per-shard pattern).
+    # shipped in its task payload (the sanctioned per-task pattern).
     assert list(ParallelTaskPurityRule().check_project(analysis)) == []
 
 
@@ -348,14 +348,19 @@ def test_lambda_and_wallclock_tasks_are_rejected(tmp_path):
     assert "slow_task" in findings[1].message
 
 
-def test_shipped_shard_workers_are_effect_closed():
-    """The real tree's submission sites prove the positive pattern."""
+def test_shipped_trial_executor_submission_is_effect_closed():
+    """The real tree's one submission site proves the positive pattern."""
     engine = LintEngine(rules=(), flow=False)
     files = engine.collect_files([REPO_ROOT / "src" / "repro"])
     contexts = [engine.parse_file(f, root=REPO_ROOT) for f in files]
     analysis = FlowAnalysis(contexts)
     subs = analysis.submissions()
-    assert len(subs) >= 3  # lbi/vsa shard workers + trial executor
+    # TrialExecutor.map is the only WorkerPool.map_ordered call.
+    assert len(subs) == 1
+    assert (subs[0].caller, subs[0].callee) == (
+        "repro.parallel.trials.TrialExecutor.map",
+        "repro.parallel.trials.run_trial_worker",
+    )
     for sub in subs:
         assert sub.callee is not None, sub.callee_text
         assert sub.shared_stream_origin is None, sub.caller

@@ -5,7 +5,7 @@ The subsystem's contract (docs/recovery.md): a run that crashes at any
 state (snapshot restore + journal replay) produces round reports whose
 :meth:`~repro.core.report.BalanceReport.canonical_digest` values are
 byte-identical to the same seeded run without the crash — across the
-serial, incremental and sharded engines, through double crashes, and
+serial and incremental engines, through double crashes, and
 through a *true* restart (a fresh :class:`~repro.recovery.RecoveryManager`
 opened on the state directory a dead process left behind).
 """
@@ -16,7 +16,6 @@ from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.exceptions import ProcessCrashError, RecoveryError
 from repro.faults import CrashPoint, FaultPlan, PartitionSpec
 from repro.faults.plan import CRASH_SITES
-from repro.parallel import ShardedLoadBalancer, WorkerPool
 from repro.recovery import RecoveryManager
 from repro.recovery.soak import run_schedule
 from repro.sim.dynamics import LoadDynamics, run_dynamic_simulation
@@ -50,7 +49,7 @@ def _plan(*crash_points):
     return FaultPlan(**BASE, crash_points=tuple(crash_points))
 
 
-def _factory(plan, engine="serial", shards=1, seed=SEED):
+def _factory(plan, engine="serial", seed=SEED):
     config = BalancerConfig(
         proximity_mode="ignorant", epsilon=0.05, tree_degree=2
     )
@@ -64,30 +63,19 @@ def _factory(plan, engine="serial", shards=1, seed=SEED):
         ).ring
         if engine == "serial":
             return LoadBalancer(ring, config, rng=seed + 1, faults=plan)
-        if engine == "incremental":
-            return IncrementalLoadBalancer(
-                ring, config, rng=seed + 1, faults=plan
-            )
-        return ShardedLoadBalancer(
-            ring,
-            config,
-            rng=seed + 1,
-            faults=plan,
-            num_shards=shards,
-            pool=WorkerPool(1, mode="inline"),
-        )
+        return IncrementalLoadBalancer(ring, config, rng=seed + 1, faults=plan)
 
     return build
 
 
-def _baseline_digests(engine="serial", shards=1):
+def _baseline_digests(engine="serial"):
     """The uncrashed reference run (same plan minus the crash points)."""
-    balancer = _factory(_plan(), engine, shards)()
+    balancer = _factory(_plan(), engine)()
     return [balancer.run_round().canonical_digest() for _ in range(ROUNDS)]
 
 
-def _recovered_digests(plan, tmp_path, engine="serial", shards=1):
-    manager = RecoveryManager(_factory(plan, engine, shards), state_dir=tmp_path)
+def _recovered_digests(plan, tmp_path, engine="serial"):
+    manager = RecoveryManager(_factory(plan, engine), state_dir=tmp_path)
     try:
         digests = [r.canonical_digest() for r in manager.run_rounds(ROUNDS)]
     finally:
@@ -109,13 +97,6 @@ class TestSingleCrashDigestIdentity:
         digests, restores = _recovered_digests(plan, tmp_path, "incremental")
         assert restores == 1
         assert digests == _baseline_digests("incremental")
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded(self, tmp_path, shards):
-        plan = _plan(CrashPoint(at_round=0, site="mid-vst-batch"))
-        digests, restores = _recovered_digests(plan, tmp_path, "sharded", shards)
-        assert restores == 1
-        assert digests == _baseline_digests("sharded", shards)
 
 
 class TestHarderSchedules:
