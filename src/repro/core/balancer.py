@@ -16,6 +16,7 @@ then carry real topology distances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.adversary.engine import AdversaryEngine, ensure_engine
 from repro.adversary.plan import AdversaryPlan
 from repro.adversary.stats import AdversaryRoundStats
 from repro.adversary.trust import TrustedAggregation
-from repro.core.classification import ClassificationResult, classify_all
+from repro.core.classification import ClassificationResult, classify_arrays
 from repro.core.config import BalancerConfig
 from repro.core.lbi import (
     AggregateSanity,
@@ -46,11 +47,12 @@ from repro.core.records import (
 )
 from repro.core.report import BalanceReport
 from repro.core.selection import select_shed_subset
+from repro.core.soa import NodeStateArrays
 from repro.core.vsa import VSAResult, VSASweep
 from repro.core.vst import TransferRecord, execute_transfers
 from repro.dht.chord import ChordRing
 from repro.dht.node import PhysicalNode
-from repro.exceptions import ConfigError
+from repro.exceptions import BalancerError, ConfigError
 from repro.faults.injector import FaultInjector, ensure_injector
 from repro.faults.plan import FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
@@ -70,6 +72,49 @@ from repro.util.rng import ensure_rng, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (recovery -> core)
     from repro.recovery.journal import TransferJournal
+
+
+@dataclass
+class RoundPart:
+    """One independently balanced slice of a round.
+
+    ``ring`` is the whole ring, its quarantine-filtered view, or one
+    partition component's view; ``nodes`` are its alive nodes in ring
+    order and ``rows`` masks their rows in the round's
+    :class:`~repro.core.soa.NodeStateArrays` snapshot.  ``component``
+    names a partition component by its first member; ``tree`` is the
+    part's KT once the serial LBI kernel has built it.
+    """
+
+    ring: ChordRing | ComponentRingView
+    nodes: list[PhysicalNode]
+    rows: np.ndarray
+    component: int | None = None
+    tree: KnaryTree | None = None
+
+
+def _merge_classes(
+    results: list[ClassificationResult],
+    indices: np.ndarray,
+    loads: np.ndarray,
+    idle: np.ndarray,
+) -> ClassificationResult:
+    """Union of the parts' classifications, idle rows neutral.
+
+    An idle node has no admissible aggregate to classify against, so it
+    keeps its load (``loads``, same rows as ``indices``) for the round.
+    """
+    if len(results) == 1 and not idle.any():
+        return results[0]
+    classes: dict[int, NodeClass] = {}
+    targets: dict[int, float] = {}
+    for result in results:
+        classes.update(result.classes)
+        targets.update(result.targets)
+    for index, load in zip(indices[idle].tolist(), loads[idle].tolist()):
+        classes[index] = NodeClass.NEUTRAL
+        targets[index] = load
+    return ClassificationResult(classes=classes, targets=targets)
 
 
 class LoadBalancer:
@@ -293,75 +338,105 @@ class LoadBalancer:
         pending: PartitionSpec | None = None
         if self.membership is not None:
             view, pending = self.membership.begin_round(round_index, stats)
-        alive_indices = [n.index for n in self.ring.alive_nodes]
-        if self.adversary is not None:
-            self.adversary.begin_round(round_index, alive_indices)
-        if isinstance(self._sanity, TrustedAggregation):
-            self._sanity.begin_round(
-                stats.epoch,
-                stats,
-                alive_indices=alive_indices,
-                adversary_stats=adv_stats,
-            )
-        elif self._sanity is not None:
-            self._sanity.begin_round(
-                stats.epoch, stats, alive_indices=alive_indices
-            )
-        if view is not None:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "round.degraded",
-                    epoch=view.epoch,
-                    components=len(view.components),
+        if self.adversary is not None or self._sanity is not None:
+            alive_indices = [n.index for n in self.ring.alive_nodes]
+            if self.adversary is not None:
+                self.adversary.begin_round(round_index, alive_indices)
+            if isinstance(self._sanity, TrustedAggregation):
+                self._sanity.begin_round(
+                    stats.epoch,
+                    stats,
+                    alive_indices=alive_indices,
+                    adversary_stats=adv_stats,
                 )
-            report = self._run_partitioned_round(stats, view, adv_stats)
-        else:
-            report = self._run_plain_round(stats, pending, adv_stats)
+            elif self._sanity is not None:
+                self._sanity.begin_round(
+                    stats.epoch, stats, alive_indices=alive_indices
+                )
+        if view is not None and self.tracer.enabled:
+            self.tracer.event(
+                "round.degraded",
+                epoch=view.epoch,
+                components=len(view.components),
+            )
+        report = self._balance(stats, adv_stats, view, pending)
         if self.journal is not None:
             self.journal.record(
                 "round_end", round=round_index, digest=report.canonical_digest()
             )
         return report
 
-    def _run_plain_round(
+    def _round_parts(
+        self, alive: list[PhysicalNode], view: MembershipView | None
+    ) -> tuple[list[RoundPart], np.ndarray]:
+        """Split the round into parts; returns them plus the idle-row mask.
+
+        Under a partition each component with virtual servers is a part
+        over its :class:`~repro.membership.views.ComponentRingView`.
+        Otherwise the whole ring is the one part — or, when the trust
+        layer has quarantined nodes, the view of the trusted survivors,
+        so excluded regions re-tile and quarantined nodes neither report
+        nor receive transfers.  Idle rows (quarantined nodes, members of
+        a component without virtual servers) sit the round out neutral.
+        """
+        ring = self.ring
+        idle = np.zeros(len(alive), dtype=bool)
+        if view is not None:
+            indices = [n.index for n in alive]
+            parts: list[RoundPart] = []
+            for members in view.components:
+                comp = ComponentRingView(ring, members)
+                nodes = comp.alive_nodes
+                rows = np.isin(indices, members)
+                if any(n.virtual_servers for n in nodes):
+                    parts.append(RoundPart(comp, nodes, rows, members[0]))
+                else:
+                    idle |= rows
+            return parts, idle
+        trust = self._sanity if isinstance(self._sanity, TrustedAggregation) else None
+        if trust is not None and trust.excluded:
+            trusted = tuple(n.index for n in alive if n.index not in trust.excluded)
+            if trusted and len(trusted) < len(alive):
+                retiled = ComponentRingView(ring, trusted)
+                nodes = retiled.alive_nodes
+                if any(n.virtual_servers for n in nodes):
+                    idle[:] = [n.index in trust.excluded for n in alive]
+                    return [RoundPart(retiled, nodes, ~idle)], idle
+        return [RoundPart(ring, alive, ~idle)], idle
+
+    def _balance(
         self,
         stats: FaultRoundStats,
-        pending: PartitionSpec | None = None,
-        adv_stats: AdversaryRoundStats | None = None,
+        adv_stats: AdversaryRoundStats,
+        view: MembershipView | None,
+        pending: PartitionSpec | None,
     ) -> BalanceReport:
-        """One whole-ring round (optionally cut mid-VST by ``pending``)."""
+        """The round body: LBI -> classify -> VSA -> VST per part, merged.
+
+        Parts run in deterministic order (see :meth:`_round_parts`);
+        their aggregates, aggregation traces and VSA results merge into
+        one report.  A partition component left without LBI reports
+        goes idle like one without virtual servers.  Stale-LBI reuse
+        and the mid-round partition cut are whole-ring only; a
+        partitioned round invalidates the cached aggregate, since an
+        epoch change makes cross-epoch state inadmissible.
+        """
         cfg = self.config
         ring = self.ring
         tracer = self.tracer
         faults = self.faults
-        if adv_stats is None:
-            adv_stats = AdversaryRoundStats()
+        membership = self.membership
         alive = ring.alive_nodes
-        node_indices = np.asarray([n.index for n in alive], dtype=np.int64)
-        capacities = np.asarray([n.capacity for n in alive], dtype=np.float64)
-        loads_before = np.asarray([n.load for n in alive], dtype=np.float64)
-        # Quarantine re-tiling: when the trust layer has excluded nodes,
-        # the whole protocol pipeline runs over a ComponentRingView of
-        # the trusted survivors — the same machinery partitions use — so
-        # excluded regions are re-tiled and quarantined nodes neither
-        # report nor receive transfers.  Their loads still appear in the
-        # conservation arrays above; they classify neutral below.
-        work: ChordRing | ComponentRingView = ring
-        work_alive = alive
-        trust = (
-            self._sanity
-            if isinstance(self._sanity, TrustedAggregation)
-            else None
-        )
-        if trust is not None and trust.excluded:
-            trusted = tuple(
-                n.index for n in alive if n.index not in trust.excluded
-            )
-            if trusted and len(trusted) < len(alive):
-                view = ComponentRingView(ring, trusted)
-                if any(n.virtual_servers for n in view.alive_nodes):
-                    work = view
-                    work_alive = view.alive_nodes
+        arrays = NodeStateArrays.snapshot(alive)
+        parts, idle = self._round_parts(alive, view)
+        in_flight = 0.0
+        span_fields: dict[str, int] = {}
+        if view is not None:
+            assert membership is not None
+            self._stale_lbi = None
+            self._stale_lbi_age = 0
+            in_flight = membership.in_flight_load
+            span_fields = {"epoch": view.epoch, "components": len(view.components)}
         clock = PhaseClock()
         round_span = tracer.span(
             "round",
@@ -369,106 +444,133 @@ class LoadBalancer:
             nodes=len(alive),
             virtual_servers=ring.num_virtual_servers,
             tree_degree=cfg.tree_degree,
+            **span_fields,
         )
 
-        # Phase 1: tree + LBI aggregation/dissemination.
-        with clock.phase("lbi"), tracer.span("lbi"):
-            tree = KnaryTree(work, cfg.tree_degree, metrics=self.metrics)
-            reports = collect_lbi_reports(
-                work,
-                tree,
-                rng=self._lbi_rng,
-                tracer=tracer,
-                faults=faults,
-                retry=self.retry,
-                fault_stats=stats,
-                sanity=self._sanity,
-                epoch=stats.epoch,
-                adversary=self.adversary,
-                adversary_stats=adv_stats,
-            )
-            if reports or self._stale_lbi is None:
-                # aggregate_lbi raises BalancerError on an empty report
-                # set with nothing cached — total aggregation failure in
-                # the very first round is unrecoverable by design.
-                system, agg_trace = aggregate_lbi(tree, reports, tracer=tracer)
-                self._stale_lbi = system
-                self._stale_lbi_age = 0
-            elif self._stale_lbi_age < self.retry.lbi_staleness_rounds:
-                # Degraded mode: every report was lost this round, but a
-                # previous aggregate is still within its staleness bound —
-                # reuse it rather than failing the round.  The loads it
-                # describes are approximate, which the paper's protocol
-                # tolerates (classification thresholds carry slack).
-                self._stale_lbi_age += 1
-                system = self._stale_lbi
-                agg_trace = AggregationTrace(tree_height=tree.height())
-                stats.stale_lbi_reused = True
-                if tracer.enabled:
-                    tracer.event(
-                        "lbi.stale_reuse",
-                        age=self._stale_lbi_age,
-                        bound=self.retry.lbi_staleness_rounds,
-                    )
-            else:
-                # The cached aggregate aged out: surface the failure.
-                system, agg_trace = aggregate_lbi(tree, reports, tracer=tracer)
-        self._crash_point("post-lbi-fold")
-
-        # Phase 2: classification.  Quarantined nodes sit the round out
-        # as neutral — they are outside the trusted aggregate, so no
-        # target can be computed for them.
-        with clock.phase("classification"), tracer.span("classification"):
-            classification_before = classify_all(
-                work_alive, system, cfg.epsilon, tracer=tracer, stage="before"
-            )
-            self._classify_excluded_neutral(
-                alive, work_alive, classification_before
+        def classify(
+            rows: np.ndarray, loads: np.ndarray, system: SystemLBI, stage: str
+        ) -> ClassificationResult:
+            return classify_arrays(
+                arrays.indices[rows], arrays.capacities[rows], loads[rows],
+                system, cfg.epsilon, tracer=tracer, stage=stage,
             )
 
-        with clock.phase("vsa"):
-            # Phase 3a: build VSA entries.
-            vsa_span = tracer.span("vsa")
-            published = self._publish_vsa_entries(
-                work_alive, classification_before
-            )
-
-            # Phase 3b: bottom-up VSA sweep.
-            vsa_result = VSASweep(
-                tree,
-                threshold=cfg.rendezvous_threshold,
-                min_vs_load=system.min_vs_load,
-                strict_heaviest_first=cfg.strict_heaviest_first,
-                tracer=tracer,
-                faults=faults,
-                retry=self.retry,
-                rng=self._retry_rng,
-                fault_stats=stats,
-            ).run(published)
-            vsa_span.end()
-
-        # Phase 4: execute transfers.  Assignments that went stale because
-        # churn interleaved between VSA and VST are dropped, not fatal;
-        # transfers that abort mid-flight roll back and land in ``failed``.
+        balanced: list[tuple[RoundPart, SystemLBI, ClassificationResult]] = []
+        traces: list[AggregationTrace] = []
+        vsa = VSAResult()
+        transfers: list[TransferRecord] = []
         skipped: list[Assignment] = []
         failed: list[Assignment] = []
-        with clock.phase("vst"), tracer.span("vst"):
-            if pending is not None and self.membership is not None:
-                transfers = self._execute_transfers_with_partition(
-                    vsa_result.assignments, pending, skipped, failed, stats
-                )
-            else:
-                transfers = execute_transfers(
-                    work, vsa_result.assignments, self.oracle, skipped=skipped,
-                    tracer=tracer, faults=faults, failed=failed, fault_stats=stats,
-                    journal=self.journal, adversary=self.adversary,
-                )
+        tree_height = 0
+        tree_nodes = 0
+        for part in parts:
+            # Phase 1: tree + LBI aggregation/dissemination.
+            component = part.component
+            with clock.phase("lbi"), tracer.span(
+                "lbi", **({} if component is None else {"component": component})
+            ):
+                folded = self._fold_lbi(part, arrays, stats, adv_stats, clock)
+                if component is None:
+                    folded = self._whole_ring_lbi(part, folded, stats)
+                elif folded is None:
+                    idle |= part.rows
+                    continue
+            self._crash_point("post-lbi-fold")
+            system, trace = folded
 
-        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
-        classification_after = classify_all(
-            work_alive, system, cfg.epsilon, tracer=tracer, stage="after"
+            # Phase 2: classification over the part's snapshot rows.
+            with clock.phase("classification"), tracer.span("classification"):
+                before = classify(part.rows, arrays.loads, system, "before")
+
+            # Phase 3: publication, then the bottom-up VSA sweep.
+            with clock.phase("vsa"):
+                vsa_span = tracer.span("vsa")
+                published = self._publish_vsa_entries(part.nodes, before)
+                part_vsa, height, node_count = self._sweep_vsa(
+                    part, published, system.min_vs_load, stats, clock
+                )
+                vsa_span.end()
+
+            # Phase 4: execute transfers.  Assignments that went stale
+            # because churn interleaved between VSA and VST are dropped,
+            # not fatal; transfers that abort mid-flight roll back and
+            # land in ``failed``.
+            with clock.phase("vst"), tracer.span("vst"):
+                if pending is not None and membership is not None:
+                    transfers += self._execute_transfers_with_partition(
+                        part_vsa.assignments, pending, skipped, failed, stats
+                    )
+                else:
+                    transfers += execute_transfers(
+                        part.ring, part_vsa.assignments, self.oracle,
+                        skipped=skipped, tracer=tracer, faults=faults,
+                        failed=failed, fault_stats=stats, journal=self.journal,
+                        adversary=self.adversary,
+                    )
+
+            balanced.append((part, system, before))
+            traces.append(trace)
+            vsa.assignments += part_vsa.assignments
+            vsa.unassigned_heavy += part_vsa.unassigned_heavy
+            vsa.unassigned_light += part_vsa.unassigned_light
+            vsa.rounds = max(vsa.rounds, part_vsa.rounds)
+            vsa.upward_messages += part_vsa.upward_messages
+            vsa.entries_published += part_vsa.entries_published
+            vsa.entries_lost += part_vsa.entries_lost
+            vsa.pairings_by_level.update(part_vsa.pairings_by_level)
+            tree_height = max(tree_height, height)
+            tree_nodes += node_count
+
+        aggregation = AggregationTrace(
+            tree_height=max([t.tree_height for t in traces], default=0),
+            upward_rounds=max([t.upward_rounds for t in traces], default=0),
+            downward_rounds=max([t.downward_rounds for t in traces], default=0),
+            upward_messages=sum(t.upward_messages for t in traces),
+            downward_messages=sum(t.downward_messages for t in traces),
+            reports=sum(t.reports for t in traces),
         )
-        self._classify_excluded_neutral(alive, work_alive, classification_after)
+        if view is None:
+            system = balanced[0][1]
+        else:
+            total_load = 0.0
+            total_capacity = 0.0
+            min_vs_load = float("inf")
+            for _, part_system, _ in balanced:
+                total_load += part_system.total_load
+                total_capacity += part_system.total_capacity
+                min_vs_load = min(min_vs_load, part_system.min_vs_load)
+            if total_capacity <= 0:
+                # Every component lost every report: degrade to the sum
+                # of the advertised node capacities so the round still
+                # reports a well-formed (if uninformative) aggregate.
+                total_capacity = sum(arrays.capacities.tolist())
+                total_load = float(np.sum(arrays.loads))
+            system = SystemLBI(
+                total_load=total_load,
+                total_capacity=total_capacity,
+                min_vs_load=min_vs_load,
+            )
+
+        # After the VST: nodes crashed mid-batch drop out of their part's
+        # classification (their rows stay in ``loads_after``); in a
+        # quarantine re-tiled round they sit out neutral instead, like
+        # the excluded nodes.  Only faulted rounds have crash victims.
+        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
+        crashed = np.isin(arrays.indices, stats.crashed_nodes)
+        after = [
+            classify(part.rows & ~crashed, loads_after, part_system, "after")
+            for part, part_system, _ in balanced
+        ]
+        retiled = view is None and parts[0].ring is not ring
+        classification_before = _merge_classes(
+            [before for _, _, before in balanced], arrays.indices, arrays.loads, idle
+        )
+        classification_after = _merge_classes(
+            after,
+            arrays.indices,
+            loads_after,
+            idle | crashed if retiled else idle,
+        )
         if faults is not None:
             stats.injected_total = faults.injected
             stats.signature = faults.signature()
@@ -486,25 +588,24 @@ class LoadBalancer:
             system_lbi=system,
             num_nodes=len(alive),
             num_virtual_servers=ring.num_virtual_servers,
-            node_indices=node_indices,
-            capacities=capacities,
-            loads_before=loads_before,
+            node_indices=arrays.indices,
+            capacities=arrays.capacities,
+            loads_before=arrays.loads,
             loads_after=loads_after,
             classification_before=classification_before,
             classification_after=classification_after,
-            aggregation=agg_trace,
-            vsa=vsa_result,
+            aggregation=aggregation,
+            vsa=vsa,
             transfers=transfers,
             skipped_assignments=skipped,
             failed_assignments=failed,
             fault_stats=stats,
             adversary_stats=adv_stats,
-            tree_height=tree.height(),
-            tree_nodes_materialized=tree.node_count,
+            tree_height=tree_height,
+            tree_nodes_materialized=tree_nodes,
+            in_flight_before=in_flight,
             in_flight_after=(
-                self.membership.in_flight_load
-                if self.membership is not None
-                else 0.0
+                membership.in_flight_load if membership is not None else 0.0
             ),
             phase_seconds=clock.seconds,
         )
@@ -513,6 +614,103 @@ class LoadBalancer:
             self._record_metrics(report)
         return report
 
+    def _whole_ring_lbi(
+        self,
+        part: RoundPart,
+        folded: tuple[SystemLBI, AggregationTrace] | None,
+        stats: FaultRoundStats,
+    ) -> tuple[SystemLBI, AggregationTrace]:
+        """Cache a whole-ring aggregate, or reuse the cached one.
+
+        When every report was lost, a cached aggregate within its
+        staleness bound stands in (its loads are approximate, which the
+        classification slack tolerates); with none, the round raises
+        :class:`~repro.exceptions.BalancerError`.
+        """
+        if folded is not None:
+            self._stale_lbi = folded[0]
+            self._stale_lbi_age = 0
+            return folded
+        if (
+            self._stale_lbi is None
+            or self._stale_lbi_age >= self.retry.lbi_staleness_rounds
+        ):
+            raise BalancerError("no LBI reports to aggregate")
+        assert part.tree is not None
+        self._stale_lbi_age += 1
+        stats.stale_lbi_reused = True
+        if self.tracer.enabled:
+            self.tracer.event(
+                "lbi.stale_reuse",
+                age=self._stale_lbi_age,
+                bound=self.retry.lbi_staleness_rounds,
+            )
+        return self._stale_lbi, AggregationTrace(tree_height=part.tree.height())
+
+    # ------------------------------------------------------------------
+    # Tree kernels (the incremental engine overrides both)
+    # ------------------------------------------------------------------
+    def _fold_lbi(
+        self,
+        part: RoundPart,
+        arrays: NodeStateArrays,
+        stats: FaultRoundStats,
+        adv_stats: AdversaryRoundStats,
+        clock: PhaseClock,
+    ) -> tuple[SystemLBI, AggregationTrace] | None:
+        """Phase 1 kernel: build the part's KT, collect and fold LBI.
+
+        Returns ``None`` when every report was lost or rejected.
+        """
+        tree = KnaryTree(
+            part.ring, self.config.tree_degree, metrics=self.metrics,
+            epoch=stats.epoch,
+        )
+        part.tree = tree
+        reports = collect_lbi_reports(
+            part.ring,
+            tree,
+            rng=self._lbi_rng,
+            tracer=self.tracer,
+            faults=self.faults,
+            retry=self.retry,
+            fault_stats=stats,
+            sanity=self._sanity,
+            epoch=stats.epoch,
+            adversary=self.adversary,
+            adversary_stats=adv_stats,
+        )
+        if not reports:
+            return None
+        return aggregate_lbi(tree, reports, tracer=self.tracer)
+
+    def _sweep_vsa(
+        self,
+        part: RoundPart,
+        published: list[tuple[int, ShedCandidate | SpareCapacity]],
+        min_vs_load: float,
+        stats: FaultRoundStats,
+        clock: PhaseClock,
+    ) -> tuple[VSAResult, int, int]:
+        """Phase 3b kernel: the bottom-up sweep over the part's KT.
+
+        Returns the result plus the tree's final height and node count.
+        """
+        tree = part.tree
+        assert tree is not None
+        result = VSASweep(
+            tree,
+            threshold=self.config.rendezvous_threshold,
+            min_vs_load=min_vs_load,
+            strict_heaviest_first=self.config.strict_heaviest_first,
+            tracer=self.tracer,
+            faults=self.faults,
+            retry=self.retry,
+            rng=self._retry_rng,
+            fault_stats=stats,
+        ).run(published)
+        return result, tree.height(), tree.node_count
+
     # ------------------------------------------------------------------
     def _publish_vsa_entries(
         self,
@@ -520,69 +718,65 @@ class LoadBalancer:
         classification: ClassificationResult,
     ) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
         """Phase 3a: heavy nodes publish shed candidates, light ones spare
-        capacity, each under its placement key, in node order."""
+        capacity, each under its placement key, in node order.
+
+        Every publisher is decided first and all keys are drawn in one
+        ``keys_for`` call.  Shed selection consumes no randomness, so the
+        placement stream — and hence the published list — is identical
+        to drawing each key as its node is visited.  A placement that
+        only defines ``key_for`` is asked node by node.
+        """
         cfg = self.config
-        assert self._placement is not None
-        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
+        placement = self._placement
+        assert placement is not None
+        publishers: list[PhysicalNode] = []
+        payloads: list[list[ShedCandidate] | SpareCapacity] = []
         for node in nodes:
             cls = classification.classes[node.index]
             if cls is NodeClass.HEAVY:
-                target = classification.targets[node.index]
                 vs_list = node.virtual_servers
-                loads = [vs.load for vs in vs_list]
                 shed = select_shed_subset(
-                    loads,
-                    excess=node.load - target,
+                    [vs.load for vs in vs_list],
+                    excess=node.load - classification.targets[node.index],
                     policy=cfg.selection_policy,
                     keep_at_least=cfg.keep_at_least,
                 )
                 if not shed:
                     continue
-                key = self._placement.key_for(node)
-                for idx in shed:
-                    published.append(
-                        (
-                            key,
-                            ShedCandidate(
-                                load=vs_list[idx].load,
-                                vs_id=vs_list[idx].vs_id,
-                                node_index=node.index,
-                            ),
+                publishers.append(node)
+                payloads.append(
+                    [
+                        ShedCandidate(
+                            load=vs_list[idx].load,
+                            vs_id=vs_list[idx].vs_id,
+                            node_index=node.index,
                         )
-                    )
+                        for idx in shed
+                    ]
+                )
             elif cls is NodeClass.LIGHT:
                 delta = classification.targets[node.index] - node.load
                 if delta <= 0:
                     continue
-                key = self._placement.key_for(node)
-                published.append(
-                    (key, SpareCapacity(delta=delta, node_index=node.index))
-                )
+                publishers.append(node)
+                payloads.append(SpareCapacity(delta=delta, node_index=node.index))
+        keys_for = getattr(placement, "keys_for", None)
+        keys = (
+            keys_for(publishers)
+            if keys_for is not None
+            else [placement.key_for(node) for node in publishers]
+        )
+        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
+        for key, payload in zip(keys, payloads):
+            if isinstance(payload, SpareCapacity):
+                published.append((key, payload))
+            else:
+                published.extend((key, entry) for entry in payload)
         return published
 
     # ------------------------------------------------------------------
     # Adversary machinery
     # ------------------------------------------------------------------
-    @staticmethod
-    def _classify_excluded_neutral(
-        alive: list[PhysicalNode],
-        work_alive: list[PhysicalNode],
-        classification: ClassificationResult,
-    ) -> None:
-        """Classify quarantine-excluded nodes neutral (no movement).
-
-        Mirrors the degraded-component handling in partitioned rounds:
-        a node outside the trusted work ring has no admissible aggregate
-        to classify against, so it keeps its load for the round.
-        """
-        if len(work_alive) == len(alive):
-            return
-        covered = classification.classes
-        for node in alive:
-            if node.index not in covered:
-                classification.classes[node.index] = NodeClass.NEUTRAL
-                classification.targets[node.index] = node.load
-
     def _finalize_adversary_stats(
         self,
         adv_stats: AdversaryRoundStats,
@@ -668,225 +862,6 @@ class LoadBalancer:
             journal=self.journal, adversary=self.adversary,
         )
         return transfers
-
-    def _run_partitioned_round(
-        self,
-        stats: FaultRoundStats,
-        view: MembershipView,
-        adv_stats: AdversaryRoundStats | None = None,
-    ) -> BalanceReport:
-        """One degraded round: an independent sub-round per component.
-
-        Each component sees only its own nodes through a
-        :class:`~repro.membership.views.ComponentRingView`, builds an
-        epoch-tagged tree over it and runs the identical
-        LBI/classify/VSA/VST pipeline.  Components run in deterministic
-        order; their results merge into one report whose aggregate is
-        the sum of the component aggregates.  A component left without
-        LBI reports (or without virtual servers) classifies its nodes
-        neutral and moves nothing.  The cached whole-ring aggregate is
-        invalidated — an epoch change makes cross-epoch state
-        inadmissible by definition.
-        """
-        cfg = self.config
-        ring = self.ring
-        tracer = self.tracer
-        faults = self.faults
-        membership = self.membership
-        assert membership is not None
-        if adv_stats is None:
-            adv_stats = AdversaryRoundStats()
-        self._stale_lbi = None
-        self._stale_lbi_age = 0
-        alive = ring.alive_nodes
-        node_indices = np.asarray([n.index for n in alive], dtype=np.int64)
-        capacities = np.asarray([n.capacity for n in alive], dtype=np.float64)
-        loads_before = np.asarray([n.load for n in alive], dtype=np.float64)
-        in_flight = membership.in_flight_load
-        clock = PhaseClock()
-        round_span = tracer.span(
-            "round",
-            mode=cfg.proximity_mode,
-            nodes=len(alive),
-            virtual_servers=ring.num_virtual_servers,
-            tree_degree=cfg.tree_degree,
-            epoch=view.epoch,
-            components=len(view.components),
-        )
-
-        total_load = 0.0
-        total_capacity = 0.0
-        min_vs_load = float("inf")
-        agg_trace = AggregationTrace()
-        vsa_result = VSAResult()
-        classes_before: dict[int, NodeClass] = {}
-        targets_before: dict[int, float] = {}
-        classes_after: dict[int, NodeClass] = {}
-        targets_after: dict[int, float] = {}
-        transfers: list[TransferRecord] = []
-        skipped: list[Assignment] = []
-        failed: list[Assignment] = []
-        tree_height = 0
-        tree_nodes = 0
-
-        def neutral(nodes: list[PhysicalNode]) -> None:
-            """Classify a degraded component's nodes neutral (no movement)."""
-            for node in nodes:
-                classes_before[node.index] = NodeClass.NEUTRAL
-                targets_before[node.index] = node.load
-                classes_after[node.index] = NodeClass.NEUTRAL
-                targets_after[node.index] = node.load
-
-        for members in view.components:
-            comp = ComponentRingView(ring, members)
-            comp_alive = comp.alive_nodes
-            if not comp_alive:
-                continue
-            if not any(n.virtual_servers for n in comp_alive):
-                neutral(comp_alive)
-                continue
-            with clock.phase("lbi"), tracer.span("lbi", component=members[0]):
-                tree = KnaryTree(
-                    comp, cfg.tree_degree, metrics=self.metrics,
-                    epoch=view.epoch,
-                )
-                # Under an active adversary, lies and accusations flow
-                # into each component's collection unchanged; quarantined
-                # nodes are not re-tiled out here (the components already
-                # re-tile the ring) — their reports are rejected at the
-                # trust gate instead.
-                reports = collect_lbi_reports(
-                    comp,
-                    tree,
-                    rng=self._lbi_rng,
-                    tracer=tracer,
-                    faults=faults,
-                    retry=self.retry,
-                    fault_stats=stats,
-                    sanity=self._sanity,
-                    epoch=view.epoch,
-                    adversary=self.adversary,
-                    adversary_stats=adv_stats,
-                )
-                if not reports:
-                    neutral(comp_alive)
-                    continue
-                system_c, agg_c = aggregate_lbi(tree, reports, tracer=tracer)
-            self._crash_point("post-lbi-fold")
-            with clock.phase("classification"), tracer.span("classification"):
-                before_c = classify_all(
-                    comp_alive, system_c, cfg.epsilon, tracer=tracer,
-                    stage="before",
-                )
-            with clock.phase("vsa"):
-                vsa_span = tracer.span("vsa")
-                published = self._publish_vsa_entries(comp_alive, before_c)
-                vsa_c = VSASweep(
-                    tree,
-                    threshold=cfg.rendezvous_threshold,
-                    min_vs_load=system_c.min_vs_load,
-                    strict_heaviest_first=cfg.strict_heaviest_first,
-                    tracer=tracer,
-                    faults=faults,
-                    retry=self.retry,
-                    rng=self._retry_rng,
-                    fault_stats=stats,
-                ).run(published)
-                vsa_span.end()
-            with clock.phase("vst"), tracer.span("vst"):
-                transfers_c = execute_transfers(
-                    comp, vsa_c.assignments, self.oracle, skipped=skipped,
-                    tracer=tracer, faults=faults, failed=failed,
-                    fault_stats=stats, journal=self.journal,
-                    adversary=self.adversary,
-                )
-            after_c = classify_all(
-                comp_alive, system_c, cfg.epsilon, tracer=tracer, stage="after"
-            )
-            total_load += system_c.total_load
-            total_capacity += system_c.total_capacity
-            min_vs_load = min(min_vs_load, system_c.min_vs_load)
-            agg_trace.tree_height = max(agg_trace.tree_height, agg_c.tree_height)
-            agg_trace.upward_rounds = max(agg_trace.upward_rounds, agg_c.upward_rounds)
-            agg_trace.downward_rounds = max(
-                agg_trace.downward_rounds, agg_c.downward_rounds
-            )
-            agg_trace.upward_messages += agg_c.upward_messages
-            agg_trace.downward_messages += agg_c.downward_messages
-            agg_trace.reports += agg_c.reports
-            vsa_result.assignments.extend(vsa_c.assignments)
-            vsa_result.unassigned_heavy.extend(vsa_c.unassigned_heavy)
-            vsa_result.unassigned_light.extend(vsa_c.unassigned_light)
-            vsa_result.rounds = max(vsa_result.rounds, vsa_c.rounds)
-            vsa_result.upward_messages += vsa_c.upward_messages
-            vsa_result.entries_published += vsa_c.entries_published
-            vsa_result.entries_lost += vsa_c.entries_lost
-            vsa_result.pairings_by_level.update(vsa_c.pairings_by_level)
-            classes_before.update(before_c.classes)
-            targets_before.update(before_c.targets)
-            classes_after.update(after_c.classes)
-            targets_after.update(after_c.targets)
-            transfers.extend(transfers_c)
-            tree_height = max(tree_height, tree.height())
-            tree_nodes += tree.node_count
-
-        if total_capacity <= 0:
-            # Every component lost every report: degrade to the sum of
-            # the advertised node capacities so the round still reports
-            # a well-formed (if uninformative) aggregate.
-            total_capacity = sum(n.capacity for n in alive)
-            total_load = float(np.sum(loads_before))
-        system = SystemLBI(
-            total_load=total_load,
-            total_capacity=total_capacity,
-            min_vs_load=min_vs_load,
-        )
-        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
-        classification_before = ClassificationResult(
-            classes=classes_before, targets=targets_before
-        )
-        classification_after = ClassificationResult(
-            classes=classes_after, targets=targets_after
-        )
-        if faults is not None:
-            stats.injected_total = faults.injected
-            stats.signature = faults.signature()
-        self._finalize_adversary_stats(adv_stats, transfers)
-        round_span.end(
-            transfers=len(transfers),
-            moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=len(classification_after.heavy),
-            failed_transfers=len(failed),
-            faults_injected=stats.injected_total,
-        )
-        report = BalanceReport(
-            config=cfg,
-            system_lbi=system,
-            num_nodes=len(alive),
-            num_virtual_servers=ring.num_virtual_servers,
-            node_indices=node_indices,
-            capacities=capacities,
-            loads_before=loads_before,
-            loads_after=loads_after,
-            classification_before=classification_before,
-            classification_after=classification_after,
-            aggregation=agg_trace,
-            vsa=vsa_result,
-            transfers=transfers,
-            skipped_assignments=skipped,
-            failed_assignments=failed,
-            fault_stats=stats,
-            adversary_stats=adv_stats,
-            tree_height=tree_height,
-            tree_nodes_materialized=tree_nodes,
-            in_flight_before=in_flight,
-            in_flight_after=membership.in_flight_load,
-            phase_seconds=clock.seconds,
-        )
-        report.profile = profile_from_report(report)
-        if self.metrics is not None:
-            self._record_metrics(report)
-        return report
 
     def _record_metrics(self, report: BalanceReport) -> None:
         """Fold one round's profile into the attached registry."""

@@ -22,11 +22,10 @@ changed:
   remaining misses descend the tree **together** via
   :meth:`KnaryTree.descend_batch`, one level at a time over the whole
   miss set, instead of N independent Python walks.
-* The LBI fold, classification and the node-state snapshot run as NumPy
-  array programs over struct-of-arrays columns
-  (:class:`~repro.core.soa.NodeStateArrays`); the VSA sweep visits only
-  bucket-holding slots through a heap ordered exactly like the serial
-  deepest-first walk.
+* The LBI fold runs as a NumPy array program over the round's
+  struct-of-arrays snapshot (:class:`~repro.core.soa.NodeStateArrays`);
+  the VSA sweep visits only bucket-holding slots through a heap ordered
+  exactly like the serial deepest-first walk.
 
 Bit-exactness rests on three identities, each exercised by the digest
 property tests: ``0.0 + x == x`` and ``min(inf, x) == x`` make the
@@ -37,10 +36,13 @@ reproduces the serial ascending-child merge; and batched
 ``Generator.integers(0, counts)`` draws are stream-identical to the
 serial per-node scalar draws.
 
-Anything the fast path cannot reproduce exactly — fault injection, an
-active Byzantine adversary, partitions, an attached write-ahead journal,
-enabled tracing — falls back to the inherited serial round wholesale,
-so digest identity under those regimes holds by construction.
+The engine runs :class:`~repro.core.balancer.LoadBalancer`'s round body
+and overrides only the two kernels that need the persistent tree: the
+LBI fold and the VSA sweep.  Fault injection (which partitions need), an
+active Byzantine adversary, enabled tracing and an empty ring select the
+serial kernels, whose rng/event interleavings are inherently per-object,
+so digest identity there holds by construction.  An attached write-ahead
+journal keeps the fast kernels: the shared body journals either way.
 """
 
 from __future__ import annotations
@@ -49,40 +51,28 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.balancer import LoadBalancer
-from repro.core.classification import (
-    ClassificationResult,
-    classify_arrays,
-)
+from repro.adversary.stats import AdversaryRoundStats
+from repro.core.balancer import LoadBalancer, RoundPart
 from repro.core.lbi import AggregationTrace
-from repro.core.records import (
-    Assignment,
-    NodeClass,
-    ShedCandidate,
-    SpareCapacity,
-    SystemLBI,
-)
+from repro.core.records import ShedCandidate, SpareCapacity, SystemLBI
 from repro.core.rendezvous import pair_rendezvous
-from repro.core.selection import select_shed_subset
 from repro.core.report import BalanceReport
 from repro.core.soa import NodeStateArrays
 from repro.core.vsa import VSAResult
-from repro.core.vst import execute_transfers
 from repro.dht.events import RingEventLog
-from repro.dht.node import PhysicalNode
 from repro.exceptions import BalancerError
 from repro.faults.stats import FaultRoundStats
 from repro.idspace.hashing import hash_to_id
 from repro.ktree.index import TreeIndex
 from repro.ktree.tree import KnaryTree
-from repro.obs.profile import PhaseClock, profile_from_report
+from repro.obs.profile import PhaseClock
 
 
 class IncrementalLoadBalancer(LoadBalancer):
     """Drop-in :class:`LoadBalancer` with incremental, vectorized rounds.
 
     Accepts the same constructor arguments; selection between the fast
-    path and the serial fallback happens per round (see the module
+    and the serial kernels happens per round (see the module
     docstring).  The config is untouched — engine choice is not part of
     the digested experiment identity.
     """
@@ -124,34 +114,34 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._acc_load: np.ndarray | None = None
         self._acc_cap: np.ndarray | None = None
         self._acc_min: np.ndarray | None = None
+        #: Fast kernels this round?  And the LBI report paths' (node
+        #: count, height), which the sweep extends.
+        self._fast = False
+        self._lbi_paths = (0, 0)
 
     # ------------------------------------------------------------------
     # Round dispatch
     # ------------------------------------------------------------------
     def run_round(self) -> BalanceReport:
-        """One round: fast path when exactness allows, else serial.
+        """One round through the shared body, on the fast kernels if exact.
 
-        Fault injection, an active Byzantine adversary, partitions, an
-        attached write-ahead journal and enabled tracing run through the
-        inherited serial implementation (their rng/event interleavings
-        are inherently per-object); the persistent tree is invalidated
-        so the next fast round rebuilds from the current ring.
+        Fault injection, an active Byzantine adversary, enabled tracing
+        and an empty ring select the inherited serial kernels (their
+        rng/event interleavings are inherently per-object); the
+        persistent tree is then invalidated so the next fast round
+        rebuilds from the current ring.
         """
-        if (
+        self._fast = not (
             self.faults is not None
             or self.adversary is not None
-            or self.membership is not None
-            or self.journal is not None
             or self.tracer.enabled
             or self.ring.num_virtual_servers == 0
             or not self.ring.alive_nodes
-        ):
+        )
+        if not self._fast:
             self._needs_reset = True
             self._events.drain(resolve=False)
-            return super().run_round()
-        stats = FaultRoundStats()
-        self._round_index += 1
-        return self._run_incremental_round(stats)
+        return super().run_round()
 
     # ------------------------------------------------------------------
     # World synchronisation
@@ -293,188 +283,6 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._count("cache_repairs", len(affected) - descended)
 
     # ------------------------------------------------------------------
-    # The incremental round
-    # ------------------------------------------------------------------
-    def _run_incremental_round(self, stats: FaultRoundStats) -> BalanceReport:
-        """Mirror of ``LoadBalancer._run_plain_round`` over slot arrays."""
-        cfg = self.config
-        ring = self.ring
-        tracer = self.tracer
-        alive = ring.alive_nodes
-        arrays = NodeStateArrays.snapshot(alive)
-        clock = PhaseClock()
-        round_span = tracer.span(
-            "round",
-            mode=cfg.proximity_mode,
-            nodes=len(alive),
-            virtual_servers=ring.num_virtual_servers,
-            tree_degree=cfg.tree_degree,
-        )
-
-        # Phase 1: dirty-subtree repair + vectorized LBI fold.  The
-        # ``miss_descent`` entry in ``phase_seconds`` is a *sub*-phase:
-        # descent/repair segments inside lbi and vsa also accumulate
-        # there, so its total is the round's key-resolution-beyond-cache
-        # cost (phase_seconds is excluded from the digest).
-        with clock.phase("lbi"), tracer.span("lbi"):
-            self._sync_world(clock)
-            system, agg_trace, lbi_count, lbi_height = self._fold_lbi(
-                alive, arrays, clock
-            )
-            self._stale_lbi = system
-            self._stale_lbi_age = 0
-
-        # Phase 2: classification over the state columns.
-        with clock.phase("classification"), tracer.span("classification"):
-            classification_before = classify_arrays(
-                arrays.indices,
-                arrays.capacities,
-                arrays.loads,
-                system,
-                cfg.epsilon,
-                tracer=tracer,
-                stage="before",
-            )
-
-        with clock.phase("vsa"):
-            # Phase 3a: publication, with the placement draws batched
-            # into one stream-identical ``integers(0, counts)`` call.
-            vsa_span = tracer.span("vsa")
-            published = self._publish_vsa_entries(alive, classification_before)
-            # Phase 3b: sparse bottom-up sweep over bucket-holding slots.
-            vsa_result, vsa_count, vsa_height = self._sweep_sparse(
-                published, system.min_vs_load, clock
-            )
-            tree_height = max(lbi_height, vsa_height)
-            tree_nodes = lbi_count + vsa_count
-            vsa_result.rounds = tree_height
-            vsa_span.end()
-
-        # Phase 4: transfers, identical to the serial batch (no faults
-        # on this path by construction).
-        skipped: list[Assignment] = []
-        failed: list[Assignment] = []
-        with clock.phase("vst"), tracer.span("vst"):
-            transfers = execute_transfers(
-                ring,
-                vsa_result.assignments,
-                self.oracle,
-                skipped=skipped,
-                tracer=tracer,
-                faults=None,
-                failed=failed,
-                fault_stats=stats,
-            )
-
-        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
-        classification_after = classify_arrays(
-            arrays.indices,
-            arrays.capacities,
-            loads_after,
-            system,
-            cfg.epsilon,
-            tracer=tracer,
-            stage="after",
-        )
-        round_span.end(
-            transfers=len(transfers),
-            moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=len(classification_after.heavy),
-            failed_transfers=len(failed),
-            faults_injected=stats.injected_total,
-        )
-
-        report = BalanceReport(
-            config=cfg,
-            system_lbi=system,
-            num_nodes=len(alive),
-            num_virtual_servers=ring.num_virtual_servers,
-            node_indices=arrays.indices,
-            capacities=arrays.capacities,
-            loads_before=arrays.loads,
-            loads_after=loads_after,
-            classification_before=classification_before,
-            classification_after=classification_after,
-            aggregation=agg_trace,
-            vsa=vsa_result,
-            transfers=transfers,
-            skipped_assignments=skipped,
-            failed_assignments=failed,
-            fault_stats=stats,
-            tree_height=tree_height,
-            tree_nodes_materialized=tree_nodes,
-            in_flight_after=0.0,
-            phase_seconds=clock.seconds,
-        )
-        report.profile = profile_from_report(report)
-        if self.metrics is not None:
-            self._record_metrics(report)
-        return report
-
-    # ------------------------------------------------------------------
-    def _publish_vsa_entries(
-        self,
-        nodes: list[PhysicalNode],
-        classification: ClassificationResult,
-    ) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
-        """Serial publication with the placement draws batched.
-
-        The shed-subset selection consumes no rng and the placement key
-        draw depends only on the generator state and the publisher's VS
-        count, so deciding every publisher first and then drawing all
-        keys in one :meth:`RandomVSPlacement.keys_for` call leaves the
-        rng stream — and hence the published list — byte-identical to
-        the inherited per-node loop.
-        """
-        cfg = self.config
-        placement = self._placement
-        assert placement is not None
-        keys_for = getattr(placement, "keys_for", None)
-        if keys_for is None:
-            return super()._publish_vsa_entries(nodes, classification)
-        publishers: list[PhysicalNode] = []
-        payloads: list[list[ShedCandidate] | SpareCapacity] = []
-        for node in nodes:
-            cls = classification.classes[node.index]
-            if cls is NodeClass.HEAVY:
-                target = classification.targets[node.index]
-                vs_list = node.virtual_servers
-                loads = [vs.load for vs in vs_list]
-                shed = select_shed_subset(
-                    loads,
-                    excess=node.load - target,
-                    policy=cfg.selection_policy,
-                    keep_at_least=cfg.keep_at_least,
-                )
-                if not shed:
-                    continue
-                publishers.append(node)
-                payloads.append(
-                    [
-                        ShedCandidate(
-                            load=vs_list[idx].load,
-                            vs_id=vs_list[idx].vs_id,
-                            node_index=node.index,
-                        )
-                        for idx in shed
-                    ]
-                )
-            elif cls is NodeClass.LIGHT:
-                delta = classification.targets[node.index] - node.load
-                if delta <= 0:
-                    continue
-                publishers.append(node)
-                payloads.append(SpareCapacity(delta=delta, node_index=node.index))
-        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
-        for key, payload in zip(keys_for(publishers), payloads):
-            if isinstance(payload, SpareCapacity):
-                published.append((key, payload))
-            else:
-                for entry in payload:
-                    published.append((key, entry))
-        return published
-
-    # ------------------------------------------------------------------
     # Phase 1: vectorized LBI aggregation
     # ------------------------------------------------------------------
     def _ensure_accumulators(self, needed: int) -> None:
@@ -490,11 +298,16 @@ class IncrementalLoadBalancer(LoadBalancer):
 
     def _fold_lbi(
         self,
-        alive: list[PhysicalNode],
+        part: RoundPart,
         arrays: NodeStateArrays,
+        stats: FaultRoundStats,
+        adv_stats: AdversaryRoundStats,
         clock: PhaseClock,
-    ) -> tuple[SystemLBI, AggregationTrace, int, int]:
-        """Reporter draws, cached leaf resolution, scatter + level fold.
+    ) -> tuple[SystemLBI, AggregationTrace] | None:
+        """Dirty-subtree repair, reporter draws, cached leaf resolution,
+        then the scatter + level fold over the whole-ring snapshot (a
+        fast round's one part).  Descent/repair time inside lbi and vsa
+        also accumulates in the ``miss_descent`` sub-phase.
 
         Reporter keys resolve through the repaired ``_key_leaf`` cache;
         the misses (fresh joins, first sightings, post-rebuild rounds)
@@ -505,13 +318,17 @@ class IncrementalLoadBalancer(LoadBalancer):
         feeds the ``stale_cache_misses`` counter (pinned to zero by the
         regression tests).
 
-        Returns ``(system, trace, path_nodes, path_height)`` where the
-        last two describe the union of report root-to-leaf paths — the
-        node set a fresh serial tree would have materialised.
+        The union of report root-to-leaf paths — the node set a fresh
+        serial tree would have materialised — is kept in ``_lbi_paths``
+        as ``(node count, height)`` for the sweep to extend.
         """
+        if not self._fast:
+            return super()._fold_lbi(part, arrays, stats, adv_stats, clock)
+        self._sync_world(clock)
         index = self._index
         assert index is not None
         ring = self.ring
+        alive = part.nodes
         # Batched reporter draws: stream-identical to the serial
         # per-node ``integers(len(vs))`` scalar draws, in alive order
         # (nodes without virtual servers draw nothing, as in serial).
@@ -616,15 +433,18 @@ class IncrementalLoadBalancer(LoadBalancer):
             downward_messages=count - 1,
             reports=len(alive),
         )
-        return system, trace, count, height
+        self._lbi_paths = (count, height)
+        return system, trace
 
     # ------------------------------------------------------------------
     # Phase 3b: sparse bottom-up sweep
     # ------------------------------------------------------------------
-    def _sweep_sparse(
+    def _sweep_vsa(
         self,
+        part: RoundPart,
         published: list[tuple[int, ShedCandidate | SpareCapacity]],
         min_vs_load: float,
+        stats: FaultRoundStats,
         clock: PhaseClock,
     ) -> tuple[VSAResult, int, int]:
         """Deliver publications and sweep only the pairing frontier.
@@ -643,15 +463,18 @@ class IncrementalLoadBalancer(LoadBalancer):
         and children tile their parent in rank order.  So the
         sub-frontier cascade collapses to one ``np.lexsort`` and the
         Python loop runs only over frontier slots, in the serial
-        snapshot's ``(-level, -start)`` pop order.  Returns the result
-        plus the count/height of delivery path nodes *newly* stamped
-        beyond the LBI walk (same stamp generation).
+        snapshot's ``(-level, -start)`` pop order.  The tree shape a
+        serial round would report is the LBI report paths plus the
+        delivery paths *newly* stamped here (same stamp generation).
         """
+        if not self._fast:
+            return super()._sweep_vsa(part, published, min_vs_load, stats, clock)
         index = self._index
         assert index is not None
-        result = VSAResult(entries_published=len(published))
+        lbi_count, lbi_height = self._lbi_paths
+        result = VSAResult(entries_published=len(published), rounds=lbi_height)
         if not published:
-            return result, 0, 0
+            return result, lbi_height, lbi_count
         # Batch-resolve the placement keys against the sorted leaf
         # directory; only keys landing in never-materialised gaps (-1)
         # descend the tree.
@@ -806,4 +629,5 @@ class IncrementalLoadBalancer(LoadBalancer):
                     (int(start_arr[slot]), up_heavy, up_light)
                 )
                 result.upward_messages += 1
-        return result, count, height
+        result.rounds = max(lbi_height, height)
+        return result, result.rounds, lbi_count + count
