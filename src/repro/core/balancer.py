@@ -86,7 +86,7 @@ class RoundPart:
     part's KT once the serial LBI kernel has built it.
     """
 
-    ring: ChordRing | ComponentRingView
+    ring: ChordRing
     nodes: list[PhysicalNode]
     rows: np.ndarray
     component: int | None = None

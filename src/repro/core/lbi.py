@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.records import LBIRecord, SystemLBI
-from repro.dht.ringlike import RingLike
+from repro.dht.chord import ChordRing
 from repro.dht.node import PhysicalNode
 from repro.exceptions import BalancerError
 from repro.faults.injector import FaultInjector
@@ -278,7 +278,7 @@ class AggregateSanity:
 
 
 def collect_lbi_reports(
-    ring: RingLike,
+    ring: ChordRing,
     tree: KnaryTree,
     rng: int | None | np.random.Generator = None,
     tracer: Tracer | None = None,
@@ -332,8 +332,8 @@ def collect_lbi_reports(
     gen = ensure_rng(rng)
     policy = retry if retry is not None else RetryPolicy()
     budget = RetryBudget(policy.phase_budget)
-    by_leaf: dict[int, tuple[KTNode, list[LBIRecord]]] = {}
-    reports = 0
+    keys: list[int] = []
+    records: list[LBIRecord] = []
     vsless = 0
     lost = 0
     for node in ring.alive_nodes:
@@ -414,14 +414,19 @@ def collect_lbi_reports(
                     fault_stats.lbi_reports_lost += 1
                 continue
             load, capacity, min_vs = admitted
-        leaf = tree.ensure_leaf_for_key(key)
-        record = LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs)
+        keys.append(key)
+        records.append(LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs))
+    # Every per-message decision above ran in serial order; the admitted
+    # keys now resolve their leaves in one batched descent.
+    leaves, ordinals = tree.descend_batch(np.asarray(keys, dtype=np.int64))
+    by_leaf: dict[int, tuple[KTNode, list[LBIRecord]]] = {}
+    for record, ordinal in zip(records, ordinals.tolist()):
+        leaf = leaves[ordinal]
         by_leaf.setdefault(id(leaf), (leaf, []))[1].append(record)
-        reports += 1
     if tracer is not None and tracer.enabled:
         tracer.event(
             "lbi.collect",
-            reports=reports,
+            reports=len(records),
             leaves=len(by_leaf),
             vsless_nodes=vsless,
             reports_lost=lost,

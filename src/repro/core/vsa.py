@@ -50,10 +50,6 @@ class VSAResult:
     pairings_by_level: Counter[int] = field(default_factory=Counter)
 
     @property
-    def assigned_load(self) -> float:
-        return sum(a.candidate.load for a in self.assignments)
-
-    @property
     def unassigned_load(self) -> float:
         return sum(c.load for c in self.unassigned_heavy)
 
@@ -154,26 +150,21 @@ class VSASweep:
     ) -> dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]]:
         """Deliver ``(key, entry)`` publications to their KT leaves.
 
-        Materialises leaf paths as needed, applies injected faults with
-        bounded retries and returns the per-leaf pending buckets (keyed
-        by ``id(leaf)``).  Loss accounting lands on ``result``.  This is
+        Applies injected faults with bounded retries to each publication
+        in order, then resolves the delivered keys' leaves in one
+        :meth:`~repro.ktree.tree.KnaryTree.descend_batch` and returns the
+        per-leaf pending buckets (keyed by ``id(leaf)``, filled in
+        delivery order).  Loss accounting lands on ``result``.  This is
         the only part of :meth:`run` that consumes faults and the retry
         rng; the bottom-up :meth:`sweep` that follows draws from neither.
         """
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
         pending: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-
-        def bucket(node_id: int) -> tuple[list[ShedCandidate], list[SpareCapacity]]:
-            buck = pending.get(node_id)
-            if buck is None:
-                buck = ([], [])
-                pending[node_id] = buck
-            return buck
-
         faults = self.faults
         budget = RetryBudget(self.retry.phase_budget)
         stats = self.fault_stats
+        delivered: list[tuple[int, ShedCandidate | SpareCapacity]] = []
         for key, entry in published:
             if faults is not None:
                 subject = f"entry:{entry.node_index}:{key}"
@@ -197,8 +188,13 @@ class VSASweep:
                     # keeps the first copy and drops the echo, so a
                     # duplicate costs one message and nothing else.
                     stats.vsa_duplicates += 1
-            leaf = self.tree.ensure_leaf_for_key(key)
-            heavy, light = bucket(id(leaf))
+            delivered.append((key, entry))
+        leaves, ordinals = self.tree.descend_batch(
+            np.asarray([key for key, _ in delivered], dtype=np.int64)
+        )
+        for (key, entry), ordinal in zip(delivered, ordinals.tolist()):
+            leaf = leaves[ordinal]
+            heavy, light = pending.setdefault(id(leaf), ([], []))
             if isinstance(entry, ShedCandidate):
                 heavy.append(entry)
             elif isinstance(entry, SpareCapacity):

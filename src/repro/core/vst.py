@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.records import Assignment, assert_loads_conserved
-from repro.dht.ringlike import RingLike
+from repro.dht.chord import ChordRing
 from repro.dht.churn import crash_node
 from repro.dht.node import PhysicalNode
 from repro.dht.virtual_server import VirtualServer
@@ -71,7 +71,7 @@ class TransferTransaction:
 
     def __init__(
         self,
-        ring: RingLike,
+        ring: ChordRing,
         vs: VirtualServer,
         source: PhysicalNode,
         target: PhysicalNode,
@@ -143,7 +143,7 @@ class TransferTransaction:
         self.state = "rolled_back"
 
 
-def _crash_candidates(ring: RingLike) -> list[int]:
+def _crash_candidates(ring: ChordRing) -> list[int]:
     """Node indices eligible for an injected crash (never the last node)."""
     return [
         n.index
@@ -153,7 +153,7 @@ def _crash_candidates(ring: RingLike) -> list[int]:
 
 
 def execute_transfers(
-    ring: RingLike,
+    ring: ChordRing,
     assignments: list[Assignment],
     oracle: DistanceOracle | None = None,
     skipped: list[Assignment] | None = None,

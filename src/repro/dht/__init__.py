@@ -16,7 +16,6 @@ balancer depends on:
 from repro.dht.node import PhysicalNode
 from repro.dht.virtual_server import VirtualServer
 from repro.dht.chord import ChordRing
-from repro.dht.ringlike import RingLike
 from repro.dht.lookup import lookup_hops, lookup_path
 from repro.dht.churn import ChurnStats, crash_node, join_node, leave_node
 from repro.dht.events import RingDelta, RingEventLog
@@ -27,7 +26,6 @@ __all__ = [
     "PhysicalNode",
     "VirtualServer",
     "ChordRing",
-    "RingLike",
     "lookup_hops",
     "lookup_path",
     "ChurnStats",

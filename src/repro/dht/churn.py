@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dht.chord import ChordRing
-from repro.dht.ringlike import RingLike
 from repro.dht.node import PhysicalNode
 from repro.exceptions import DHTError
 from repro.util.rng import ensure_rng
@@ -80,7 +79,7 @@ def leave_node(ring: ChordRing, node: PhysicalNode, stats: ChurnStats | None = N
         stats.events.append(f"leave node {node.index}")
 
 
-def crash_node(ring: RingLike, node: PhysicalNode, stats: ChurnStats | None = None) -> None:
+def crash_node(ring: ChordRing, node: PhysicalNode, stats: ChurnStats | None = None) -> None:
     """Crash: virtual servers vanish; successors absorb regions and load.
 
     Load still moves to the successor because in a storage DHT replicas
@@ -94,7 +93,7 @@ def crash_node(ring: RingLike, node: PhysicalNode, stats: ChurnStats | None = No
         stats.events.append(f"crash node {node.index}")
 
 
-def _depart(ring: RingLike, node: PhysicalNode, hand_over_load: bool, stats: ChurnStats | None) -> None:
+def _depart(ring: ChordRing, node: PhysicalNode, hand_over_load: bool, stats: ChurnStats | None) -> None:
     if not node.alive:
         raise DHTError(f"node {node.index} already departed")
     if len(node.virtual_servers) == ring.num_virtual_servers:

@@ -73,9 +73,6 @@ class ObjectStore:
         vs_id = vs.vs_id if isinstance(vs, VirtualServer) else int(vs)
         return [self._objects[n] for n in sorted(self._by_vs.get(vs_id, ()))]
 
-    def owner_of(self, obj: StoredObject) -> VirtualServer:
-        return self.ring.successor(obj.key)
-
     # ------------------------------------------------------------------
     def put(self, name: str, load: float, size: float = 1.0) -> StoredObject:
         """Insert an object under ``hash(name)``; returns the stored record.

@@ -67,10 +67,6 @@ class FaultPlanError(FaultError):
     """A :class:`repro.faults.FaultPlan` knob is out of its valid range."""
 
 
-class RetryExhaustedError(FaultError):
-    """A bounded retry loop ran out of attempts or timeout budget."""
-
-
 class AdversaryError(ReproError):
     """The Byzantine-adversary subsystem was misused or misconfigured."""
 

@@ -49,11 +49,6 @@ class KTNode:
         self.is_leaf = is_leaf
         self.children: list[KTNode | None] = [] if is_leaf else [None] * k
 
-    @property
-    def planted_key(self) -> int:
-        """The DHT key at which this KT node is planted."""
-        return self.region.center
-
     def materialized_children(self) -> Iterator["KTNode"]:
         """Children that exist in this (possibly lazily-built) tree."""
         for child in self.children:

@@ -7,12 +7,16 @@ Two construction modes are provided:
   that verify the structural invariants (every virtual server hosts at
   least one leaf, leaf regions tile the ring, ...).
 
-* :meth:`KnaryTree.ensure_leaf_for_key` materialises only the root-to-
-  leaf path for a given key.  Because the tree shape is a pure function
-  of the ring, lazily materialised paths coincide exactly with the full
-  tree; the aggregation and VSA sweeps only ever touch the paths of keys
-  that carry information, which keeps the paper-scale experiments
-  (4096 nodes x 5 virtual servers, 32-bit space) cheap.
+* :meth:`KnaryTree.descend_batch` materialises only the root-to-leaf
+  paths of a batch of keys, one tree level at a time.  Because the tree
+  shape is a pure function of the ring, lazily materialised paths
+  coincide exactly with the full tree; the aggregation and VSA sweeps
+  only ever touch the paths of keys that carry information, which
+  keeps the paper-scale experiments (4096 nodes x 5 virtual servers,
+  32-bit space) cheap.  Every round resolves its keys this way, over
+  the whole ring and over per-component views alike;
+  :meth:`KnaryTree.ensure_leaf_for_key` is the one-key walk the batch
+  is tested against.
 
 Self-repair (Section 3.1.1) is modelled by :meth:`KnaryTree.refresh`:
 after any ring change it re-plants every materialised KT node in the
@@ -30,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.dht.ringlike import RingLike
+from repro.dht.chord import ChordRing
 from repro.dht.virtual_server import VirtualServer
 from repro.exceptions import TreeError
 from repro.idspace import IntervalSet, Region
@@ -86,7 +90,7 @@ class KnaryTree:
 
     def __init__(
         self,
-        ring: RingLike,
+        ring: ChordRing,
         k: int = 2,
         metrics: MetricsRegistry | None = None,
         *,
@@ -117,7 +121,7 @@ class KnaryTree:
         small to split into K parts; such a region cannot grow children
         either, so it is a leaf.
 
-        Uses :meth:`~repro.dht.ringlike.RingLike.host_with_region` so the
+        Uses :meth:`~repro.dht.chord.ChordRing.host_with_region` so the
         host lookup and the coverage test share a single index probe; the
         raw-integer arithmetic mirrors :meth:`Region.covers` exactly.
         """
@@ -173,6 +177,8 @@ class KnaryTree:
 
         The returned leaf is identical to the one :meth:`build_full`
         would produce, because the split sequence is deterministic.
+        This is the one-key reference walk; rounds resolve their keys
+        with :meth:`descend_batch`.
 
         The descent tracks the current region as raw ``(start, length)``
         integers and replicates :meth:`Region.child_index_for` inline, so
@@ -233,15 +239,13 @@ class KnaryTree:
         :meth:`~repro.dht.chord.ChordRing.hosts_with_regions` probe
         answers every new child's planting and leaf-ness at once, and
         regions are built through the trusted constructor (the split
-        arithmetic guarantees their validity).  Rings without the
-        vectorised probe (per-component partition views) fall back to
-        :meth:`_materialize_child` per child; either way the
+        arithmetic guarantees their validity).  The whole ring and the
+        per-component views answer that probe alike, and the
         ``ktree.materialized`` accounting matches the serial descent.
         """
         size = self.ring.space.size
         k = self.k
         space = self.ring.space
-        bulk_hosts = getattr(self.ring, "hosts_with_regions", None)
         key_arr = np.ascontiguousarray(keys, dtype=np.int64)
         n = int(key_arr.size)
         if n == 0:
@@ -299,47 +303,39 @@ class KnaryTree:
             ]
             missing = [j for j, c in enumerate(children_u) if c is None]
             if missing:
-                if bulk_hosts is not None:
-                    m = np.asarray(missing, dtype=np.int64)
-                    m_start = g_start[m]
-                    m_length = g_length[m]
-                    centers = (m_start + m_length // 2) % size
-                    hosts, h_start, h_length = bulk_hosts(centers)
-                    covered = np.where(
-                        h_length == size,
-                        True,
-                        (m_start - h_start) % size + m_length <= h_length,
+                m = np.asarray(missing, dtype=np.int64)
+                m_start = g_start[m]
+                m_length = g_length[m]
+                centers = (m_start + m_length // 2) % size
+                hosts, h_start, h_length = self.ring.hosts_with_regions(centers)
+                covered = np.where(
+                    h_length == size,
+                    True,
+                    (m_start - h_start) % size + m_length <= h_length,
+                )
+                new_leaf = covered | (m_length < k)
+                trusted = Region.trusted
+                for j, start_j, length_j, host, leaf_j in zip(
+                    missing,
+                    m_start.tolist(),
+                    m_length.tolist(),
+                    hosts,
+                    new_leaf.tolist(),
+                ):
+                    node = parents_u[j]
+                    child = KTNode(
+                        trusted(space, start_j, length_j),
+                        node.level + 1,
+                        node,
+                        host,
+                        leaf_j,
+                        k,
                     )
-                    new_leaf = covered | (m_length < k)
-                    trusted = Region.trusted
-                    for j, start_j, length_j, host, leaf_j in zip(
-                        missing,
-                        m_start.tolist(),
-                        m_length.tolist(),
-                        hosts,
-                        new_leaf.tolist(),
-                    ):
-                        node = parents_u[j]
-                        child = KTNode(
-                            trusted(space, start_j, length_j),
-                            node.level + 1,
-                            node,
-                            host,
-                            leaf_j,
-                            k,
-                        )
-                        node.children[ranks_u[j]] = child
-                        children_u[j] = child
-                    self._node_count += len(missing)
-                    if self.metrics is not None:
-                        self.metrics.counter("ktree.materialized").inc(
-                            len(missing)
-                        )
-                else:
-                    for j in missing:
-                        children_u[j] = self._materialize_child(
-                            parents_u[j], ranks_u[j]
-                        )
+                    node.children[ranks_u[j]] = child
+                    children_u[j] = child
+                self._node_count += len(missing)
+                if self.metrics is not None:
+                    self.metrics.counter("ktree.materialized").inc(len(missing))
             child_is_leaf = np.empty(uniq.size, dtype=bool)
             child_ord = np.empty(uniq.size, dtype=np.int64)
             next_frontier: list[KTNode] = []

@@ -360,21 +360,6 @@ class LintEngine:
             module=self.module_name(p),
         )
 
-    def lint_file(self, path: str | Path, root: str | Path | None = None) -> list[Finding]:
-        """Run every *per-file* rule over one file; raw findings.
-
-        Interprocedural (``check_project``) findings require the whole
-        project and are only produced by :meth:`lint_paths`.
-        """
-        ctx = self.parse_file(path, root=root)
-        findings: list[Finding] = []
-        for rule in self.rules:
-            for finding in rule.check(ctx):
-                if rule.name in ctx.disabled_rules_on_line(finding.line):
-                    continue
-                findings.append(finding)
-        return findings
-
     def lint_paths(self, paths: Sequence[str | Path], root: str | Path | None = None) -> list[Finding]:
         """Lint every file under ``paths``; returns suppression-filtered findings.
 

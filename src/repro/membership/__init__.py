@@ -10,10 +10,11 @@ invariants:
   :class:`~repro.faults.FaultPlan`: split the node set into two or more
   components at a round boundary (or mid-round, during the VST batch)
   and heal after a bounded number of rounds.
-* :class:`ComponentRingView` — a read-consistent Chord facade over one
-  component: regions re-tile over the component's virtual servers, so
-  each side of the split runs an internally consistent degraded round
-  over its own epoch-tagged K-nary tree.
+* :class:`ComponentRingView` — a :class:`~repro.dht.chord.ChordRing`
+  over one component's nodes and the servers they host: regions
+  re-tile over the component's virtual servers, so each side of the
+  split runs an internally consistent degraded round over its own
+  epoch-tagged K-nary tree.
 * :class:`MembershipManager` — the epoch state machine.  It activates
   partitions, suspends :class:`~repro.core.vst.TransferTransaction`\\ s
   caught in flight by a mid-round split, and runs the deterministic

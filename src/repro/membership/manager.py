@@ -36,7 +36,6 @@ from repro.exceptions import DHTError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import PartitionSpec
 from repro.faults.stats import FaultRoundStats
-from repro.membership.views import ComponentRingView
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_metrics, current_tracer
 from repro.obs.trace import Tracer
@@ -333,18 +332,6 @@ class MembershipManager:
             )
         after = sum(n.load for n in self.ring.nodes)
         assert_loads_conserved(expected, after, context="membership.heal")
-
-    # ------------------------------------------------------------------
-    # Component views
-    # ------------------------------------------------------------------
-    def component_views(self) -> list[ComponentRingView]:
-        """One :class:`ComponentRingView` per active component, in order."""
-        if self.active is None:
-            return []
-        return [
-            ComponentRingView(self.ring, members)
-            for members in self.active.components
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

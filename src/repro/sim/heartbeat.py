@@ -79,10 +79,6 @@ class HeartbeatTrace:
     partitions_healed: int = 0
 
     @property
-    def max_detection_latency(self) -> float:
-        return max((f.detection_latency for f in self.failures), default=0.0)
-
-    @property
     def max_repair_passes(self) -> int:
         return max((f.refresh_passes for f in self.failures), default=0)
 

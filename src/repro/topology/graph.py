@@ -63,10 +63,6 @@ class Topology:
         return self.graph.number_of_nodes()
 
     @property
-    def num_edges(self) -> int:
-        return self.graph.number_of_edges()
-
-    @property
     def stub_vertices(self) -> np.ndarray:
         """Vertex ids of all stub nodes (P2P peers attach here)."""
         return np.asarray(

@@ -5,7 +5,8 @@ Three contracts from docs/performance.md are pinned here:
 * :meth:`~repro.ktree.tree.KnaryTree.descend_batch` materialises exactly
   the nodes the per-key :meth:`~repro.ktree.tree.KnaryTree.ensure_leaf_for_key`
   walk would, and routes every key to the same leaf — the tree shape is
-  a pure function of the ring, so the two descent orders must converge.
+  a pure function of the ring, so the two descent orders must converge,
+  over the whole ring and over partition component views alike.
 * The bulk ring probe (:meth:`~repro.dht.ChordRing.hosts_with_regions`)
   and the non-validating :meth:`~repro.idspace.Region.trusted`
   constructor agree with their scalar/validating counterparts.
@@ -23,6 +24,8 @@ from repro.dht import RingEventLog, crash_node, join_node, leave_node
 from repro.exceptions import RegionError, TreeError
 from repro.idspace import IdentifierSpace, Region
 from repro.ktree import KnaryTree, TreeIndex
+from repro.membership import ComponentRingView
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import ParetoLoadModel, apply_load_drift, build_scenario
 
 MODEL = ParetoLoadModel(mu=1e4)
@@ -61,19 +64,43 @@ def _churn(ring, gen):
     )
 
 
+def _view_of(shape, ring):
+    """The ring a descent runs over: whole, half the nodes, or one VS."""
+    if shape == "ring":
+        return ring
+    if shape == "view":
+        return ComponentRingView(ring, tuple(n.index for n in ring.nodes[::2]))
+    solo = next(n for n in ring.nodes if len(n.virtual_servers) == 1)
+    return ComponentRingView(ring, (solo.index,))
+
+
 class TestDescendBatch:
-    @pytest.mark.parametrize("k", (2, 8))
-    def test_matches_per_key_descent(self, k):
-        ring = _ring(10)
+    @pytest.mark.parametrize(
+        "k, shape, vs_per_node",
+        (
+            pytest.param(2, "ring", 3, id="2"),
+            pytest.param(8, "ring", 3, id="8"),
+            pytest.param(2, "view", 3, id="view-2"),
+            pytest.param(8, "view", 3, id="view-8"),
+            pytest.param(2, "solo", 1, id="solo-2"),
+        ),
+    )
+    def test_matches_per_key_descent(self, k, shape, vs_per_node):
+        ring = _view_of(shape, _ring(10, vs_per_node=vs_per_node))
         keys = np.random.default_rng(0).integers(
             0, ring.space.size, size=400, dtype=np.int64
         )
-        per_key = KnaryTree(ring, k)
-        batched = KnaryTree(ring, k)
+        per_key_metrics, batched_metrics = MetricsRegistry(), MetricsRegistry()
+        per_key = KnaryTree(ring, k, metrics=per_key_metrics)
+        batched = KnaryTree(ring, k, metrics=batched_metrics)
         expected = [per_key.ensure_leaf_for_key(int(x)) for x in keys.tolist()]
         leaves, ordinals = batched.descend_batch(keys)
         assert ordinals.shape == keys.shape
         assert per_key.node_count == batched.node_count
+        assert (
+            per_key_metrics.counter("ktree.materialized").value
+            == batched_metrics.counter("ktree.materialized").value
+        )
         for i in range(keys.size):
             a, b = expected[i], leaves[ordinals[i]]
             assert (a.region.start, a.region.length) == (

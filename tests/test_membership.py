@@ -18,6 +18,7 @@ Covers the three layers independently of the balancer integration
   fallback.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.lbi import AggregateSanity
@@ -138,6 +139,32 @@ class TestComponentRingView:
         view = ComponentRingView(ring, solo)
         only = view.virtual_servers[0]
         assert view.region_of(only).length == ring.space.size
+
+    @pytest.mark.parametrize("vs_per_node", (3, 1))
+    def test_vector_probes_match_scalar_on_key_grid(self, vs_per_node):
+        ring = build_ring(vs_per_node=vs_per_node)
+        left, right = split_indices(ring)
+        # At one VS per node the one-node view is a single-VS component.
+        views = [ComponentRingView(ring, left), ComponentRingView(ring, (left[0],))]
+        grid = np.arange(0, ring.space.size, 7, dtype=np.int64)
+        for view in views:
+            hosts, starts, lengths = view.hosts_with_regions(grid)
+            for key, host, start, length in zip(
+                grid.tolist(), hosts, starts.tolist(), lengths.tolist()
+            ):
+                assert (host, start, length) == view.host_with_region(key)
+            ids = np.asarray(
+                [vs.vs_id for vs in view.virtual_servers], dtype=np.int64
+            )
+            assert view.centers_of(ids).tolist() == [
+                view.region_of(vs_id).center for vs_id in ids.tolist()
+            ]
+            foreign = ring.nodes[right[0]].virtual_servers[0].vs_id
+            for probe in (view.vs, view.region_of):
+                with pytest.raises(DHTError):
+                    probe(foreign)
+            with pytest.raises(DHTError):
+                view.centers_of(np.asarray([foreign], dtype=np.int64))
 
     def test_tree_builds_per_component(self):
         ring = build_ring()
