@@ -3,9 +3,10 @@
 The paper evaluates on two GT-ITM transit-stub topologies of ~5000
 vertices ("ts5k-large" and "ts5k-small") with interdomain hops costing 3
 latency units and intradomain hops 1.  This package regenerates such
-topologies from the published parameters, provides a lazily-cached
-Dijkstra distance oracle over the weighted graph, and selects landmark
-nodes for proximity measurement.
+topologies from the published parameters, provides a distance oracle
+over the weighted graph (cached Dijkstra rows, and exact pair queries
+through domain separators), and selects landmark nodes for proximity
+measurement.
 """
 
 from repro.topology.graph import Topology

@@ -1,16 +1,41 @@
-"""Shortest-path distance oracle with per-source caching.
+"""Shortest-path distance oracle: per-source rows and a domain separator.
 
 Transfer costs and landmark vectors are weighted shortest-path distances
 in the topology.  An all-pairs matrix for 5000 vertices would cost
-~200 MB; instead the oracle runs single-source Dijkstra (scipy, C speed)
-on demand and caches rows in float32, so the cost is proportional to the
-set of sources an experiment actually touches (landmarks + transfer
-endpoints).
+~200 MB; instead the oracle answers two kinds of query:
+
+* **Rows** (:meth:`DistanceOracle.distances_from`,
+  :meth:`~DistanceOracle.distances_from_many`) run single-source
+  Dijkstra (scipy, C speed) on demand and cache the rows in float32, so
+  the cost is proportional to the sources actually touched (landmarks).
+* **Pairs** (:meth:`DistanceOracle.distances_between`,
+  :meth:`~DistanceOracle.distance`) go through the graph's domain
+  separators when the topology has them.  Vertices are partitioned by
+  :meth:`~repro.topology.graph.Topology.stub_domain_of`; a vertex with
+  an edge leaving its domain is a *boundary* vertex.  Any path from
+  ``u`` that leaves ``u``'s domain ``D`` first exits through a boundary
+  vertex ``b`` of ``D``, so
+
+      d(u, v) = min(d_in(u, v) if v in D, min_b d_in(u, b) + d(b, v))
+
+  where ``d_in`` is the distance inside ``D``'s induced subgraph.  The
+  oracle computes one full row per boundary vertex plus a small
+  all-pairs ``d_in`` table per domain, once, on the first pair query.
+  On ts5k-large that is 430 rows instead of one row per distinct
+  transfer endpoint (thousands).
+
+The separator engages only when it pays and is exact: more than one
+domain, at most a quarter of the vertices on a boundary, and integer
+edge weights whose total fits float32's exact-integer range (so the
+float32 sums equal the float32 rows bit for bit).  Otherwise pair
+queries fall back to cached per-source rows.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -18,9 +43,60 @@ from scipy.sparse.csgraph import dijkstra
 from repro.exceptions import TopologyError
 from repro.topology.graph import Topology
 
+#: float32 represents every integer up to 2**24 exactly.
+_FLOAT32_EXACT = 1 << 24
+
+
+@dataclass(frozen=True, slots=True)
+class _Separator:
+    """Boundary rows and per-domain inner distances of one topology.
+
+    ``domain[v]`` is the domain of vertex ``v`` and ``local[v]`` its
+    index among the domain's members (in vertex order).  ``block`` holds
+    one full-graph float32 row per boundary vertex.  For domain ``d``,
+    ``inner[d]`` is the all-pairs distance table of its induced
+    subgraph, ``exits[d]`` the local indices of its boundary vertices
+    and ``exit_rows[d]`` their rows in ``block``.
+    """
+
+    domain: np.ndarray
+    local: np.ndarray
+    block: np.ndarray
+    inner: list[np.ndarray]
+    exits: list[np.ndarray]
+    exit_rows: list[np.ndarray]
+
+    def between(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Exact distances for the pairs ``(u[i], v[i])``, grouped by ``u``'s domain."""
+        out = np.empty(len(u), dtype=np.float32)
+        du = self.domain[u]
+        order = np.argsort(du, kind="stable")
+        cuts = np.flatnonzero(np.diff(du[order])) + 1
+        for group in np.split(order, cuts) if len(u) else ():
+            d = int(du[group[0]])
+            gu, gv = u[group], v[group]
+            lu = self.local[gu]
+            inner = self.inner[d]
+            # (k x m): leave through each exit b, then b's full row.
+            via = (
+                inner[lu[:, None], self.exits[d]]
+                + self.block[self.exit_rows[d][:, None], gv].T
+            )
+            best = via.min(axis=1)
+            same = self.domain[gv] == d
+            if same.any():
+                best[same] = np.minimum(best[same], inner[lu[same], self.local[gv[same]]])
+            out[group] = best
+        return out
+
 
 class DistanceOracle:
-    """Cached single-source shortest-path queries over a :class:`Topology`.
+    """Cached shortest-path queries over a :class:`Topology`.
+
+    Row queries run single-source Dijkstra and cache rows in an LRU;
+    pair queries use the domain separator (see the module docstring)
+    when the topology admits one, built lazily on the first pair query
+    and kept outside the LRU.
 
     Parameters
     ----------
@@ -38,7 +114,9 @@ class DistanceOracle:
         self._csr = topology.csr()
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._max_rows = max_cached_rows
-        self.dijkstra_runs = 0  # instrumentation for tests/benchmarks
+        # Instrumentation for tests/benchmarks: full-graph rows computed,
+        # separator boundary rows included.
+        self.dijkstra_runs = 0
 
     # ------------------------------------------------------------------
     def distances_from(self, source: int) -> np.ndarray:
@@ -99,20 +177,24 @@ class DistanceOracle:
 
     def distance(self, u: int, v: int) -> float:
         """Shortest-path distance between two vertices."""
-        self._validate(v)
-        if u in self._rows:
-            return float(self._rows[u][v])
-        if v in self._rows:
-            return float(self._rows[v][u])
-        return float(self.distances_from(u)[v])
+        return float(self.distances_between([(u, v)])[0])
 
     def distances_between(self, pairs: list[tuple[int, int]]) -> np.ndarray:
         """Distances for a batch of vertex pairs.
 
-        Sources are grouped so each distinct source costs one Dijkstra;
-        the cheaper endpoint of each pair (already-cached one if any) is
-        used as the source.
+        With a domain separator every pair is answered from the boundary
+        rows, vectorised per source domain.  Otherwise sources are
+        grouped so each distinct source costs one Dijkstra; the cheaper
+        endpoint of each pair (already-cached one if any) is used as the
+        source.
         """
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        bad = ends[(ends < 0) | (ends >= self.topology.num_vertices)]
+        if len(bad):
+            self._validate(int(bad[0]))
+        separator = self._separator
+        if separator is not None:
+            return separator.between(ends[:, 0], ends[:, 1]).astype(np.float64)
         out = np.empty(len(pairs), dtype=np.float64)
         # Group by source, preferring endpoints already cached.
         needed: dict[int, list[tuple[int, int]]] = {}
@@ -133,6 +215,59 @@ class DistanceOracle:
         return out
 
     # ------------------------------------------------------------------
+    @cached_property
+    def _separator(self) -> _Separator | None:
+        """The domain separator, built on the first pair query.
+
+        ``None`` when it would not pay or would not be exact; pair
+        queries then use per-source rows.
+        """
+        n = self.topology.num_vertices
+        weights = self._csr.data
+        if not (
+            np.array_equal(weights, np.rint(weights))
+            and weights.sum() < _FLOAT32_EXACT
+        ):
+            return None
+        labels: dict[tuple[int, int | None], int] = {}
+        domain = np.fromiter(
+            (
+                labels.setdefault(self.topology.stub_domain_of(v), len(labels))
+                for v in range(n)
+            ),
+            dtype=np.int64,
+            count=n,
+        )
+        coo = self._csr.tocoo()
+        crossing = domain[coo.row] != domain[coo.col]
+        is_boundary = np.zeros(n, dtype=bool)
+        is_boundary[coo.row[crossing]] = True
+        boundary = np.flatnonzero(is_boundary)
+        if len(labels) < 2 or 4 * len(boundary) > n:
+            return None
+        block = np.atleast_2d(
+            dijkstra(self._csr, directed=False, indices=boundary)
+        ).astype(np.float32)
+        self.dijkstra_runs += len(boundary)
+        row_of = np.full(n, -1, dtype=np.int64)
+        row_of[boundary] = np.arange(len(boundary))
+        local = np.empty(n, dtype=np.int64)
+        inner: list[np.ndarray] = []
+        exits: list[np.ndarray] = []
+        exit_rows: list[np.ndarray] = []
+        by_domain = np.argsort(domain, kind="stable")
+        cuts = np.flatnonzero(np.diff(domain[by_domain])) + 1
+        for members in np.split(by_domain, cuts):
+            local[members] = np.arange(len(members))
+            sub = self._csr[members][:, members]
+            inner.append(
+                np.atleast_2d(dijkstra(sub, directed=False)).astype(np.float32)
+            )
+            local_exits = np.flatnonzero(is_boundary[members])
+            exits.append(local_exits)
+            exit_rows.append(row_of[members[local_exits]])
+        return _Separator(domain, local, block, inner, exits, exit_rows)
+
     def _validate(self, vertex: int) -> None:
         if not 0 <= vertex < self.topology.num_vertices:
             raise TopologyError(
