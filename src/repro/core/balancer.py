@@ -471,7 +471,7 @@ class LoadBalancer:
             ):
                 folded = self._fold_lbi(part, arrays, stats, adv_stats, clock)
                 if component is None:
-                    folded = self._whole_ring_lbi(part, folded, stats)
+                    folded = self._whole_ring_lbi(folded, stats)
                 elif folded is None:
                     idle |= part.rows
                     continue
@@ -616,7 +616,6 @@ class LoadBalancer:
 
     def _whole_ring_lbi(
         self,
-        part: RoundPart,
         folded: tuple[SystemLBI, AggregationTrace] | None,
         stats: FaultRoundStats,
     ) -> tuple[SystemLBI, AggregationTrace]:
@@ -636,7 +635,6 @@ class LoadBalancer:
             or self._stale_lbi_age >= self.retry.lbi_staleness_rounds
         ):
             raise BalancerError("no LBI reports to aggregate")
-        assert part.tree is not None
         self._stale_lbi_age += 1
         stats.stale_lbi_reused = True
         if self.tracer.enabled:
@@ -645,7 +643,9 @@ class LoadBalancer:
                 age=self._stale_lbi_age,
                 bound=self.retry.lbi_staleness_rounds,
             )
-        return self._stale_lbi, AggregationTrace(tree_height=part.tree.height())
+        # No report was admitted, so no key descended below the root:
+        # the round's tree has height 0 whichever kernel folded.
+        return self._stale_lbi, AggregationTrace()
 
     # ------------------------------------------------------------------
     # Tree kernels (the incremental engine overrides both)

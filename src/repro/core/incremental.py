@@ -11,21 +11,28 @@ changed:
   :meth:`KnaryTree.refresh_dirty` repairs only the subtrees overlapping
   the dirty identifier spans those events imply, and the
   :class:`TreeIndex` slot arrays absorb the structural delta.
-* Key-to-leaf resolutions (reporter centers, notional hash positions,
-  VSA placement keys) are cached and kept valid *by construction*:
-  after each ``refresh_dirty`` the structural delta drives a surgical
-  cache repair (:meth:`IncrementalLoadBalancer._repair_cache`) that
-  remaps only the entries whose leaves were pruned or flipped —
-  surviving entries are rebound through one batched directory lookup
-  and only genuinely re-tiled keys descend.  Keys with no usable cache
-  entry resolve through :meth:`TreeIndex.resolve_leaves` and the
-  remaining misses descend the tree **together** via
-  :meth:`KnaryTree.descend_batch`, one level at a time over the whole
-  miss set, instead of N independent Python walks.
-* The LBI fold runs as a NumPy array program over the round's
-  struct-of-arrays snapshot (:class:`~repro.core.soa.NodeStateArrays`);
-  the VSA sweep visits only bucket-holding slots through a heap ordered
-  exactly like the serial deepest-first walk.
+* Whole-ring reporter keys (region centers and notional hash
+  positions) resolve through a key-to-leaf cache kept valid *by
+  construction*: after each ``refresh_dirty`` the structural delta
+  drives a surgical cache repair
+  (:meth:`IncrementalLoadBalancer._repair_cache`) that remaps only the
+  entries whose leaves were pruned or flipped — surviving entries are
+  rebound through one batched directory lookup and only genuinely
+  re-tiled keys descend.  Other keys resolve through
+  :meth:`TreeIndex.resolve_leaves`, and the remaining misses descend
+  the tree **together** via :meth:`KnaryTree.descend_batch`, one level
+  at a time over the whole miss set, instead of N independent Python
+  walks.
+* Quarantine and partition views are cuts of the one tree, not fresh
+  trees.  A view holds a subset of the ring's virtual servers, so its
+  arcs are unions of consecutive ring arcs and every region the ring
+  covers the view covers too: the view's KT is an upper subtree of the
+  ring's.  A view key's leaf is the shallowest node on its ring path
+  the view covers (:meth:`TreeIndex.view_leaves`); misses descend only
+  that far.
+* The LBI fold runs as a NumPy array program over the admitted report
+  rows; the VSA sweep visits only the pairing frontier, in the order
+  of the serial deepest-first walk.
 
 Bit-exactness rests on three identities, each exercised by the digest
 property tests: ``0.0 + x == x`` and ``min(inf, x) == x`` make the
@@ -38,11 +45,15 @@ serial per-node scalar draws.
 
 The engine runs :class:`~repro.core.balancer.LoadBalancer`'s round body
 and overrides only the two kernels that need the persistent tree: the
-LBI fold and the VSA sweep.  Fault injection (which partitions need), an
-active Byzantine adversary, enabled tracing and an empty ring select the
-serial kernels, whose rng/event interleavings are inherently per-object,
-so digest identity there holds by construction.  An attached write-ahead
-journal keeps the fast kernels: the shared body journals either way.
+LBI fold and the VSA sweep.  Both kernels take their per-message
+decisions — reporter draws, drops, retries, duplicates, accusations,
+lies, corruption, witness audits, the sanity gate, publication
+delivery — through the same loops
+(:func:`~repro.core.lbi.admit_lbi_reports` and
+:func:`~repro.core.vsa.deliver_publications`), so faulted, attacked,
+quarantined and partitioned rounds run fast, digest-exact.  Only
+enabled tracing (the serial kernels emit the per-node trace events)
+and an empty ring select the serial kernels.
 """
 
 from __future__ import annotations
@@ -53,16 +64,16 @@ import numpy as np
 
 from repro.adversary.stats import AdversaryRoundStats
 from repro.core.balancer import LoadBalancer, RoundPart
-from repro.core.lbi import AggregationTrace
+from repro.core.lbi import AggregationTrace, admit_lbi_reports
 from repro.core.records import ShedCandidate, SpareCapacity, SystemLBI
 from repro.core.rendezvous import pair_rendezvous
 from repro.core.report import BalanceReport
 from repro.core.soa import NodeStateArrays
-from repro.core.vsa import VSAResult
+from repro.core.vsa import VSAResult, deliver_publications
+from repro.dht.chord import ChordRing
 from repro.dht.events import RingEventLog
 from repro.exceptions import BalancerError
 from repro.faults.stats import FaultRoundStats
-from repro.idspace.hashing import hash_to_id
 from repro.ktree.index import TreeIndex
 from repro.ktree.tree import KnaryTree
 from repro.obs.profile import PhaseClock
@@ -87,14 +98,9 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._events = RingEventLog(self.ring)
         self._tree: KnaryTree | None = None
         self._index: TreeIndex | None = None
-        #: vs_id -> region center key for reporter resolution; the leaf
-        #: slot itself lives in ``_key_leaf`` (single source of truth,
-        #: so delta repair has exactly one map to fix).
-        self._center_cache: dict[int, int] = {}
-        #: node index -> notional hash position (pure, survives rebuilds).
-        self._hash_keys: dict[int, int] = {}
-        #: identifier key -> leaf slot.  Every entry names a live leaf
-        #: containing its key (maintained by ``_repair_cache``).
+        #: identifier key -> leaf slot for whole-ring reporter keys.
+        #: Every entry names a live leaf containing its key (maintained
+        #: by ``_repair_cache``).
         self._key_leaf: dict[int, int] = {}
         #: leaf slot -> keys cached there (reverse of ``_key_leaf``;
         #: drives delta-driven repair).  Entries may be stale after a
@@ -111,9 +117,6 @@ class IncrementalLoadBalancer(LoadBalancer):
             "stale_cache_misses": 0,
         }
         self._needs_reset = True
-        self._acc_load: np.ndarray | None = None
-        self._acc_cap: np.ndarray | None = None
-        self._acc_min: np.ndarray | None = None
         #: Fast kernels this round?  And the LBI report paths' (node
         #: count, height), which the sweep extends.
         self._fast = False
@@ -125,16 +128,15 @@ class IncrementalLoadBalancer(LoadBalancer):
     def run_round(self) -> BalanceReport:
         """One round through the shared body, on the fast kernels if exact.
 
-        Fault injection, an active Byzantine adversary, enabled tracing
-        and an empty ring select the inherited serial kernels (their
-        rng/event interleavings are inherently per-object); the
-        persistent tree is then invalidated so the next fast round
-        rebuilds from the current ring.
+        Every round runs the fast kernels over the persistent tree —
+        faulted, attacked, quarantine re-tiled and partitioned parts
+        included — except when tracing is enabled (the serial kernels
+        emit the per-node trace events) or the ring is empty.  Such a
+        round invalidates the persistent tree, so the next fast round
+        rebuilds it from the current ring.
         """
         self._fast = not (
-            self.faults is not None
-            or self.adversary is not None
-            or self.tracer.enabled
+            self.tracer.enabled
             or self.ring.num_virtual_servers == 0
             or not self.ring.alive_nodes
         )
@@ -151,7 +153,6 @@ class IncrementalLoadBalancer(LoadBalancer):
             self.ring, self.config.tree_degree, metrics=self.metrics
         )
         self._index = TreeIndex(self._tree)
-        self._center_cache.clear()
         self._key_leaf.clear()
         self._slot_keys.clear()
         self._needs_reset = False
@@ -197,8 +198,6 @@ class IncrementalLoadBalancer(LoadBalancer):
             index.set_leaf(node, False)
             if slot is not None and slot in slot_keys:
                 doomed.append(slot)
-        for vs_id in delta.affected_vs_ids:
-            self._center_cache.pop(vs_id, None)
         if doomed:
             self._repair_cache(doomed, clock)
 
@@ -218,12 +217,15 @@ class IncrementalLoadBalancer(LoadBalancer):
     # ------------------------------------------------------------------
     # Batched key-to-leaf resolution + delta-driven cache repair
     # ------------------------------------------------------------------
-    def _descend_slots(self, keys: np.ndarray) -> np.ndarray:
-        """Leaf slots for ``keys`` via one level-synchronous batch descent."""
+    def _descend_slots(
+        self, keys: np.ndarray, view: ChordRing | None = None
+    ) -> np.ndarray:
+        """Leaf slots for ``keys`` via one level-synchronous batch descent
+        (stopping at ``view``'s leaves when one is given)."""
         index = self._index
         tree = self._tree
         assert index is not None and tree is not None
-        leaves, ordinals = tree.descend_batch(keys)
+        leaves, ordinals = tree.descend_batch(keys, view)
         slots = np.fromiter(
             (index.slot(leaf) for leaf in leaves),
             dtype=np.int64,
@@ -282,20 +284,61 @@ class IncrementalLoadBalancer(LoadBalancer):
             descended = self.descent_stats["miss_descents"] - before
         self._count("cache_repairs", len(affected) - descended)
 
+    def _part_slots(
+        self,
+        part: RoundPart,
+        keys: np.ndarray,
+        clock: PhaseClock,
+        cached: bool = False,
+    ) -> np.ndarray:
+        """Leaf slots of the part's KT for ``keys``, in the persistent tree.
+
+        Keys resolve to whole-ring leaves first: ``cached`` reporter
+        keys through the repaired ``_key_leaf`` cache (with delta repair
+        active, a cached slot can only be invalid if repair missed it,
+        so per-use invalidity feeds the ``stale_cache_misses`` counter,
+        pinned to zero by the regression tests), the rest through the
+        sorted leaf directory; the misses descend together.  A view
+        part's leaves are then cut out of the whole-ring paths
+        (:meth:`TreeIndex.view_leaves`) — the view's KT is an upper
+        subtree of the ring's, so no fresh tree is built.
+        """
+        index = self._index
+        assert index is not None
+        view = None if part.ring is self.ring else part.ring
+        if cached:
+            key_leaf = self._key_leaf
+            slots = np.fromiter(
+                (key_leaf.get(key, -1) for key in keys.tolist()),
+                dtype=np.int64,
+                count=keys.size,
+            )
+            known = slots >= 0
+            valid = known.copy()
+            valid[known] = index.alive[slots[known]] & index.is_leaf[slots[known]]
+            self._count(
+                "stale_cache_misses", int(np.count_nonzero(known & ~valid))
+            )
+            miss = np.flatnonzero(~valid)
+            if miss.size:
+                with clock.phase("miss_descent"):
+                    slots[miss] = self._resolve_and_cache(keys[miss])
+        else:
+            slots = index.resolve_leaves(keys)
+            miss = np.flatnonzero(slots < 0)
+            if miss.size:
+                # View centers and placement keys are not worth a cache
+                # entry, but their descents batch just the same — for a
+                # view, only down to its leaves.
+                with clock.phase("miss_descent"):
+                    slots[miss] = self._descend_slots(keys[miss], view)
+        if view is not None:
+            slots = index.view_leaves(slots, view)
+        return slots
+
     # ------------------------------------------------------------------
     # Phase 1: vectorized LBI aggregation
     # ------------------------------------------------------------------
-    def _ensure_accumulators(self, needed: int) -> None:
-        if self._acc_load is None or self._acc_load.size < needed:
-            size = max(needed, 1024)
-            if self._acc_load is not None:
-                size = max(size, self._acc_load.size * 2)
-            # No copy: accumulator cells are reset per round at exactly
-            # the slots the round touches; stale cells are never read.
-            self._acc_load = np.empty(size, dtype=np.float64)
-            self._acc_cap = np.empty(size, dtype=np.float64)
-            self._acc_min = np.empty(size, dtype=np.float64)
-
     def _fold_lbi(
         self,
         part: RoundPart,
@@ -304,19 +347,16 @@ class IncrementalLoadBalancer(LoadBalancer):
         adv_stats: AdversaryRoundStats,
         clock: PhaseClock,
     ) -> tuple[SystemLBI, AggregationTrace] | None:
-        """Dirty-subtree repair, reporter draws, cached leaf resolution,
-        then the scatter + level fold over the whole-ring snapshot (a
-        fast round's one part).  Descent/repair time inside lbi and vsa
-        also accumulates in the ``miss_descent`` sub-phase.
+        """Tree sync, the shared report decisions, then the scatter +
+        level fold over the admitted rows.  Descent/repair time inside
+        lbi and vsa also accumulates in the ``miss_descent`` sub-phase.
 
-        Reporter keys resolve through the repaired ``_key_leaf`` cache;
-        the misses (fresh joins, first sightings, post-rebuild rounds)
-        are collected and resolved in one batch at the end of the
-        collection loop — directory lookups first, one level-synchronous
-        descent for the rest.  With delta repair active, a cached slot
-        can only be invalid if repair missed it, so per-use invalidity
-        feeds the ``stale_cache_misses`` counter (pinned to zero by the
-        regression tests).
+        The tree is synced at every part's fold: a crash inside an
+        earlier part's VST batch removes virtual servers before the next
+        part folds.  The part's reports are decided by
+        :func:`~repro.core.lbi.admit_lbi_reports` — the serial kernel's
+        own loop — over the part's snapshot rows; the admitted keys then
+        resolve to the part's leaf slots (:meth:`_part_slots`).
 
         The union of report root-to-leaf paths — the node set a fresh
         serial tree would have materialised — is kept in ``_lbi_paths``
@@ -327,73 +367,42 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._sync_world(clock)
         index = self._index
         assert index is not None
-        ring = self.ring
-        alive = part.nodes
-        # Batched reporter draws: stream-identical to the serial
-        # per-node ``integers(len(vs))`` scalar draws, in alive order
-        # (nodes without virtual servers draw nothing, as in serial).
-        has_vs = arrays.vs_counts > 0
-        counts = arrays.vs_counts[has_vs]
-        if counts.size:
-            draws = self._lbi_rng.integers(0, counts).tolist()
-        else:
-            draws = []
-        leaf_slots = np.empty(len(alive), dtype=np.int64)
-        center_cache = self._center_cache
-        hash_keys = self._hash_keys
-        key_leaf = self._key_leaf
-        alive_arr = index.alive
-        leaf_arr = index.is_leaf
-        miss_pos: list[int] = []
-        miss_keys: list[int] = []
-        stale = 0
-        draw_pos = 0
-        for i, node in enumerate(alive):
-            vs_list = node.virtual_servers
-            if vs_list:
-                vs = vs_list[draws[draw_pos]]
-                draw_pos += 1
-                key = center_cache.get(vs.vs_id)
-                if key is None:
-                    key = ring.region_of(vs).center
-                    center_cache[vs.vs_id] = key
-            else:
-                key = hash_keys.get(node.index)
-                if key is None:
-                    key = hash_to_id(f"node-{node.index}", ring.space)
-                    hash_keys[node.index] = key
-            slot = key_leaf.get(key)
-            if slot is not None and alive_arr[slot] and leaf_arr[slot]:
-                leaf_slots[i] = slot
-                continue
-            if slot is not None:
-                stale += 1
-            miss_pos.append(i)
-            miss_keys.append(key)
-        self._count("stale_cache_misses", stale)
-        if miss_keys:
-            with clock.phase("miss_descent"):
-                leaf_slots[np.asarray(miss_pos, dtype=np.int64)] = (
-                    self._resolve_and_cache(
-                        np.asarray(miss_keys, dtype=np.int64)
-                    )
-                )
-
+        whole = part.ring is self.ring
+        rows = admit_lbi_reports(
+            part.ring,
+            part.nodes,
+            arrays if whole else arrays.subset(part.rows),
+            self._lbi_rng,
+            faults=self.faults,
+            retry=self.retry,
+            fault_stats=stats,
+            sanity=self._sanity,
+            epoch=stats.epoch,
+            adversary=self.adversary,
+            adversary_stats=adv_stats,
+        )
         index.new_stamp()
+        if not len(rows):
+            # Nothing admitted: a fresh tree would hold just its root,
+            # which the sweep's path count then extends.
+            _, count, _ = index.stamp_paths(np.zeros(1, dtype=np.int64))
+            self._lbi_paths = (count, 0)
+            return None
+        leaf_slots = self._part_slots(part, rows.keys, clock, cached=whole)
         fresh, count, height = index.stamp_paths(leaf_slots)
-        self._ensure_accumulators(len(index))
-        acc_load = self._acc_load
-        acc_cap = self._acc_cap
-        acc_min = self._acc_min
-        assert acc_load is not None and acc_cap is not None and acc_min is not None
+        # Accumulator cells are reset at exactly the slots this fold
+        # stamps; no other cell is read.
+        acc_load = np.empty(len(index), dtype=np.float64)
+        acc_cap = np.empty(len(index), dtype=np.float64)
+        acc_min = np.empty(len(index), dtype=np.float64)
         acc_load[fresh] = 0.0
         acc_cap[fresh] = 0.0
         acc_min[fresh] = np.inf
-        # Record scatter in alive order == the serial per-leaf append
+        # Record scatter in admission order == the serial per-leaf append
         # order (ufunc .at applies updates sequentially in index order).
-        np.add.at(acc_load, leaf_slots, arrays.loads)
-        np.add.at(acc_cap, leaf_slots, arrays.capacities)
-        np.minimum.at(acc_min, leaf_slots, arrays.min_vs)
+        np.add.at(acc_load, leaf_slots, rows.loads)
+        np.add.at(acc_cap, leaf_slots, rows.capacities)
+        np.minimum.at(acc_min, leaf_slots, rows.min_vs)
 
         # Child-to-parent merges, one level at a time from the deepest:
         # a child's accumulator is final before its level is gathered,
@@ -418,8 +427,6 @@ class IncrementalLoadBalancer(LoadBalancer):
             np.add.at(acc_cap, merge_parents, acc_cap[children])
             np.minimum.at(acc_min, merge_parents, acc_min[children])
 
-        if not count:  # pragma: no cover - alive is non-empty here
-            raise BalancerError("no LBI reports to aggregate")
         system = SystemLBI(
             total_load=float(acc_load[0]),
             total_capacity=float(acc_cap[0]),
@@ -431,7 +438,7 @@ class IncrementalLoadBalancer(LoadBalancer):
             downward_rounds=height,
             upward_messages=count - 1,
             downward_messages=count - 1,
-            reports=len(alive),
+            reports=len(rows),
         )
         self._lbi_paths = (count, height)
         return system, trace
@@ -448,6 +455,11 @@ class IncrementalLoadBalancer(LoadBalancer):
         clock: PhaseClock,
     ) -> tuple[VSAResult, int, int]:
         """Deliver publications and sweep only the pairing frontier.
+
+        Delivery is :func:`~repro.core.vsa.deliver_publications`, the
+        serial kernel's own loop; the delivered keys then land on the
+        part's leaf slots (:meth:`_part_slots`, cut to the view for a
+        quarantine or partition part).
 
         Pairing fires only where a bucket reaches the rendezvous
         threshold, and a bucket never holds more entries than were
@@ -473,24 +485,22 @@ class IncrementalLoadBalancer(LoadBalancer):
         assert index is not None
         lbi_count, lbi_height = self._lbi_paths
         result = VSAResult(entries_published=len(published), rounds=lbi_height)
-        if not published:
-            return result, lbi_height, lbi_count
-        # Batch-resolve the placement keys against the sorted leaf
-        # directory; only keys landing in never-materialised gaps (-1)
-        # descend the tree.
-        keys = np.fromiter(
-            (key for key, _ in published),
-            dtype=np.int64,
-            count=len(published),
+        delivered = deliver_publications(
+            published,
+            result,
+            self._retry_rng,
+            faults=self.faults,
+            retry=self.retry,
+            fault_stats=stats,
         )
-        slots_e = index.resolve_leaves(keys)
-        miss = np.flatnonzero(slots_e < 0)
-        if miss.size:
-            # Placement keys are fresh draws each round, so they are
-            # not worth a cache entry — but their descents batch just
-            # the same.
-            with clock.phase("miss_descent"):
-                slots_e[miss] = self._descend_slots(keys[miss])
+        if not delivered:
+            return result, lbi_height, lbi_count
+        keys = np.fromiter(
+            (key for key, _ in delivered),
+            dtype=np.int64,
+            count=len(delivered),
+        )
+        slots_e = self._part_slots(part, keys, clock)
         _, count, height = index.stamp_paths(slots_e)
 
         threshold = self.config.rendezvous_threshold
@@ -542,7 +552,7 @@ class IncrementalLoadBalancer(LoadBalancer):
         # key only breaks end-ties between nested slots; deliveries all
         # land on (disjoint) leaves, so it is inert armour in case
         # interior delivery ever appears.
-        entries = [entry for _, entry in published]
+        entries = [entry for _, entry in delivered]
         end_e = start_arr[slots_e] + length_arr[slots_e]
         grouped = np.flatnonzero(attach >= 0)
         order = grouped[

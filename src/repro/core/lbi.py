@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.records import LBIRecord, SystemLBI
+from repro.core.soa import NodeStateArrays
 from repro.dht.chord import ChordRing
 from repro.dht.node import PhysicalNode
 from repro.exceptions import BalancerError
@@ -277,11 +278,32 @@ class AggregateSanity:
             )
 
 
-def collect_lbi_reports(
+@dataclass
+class AdmittedReports:
+    """The LBI reports one part admitted, as columns in admission order.
+
+    ``keys`` are the identifier keys the reports enter the KT at;
+    ``loads``, ``capacities`` and ``min_vs`` the admitted
+    ``<L, C, L_min>`` values.  ``vsless`` counts reporters without
+    virtual servers and ``lost`` the reports dropped for good.
+    """
+
+    keys: np.ndarray
+    loads: np.ndarray
+    capacities: np.ndarray
+    min_vs: np.ndarray
+    vsless: int = 0
+    lost: int = 0
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+
+def admit_lbi_reports(
     ring: ChordRing,
-    tree: KnaryTree,
-    rng: int | None | np.random.Generator = None,
-    tracer: Tracer | None = None,
+    nodes: Sequence[PhysicalNode],
+    state: NodeStateArrays,
+    rng: np.random.Generator,
     faults: FaultInjector | None = None,
     retry: RetryPolicy | None = None,
     fault_stats: FaultRoundStats | None = None,
@@ -289,76 +311,71 @@ def collect_lbi_reports(
     epoch: int = 0,
     adversary: "AdversaryEngine | None" = None,
     adversary_stats: "AdversaryRoundStats | None" = None,
-) -> dict[int, tuple[KTNode, list[LBIRecord]]]:
-    """Leaf-indexed LBI reports for every alive node of ``ring``.
+) -> AdmittedReports:
+    """Take every per-message LBI decision for ``nodes``, in node order.
 
-    Each node reports through the KT leaf of one uniformly chosen hosted
-    virtual server.  Keys of the returned mapping are ``id(leaf)`` (KT
-    nodes are unhashable by content on purpose); values carry the leaf
-    itself plus its reports.
+    ``state`` holds the nodes' honest ``<L, C, L_min>`` and virtual
+    server counts, row for row.  Each node picks its reporter, then its
+    report runs the gauntlet described in :func:`collect_lbi_reports`
+    (faults, accusations, lies, corruption, witness checks, the sanity
+    gate).  Both round kernels fold the returned rows: the serial one
+    through a fresh tree, the incremental one through its persistent
+    tree.
 
-    With a ``faults`` injector attached, each report is one *message*:
-    it may be delayed, duplicated (the duplicate is suppressed at the
-    leaf by the reporter's sequence number and only costs a message) or
-    dropped — dropped reports are resent under ``retry`` (bounded
-    attempts, seeded backoff, phase timeout budget) and count as lost
-    once the bounds bite, leaving the aggregate approximate rather than
-    the phase failed.  Recovery accounting lands in ``fault_stats``.
-
-    With an enabled ``tracer``, one ``lbi.collect`` event summarises the
-    collection (reports filed, distinct leaves, nodes with no virtual
-    servers reporting through their notional position, reports lost).
-
-    With a ``sanity`` gate attached, every delivered report passes the
-    plausibility defense before an :class:`~repro.core.records.LBIRecord`
-    is built: the plan's ``corrupt`` channel may first rewrite the raw
-    values into a seeded lie, and the gate then either admits the
-    values, substitutes the node's last-good report, or quarantines the
-    node and drops the report.  ``epoch`` tags each report with the
-    membership view it was produced under.
-
-    With an ``adversary`` engine attached, Byzantine behavior strikes
-    the report channel before the sanity gate sees it: an active false
-    accuser suppresses its victim's report outright when the plan's
-    defense is off (and is refuted via
-    :meth:`AggregateSanity.refute_accusation` when it is on, since the
-    victim's own report proves liveness), and lying attackers
-    substitute their claimed ``<L, C, L_min>`` triple via
-    :meth:`~repro.adversary.engine.AdversaryEngine.lie`.  The gate's
-    :meth:`AggregateSanity.witness_check` hook then sees both the claim
-    and the ground truth, which is what lets the trusted defense run
-    seeded spot-check audits.  Accounting lands in ``adversary_stats``.
+    Reporter draws come from ``rng``.  With no ``faults`` nothing else
+    draws from it, so all reporters are drawn up front in one batched
+    ``integers(0, counts)`` call, which is stream-identical to the
+    per-node scalar draws; with faults the retry jitter shares the
+    stream, so each node draws in turn.  A reporter's key is the center
+    of its region *in* ``ring`` — for a partition or quarantine view,
+    the re-tiled center — computed for all admitted rows by one
+    :meth:`~repro.dht.chord.ChordRing.centers_of` call.
     """
-    gen = ensure_rng(rng)
     policy = retry if retry is not None else RetryPolicy()
     budget = RetryBudget(policy.phase_budget)
+    draws: list[int] | None = None
+    if faults is None:
+        counts = state.vs_counts[state.vs_counts > 0]
+        draws = rng.integers(0, counts).tolist() if counts.size else []
+    draw_pos = 0
     keys: list[int] = []
-    records: list[LBIRecord] = []
+    center_rows: list[int] = []
+    loads: list[float] = []
+    capacities: list[float] = []
+    minima: list[float] = []
     vsless = 0
     lost = 0
-    for node in ring.alive_nodes:
-        if node.virtual_servers:
-            reporter = node.virtual_servers[int(gen.integers(len(node.virtual_servers)))]
+    for node, load, capacity, min_vs in zip(
+        nodes, state.loads.tolist(), state.capacities.tolist(),
+        state.min_vs.tolist(),
+    ):
+        vs_list = node.virtual_servers
+        if vs_list:
+            if draws is not None:
+                pick = draws[draw_pos]
+                draw_pos += 1
+            else:
+                pick = int(rng.integers(len(vs_list)))
             # Report through the leaf at the *center* of the reporter's
-            # region: any leaf hosted by the reporter works (the paper only
-            # requires "one of its KT leaf nodes"), and the center leaf has
-            # depth O(log #VS) whereas the leaf hugging the region's
-            # boundary identifier can be as deep as the full bit width.
-            key = ring.region_of(reporter).center
-            min_vs = node.min_vs_load
+            # region: any leaf hosted by the reporter works (the paper
+            # only requires "one of its KT leaf nodes"), and the center
+            # leaf has depth O(log #VS) whereas the leaf hugging the
+            # region's boundary identifier can be as deep as the full
+            # bit width.  The vs_id stands in until centers_of runs.
+            key = vs_list[pick].vs_id
         else:
             # A node that shed all its virtual servers still has capacity
-            # the system should count; it reports through its notional ring
-            # position and contributes no minimum-VS-load.
+            # the system should count; it reports through its notional
+            # ring position and contributes no minimum-VS-load (the
+            # snapshot's ``inf``).
             key = hash_to_id(f"node-{node.index}", ring.space)
-            min_vs = math.inf
             vsless += 1
         if faults is not None:
             subject = f"report:{node.index}"
             outcome = deliver_with_retry(
                 policy,
                 lambda attempt: faults.drop("lbi", f"{subject}#{attempt}"),
-                gen,
+                rng,
                 budget,
                 extra_delay=faults.delay("lbi", subject),
             )
@@ -375,7 +392,7 @@ def collect_lbi_reports(
                 # reporter sequence number; the leaf suppresses it, so it
                 # costs a message but never double-counts the load.
                 fault_stats.lbi_duplicates += 1
-        load, capacity, report_epoch = node.load, node.capacity, epoch
+        report_epoch = epoch
         truth = (load, capacity, min_vs)
         if adversary is not None:
             accuser = adversary.accuser_of(node.index)
@@ -414,22 +431,111 @@ def collect_lbi_reports(
                     fault_stats.lbi_reports_lost += 1
                 continue
             load, capacity, min_vs = admitted
+        if vs_list:
+            center_rows.append(len(keys))
         keys.append(key)
-        records.append(LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs))
-    # Every per-message decision above ran in serial order; the admitted
-    # keys now resolve their leaves in one batched descent.
-    leaves, ordinals = tree.descend_batch(np.asarray(keys, dtype=np.int64))
+        loads.append(load)
+        capacities.append(capacity)
+        minima.append(min_vs)
+    key_arr = np.asarray(keys, dtype=np.int64)
+    if center_rows:
+        rows = np.asarray(center_rows, dtype=np.int64)
+        key_arr[rows] = ring.centers_of(key_arr[rows])
+    return AdmittedReports(
+        keys=key_arr,
+        loads=np.asarray(loads, dtype=np.float64),
+        capacities=np.asarray(capacities, dtype=np.float64),
+        min_vs=np.asarray(minima, dtype=np.float64),
+        vsless=vsless,
+        lost=lost,
+    )
+
+
+def collect_lbi_reports(
+    ring: ChordRing,
+    tree: KnaryTree,
+    rng: int | None | np.random.Generator = None,
+    tracer: Tracer | None = None,
+    faults: FaultInjector | None = None,
+    retry: RetryPolicy | None = None,
+    fault_stats: FaultRoundStats | None = None,
+    sanity: AggregateSanity | None = None,
+    epoch: int = 0,
+    adversary: "AdversaryEngine | None" = None,
+    adversary_stats: "AdversaryRoundStats | None" = None,
+) -> dict[int, tuple[KTNode, list[LBIRecord]]]:
+    """Leaf-indexed LBI reports for every alive node of ``ring``.
+
+    Each node reports through the KT leaf of one uniformly chosen hosted
+    virtual server.  Keys of the returned mapping are ``id(leaf)`` (KT
+    nodes are unhashable by content on purpose); values carry the leaf
+    itself plus its reports.  The decisions are
+    :func:`admit_lbi_reports`'s; the admitted keys then resolve their
+    leaves in one :meth:`~repro.ktree.tree.KnaryTree.descend_batch`.
+
+    With a ``faults`` injector attached, each report is one *message*:
+    it may be delayed, duplicated (the duplicate is suppressed at the
+    leaf by the reporter's sequence number and only costs a message) or
+    dropped — dropped reports are resent under ``retry`` (bounded
+    attempts, seeded backoff, phase timeout budget) and count as lost
+    once the bounds bite, leaving the aggregate approximate rather than
+    the phase failed.  Recovery accounting lands in ``fault_stats``.
+
+    With an enabled ``tracer``, one ``lbi.collect`` event summarises the
+    collection (reports filed, distinct leaves, nodes with no virtual
+    servers reporting through their notional position, reports lost).
+
+    With a ``sanity`` gate attached, every delivered report passes the
+    plausibility defense before an :class:`~repro.core.records.LBIRecord`
+    is built: the plan's ``corrupt`` channel may first rewrite the raw
+    values into a seeded lie, and the gate then either admits the
+    values, substitutes the node's last-good report, or quarantines the
+    node and drops the report.  ``epoch`` tags each report with the
+    membership view it was produced under.
+
+    With an ``adversary`` engine attached, Byzantine behavior strikes
+    the report channel before the sanity gate sees it: an active false
+    accuser suppresses its victim's report outright when the plan's
+    defense is off (and is refuted via
+    :meth:`AggregateSanity.refute_accusation` when it is on, since the
+    victim's own report proves liveness), and lying attackers
+    substitute their claimed ``<L, C, L_min>`` triple via
+    :meth:`~repro.adversary.engine.AdversaryEngine.lie`.  The gate's
+    :meth:`AggregateSanity.witness_check` hook then sees both the claim
+    and the ground truth, which is what lets the trusted defense run
+    seeded spot-check audits.  Accounting lands in ``adversary_stats``.
+    """
+    nodes = ring.alive_nodes
+    rows = admit_lbi_reports(
+        ring,
+        nodes,
+        NodeStateArrays.snapshot(nodes),
+        ensure_rng(rng),
+        faults=faults,
+        retry=retry,
+        fault_stats=fault_stats,
+        sanity=sanity,
+        epoch=epoch,
+        adversary=adversary,
+        adversary_stats=adversary_stats,
+    )
+    leaves, ordinals = tree.descend_batch(rows.keys)
     by_leaf: dict[int, tuple[KTNode, list[LBIRecord]]] = {}
-    for record, ordinal in zip(records, ordinals.tolist()):
+    for load, capacity, min_vs, ordinal in zip(
+        rows.loads.tolist(), rows.capacities.tolist(), rows.min_vs.tolist(),
+        ordinals.tolist(),
+    ):
         leaf = leaves[ordinal]
-        by_leaf.setdefault(id(leaf), (leaf, []))[1].append(record)
+        by_leaf.setdefault(id(leaf), (leaf, []))[1].append(
+            LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs)
+        )
     if tracer is not None and tracer.enabled:
         tracer.event(
             "lbi.collect",
-            reports=len(records),
+            reports=len(rows),
             leaves=len(by_leaf),
-            vsless_nodes=vsless,
-            reports_lost=lost,
+            vsless_nodes=rows.vsless,
+            reports_lost=rows.lost,
         )
     return by_leaf
 

@@ -67,5 +67,15 @@ class NodeStateArrays:
             vs_counts=vs_counts,
         )
 
+    def subset(self, rows: np.ndarray) -> "NodeStateArrays":
+        """The snapshot restricted to the boolean row mask ``rows``."""
+        return NodeStateArrays(
+            indices=self.indices[rows],
+            capacities=self.capacities[rows],
+            loads=self.loads[rows],
+            min_vs=self.min_vs[rows],
+            vs_counts=self.vs_counts[rows],
+        )
+
     def __len__(self) -> int:
         return int(self.indices.size)

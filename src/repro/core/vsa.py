@@ -54,6 +54,56 @@ class VSAResult:
         return sum(c.load for c in self.unassigned_heavy)
 
 
+def deliver_publications(
+    published: list[tuple[int, ShedCandidate | SpareCapacity]],
+    result: VSAResult,
+    rng: np.random.Generator,
+    faults: FaultInjector | None = None,
+    retry: RetryPolicy | None = None,
+    fault_stats: FaultRoundStats | None = None,
+) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
+    """Decide each publication's delivery, in publication order.
+
+    With a ``faults`` injector every publication is a message that may
+    be delayed, duplicated (suppressed at the leaf) or dropped; drops
+    are retried under ``retry`` with backoff jitter drawn from ``rng``
+    and count in ``result.entries_lost`` once the bounds bite.  Returns
+    the delivered ``(key, entry)`` pairs in order.  This is the only
+    step of a sweep that consumes faults and the retry rng; both round
+    kernels deliver through it and then place the keys in their own
+    tree.
+    """
+    if faults is None:
+        return published
+    policy = retry if retry is not None else RetryPolicy()
+    budget = RetryBudget(policy.phase_budget)
+    delivered: list[tuple[int, ShedCandidate | SpareCapacity]] = []
+    for key, entry in published:
+        subject = f"entry:{entry.node_index}:{key}"
+        outcome = deliver_with_retry(
+            policy,
+            lambda attempt: faults.drop("vsa", f"{subject}#{attempt}"),
+            rng,
+            budget,
+            extra_delay=faults.delay("vsa", subject),
+        )
+        if fault_stats is not None:
+            fault_stats.vsa_retries += outcome.attempts - 1
+            fault_stats.vsa_delay += outcome.simulated_delay
+        if not outcome.delivered:
+            result.entries_lost += 1
+            if fault_stats is not None:
+                fault_stats.vsa_entries_lost += 1
+            continue
+        if faults.duplicate("vsa", subject) and fault_stats is not None:
+            # Publications are idempotent per (node, key): the leaf keeps
+            # the first copy and drops the echo, so a duplicate costs one
+            # message and nothing else.
+            fault_stats.vsa_duplicates += 1
+        delivered.append((key, entry))
+    return delivered
+
+
 class VSASweep:
     """Executes the bottom-up VSA over a (lazily materialised) K-nary tree.
 
@@ -128,8 +178,15 @@ class VSASweep:
         """
         tracer = self.tracer
         result = VSAResult(entries_published=len(published))
-        pending = self.deliver(published, result)
-        self.sweep(pending, result)
+        delivered = deliver_publications(
+            published,
+            result,
+            self.rng,
+            faults=self.faults,
+            retry=self.retry,
+            fault_stats=self.fault_stats,
+        )
+        self.sweep(self.bucket(delivered), result)
         if tracer is not None and tracer.enabled:
             tracer.event(
                 "vsa.sweep",
@@ -143,52 +200,19 @@ class VSASweep:
             )
         return result
 
-    def deliver(
+    def bucket(
         self,
-        published: list[tuple[int, ShedCandidate | SpareCapacity]],
-        result: VSAResult,
+        delivered: list[tuple[int, ShedCandidate | SpareCapacity]],
     ) -> dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]]:
-        """Deliver ``(key, entry)`` publications to their KT leaves.
+        """Resolve delivered publications to their KT leaves, bucketed.
 
-        Applies injected faults with bounded retries to each publication
-        in order, then resolves the delivered keys' leaves in one
-        :meth:`~repro.ktree.tree.KnaryTree.descend_batch` and returns the
-        per-leaf pending buckets (keyed by ``id(leaf)``, filled in
-        delivery order).  Loss accounting lands on ``result``.  This is
-        the only part of :meth:`run` that consumes faults and the retry
-        rng; the bottom-up :meth:`sweep` that follows draws from neither.
+        One :meth:`~repro.ktree.tree.KnaryTree.descend_batch` resolves
+        every key; the per-leaf pending buckets (keyed by ``id(leaf)``)
+        fill in delivery order.
         """
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
         pending: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-        faults = self.faults
-        budget = RetryBudget(self.retry.phase_budget)
-        stats = self.fault_stats
-        delivered: list[tuple[int, ShedCandidate | SpareCapacity]] = []
-        for key, entry in published:
-            if faults is not None:
-                subject = f"entry:{entry.node_index}:{key}"
-                outcome = deliver_with_retry(
-                    self.retry,
-                    lambda attempt: faults.drop("vsa", f"{subject}#{attempt}"),
-                    self.rng,
-                    budget,
-                    extra_delay=faults.delay("vsa", subject),
-                )
-                if stats is not None:
-                    stats.vsa_retries += outcome.attempts - 1
-                    stats.vsa_delay += outcome.simulated_delay
-                if not outcome.delivered:
-                    result.entries_lost += 1
-                    if stats is not None:
-                        stats.vsa_entries_lost += 1
-                    continue
-                if faults.duplicate("vsa", subject) and stats is not None:
-                    # Publications are idempotent per (node, key): the leaf
-                    # keeps the first copy and drops the echo, so a
-                    # duplicate costs one message and nothing else.
-                    stats.vsa_duplicates += 1
-            delivered.append((key, entry))
         leaves, ordinals = self.tree.descend_batch(
             np.asarray([key for key, _ in delivered], dtype=np.int64)
         )
@@ -227,7 +251,7 @@ class VSASweep:
         """Run the bottom-up rendezvous sweep over delivered buckets.
 
         ``pending`` maps ``id(leaf)`` to the leaf's delivered
-        (heavy, light) entry lists, as produced by :meth:`deliver`;
+        (heavy, light) entry lists, as produced by :meth:`bucket`;
         assignments, leftovers and cost accounting accumulate on
         ``result``.
         """

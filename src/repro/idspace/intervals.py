@@ -80,9 +80,12 @@ class IntervalSet:
 
     def overlaps_region(self, region: Region) -> bool:
         """Whether ``region`` (possibly wrapping) intersects the set."""
+        return self.overlaps(region.start, region.length)
+
+    def overlaps(self, start: int, length: int) -> bool:
+        """Whether the arc ``[start, start + length)`` intersects the set."""
         if not self._starts:
             return False
-        start, length = region.start, region.length
         size = self.space.size
         if start + length <= size:
             return self._overlaps_linear(start, start + length)

@@ -17,6 +17,21 @@ from repro.exceptions import RegionError
 from repro.idspace.space import IdentifierSpace
 
 
+def split_bounds(
+    start: int, length: int, k: int, index: int, size: int
+) -> tuple[int, int]:
+    """Raw ``(start, length)`` of part ``index`` of a ``k``-way split.
+
+    The arithmetic of :meth:`Region.split_part` on plain integers (no
+    validation): the first ``length % k`` parts take one extra
+    identifier, and ``size`` wraps the part's start.
+    """
+    base, extra = divmod(length, k)
+    if index < extra:
+        return (start + index * (base + 1)) % size, base + 1
+    return (start + extra * (base + 1) + (index - extra) * base) % size, base
+
+
 @dataclass(frozen=True, slots=True)
 class Region:
     """A half-open arc ``[start, start + length)`` on an identifier ring.
@@ -174,14 +189,10 @@ class Region:
             )
         if not 0 <= index < k:
             raise RegionError(f"part index {index} out of range [0, {k})")
-        base, extra = divmod(self.length, k)
-        if index < extra:
-            offset = index * (base + 1)
-            part_len = base + 1
-        else:
-            offset = extra * (base + 1) + (index - extra) * base
-            part_len = base
-        return Region(self.space, self.space.wrap(self.start + offset), part_len)
+        start, length = split_bounds(
+            self.start, self.length, k, index, self.space.size
+        )
+        return Region(self.space, start, length)
 
     def child_index_for(self, k: int, key: int) -> int:
         """Which of the ``k`` split parts contains ``key``.

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dht.chord import ChordRing
 from repro.exceptions import TreeError
+from repro.idspace.region import split_bounds
 from repro.ktree.node import KTNode
-from repro.ktree.tree import KnaryTree
+from repro.ktree.tree import KnaryTree, leaf_rule
 
 
 class TreeIndex:
@@ -46,7 +48,7 @@ class TreeIndex:
     __slots__ = (
         "tree",
         "nodes",
-        "_slot_of",
+        "_foreign",
         "_size",
         "_capacity",
         "parent",
@@ -72,17 +74,21 @@ class TreeIndex:
     def __init__(self, tree: KnaryTree, capacity: int = 1024) -> None:
         self.tree = tree
         self.nodes: list[KTNode | None] = []
-        self._slot_of: dict[int, int] = {}
+        #: Slots of nodes whose ``slot`` attribute another index over the
+        #: same tree claimed first (a twin index; empty in the engine).
+        self._foreign: dict[int, int] = {}
         self._size = 0
         self._capacity = max(int(capacity), 16)
-        self.parent = np.full(self._capacity, -1, dtype=np.int64)
-        self.level = np.zeros(self._capacity, dtype=np.int64)
-        self.child_rank = np.zeros(self._capacity, dtype=np.int64)
+        # Slot-valued and small-integer columns are int32 (a persistent
+        # tree holds tens of thousands of slots); regions need int64.
+        self.parent = np.full(self._capacity, -1, dtype=np.int32)
+        self.level = np.zeros(self._capacity, dtype=np.int32)
+        self.child_rank = np.zeros(self._capacity, dtype=np.int32)
         self.alive = np.zeros(self._capacity, dtype=bool)
         self.is_leaf = np.zeros(self._capacity, dtype=bool)
         self.start = np.zeros(self._capacity, dtype=np.int64)
         self.length = np.zeros(self._capacity, dtype=np.int64)
-        self._stamp = np.zeros(self._capacity, dtype=np.int64)
+        self._stamp = np.zeros(self._capacity, dtype=np.int32)
         self._stamp_id = 0
         #: slot -> heap ordering key.  Safe to cache forever: a node's
         #: root path is fixed at registration and slots are never reused.
@@ -105,7 +111,7 @@ class TreeIndex:
         return self._size
 
     def _grow(self) -> None:
-        new_cap = self._capacity * 2
+        new_cap = self._capacity * 3 // 2
         for name in (
             "parent",
             "level",
@@ -117,9 +123,7 @@ class TreeIndex:
             "_stamp",
         ):
             old = getattr(self, name)
-            fresh = np.full(new_cap, -1, dtype=np.int64) if name == "parent" else (
-                np.zeros(new_cap, dtype=old.dtype)
-            )
+            fresh = np.full(new_cap, -1 if name == "parent" else 0, dtype=old.dtype)
             fresh[: self._capacity] = old
             setattr(self, name, fresh)
         self._capacity = new_cap
@@ -132,44 +136,58 @@ class TreeIndex:
         slot = self._size
         self._size += 1
         self.nodes.append(node)
-        self._slot_of[id(node)] = slot
+        if node.slot < 0:
+            node.slot = slot
+        else:
+            self._foreign[id(node)] = slot
         self.parent[slot] = parent_slot
         self.level[slot] = node.level
         self.child_rank[slot] = rank
         self.alive[slot] = True
         self.is_leaf[slot] = node.is_leaf
-        self.start[slot] = node.region.start
-        self.length[slot] = node.region.length
+        if parent_slot < 0:
+            start, length = 0, self.tree.ring.space.size
+        else:
+            start, length = split_bounds(
+                int(self.start[parent_slot]),
+                int(self.length[parent_slot]),
+                self.tree.k,
+                rank,
+                self.tree.ring.space.size,
+            )
+        self.start[slot] = start
+        self.length[slot] = length
         if node.is_leaf and self._dir_starts is not None:
             self._dir_pending.add(slot)
         return slot
 
     def slot(self, node: KTNode) -> int:
         """The slot of ``node``, registering its ancestor chain if new."""
-        found = self._slot_of.get(id(node))
-        if found is not None:
-            return found
         chain: list[KTNode] = []
         current: KTNode | None = node
-        while current is not None and id(current) not in self._slot_of:
+        while current is not None:
+            slot = self.slot_if_registered(current)
+            if slot is not None:
+                break
             chain.append(current)
             current = current.parent
-        if current is None:
+        else:
             raise TreeError("node does not descend from the indexed root")
-        slot = self._slot_of[id(current)]
         for item in reversed(chain):
             assert item.parent is not None
-            rank = item.parent.children.index(item)
-            slot = self._register(item, parent_slot=self._slot_of[id(item.parent)], rank=rank)
+            slot = self._register(item, parent_slot=slot, rank=item.rank)
         return slot
 
     def slot_if_registered(self, node: KTNode) -> int | None:
-        """The slot of ``node`` if it was ever registered, else ``None``.
+        """The slot of ``node`` if it is registered here, else ``None``.
 
         Unlike :meth:`slot` this never registers anything — safe to call
         with nodes the tree has already detached (delta bookkeeping).
         """
-        return self._slot_of.get(id(node))
+        slot = node.slot
+        if 0 <= slot < self._size and self.nodes[slot] is node:
+            return slot
+        return self._foreign.get(id(node)) if self._foreign else None
 
     def node_at(self, slot: int) -> KTNode:
         """The live node registered at ``slot``."""
@@ -183,9 +201,10 @@ class TreeIndex:
     # ------------------------------------------------------------------
     def drop(self, node: KTNode) -> None:
         """Retire a pruned node's slot (slots are never reused)."""
-        slot = self._slot_of.pop(id(node), None)
+        slot = self.slot_if_registered(node)
         if slot is None:
             return
+        self._foreign.pop(id(node), None)
         self.nodes[slot] = None
         self.alive[slot] = False
         self.is_leaf[slot] = False
@@ -194,7 +213,7 @@ class TreeIndex:
 
     def set_leaf(self, node: KTNode, flag: bool) -> None:
         """Record a leaf-ness flip for ``node`` if it is registered."""
-        slot = self._slot_of.get(id(node))
+        slot = self.slot_if_registered(node)
         if slot is not None:
             self.is_leaf[slot] = flag
             if self._dir_starts is not None:
@@ -287,6 +306,53 @@ class TreeIndex:
         safe = np.where(hit, pos, 0)
         hit &= keys < self._dir_ends[safe]
         return np.where(hit, self._dir_slots[safe], -1)
+
+    def view_leaves(self, slots: np.ndarray, view: ChordRing) -> np.ndarray:
+        """Cut leaf ``slots`` of this tree to the leaves of ``view``'s KT.
+
+        ``view`` must hold a subset of the indexed ring's virtual
+        servers (a partition component or quarantine view).  Each view
+        arc is then a union of consecutive ring arcs, so every region
+        the ring covers the view covers too: the view's KT is an upper
+        subtree of this one, with the same regions, levels and linkage.
+        The view leaf on a key's path is therefore the *shallowest* slot
+        on its ring leaf's root path that ``view`` covers (or that is
+        too short to split, the ``length < k`` rule).  One batched
+        :func:`~repro.ktree.tree.leaf_rule` probe over the distinct path
+        slots answers coverage; the cut then propagates top-down one
+        level at a time.  Returns one view-leaf slot per input slot
+        (a slot that already is a view leaf maps to itself).
+        """
+        parent = self.parent
+        on_path = np.zeros(self._size, dtype=bool)
+        current = np.unique(np.asarray(slots, dtype=np.int64))
+        while current.size:
+            on_path[current] = True
+            parents = parent[current]
+            parents = np.unique(parents[parents >= 0])
+            current = parents[~on_path[parents]]
+        path = np.flatnonzero(on_path)
+        is_view_leaf = np.zeros(self._size, dtype=bool)
+        is_view_leaf[path] = leaf_rule(
+            view, self.start[path], self.length[path], self.tree.k
+        )[1]
+        cut = np.full(self._size, -1, dtype=np.int64)
+        levels = self.level[path]
+        order = np.argsort(levels, kind="stable")
+        by_level = path[order]
+        bounds = np.flatnonzero(np.diff(levels[order])) + 1
+        for group in np.split(by_level, bounds):
+            above = parent[group]
+            inherited = np.where(above >= 0, cut[np.maximum(above, 0)], -1)
+            cut[group] = np.where(
+                inherited >= 0,
+                inherited,
+                np.where(is_view_leaf[group], group, -1),
+            )
+        out = cut[np.asarray(slots, dtype=np.int64)]
+        if out.size and int(out.min()) < 0:
+            raise TreeError("view is not a sub-ring of the indexed ring")
+        return out
 
     # ------------------------------------------------------------------
     # Stamp walks

@@ -13,10 +13,16 @@ Two construction modes are provided:
   coincide exactly with the full tree; the aggregation and VSA sweeps
   only ever touch the paths of keys that carry information, which
   keeps the paper-scale experiments (4096 nodes x 5 virtual servers,
-  32-bit space) cheap.  Every round resolves its keys this way, over
-  the whole ring and over per-component views alike;
+  32-bit space) cheap.  Every round resolves its keys this way; with a
+  ``view`` (a sub-ring such as a partition component) the descent
+  stops at the view's leaves, the upper cut of this tree that a fresh
+  tree over the view would build.
   :meth:`KnaryTree.ensure_leaf_for_key` is the one-key walk the batch
   is tested against.
+
+Nodes carry no region objects: a node's region derives from the root's
+through the split ranks on its path (:attr:`KTNode.region`), and the
+tree's own walks carry regions along as they descend.
 
 Self-repair (Section 3.1.1) is modelled by :meth:`KnaryTree.refresh`:
 after any ring change it re-plants every materialised KT node in the
@@ -38,8 +44,27 @@ from repro.dht.chord import ChordRing
 from repro.dht.virtual_server import VirtualServer
 from repro.exceptions import TreeError
 from repro.idspace import IntervalSet, Region
-from repro.ktree.node import KTNode
+from repro.idspace.region import split_bounds
+from repro.ktree.node import KTNode, KTRoot
 from repro.obs.metrics import MetricsRegistry
+
+
+def leaf_rule(
+    ring: ChordRing, starts: np.ndarray, lengths: np.ndarray, k: int
+) -> tuple[list[VirtualServer], np.ndarray]:
+    """Hosts and leaf-ness of the regions ``[starts, starts + lengths)``.
+
+    The batched form of :meth:`KnaryTree._host_and_leaf`: one
+    :meth:`~repro.dht.chord.ChordRing.hosts_with_regions` probe at the
+    region centers, then the same raw-integer coverage test and the
+    ``length < k`` rule.
+    """
+    size = ring.space.size
+    hosts, h_start, h_length = ring.hosts_with_regions(
+        (starts + lengths // 2) % size
+    )
+    covered = (h_length == size) | ((starts - h_start) % size + lengths <= h_length)
+    return hosts, covered | (lengths < k)
 
 
 @dataclass
@@ -102,18 +127,16 @@ class KnaryTree:
         self.k = k
         self.metrics = metrics
         self.epoch = epoch
-        self.root = self._make_node(Region.full(ring.space), level=0, parent=None)
+        host, is_leaf = self._host_and_leaf(0, ring.space.size)
+        self.root: KTNode = KTRoot(ring.space, host, is_leaf, k)
         self._node_count = 1
 
     # ------------------------------------------------------------------
     # Node construction helpers
     # ------------------------------------------------------------------
-    def _make_node(self, region: Region, level: int, parent: KTNode | None) -> KTNode:
-        host, is_leaf = self._host_and_leaf(region)
-        return KTNode(region=region, level=level, parent=parent, host_vs=host, is_leaf=is_leaf, k=self.k)
-
-    def _host_and_leaf(self, region: Region) -> tuple[VirtualServer, bool]:
-        """Hosting VS of ``region`` and the paper's leaf rule, in one probe.
+    def _host_and_leaf(self, start: int, length: int) -> tuple[VirtualServer, bool]:
+        """Hosting VS of region ``[start, start + length)`` and the
+        paper's leaf rule, in one probe.
 
         A KT node is a leaf when its region is completely covered by the
         region of its hosting virtual server (the successor of its center
@@ -123,27 +146,33 @@ class KnaryTree:
 
         Uses :meth:`~repro.dht.chord.ChordRing.host_with_region` so the
         host lookup and the coverage test share a single index probe; the
-        raw-integer arithmetic mirrors :meth:`Region.covers` exactly.
+        raw-integer arithmetic mirrors :meth:`Region.center` and
+        :meth:`Region.covers` exactly.
         """
-        host, hstart, hlength = self.ring.host_with_region(region.center)
         size = self.ring.space.size
+        host, hstart, hlength = self.ring.host_with_region(
+            (start + length // 2) % size
+        )
         if hlength == size:
             covered = True
-        elif region.length == size:
+        elif length == size:
             covered = False
         else:
-            covered = (region.start - hstart) % size + region.length <= hlength
-        return host, covered or region.length < self.k
+            covered = (start - hstart) % size + length <= hlength
+        return host, covered or length < self.k
 
-    def _materialize_child(self, node: KTNode, index: int) -> KTNode:
+    def _materialize_child(
+        self, node: KTNode, index: int, start: int, length: int
+    ) -> KTNode:
+        """Child ``index`` of ``node``, whose region is ``[start, start + length)``."""
         if node.is_leaf:
             raise TreeError("leaf KT nodes have no children")
         existing = node.children[index]
         if existing is not None:
             return existing
-        child_region = node.region.split_part(self.k, index)
-        child = self._make_node(child_region, level=node.level + 1, parent=node)
-        node.children[index] = child
+        host, is_leaf = self._host_and_leaf(start, length)
+        child = KTNode(node.level + 1, node, index, host, is_leaf, self.k)
+        node.set_child(index, child)
         self._node_count += 1
         if self.metrics is not None:
             self.metrics.counter("ktree.materialized").inc()
@@ -158,19 +187,21 @@ class KnaryTree:
         Raises :class:`TreeError` when the tree would exceed ``max_nodes``
         — a guard against accidentally full-building a 32-bit ring.
         """
-        queue: deque[KTNode] = deque([self.root])
+        size = self.ring.space.size
+        queue: deque[tuple[KTNode, int, int]] = deque([(self.root, 0, size)])
         while queue:
-            node = queue.popleft()
+            node, start, length = queue.popleft()
             if node.is_leaf:
                 continue
             for i in range(self.k):
-                child = self._materialize_child(node, i)
+                c_start, c_length = split_bounds(start, length, self.k, i, size)
+                child = self._materialize_child(node, i, c_start, c_length)
                 if self._node_count > max_nodes:
                     raise TreeError(
                         f"full tree exceeds max_nodes={max_nodes}; "
                         "use lazy construction for large rings"
                     )
-                queue.append(child)
+                queue.append((child, c_start, c_length))
 
     def ensure_leaf_for_key(self, key: int) -> KTNode:
         """Materialise (if needed) and return the leaf whose region has ``key``.
@@ -183,8 +214,7 @@ class KnaryTree:
         The descent tracks the current region as raw ``(start, length)``
         integers and replicates :meth:`Region.child_index_for` inline, so
         steps through already-materialised children cost no region
-        allocation or validation; :class:`~repro.idspace.Region` objects
-        are only built when a child is genuinely new.
+        allocation or validation.
         """
         self.ring.space.validate(key)
         size = self.ring.space.size
@@ -204,19 +234,19 @@ class KnaryTree:
                 index = extra + (offset - boundary) // base
                 child_offset = boundary + (index - extra) * base
                 child_length = base
-            child = node.children[index]
-            if child is None:
-                child = self._materialize_child(node, index)
-            node = child
             start = (start + child_offset) % size
             length = child_length
+            child = node.children[index]
+            if child is None:
+                child = self._materialize_child(node, index, start, length)
+            node = child
             guard += 1
             if guard > 8 * self.ring.space.bits:  # pragma: no cover
                 raise TreeError("runaway descent in ensure_leaf_for_key")
         return node
 
     def descend_batch(
-        self, keys: np.ndarray
+        self, keys: np.ndarray, view: ChordRing | None = None
     ) -> tuple[list[KTNode], np.ndarray]:
         """Level-synchronous batched descent: all ``keys`` down together.
 
@@ -233,19 +263,21 @@ class KnaryTree:
         distinct path nodes the key set touches, not ``len(keys) x
         depth``.
 
-        Already-materialised children are stepped through without
-        building :class:`~repro.idspace.Region` objects; genuinely new
+        Regions stay raw integer columns throughout; genuinely new
         children materialise in bulk per level — one vectorised
         :meth:`~repro.dht.chord.ChordRing.hosts_with_regions` probe
-        answers every new child's planting and leaf-ness at once, and
-        regions are built through the trusted constructor (the split
-        arithmetic guarantees their validity).  The whole ring and the
-        per-component views answer that probe alike, and the
-        ``ktree.materialized`` accounting matches the serial descent.
+        answers every new child's planting and leaf-ness at once — and
+        the ``ktree.materialized`` accounting matches the serial
+        descent.
+
+        With a ``view`` — a ring holding a subset of this ring's virtual
+        servers — the descent stops at the first node ``view`` covers
+        (see :meth:`~repro.ktree.index.TreeIndex.view_leaves`): the
+        returned nodes are the leaves of the view's KT, and nothing below
+        them materialises.
         """
         size = self.ring.space.size
         k = self.k
-        space = self.ring.space
         key_arr = np.ascontiguousarray(keys, dtype=np.int64)
         n = int(key_arr.size)
         if n == 0:
@@ -255,7 +287,12 @@ class KnaryTree:
         ordinals = np.empty(n, dtype=np.int64)
         leaves: list[KTNode] = []
         leaf_ordinal: dict[int, int] = {}
-        if self.root.is_leaf:
+        root_stops = self.root.is_leaf
+        if view is not None and not root_stops:
+            # A view with one virtual server covers the whole ring.
+            whole = np.full(1, size, dtype=np.int64)
+            root_stops = bool(leaf_rule(view, whole * 0, whole, k)[1][0])
+        if root_stops:
             leaves.append(self.root)
             ordinals[:] = 0
             return leaves, ordinals
@@ -306,42 +343,27 @@ class KnaryTree:
                 m = np.asarray(missing, dtype=np.int64)
                 m_start = g_start[m]
                 m_length = g_length[m]
-                centers = (m_start + m_length // 2) % size
-                hosts, h_start, h_length = self.ring.hosts_with_regions(centers)
-                covered = np.where(
-                    h_length == size,
-                    True,
-                    (m_start - h_start) % size + m_length <= h_length,
-                )
-                new_leaf = covered | (m_length < k)
-                trusted = Region.trusted
-                for j, start_j, length_j, host, leaf_j in zip(
-                    missing,
-                    m_start.tolist(),
-                    m_length.tolist(),
-                    hosts,
-                    new_leaf.tolist(),
-                ):
+                hosts, new_leaf = leaf_rule(self.ring, m_start, m_length, k)
+                for j, host, leaf_j in zip(missing, hosts, new_leaf.tolist()):
                     node = parents_u[j]
-                    child = KTNode(
-                        trusted(space, start_j, length_j),
-                        node.level + 1,
-                        node,
-                        host,
-                        leaf_j,
-                        k,
-                    )
-                    node.children[ranks_u[j]] = child
+                    rank = ranks_u[j]
+                    child = KTNode(node.level + 1, node, rank, host, leaf_j, k)
+                    node.set_child(rank, child)
                     children_u[j] = child
                 self._node_count += len(missing)
                 if self.metrics is not None:
                     self.metrics.counter("ktree.materialized").inc(len(missing))
             child_is_leaf = np.empty(uniq.size, dtype=bool)
             child_ord = np.empty(uniq.size, dtype=np.int64)
+            stops = (
+                leaf_rule(view, g_start, g_length, k)[1].tolist()
+                if view is not None
+                else None
+            )
             next_frontier: list[KTNode] = []
             for j, child in enumerate(children_u):
                 assert child is not None
-                if child.is_leaf:
+                if child.is_leaf or (stops is not None and stops[j]):
                     child_is_leaf[j] = True
                     ordinal = leaf_ordinal.get(id(child))
                     if ordinal is None:
@@ -413,10 +435,11 @@ class KnaryTree:
         Returns counters: ``replanted``, ``pruned``, ``grown``.
         """
         replanted = pruned = grown = 0
-        stack = [self.root]
+        size = self.ring.space.size
+        stack = [(self.root, 0, size)]
         while stack:
-            node = stack.pop()
-            new_host, leaf_now = self._host_and_leaf(node.region)
+            node, start, length = stack.pop()
+            new_host, leaf_now = self._host_and_leaf(start, length)
             if new_host is not node.host_vs:
                 node.host_vs = new_host
                 replanted += 1
@@ -424,13 +447,16 @@ class KnaryTree:
                 removed = sum(1 for _ in self._count_subtree(node)) - 1
                 pruned += removed
                 self._node_count -= removed
-                node.children = []
+                node.children = ()
                 node.is_leaf = True
             elif not leaf_now and node.is_leaf:
                 node.is_leaf = False
-                node.children = [None] * self.k
+                node.children = (None,) * self.k
                 grown += 1
-            stack.extend(node.materialized_children())
+            stack.extend(
+                (child, *split_bounds(start, length, self.k, child.rank, size))
+                for child in node.materialized_children()
+            )
         if self.metrics is not None:
             self.metrics.counter("ktree.replanted").inc(replanted)
             self.metrics.counter("ktree.pruned").inc(pruned)
@@ -458,10 +484,11 @@ class KnaryTree:
         delta = RefreshDelta()
         if not dirty:
             return delta
-        stack = [self.root]
+        size = self.ring.space.size
+        stack = [(self.root, 0, size)]
         while stack:
-            node = stack.pop()
-            new_host, leaf_now = self._host_and_leaf(node.region)
+            node, start, length = stack.pop()
+            new_host, leaf_now = self._host_and_leaf(start, length)
             if new_host is not node.host_vs:
                 node.host_vs = new_host
                 delta.replanted += 1
@@ -469,16 +496,19 @@ class KnaryTree:
                 removed = [n for n in self._count_subtree(node) if n is not node]
                 delta.pruned_nodes.extend(removed)
                 self._node_count -= len(removed)
-                node.children = []
+                node.children = ()
                 node.is_leaf = True
                 delta.became_leaf.append(node)
             elif not leaf_now and node.is_leaf:
                 node.is_leaf = False
-                node.children = [None] * self.k
+                node.children = (None,) * self.k
                 delta.became_internal.append(node)
             for child in node.materialized_children():
-                if dirty.overlaps_region(child.region):
-                    stack.append(child)
+                c_start, c_length = split_bounds(
+                    start, length, self.k, child.rank, size
+                )
+                if dirty.overlaps(c_start, c_length):
+                    stack.append((child, c_start, c_length))
         if self.metrics is not None:
             self.metrics.counter("ktree.replanted").inc(delta.replanted)
             self.metrics.counter("ktree.pruned").inc(len(delta.pruned_nodes))
@@ -494,24 +524,26 @@ class KnaryTree:
 
     def check_invariants(self) -> None:
         """Structural invariants of a (fully or lazily) materialised tree."""
-        for node in self.iter_nodes():
+        stack = [(self.root, Region.full(self.ring.space))]
+        while stack:
+            node, region = stack.pop()
+            if node.region != region:
+                raise TreeError("KT node's derived region does not match its path")
             host_region = self.ring.region_of(node.host_vs)
-            if not host_region.contains(node.region.center):
+            if not host_region.contains(region.center):
                 raise TreeError("KT node planted in a VS that does not own its center")
             if node.is_leaf:
-                if not (host_region.covers(node.region) or node.region.length < self.k):
+                if not (host_region.covers(region) or region.length < self.k):
                     raise TreeError("leaf KT node's region is not covered by its host VS")
-            else:
-                if host_region.covers(node.region):
-                    raise TreeError("internal KT node should be a leaf")
-                for i, child in enumerate(node.children):
-                    if child is None:
-                        continue
-                    if child.parent is not node:
-                        raise TreeError("child/parent link mismatch")
-                    expected = node.region.split(self.k)[i]
-                    if child.region != expected:
-                        raise TreeError("child region does not match split position")
+                continue
+            if host_region.covers(region):
+                raise TreeError("internal KT node should be a leaf")
+            for i, child in enumerate(node.children):
+                if child is None:
+                    continue
+                if child.parent is not node or child.rank != i:
+                    raise TreeError("child/parent link mismatch")
+                stack.append((child, region.split_part(self.k, i)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,6 +10,11 @@ Three contracts from docs/performance.md are pinned here:
 * The bulk ring probe (:meth:`~repro.dht.ChordRing.hosts_with_regions`)
   and the non-validating :meth:`~repro.idspace.Region.trusted`
   constructor agree with their scalar/validating counterparts.
+* A partition or quarantine view's KT is an upper cut of the whole
+  ring's: :meth:`~repro.ktree.index.TreeIndex.view_leaves` maps each
+  ring leaf to the view leaf a fresh tree over the view reaches, and a
+  view-bounded :meth:`~repro.ktree.tree.KnaryTree.descend_batch` stops
+  at that same node.
 * Delta-driven cache repair keeps every ``key -> leaf`` cache entry
   valid across churn without re-descending surviving reporter
   corridors: ``stale_cache_misses`` stays zero while repairs fire, and
@@ -18,6 +23,8 @@ Three contracts from docs/performance.md are pinned here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.dht import RingEventLog, crash_node, join_node, leave_node
@@ -160,6 +167,86 @@ class TestDescendBatch:
             tree.descend_batch(np.asarray([ring.space.size], dtype=np.int64))
         with pytest.raises(TreeError):
             tree.descend_batch(np.asarray([-1], dtype=np.int64))
+
+
+def _cut_ring(seed):
+    """A small Pareto ring plus one node hosting a single virtual server."""
+    ring = _ring(seed, num_nodes=24, vs_per_node=3)
+    join_node(ring, capacity=10.0, vs_count=1, rng=seed + 1)
+    return ring
+
+
+def _members(ring, shape, fraction, seed):
+    nodes = [n for n in ring.alive_nodes if n.virtual_servers]
+    if shape == "single-node":
+        return (nodes[seed % len(nodes)].index,)
+    if shape == "single-vs":
+        return (next(n for n in nodes if len(n.virtual_servers) == 1).index,)
+    gen = np.random.default_rng(seed)
+    picked = [n.index for n in nodes if gen.random() < fraction]
+    return tuple(picked) or (nodes[0].index,)
+
+
+def _assert_cut_matches_view_tree(ring, view, k, keys):
+    """Whole-ring leaves cut to ``view`` equal a fresh view tree's leaves."""
+    tree = KnaryTree(ring, k)
+    index = TreeIndex(tree)
+    leaves, ordinals = tree.descend_batch(keys)
+    ring_slots = np.asarray(
+        [index.slot(leaf) for leaf in leaves], dtype=np.int64
+    )[ordinals]
+    cut = index.view_leaves(ring_slots, view)
+    bounded, bounded_ordinals = KnaryTree(ring, k).descend_batch(keys, view)
+    reference = KnaryTree(view, k)
+    for i, key in enumerate(keys.tolist()):
+        want = reference.ensure_leaf_for_key(key)
+        expected = (want.region.start, want.region.length, want.level)
+        slot = int(cut[i])
+        got = (int(index.start[slot]), int(index.length[slot]), int(index.level[slot]))
+        assert got == expected
+        stop = bounded[bounded_ordinals[i]]
+        assert (stop.region.start, stop.region.length, stop.level) == expected
+
+
+class TestViewCut:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        k=st.sampled_from((2, 4, 8)),
+        shape=st.sampled_from(("fraction", "single-node", "single-vs")),
+        fraction=st.sampled_from((0.1, 0.5, 0.9)),
+    )
+    def test_cut_matches_fresh_view_tree(self, seed, k, shape, fraction):
+        ring = _cut_ring(seed)
+        view = ComponentRingView(ring, _members(ring, shape, fraction, seed))
+        keys = np.random.default_rng(seed + 1).integers(
+            0, ring.space.size, size=120, dtype=np.int64
+        )
+        # Region centers are the keys rounds actually descend.
+        centers = view.centers_of(
+            np.asarray([vs.vs_id for vs in view.virtual_servers], dtype=np.int64)
+        )
+        _assert_cut_matches_view_tree(
+            ring, view, k, np.concatenate([keys, centers])
+        )
+
+    @pytest.mark.parametrize("k", (2, 4, 8))
+    def test_cut_after_a_non_member_crashes(self, k):
+        # A crash elsewhere on the ring after the view was taken (a crash
+        # inside an earlier partition component's VST batch) keeps the
+        # view a sub-ring of the whole ring, so the cut still holds.
+        ring = _cut_ring(41)
+        members = _members(ring, "fraction", 0.5, 41)
+        view = ComponentRingView(ring, members)
+        outsider = next(
+            n for n in ring.alive_nodes
+            if n.index not in members and n.virtual_servers
+        )
+        crash_node(ring, outsider)
+        keys = np.random.default_rng(42).integers(
+            0, ring.space.size, size=200, dtype=np.int64
+        )
+        _assert_cut_matches_view_tree(ring, view, k, keys)
 
 
 class TestBulkRingProbe:

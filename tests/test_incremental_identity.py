@@ -5,15 +5,18 @@ history and tree degree, :class:`repro.core.IncrementalLoadBalancer`
 produces a :class:`~repro.core.report.BalanceReport` whose canonical
 digest — every float, assignment, transfer and counter, in order — is
 byte-identical to the serial :class:`~repro.core.balancer.LoadBalancer`
-run on a twin ring through the same history.  Under fault plans and
-partitions the engine must fall back to the serial kernels, so
-identity there is also asserted.  An attached write-ahead journal keeps
-the fast kernels, and the journal itself must come out byte-identical.
+run on a twin ring through the same history.  Fault plans, partitions
+(with mid-round crashes inside a component), defended and undefended
+adversaries all run the fast kernels over the one persistent tree, so
+identity there is asserted seed by seed.  An attached write-ahead
+journal keeps the fast kernels, and the journal itself must come out
+byte-identical.
 """
 
 import numpy as np
 import pytest
 
+from repro.adversary import AdversaryPlan
 from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.dht import crash_node, join_node, leave_node
 from repro.faults import FaultPlan, PartitionSpec
@@ -35,6 +38,14 @@ PARTITION_FAULTS = FaultPlan(
     partitions=(
         PartitionSpec(at_round=1, duration=2, num_components=2, mid_round=True),
     ),
+)
+
+#: A mid-round crash inside each component of a partition.
+PARTITION_CRASH = FaultPlan(
+    seed=9,
+    drop=0.05,
+    crash_mid_round=1,
+    partitions=(PartitionSpec(at_round=1, duration=3, num_components=2),),
 )
 
 MODEL = ParetoLoadModel(mu=1e6)
@@ -87,13 +98,20 @@ def _perturb(ring, gen, heavy=False):
     )
 
 
-def _run_paired(seed, rounds, tree_degree=2, heavy_round=None, faults=None):
-    """Drive serial and incremental twins through one seeded history."""
+def _run_paired(
+    seed, rounds, tree_degree=2, heavy_round=None, faults=None, adversary=None
+):
+    """Drive serial and incremental twins through one seeded history.
+
+    Returns the incremental twin so callers can check which path ran.
+    """
     ring_a, ring_b = _ring(seed), _ring(seed)
     cfg = _config(tree_degree)
-    serial = LoadBalancer(ring_a, cfg, rng=seed + 1, faults=faults)
+    serial = LoadBalancer(
+        ring_a, cfg, rng=seed + 1, faults=faults, adversary=adversary
+    )
     incremental = IncrementalLoadBalancer(
-        ring_b, cfg, rng=seed + 1, faults=faults
+        ring_b, cfg, rng=seed + 1, faults=faults, adversary=adversary
     )
     gen_a = np.random.default_rng(seed + 500)
     gen_b = np.random.default_rng(seed + 500)
@@ -104,6 +122,7 @@ def _run_paired(seed, rounds, tree_degree=2, heavy_round=None, faults=None):
         heavy = rnd == heavy_round
         _perturb(ring_a, gen_a, heavy=heavy)
         _perturb(ring_b, gen_b, heavy=heavy)
+    return incremental
 
 
 class TestIncrementalByteIdentity:
@@ -130,14 +149,41 @@ class TestIncrementalByteIdentity:
             ), f"quiet round {rnd} diverged"
 
 
-class TestIncrementalFallback:
-    """Fault and partition regimes route through the serial path."""
+class TestRobustFastPath:
+    """Faulted, attacked and partitioned rounds run fast, digest-exact."""
 
     def test_fault_plan_rounds_identical(self):
         _run_paired(7, rounds=4, faults=FAULTS)
 
     def test_partition_rounds_identical(self):
         _run_paired(7, rounds=5, faults=PARTITION_FAULTS)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_defended_adversary(self, seed):
+        plan = AdversaryPlan(seed=seed, fraction=0.15, defense=True)
+        _run_paired(seed, rounds=5, adversary=plan)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_undefended_adversary(self, seed):
+        plan = AdversaryPlan(seed=seed, fraction=0.15, defense=False)
+        _run_paired(seed, rounds=5, adversary=plan)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_adversary_with_faults(self, seed):
+        plan = AdversaryPlan(seed=seed + 1, fraction=0.1, defense=True)
+        _run_paired(seed, rounds=5, faults=FAULTS, adversary=plan)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_partitions_under_churn(self, seed):
+        _run_paired(seed, rounds=5, faults=PARTITION_FAULTS)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_crash_mid_round_inside_a_partition(self, seed):
+        bal = _run_paired(seed, rounds=5, faults=PARTITION_CRASH)
+        # The fast kernels ran: the persistent tree exists and resolved
+        # keys through batched descents.
+        assert bal._tree is not None
+        assert bal.descent_stats["miss_descents"] > 0
 
     def test_fallback_then_fast_path_resyncs(self):
         # Tracing forces the serial path; disabling it afterwards must

@@ -11,7 +11,10 @@ transit-stub graph and on one with ~20-vertex domains), message faults
 with mid-round crashes, partitions (a mid-round cut and a component
 left without reports), stale-LBI reuse, a defended adversary that
 quarantines, an attached journal and a crash-and-restore run.  Each
-regime also asserts that its code path really ran.
+regime also asserts that its code path really ran, and on the
+incremental engine the robustness regimes assert that they ran the
+fast kernels over the one persistent tree: a ``KnaryTree`` is built
+only when that tree is (re)built, never per round or per part.
 
 To recompute the pins (only after a deliberate behaviour change), run::
 
@@ -37,6 +40,7 @@ from repro.core.report import BalanceReport
 from repro.dht import crash_node, join_node, leave_node
 from repro.faults import CrashPoint, FaultInjector, FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
+from repro.ktree import KnaryTree
 from repro.recovery import RecoveryManager, TransferJournal
 from repro.topology import Topology, TransitStubParams
 from repro.workloads import (
@@ -418,10 +422,45 @@ PINS: dict[str, list[str]] = {
 }
 
 
+#: Regimes whose faulted, attacked, quarantined or partitioned rounds
+#: must run the incremental engine's fast kernels.
+ROBUST_REGIMES = frozenset(
+    {"faults", "partitions", "stale_lbi", "adversary", "recovery"}
+)
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("regime", sorted(REGIMES))
-def test_round_digests_match_pins(regime: str, engine: str) -> None:
-    assert _digests(REGIMES[regime](ENGINES[engine])) == PINS[regime]
+def test_round_digests_match_pins(
+    regime: str, engine: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    checks_tree = engine == "incremental" and regime in ROBUST_REGIMES
+    builds: list[bool] = []
+    if checks_tree:
+        rebuilding = [False]
+        tree_init = KnaryTree.__init__
+        rebuild = IncrementalLoadBalancer._rebuild
+
+        def counted_init(self: KnaryTree, *args, **kwargs) -> None:
+            builds.append(rebuilding[0])
+            tree_init(self, *args, **kwargs)
+
+        def flagged_rebuild(self: IncrementalLoadBalancer) -> None:
+            rebuilding[0] = True
+            try:
+                rebuild(self)
+            finally:
+                rebuilding[0] = False
+
+        monkeypatch.setattr(KnaryTree, "__init__", counted_init)
+        monkeypatch.setattr(IncrementalLoadBalancer, "_rebuild", flagged_rebuild)
+    reports = REGIMES[regime](ENGINES[engine])
+    assert _digests(reports) == PINS[regime]
+    if checks_tree:
+        # Round 0 (and each restored process's first round) builds the
+        # persistent tree; every later round and part reuses it.
+        assert builds and all(builds), "a round built a fresh KnaryTree"
+        assert len(builds) < len(reports)
 
 
 if __name__ == "__main__":
