@@ -34,9 +34,9 @@ from repro.core.classification import (
     target_load,
 )
 from repro.core.config import BalancerConfig
-from repro.core.selection import select_shed_subset
+from repro.core.selection import select_shed_subset, select_shed_subsets
 from repro.core.rendezvous import PairingOutcome, pair_rendezvous
-from repro.core.vsa import VSAResult, VSASweep
+from repro.core.vsa import VSAEntries, VSAResult, VSASweep
 from repro.core.vst import TransferRecord, execute_transfers
 from repro.core.placement import ProximityPlacement, RandomVSPlacement
 from repro.core.balancer import LoadBalancer
@@ -62,8 +62,10 @@ __all__ = [
     "target_load",
     "BalancerConfig",
     "select_shed_subset",
+    "select_shed_subsets",
     "PairingOutcome",
     "pair_rendezvous",
+    "VSAEntries",
     "VSAResult",
     "VSASweep",
     "TransferRecord",

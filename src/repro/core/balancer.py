@@ -25,7 +25,11 @@ from repro.adversary.engine import AdversaryEngine, ensure_engine
 from repro.adversary.plan import AdversaryPlan
 from repro.adversary.stats import AdversaryRoundStats
 from repro.adversary.trust import TrustedAggregation
-from repro.core.classification import ClassificationResult, classify_arrays
+from repro.core.classification import (
+    ClassificationResult,
+    classification_masks,
+    classify_arrays,
+)
 from repro.core.config import BalancerConfig
 from repro.core.lbi import (
     AggregateSanity,
@@ -38,17 +42,11 @@ from repro.core.placement import (
     ProximityPlacement,
     RandomVSPlacement,
 )
-from repro.core.records import (
-    Assignment,
-    NodeClass,
-    ShedCandidate,
-    SpareCapacity,
-    SystemLBI,
-)
+from repro.core.records import Assignment, NodeClass, SystemLBI
 from repro.core.report import BalanceReport
-from repro.core.selection import select_shed_subset
+from repro.core.selection import select_shed_subsets
 from repro.core.soa import NodeStateArrays
-from repro.core.vsa import VSAResult, VSASweep
+from repro.core.vsa import VSAEntries, VSAResult, VSASweep
 from repro.core.vst import TransferRecord, execute_transfers
 from repro.dht.chord import ChordRing
 from repro.dht.node import PhysicalNode
@@ -448,11 +446,15 @@ class LoadBalancer:
         )
 
         def classify(
-            rows: np.ndarray, loads: np.ndarray, system: SystemLBI, stage: str
+            rows: np.ndarray,
+            loads: np.ndarray,
+            system: SystemLBI,
+            stage: str,
+            masks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         ) -> ClassificationResult:
             return classify_arrays(
                 arrays.indices[rows], arrays.capacities[rows], loads[rows],
-                system, cfg.epsilon, tracer=tracer, stage=stage,
+                system, cfg.epsilon, tracer=tracer, stage=stage, masks=masks,
             )
 
         balanced: list[tuple[RoundPart, SystemLBI, ClassificationResult]] = []
@@ -478,14 +480,21 @@ class LoadBalancer:
             self._crash_point("post-lbi-fold")
             system, trace = folded
 
-            # Phase 2: classification over the part's snapshot rows.
+            # Phase 2: classification over the part's snapshot rows; the
+            # masks also drive publication.
             with clock.phase("classification"), tracer.span("classification"):
-                before = classify(part.rows, arrays.loads, system, "before")
+                masks = classification_masks(
+                    arrays.capacities[part.rows],
+                    arrays.loads[part.rows],
+                    system,
+                    cfg.epsilon,
+                )
+                before = classify(part.rows, arrays.loads, system, "before", masks)
 
             # Phase 3: publication, then the bottom-up VSA sweep.
             with clock.phase("vsa"):
                 vsa_span = tracer.span("vsa")
-                published = self._publish_vsa_entries(part.nodes, before)
+                published = self._publish_vsa_entries(part, arrays, masks)
                 part_vsa, height, node_count = self._sweep_vsa(
                     part, published, system.min_vs_load, stats, clock
                 )
@@ -687,7 +696,7 @@ class LoadBalancer:
     def _sweep_vsa(
         self,
         part: RoundPart,
-        published: list[tuple[int, ShedCandidate | SpareCapacity]],
+        published: VSAEntries,
         min_vs_load: float,
         stats: FaultRoundStats,
         clock: PhaseClock,
@@ -714,65 +723,82 @@ class LoadBalancer:
     # ------------------------------------------------------------------
     def _publish_vsa_entries(
         self,
-        nodes: list[PhysicalNode],
-        classification: ClassificationResult,
-    ) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
+        part: RoundPart,
+        arrays: NodeStateArrays,
+        masks: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> VSAEntries:
         """Phase 3a: heavy nodes publish shed candidates, light ones spare
         capacity, each under its placement key, in node order.
 
-        Every publisher is decided first and all keys are drawn in one
-        ``keys_for`` call.  Shed selection consumes no randomness, so the
-        placement stream — and hence the published list — is identical
-        to drawing each key as its node is visited.  A placement that
-        only defines ``key_for`` is asked node by node.
+        ``masks`` is the part's "before" :func:`classification_masks`
+        ``(targets, heavy, light)`` over its snapshot rows, and those
+        rows' loads are the loads every part publishes against: a part's
+        VST moves load only among its own nodes (its transfers pair its
+        own publications, and a node crashed mid-batch hands its load to
+        a successor in the same view), so a later part of a partitioned
+        round finds its nodes as the snapshot left them.  Light rows
+        become spare entries by column arithmetic; heavy rows pick their
+        shed sets in one :func:`select_shed_subsets` batch (it consumes
+        no randomness).  All keys are then drawn in one ``keys_for`` call
+        over the publishers in node order, so the placement stream — and
+        hence the table — is identical to drawing each key as its node
+        is visited.  A placement that only defines ``key_for`` is asked
+        node by node.
         """
         cfg = self.config
         placement = self._placement
         assert placement is not None
-        publishers: list[PhysicalNode] = []
-        payloads: list[list[ShedCandidate] | SpareCapacity] = []
-        for node in nodes:
-            cls = classification.classes[node.index]
-            if cls is NodeClass.HEAVY:
-                vs_list = node.virtual_servers
-                shed = select_shed_subset(
-                    [vs.load for vs in vs_list],
-                    excess=node.load - classification.targets[node.index],
-                    policy=cfg.selection_policy,
-                    keep_at_least=cfg.keep_at_least,
-                )
-                if not shed:
-                    continue
-                publishers.append(node)
-                payloads.append(
-                    [
-                        ShedCandidate(
-                            load=vs_list[idx].load,
-                            vs_id=vs_list[idx].vs_id,
-                            node_index=node.index,
-                        )
-                        for idx in shed
-                    ]
-                )
-            elif cls is NodeClass.LIGHT:
-                delta = classification.targets[node.index] - node.load
-                if delta <= 0:
-                    continue
-                publishers.append(node)
-                payloads.append(SpareCapacity(delta=delta, node_index=node.index))
+        nodes = part.nodes
+        targets, heavy, light = masks
+        loads = arrays.loads[part.rows]
+        spare = light & (targets - loads > 0)
+        heavy_rows = np.flatnonzero(heavy).tolist()
+        vs_lists = [nodes[r].virtual_servers for r in heavy_rows]
+        sheds = select_shed_subsets(
+            [[vs.load for vs in vs_list] for vs_list in vs_lists],
+            (loads[heavy] - targets[heavy]).tolist(),
+            policy=cfg.selection_policy,
+            keep_at_least=cfg.keep_at_least,
+        )
+        counts = spare.astype(np.int64)
+        counts[heavy_rows] = [len(shed) for shed in sheds]
+        rows = np.flatnonzero(counts)
+        publishers = [nodes[r] for r in rows.tolist()]
         keys_for = getattr(placement, "keys_for", None)
         keys = (
             keys_for(publishers)
             if keys_for is not None
             else [placement.key_for(node) for node in publishers]
         )
-        published: list[tuple[int, ShedCandidate | SpareCapacity]] = []
-        for key, payload in zip(keys, payloads):
-            if isinstance(payload, SpareCapacity):
-                published.append((key, payload))
-            else:
-                published.extend((key, entry) for entry in payload)
-        return published
+        counts = counts[rows]
+        starts = np.cumsum(counts) - counts
+        size = int(counts.sum())
+        is_heavy = np.zeros(size, dtype=bool)
+        values = np.empty(size, dtype=np.float64)
+        vs_ids = np.full(size, -1, dtype=np.int64)
+        on_spare = spare[rows]
+        values[starts[on_spare]] = (targets - loads)[rows[on_spare]]
+        # Shed entries: each heavy publisher's picks, ascending, at its
+        # run of rows.
+        shed_loads: list[float] = []
+        shed_ids: list[int] = []
+        for vs_list, shed in zip(vs_lists, sheds):
+            for k in shed:
+                shed_loads.append(vs_list[k].load)
+                shed_ids.append(vs_list[k].vs_id)
+        runs = counts[~on_spare]
+        at = np.repeat(starts[~on_spare] - (np.cumsum(runs) - runs), runs)
+        at += np.arange(at.size)
+        is_heavy[at] = True
+        values[at] = shed_loads
+        vs_ids[at] = shed_ids
+        return VSAEntries(
+            keys=np.repeat(np.asarray(keys, dtype=np.int64), counts),
+            heavy=is_heavy,
+            values=values,
+            nodes=np.repeat(arrays.indices[part.rows][rows], counts),
+            vs_ids=vs_ids,
+        )
 
     # ------------------------------------------------------------------
     # Adversary machinery

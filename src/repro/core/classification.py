@@ -101,15 +101,20 @@ def classify_arrays(
     epsilon: float = 0.0,
     tracer: Tracer | None = None,
     stage: str = "",
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> ClassificationResult:
     """Classify a population given as struct-of-arrays columns.
 
     ``indices`` carries ``node.index`` per row; rows must already be in
     alive order so the result dicts iterate identically to the
-    object-walking path.
+    object-walking path.  A caller that already holds the
+    :func:`classification_masks` of these columns passes them as
+    ``masks`` instead of having them evaluated again.
     """
-    targets, heavy_mask, light_mask = classification_masks(
-        capacities, loads, lbi, epsilon
+    targets, heavy_mask, light_mask = (
+        classification_masks(capacities, loads, lbi, epsilon)
+        if masks is None
+        else masks
     )
     classes: dict[int, NodeClass] = {}
     target_map: dict[int, float] = {}

@@ -65,14 +65,17 @@ import numpy as np
 from repro.adversary.stats import AdversaryRoundStats
 from repro.core.balancer import LoadBalancer, RoundPart
 from repro.core.lbi import AggregationTrace, admit_lbi_reports
-from repro.core.records import ShedCandidate, SpareCapacity, SystemLBI
-from repro.core.rendezvous import pair_rendezvous
+from repro.core.records import SystemLBI
 from repro.core.report import BalanceReport
 from repro.core.soa import NodeStateArrays
-from repro.core.vsa import VSAResult, deliver_publications
+from repro.core.vsa import (
+    SlotPairing,
+    VSAEntries,
+    VSAResult,
+    deliver_publications,
+)
 from repro.dht.chord import ChordRing
 from repro.dht.events import RingEventLog
-from repro.exceptions import BalancerError
 from repro.faults.stats import FaultRoundStats
 from repro.ktree.index import TreeIndex
 from repro.ktree.tree import KnaryTree
@@ -449,7 +452,7 @@ class IncrementalLoadBalancer(LoadBalancer):
     def _sweep_vsa(
         self,
         part: RoundPart,
-        published: list[tuple[int, ShedCandidate | SpareCapacity]],
+        published: VSAEntries,
         min_vs_load: float,
         stats: FaultRoundStats,
         clock: PhaseClock,
@@ -457,8 +460,8 @@ class IncrementalLoadBalancer(LoadBalancer):
         """Deliver publications and sweep only the pairing frontier.
 
         Delivery is :func:`~repro.core.vsa.deliver_publications`, the
-        serial kernel's own loop; the delivered keys then land on the
-        part's leaf slots (:meth:`_part_slots`, cut to the view for a
+        serial kernel's own loop; the delivered entries' keys then land
+        on the part's leaf slots (:meth:`_part_slots`, cut to the view for a
         quarantine or partition part).
 
         Pairing fires only where a bucket reaches the rendezvous
@@ -475,7 +478,9 @@ class IncrementalLoadBalancer(LoadBalancer):
         and children tile their parent in rank order.  So the
         sub-frontier cascade collapses to one ``np.lexsort`` and the
         Python loop runs only over frontier slots, in the serial
-        snapshot's ``(-level, -start)`` pop order.  The tree shape a
+        snapshot's ``(-level, -start)`` pop order, pairing entry ids
+        through the serial sweep's :class:`~repro.core.vsa.SlotPairing`.
+        The tree shape a
         serial round would report is the LBI report paths plus the
         delivery paths *newly* stamped here (same stamp generation).
         """
@@ -493,18 +498,12 @@ class IncrementalLoadBalancer(LoadBalancer):
             retry=self.retry,
             fault_stats=stats,
         )
-        if not delivered:
+        if not delivered.size:
             return result, lbi_height, lbi_count
-        keys = np.fromiter(
-            (key for key, _ in delivered),
-            dtype=np.int64,
-            count=len(delivered),
-        )
-        slots_e = self._part_slots(part, keys, clock)
+        slots_e = self._part_slots(part, published.keys[delivered], clock)
         _, count, height = index.stamp_paths(slots_e)
 
         threshold = self.config.rendezvous_threshold
-        strict = self.config.strict_heaviest_first
         level_arr = index.level
         parent_arr = index.parent
         start_arr = index.start
@@ -552,51 +551,45 @@ class IncrementalLoadBalancer(LoadBalancer):
         # key only breaks end-ties between nested slots; deliveries all
         # land on (disjoint) leaves, so it is inert armour in case
         # interior delivery ever appears.
-        entries = [entry for _, entry in delivered]
+        is_heavy = published.heavy[delivered]
         end_e = start_arr[slots_e] + length_arr[slots_e]
         grouped = np.flatnonzero(attach >= 0)
         order = grouped[
             np.lexsort((grouped, level_arr[slots_e[grouped]], -end_e[grouped]))
         ]
-        groups: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-        for i in order.tolist():
-            buck = groups.get(int(attach[i]))
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for slot, entry, shed in zip(
+            attach[order].tolist(),
+            delivered[order].tolist(),
+            is_heavy[order].tolist(),
+        ):
+            buck = groups.get(slot)
             if buck is None:
-                buck = ([], [])
-                groups[int(attach[i])] = buck
-            entry = entries[i]
-            if isinstance(entry, ShedCandidate):
-                buck[0].append(entry)
-            elif isinstance(entry, SpareCapacity):
-                buck[1].append(entry)
-            else:
-                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
-        direct: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-        for i in np.flatnonzero(attach < 0).tolist():
-            buck = direct.get(int(anchor[i]))
+                buck = groups[slot] = ([], [])
+            buck[0 if shed else 1].append(entry)
+        direct: dict[int, tuple[list[int], list[int]]] = {}
+        own = np.flatnonzero(attach < 0)
+        for slot, entry, shed in zip(
+            anchor[own].tolist(), delivered[own].tolist(), is_heavy[own].tolist()
+        ):
+            buck = direct.get(slot)
             if buck is None:
-                buck = ([], [])
-                direct[int(anchor[i])] = buck
-            entry = entries[i]
-            if isinstance(entry, ShedCandidate):
-                buck[0].append(entry)
-            elif isinstance(entry, SpareCapacity):
-                buck[1].append(entry)
-            else:
-                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
+                buck = direct[slot] = ([], [])
+            buck[0 if shed else 1].append(entry)
 
         # Contributions pending at each frontier slot, keyed by the
         # feeding child's region start; children of one parent share a
         # level, so the serial pop order extends them into the parent
         # bucket in descending start order.
-        feeders: dict[
-            int, list[tuple[int, list[ShedCandidate], list[SpareCapacity]]]
-        ] = {}
+        feeders: dict[int, list[tuple[int, list[int], list[int]]]] = {}
         for child, buck in groups.items():
             feeders.setdefault(int(parent_arr[child]), []).append(
                 (int(start_arr[child]), buck[0], buck[1])
             )
 
+        pairing = SlotPairing(
+            published, result, min_vs_load, self.config.strict_heaviest_first
+        )
         frontier = np.flatnonzero(in_frontier & (counts > 0))
         pop_order = frontier[
             np.lexsort((-start_arr[frontier], -level_arr[frontier]))
@@ -613,30 +606,14 @@ class IncrementalLoadBalancer(LoadBalancer):
                     light.extend(add_light)
             if not heavy and not light:
                 continue
-            level = int(level_arr[slot])
             is_root = slot == 0
             if is_root or (len(heavy) + len(light)) >= threshold:
-                outcome = pair_rendezvous(
-                    heavy,
-                    light,
-                    min_vs_load=min_vs_load,
-                    level=level,
-                    strict_heaviest_first=strict,
+                heavy, light = pairing.pair(
+                    heavy, light, int(level_arr[slot]), is_root
                 )
-                result.assignments.extend(outcome.assignments)
-                result.pairings_by_level[level] += len(outcome.assignments)
-                up_heavy, up_light = (
-                    outcome.leftover_heavy,
-                    outcome.leftover_light,
-                )
-            else:
-                up_heavy, up_light = heavy, light
-            if is_root:
-                result.unassigned_heavy.extend(up_heavy)
-                result.unassigned_light.extend(up_light)
-            elif up_heavy or up_light:
+            if not is_root and (heavy or light):
                 feeders.setdefault(int(parent_arr[slot]), []).append(
-                    (int(start_arr[slot]), up_heavy, up_light)
+                    (int(start_arr[slot]), heavy, light)
                 )
                 result.upward_messages += 1
         result.rounds = max(lbi_height, height)

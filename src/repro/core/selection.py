@@ -19,6 +19,14 @@ i.e. choose the cheapest subset whose total is at least the node's
 Both respect a ``keep_at_least`` floor (default 1): a node never sheds
 its last virtual server, since that would eject it from the ring — a
 constraint the paper leaves implicit.
+
+A round selects for all its heavy nodes in one
+:func:`select_shed_subsets` call: nodes are grouped by VS count and the
+exact policy scans each group as one array program with a leading node
+axis (:func:`_exact_rows`).  The per-node scans :func:`_exact_tabled`,
+:func:`_exact_vec` and :func:`_exact_enum` stay as the executable
+references that batch is property-tested against; every path picks the
+same indices, ties included, which the balancing digests rely on.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -46,32 +55,66 @@ def select_shed_subset(
     Returns the empty list when ``excess <= 0``.  When even shedding the
     maximum allowed set cannot cover the excess, the best-effort maximal
     shed (all but the ``keep_at_least`` smallest loads) is returned.
+    A batch of one through :func:`select_shed_subsets`.
+    """
+    return select_shed_subsets([loads], [excess], policy, keep_at_least)[0]
+
+
+def select_shed_subsets(
+    loads: Sequence[Sequence[float]],
+    excesses: Sequence[float],
+    policy: str = "exact",
+    keep_at_least: int = 1,
+) -> list[list[int]]:
+    """:func:`select_shed_subset` for many nodes at once.
+
+    ``loads[i]`` are node ``i``'s virtual-server loads and
+    ``excesses[i]`` its excess; entry ``i`` of the result is exactly the
+    pick the per-node rules make.  Nodes are grouped by VS count, and
+    each exact group runs one vectorised meet-in-the-middle scan with a
+    leading node axis (:func:`_exact_rows`); the greedy policy, counts
+    above :data:`EXACT_POLICY_LIMIT` and nodes whose size budget admits
+    no covering subset take :func:`_greedy` node by node.
     """
     if policy not in ("exact", "greedy"):
         raise BalancerError(f"unknown selection policy {policy!r}")
     if keep_at_least < 0:
         raise BalancerError(f"keep_at_least must be >= 0, got {keep_at_least}")
-    if any(l < 0 for l in loads):
+    if any(min(row) < 0 for row in loads if len(row)):
         raise BalancerError("virtual server loads must be non-negative")
-    n = len(loads)
-    if excess <= 0 or n == 0:
-        return []
-    max_shed = n - keep_at_least
-    if max_shed <= 0:
-        return []
-
-    # Feasibility needs only the load *values*; the index order is
-    # built lazily on the (rare) infeasible path.  Summing the sorted
-    # values ascending reproduces the index-ordered sum bit for bit.
-    sheddable_total = sum(sorted(loads)[-max_shed:])
-    if sheddable_total < excess:
-        # Infeasible: shed the largest max_shed loads (maximal best effort).
-        order = sorted(range(n), key=loads.__getitem__)
-        return sorted(order[-max_shed:])
-
-    if policy == "exact" and n <= EXACT_POLICY_LIMIT:
-        return _exact(loads, excess, max_shed)
-    return _greedy(loads, excess, max_shed)
+    picks: list[list[int]] = [[] for _ in loads]
+    by_count: dict[int, list[int]] = {}
+    for i, (row, excess) in enumerate(zip(loads, excesses)):
+        # excess <= 0, no servers, or a floor that keeps them all: [].
+        if excess > 0 and len(row) > keep_at_least:
+            by_count.setdefault(len(row), []).append(i)
+    for n, members in by_count.items():
+        max_shed = n - keep_at_least
+        matrix = np.array([loads[i] for i in members], dtype=np.float64)
+        excess_col = np.array([excesses[i] for i in members], dtype=np.float64)
+        # Feasibility: the max_shed largest loads, summed ascending as a
+        # left fold — ``add.accumulate`` is sequential, so this is
+        # Python's ``sum`` over the sorted tail (up to the sign of a
+        # zero total, which no comparison sees).
+        tail = np.sort(matrix, axis=1)[:, n - max_shed :]
+        sheddable = np.add.accumulate(tail, axis=1)[:, -1]
+        infeasible = sheddable < excess_col
+        for r in np.flatnonzero(infeasible).tolist():
+            # Shed the largest max_shed loads (maximal best effort).
+            order = np.argsort(matrix[r], kind="stable")
+            picks[members[r]] = sorted(order[n - max_shed :].tolist())
+        rows = np.flatnonzero(~infeasible)
+        exact: list[list[int] | None] = [None] * rows.size
+        if policy == "exact" and n <= EXACT_POLICY_LIMIT and rows.size:
+            exact = _exact_rows(matrix[rows], excess_col[rows], max_shed)
+        for r, pick in zip(rows.tolist(), exact):
+            i = members[r]
+            picks[i] = (
+                pick
+                if pick is not None
+                else _greedy(list(loads[i]), excesses[i], max_shed)
+            )
+    return picks
 
 
 def _greedy(loads: list[float], excess: float, max_shed: int) -> list[int]:
@@ -93,15 +136,15 @@ def _greedy(loads: list[float], excess: float, max_shed: int) -> list[int]:
     return sorted(chosen)
 
 
-#: Side widths up to this use the cached-table fast path in ``_exact``;
-#: wider sides (n > 2 * limit) take the tuple-enumeration path, whose
-#: memory stays proportional to the combination count actually walked.
+#: Per-node references: :func:`_exact_tabled` for side widths up to
+#: this, :func:`_exact_vec` for wider sides (n > 2 * limit).  The
+#: batched selection's property tests cross it.
 _TABLE_SIDE_LIMIT = 10
 
 
 @lru_cache(maxsize=64)
 def _side_table(side_len: int) -> tuple[tuple[int, int], ...]:
-    """``(size, bitmask)`` per subset, in ``_exact`` enumeration order.
+    """``(size, bitmask)`` per subset, in meet-in-the-middle enumeration order.
 
     Mirrors ``enumerate_side``: the empty set first, then sizes
     ascending with ``itertools.combinations`` lexicographic order
@@ -133,26 +176,11 @@ def _subset_sums(vals: list[float]) -> list[float]:
     return sums
 
 
-def _exact(loads: list[float], excess: float, max_shed: int) -> list[int]:
-    """Optimal subset via meet-in-the-middle.
-
-    Minimises (total shed, subset size) lexicographically among subsets
-    with total >= excess and size <= max_shed.  Candidates are examined
-    in a fixed enumeration order and only a strictly better
-    ``(total, size)`` replaces the incumbent, so equal-sum ties resolve
-    identically no matter which implementation path runs.
-    """
-    n = len(loads)
-    half = n // 2
-    if n - half <= _TABLE_SIDE_LIMIT:
-        return _exact_tabled(loads, excess, max_shed)
-    return _exact_vec(loads, excess, max_shed)
-
-
 def _exact_tabled(loads: list[float], excess: float, max_shed: int) -> list[int]:
-    """``_exact`` over cached per-side subset tables (small VS counts).
+    """Per-node exact scan over cached per-side subset tables.
 
-    Same enumeration order, same float folds, same tie-breaks as
+    A reference for :func:`_exact_rows` at narrow sides.  Same
+    enumeration order, same float folds, same tie-breaks as
     :func:`_exact_enum` — only the per-call tuple building is hoisted
     into :func:`_side_table` / :func:`_subset_sums`.
     """
@@ -209,9 +237,7 @@ def _exact_tabled(loads: list[float], excess: float, max_shed: int) -> list[int]
         # fall back to greedy best effort.
         return _greedy(loads, excess, max_shed)
     lmask, rmask = best_masks
-    chosen = [i for i in range(half) if lmask >> i & 1]
-    chosen.extend(half + i for i in range(n - half) if rmask >> i & 1)
-    return chosen  # ascending bit order == sorted
+    return _mask_bits(lmask, rmask, half, n)
 
 
 @lru_cache(maxsize=64)
@@ -223,24 +249,131 @@ def _side_arrays(side_len: int) -> tuple[np.ndarray, np.ndarray]:
     return sizes, masks
 
 
-def _subset_sums_np(vals: list[float]) -> np.ndarray:
-    """:func:`_subset_sums` as one float64 array, bit for bit.
+def _subset_sums_rows(vals: np.ndarray) -> np.ndarray:
+    """:func:`_subset_sums` for every row of ``vals``, bit for bit.
 
-    The level-``b`` slice assignment adds ``vals[b]`` to every sum whose
-    mask gains bit ``b`` as its new highest bit — the same operand pairs
-    as the scalar DP, and NumPy's elementwise float64 add rounds
+    The level-``b`` slice assignment adds ``vals[:, b]`` to every sum
+    whose mask gains bit ``b`` as its new highest bit — the same operand
+    pairs as the scalar DP, and NumPy's elementwise float64 add rounds
     identically to Python's ``+``.
     """
-    sums = np.zeros(1 << len(vals), dtype=np.float64)
-    for b, v in enumerate(vals):
-        sums[1 << b : 2 << b] = sums[: 1 << b] + v
+    rows, width = vals.shape
+    sums = np.zeros((rows, 1 << width), dtype=np.float64)
+    for b in range(width):
+        sums[:, 1 << b : 2 << b] = sums[:, : 1 << b] + vals[:, b : b + 1]
     return sums
 
 
-def _exact_vec(loads: list[float], excess: float, max_shed: int) -> list[int]:
-    """``_exact`` with a vectorized candidate scan (wide VS counts).
+@lru_cache(maxsize=64)
+def _right_groups(side_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-side subset layout: ``(sizes, group starts, group lengths)``.
 
-    Row-major over a candidate matrix — rows are left subsets in
+    Enumeration order lists subsets by size ascending, so the size
+    groups are contiguous runs of the :func:`_side_arrays` columns.
+    """
+    sizes, _ = _side_arrays(side_len)
+    lengths = np.bincount(sizes, minlength=side_len + 1)
+    return sizes, np.cumsum(lengths) - lengths, lengths
+
+
+#: Cells one :func:`_exact_rows` chunk may hold (nodes x left subsets x
+#: right subsets when comparing all pairs, x right-size groups
+#: otherwise); bounds its working memory.
+_ROW_CELL_BUDGET = 1 << 18
+
+#: Up to this many (left, right) subset pairs per node,
+#: :func:`_exact_rows` compares every pair instead of binary searching.
+_PAIR_COMPARE_LIMIT = 1 << 16
+
+
+def _exact_rows(
+    matrix: np.ndarray, excess: np.ndarray, max_shed: int
+) -> list[list[int] | None]:
+    """:func:`_exact_vec` for every row of ``matrix`` (one node per row).
+
+    All rows share one VS count, so the subset tables, the size matrix
+    and the size-budget mask are common; sums, need and the per-group
+    stable sorts gain a leading node axis, and each node's winner is the
+    row-major first cell of minimal ``(total, size)`` among those whose
+    right sum satisfies ``rsum >= excess - lsum``.  A cell's insertion
+    point counts its group's sums below ``need`` — every pair compared
+    at once for small VS counts, a per-node ``searchsorted`` otherwise.
+    ``None`` marks a node with no such cell (the caller's greedy
+    fallback).
+    """
+    m, n = matrix.shape
+    half = n // 2
+    lsizes, lmasks = _side_arrays(half)
+    _, rmasks_all = _side_arrays(n - half)
+    rsizes_all, starts, lengths = _right_groups(n - half)
+    num_rows = lmasks.shape[0]
+    num_right = rmasks_all.shape[0]
+    num_groups = n - half + 1
+    compare_all = num_rows * num_right <= _PAIR_COMPARE_LIMIT
+    per_node = num_rows * (num_right if compare_all else num_groups)
+    chunk = max(1, _ROW_CELL_BUDGET // per_node)
+    if m > chunk:
+        out: list[list[int] | None] = []
+        for lo in range(0, m, chunk):
+            out += _exact_rows(
+                matrix[lo : lo + chunk], excess[lo : lo + chunk], max_shed
+            )
+        return out
+    lsums = _subset_sums_rows(matrix[:, :half])[:, lmasks]
+    rsums_all = _subset_sums_rows(matrix[:, half:])[:, rmasks_all]
+    # Per node, each size group's sums stably sorted (ties keep
+    # enumeration order), groups still contiguous; ``order`` maps a
+    # sorted column back to its subset mask.
+    order = np.lexsort((rsums_all, np.broadcast_to(rsizes_all, rsums_all.shape)))
+    node_axis = np.arange(m)[:, None]
+    rsums = rsums_all[node_axis, order]
+    need = excess[:, None] - lsums
+    if compare_all:
+        pos = np.add.reduceat(
+            rsums[:, None, :] < need[:, :, None], starts, axis=2, dtype=np.int64
+        )
+    else:
+        pos = np.empty((m, num_rows, num_groups), dtype=np.int64)
+        for r in range(m):
+            for g, (lo, size) in enumerate(zip(starts.tolist(), lengths.tolist())):
+                pos[r, :, g] = np.searchsorted(
+                    rsums[r, lo : lo + size], need[r], side="left"
+                )
+    sizes = lsizes[:, None] + np.arange(num_groups)[None, :]
+    # sizes <= max_shed also enforces lsize <= max_shed.
+    valid = (sizes <= max_shed) & (pos < lengths)
+    at = starts + np.minimum(pos, lengths - 1)
+    totals = lsums[:, :, None] + rsums[node_axis[:, :, None], at]
+    valid = valid.reshape(m, -1)
+    totals = totals.reshape(m, -1)
+    flat_sizes = sizes.reshape(-1)
+    best_total = np.where(valid, totals, np.inf).min(axis=1)
+    cand = valid & (totals == best_total[:, None])
+    best_size = np.where(cand, flat_sizes, n + 1).min(axis=1)
+    cand &= flat_sizes == best_size[:, None]
+    winner = cand.argmax(axis=1)
+    row, g = np.divmod(winner, num_groups)
+    lmask = lmasks[row].tolist()
+    rmask = rmasks_all[order[np.arange(m), at[np.arange(m), row, g]]].tolist()
+    found = valid.any(axis=1).tolist()
+    return [
+        _mask_bits(lm, rm, half, n) if ok else None
+        for lm, rm, ok in zip(lmask, rmask, found)
+    ]
+
+
+def _mask_bits(lmask: int, rmask: int, half: int, n: int) -> list[int]:
+    """Ascending indices of a (left, right) subset pair over ``n`` loads."""
+    chosen = [i for i in range(half) if lmask >> i & 1]
+    chosen.extend(half + i for i in range(n - half) if rmask >> i & 1)
+    return chosen
+
+
+def _exact_vec(loads: list[float], excess: float, max_shed: int) -> list[int]:
+    """Per-node exact scan as one vectorized candidate matrix.
+
+    The per-node scan :func:`_exact_rows` generalises, kept as its
+    reference.  Row-major over a candidate matrix — rows are left subsets in
     enumeration order, columns are right-size groups ascending — is
     exactly the scan order of :func:`_exact_enum`, where only a strictly
     better ``(total, size)`` replaces the incumbent.  The matrix also
@@ -253,8 +386,10 @@ def _exact_vec(loads: list[float], excess: float, max_shed: int) -> list[int]:
     half = n // 2
     lsizes, lmasks = _side_arrays(half)
     rsizes_all, rmasks_all = _side_arrays(n - half)
-    lsums = _subset_sums_np(loads[:half])[lmasks]
-    rsums_all = _subset_sums_np(loads[half:])[rmasks_all]
+    lsums = _subset_sums_rows(np.asarray([loads[:half]], dtype=np.float64))[0][lmasks]
+    rsums_all = _subset_sums_rows(np.asarray([loads[half:]], dtype=np.float64))[0][
+        rmasks_all
+    ]
     need = excess - lsums
     row_ok = lsizes <= max_shed
 
@@ -295,17 +430,17 @@ def _exact_vec(loads: list[float], excess: float, max_shed: int) -> list[int]:
     row, g = divmod(winner, num_groups)
     lmask = int(lmasks[row])
     rmask = int(group_masks[g][pos_by_group[g][row]])
-    chosen = [i for i in range(half) if lmask >> i & 1]
-    chosen.extend(half + i for i in range(n - half) if rmask >> i & 1)
-    return chosen  # ascending bit order == sorted
+    return _mask_bits(lmask, rmask, half, n)
 
 
 def _exact_enum(loads: list[float], excess: float, max_shed: int) -> list[int]:
-    """``_exact`` by direct tuple enumeration — the reference scan.
+    """Per-node exact scan by direct tuple enumeration — the specification.
 
-    No longer on the dispatch path (``_exact_tabled`` covers narrow
-    sides, :func:`_exact_vec` wide ones) but kept as the executable
-    specification both vectorized paths are property-tested against.
+    Minimises (total shed, subset size) lexicographically among subsets
+    with total >= excess and size <= max_shed.  Candidates are examined
+    in a fixed enumeration order and only a strictly better
+    ``(total, size)`` replaces the incumbent, so equal-sum ties resolve
+    identically no matter which implementation path runs.
     """
     n = len(loads)
     half = n // 2

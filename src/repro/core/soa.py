@@ -48,23 +48,31 @@ class NodeStateArrays:
 
     @classmethod
     def snapshot(cls, alive: list[PhysicalNode]) -> "NodeStateArrays":
-        """Snapshot ``alive`` (already filtered and ordered by the caller)."""
-        indices = np.asarray([n.index for n in alive], dtype=np.int64)
-        capacities = np.asarray([n.capacity for n in alive], dtype=np.float64)
-        loads = np.asarray([n.load for n in alive], dtype=np.float64)
-        min_vs = np.asarray(
-            [n.min_vs_load if n.virtual_servers else np.inf for n in alive],
-            dtype=np.float64,
-        )
-        vs_counts = np.asarray(
-            [len(n.virtual_servers) for n in alive], dtype=np.int64
-        )
+        """Snapshot ``alive`` (already filtered and ordered by the caller).
+
+        One pass over the nodes: a node's server loads are read once and
+        give both ``node.load`` (the same left-to-right ``sum``) and
+        ``node.min_vs_load`` (the same ``min``).
+        """
+        inf = float("inf")
+        index_col: list[int] = []
+        capacity_col: list[float] = []
+        load_col: list[float] = []
+        min_col: list[float] = []
+        count_col: list[int] = []
+        for n in alive:
+            vs_loads = [vs.load for vs in n.virtual_servers]
+            index_col.append(n.index)
+            capacity_col.append(n.capacity)
+            load_col.append(sum(vs_loads))
+            min_col.append(min(vs_loads) if vs_loads else inf)
+            count_col.append(len(vs_loads))
         return cls(
-            indices=indices,
-            capacities=capacities,
-            loads=loads,
-            min_vs=min_vs,
-            vs_counts=vs_counts,
+            indices=np.asarray(index_col, dtype=np.int64),
+            capacities=np.asarray(capacity_col, dtype=np.float64),
+            loads=np.asarray(load_col, dtype=np.float64),
+            min_vs=np.asarray(min_col, dtype=np.float64),
+            vs_counts=np.asarray(count_col, dtype=np.int64),
         )
 
     def subset(self, rows: np.ndarray) -> "NodeStateArrays":

@@ -14,6 +14,14 @@ Because each KT subtree covers a contiguous identifier-space interval,
 entries published under nearby keys meet at deep rendezvous points —
 with proximity-aware placement, "nearby key" means "physically close",
 which is the whole trick.
+
+A part's publications travel as one :class:`VSAEntries` table, from
+publication through delivery (:func:`deliver_publications` returns
+entry ids) to the sweep, whose buckets hold entry ids and whose
+rendezvous points pair them with
+:func:`~repro.core.rendezvous.pair_entries` (:class:`SlotPairing`).
+Record objects are built only for what the :class:`VSAResult` reports:
+assignments and the root's unassigned entries.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.records import Assignment, ShedCandidate, SpareCapacity
-from repro.core.rendezvous import pair_rendezvous
+from repro.core.rendezvous import pair_entries
 from repro.exceptions import BalancerError
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryBudget, RetryPolicy, deliver_with_retry
@@ -32,6 +40,58 @@ from repro.faults.stats import FaultRoundStats
 from repro.ktree.tree import KnaryTree
 from repro.obs.trace import Tracer
 from repro.util.rng import ensure_rng
+
+
+@dataclass(frozen=True)
+class VSAEntries:
+    """One part's VSA publications as columns; row ``i`` is entry id ``i``.
+
+    Rows are in publication order.  ``keys`` are the placement keys the
+    entries were published under; ``heavy`` marks shed candidates (the
+    other rows are spare-capacity advertisements); ``values`` holds a
+    shed entry's load ``L_{i,k}`` or a spare entry's ``delta_L_j``;
+    ``nodes`` the publishing node's index; ``vs_ids`` a shed entry's
+    virtual server (``-1`` on spare rows).  Sweeps carry entry ids and
+    build record objects only for the report.
+    """
+
+    keys: np.ndarray
+    heavy: np.ndarray
+    values: np.ndarray
+    nodes: np.ndarray
+    vs_ids: np.ndarray
+
+    @classmethod
+    def from_pairs(
+        cls, published: list[tuple[int, ShedCandidate | SpareCapacity]]
+    ) -> "VSAEntries":
+        """The table of ``(key, entry)`` publications, in order."""
+        heavy: list[bool] = []
+        values: list[float] = []
+        nodes: list[int] = []
+        vs_ids: list[int] = []
+        for _, entry in published:
+            if isinstance(entry, ShedCandidate):
+                heavy.append(True)
+                values.append(entry.load)
+                vs_ids.append(entry.vs_id)
+            elif isinstance(entry, SpareCapacity):
+                heavy.append(False)
+                values.append(entry.delta)
+                vs_ids.append(-1)
+            else:
+                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
+            nodes.append(entry.node_index)
+        return cls(
+            keys=np.asarray([key for key, _ in published], dtype=np.int64),
+            heavy=np.asarray(heavy, dtype=bool),
+            values=np.asarray(values, dtype=np.float64),
+            nodes=np.asarray(nodes, dtype=np.int64),
+            vs_ids=np.asarray(vs_ids, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
 
 
 @dataclass
@@ -55,31 +115,32 @@ class VSAResult:
 
 
 def deliver_publications(
-    published: list[tuple[int, ShedCandidate | SpareCapacity]],
+    entries: VSAEntries,
     result: VSAResult,
     rng: np.random.Generator,
     faults: FaultInjector | None = None,
     retry: RetryPolicy | None = None,
     fault_stats: FaultRoundStats | None = None,
-) -> list[tuple[int, ShedCandidate | SpareCapacity]]:
+) -> np.ndarray:
     """Decide each publication's delivery, in publication order.
 
     With a ``faults`` injector every publication is a message that may
     be delayed, duplicated (suppressed at the leaf) or dropped; drops
     are retried under ``retry`` with backoff jitter drawn from ``rng``
     and count in ``result.entries_lost`` once the bounds bite.  Returns
-    the delivered ``(key, entry)`` pairs in order.  This is the only
-    step of a sweep that consumes faults and the retry rng; both round
-    kernels deliver through it and then place the keys in their own
-    tree.
+    the delivered entry ids in order.  This is the only step of a sweep
+    that consumes faults and the retry rng; both round kernels deliver
+    through it and then place the keys in their own tree.
     """
     if faults is None:
-        return published
+        return np.arange(len(entries), dtype=np.int64)
     policy = retry if retry is not None else RetryPolicy()
     budget = RetryBudget(policy.phase_budget)
-    delivered: list[tuple[int, ShedCandidate | SpareCapacity]] = []
-    for key, entry in published:
-        subject = f"entry:{entry.node_index}:{key}"
+    delivered: list[int] = []
+    for i, (key, node) in enumerate(
+        zip(entries.keys.tolist(), entries.nodes.tolist())
+    ):
+        subject = f"entry:{node}:{key}"
         outcome = deliver_with_retry(
             policy,
             lambda attempt: faults.drop("vsa", f"{subject}#{attempt}"),
@@ -100,8 +161,65 @@ def deliver_publications(
             # the first copy and drops the echo, so a duplicate costs one
             # message and nothing else.
             fault_stats.vsa_duplicates += 1
-        delivered.append((key, entry))
-    return delivered
+        delivered.append(i)
+    return np.asarray(delivered, dtype=np.int64)
+
+
+class SlotPairing:
+    """Pairs one sweep's rendezvous slots over an entry table.
+
+    Both sweeps (the serial walk below and the incremental engine's
+    frontier sweep) hand each pairing slot's id lists to :meth:`pair`,
+    which runs :func:`~repro.core.rendezvous.pair_entries` over a
+    per-sweep copy of the value column (spare remainders are written
+    back into it) and records assignments, per-level counts and, at the
+    root, the settled unassigned entries on ``result``.
+    """
+
+    def __init__(
+        self,
+        entries: VSAEntries,
+        result: VSAResult,
+        min_vs_load: float,
+        strict_heaviest_first: bool,
+    ) -> None:
+        self.value: list[float] = entries.values.tolist()
+        self.nodes: list[int] = entries.nodes.tolist()
+        self.vs_ids: list[int] = entries.vs_ids.tolist()
+        self.result = result
+        self.min_vs_load = min_vs_load
+        self.strict = strict_heaviest_first
+
+    def shed(self, i: int) -> ShedCandidate:
+        """Entry ``i`` as the shed record the report carries."""
+        return ShedCandidate(
+            load=self.value[i], vs_id=self.vs_ids[i], node_index=self.nodes[i]
+        )
+
+    def pair(
+        self, heavy: list[int], light: list[int], level: int, is_root: bool
+    ) -> tuple[list[int], list[int]]:
+        """Pair at a slot of KT ``level``; returns the leftover id lists."""
+        pairs, up_heavy, up_light = pair_entries(
+            heavy, light, self.value, self.min_vs_load, self.strict,
+            settle=is_root,
+        )
+        result = self.result
+        nodes = self.nodes
+        result.assignments.extend(
+            Assignment(
+                candidate=self.shed(shed), target_node=nodes[spare], level=level
+            )
+            for shed, spare in pairs
+        )
+        result.pairings_by_level[level] += len(pairs)
+        if is_root:
+            result.unassigned_heavy.extend(self.shed(i) for i in up_heavy)
+            result.unassigned_light.extend(
+                SpareCapacity(delta=self.value[i], node_index=nodes[i])
+                for i in up_light
+            )
+        return up_heavy, up_light
 
 
 class VSASweep:
@@ -168,25 +286,30 @@ class VSASweep:
 
     def run(
         self,
-        published: list[tuple[int, ShedCandidate | SpareCapacity]],
+        published: VSAEntries | list[tuple[int, ShedCandidate | SpareCapacity]],
     ) -> VSAResult:
-        """Run the sweep over ``(key, entry)`` publications.
+        """Run the sweep over an entry table or ``(key, entry)`` pairs.
 
         Delivery (faults/rng) and the pure bottom-up sweep run in
         sequence; with an enabled tracer a final ``vsa.sweep`` summary
         event matching the returned result is emitted.
         """
         tracer = self.tracer
-        result = VSAResult(entries_published=len(published))
+        entries = (
+            published
+            if isinstance(published, VSAEntries)
+            else VSAEntries.from_pairs(published)
+        )
+        result = VSAResult(entries_published=len(entries))
         delivered = deliver_publications(
-            published,
+            entries,
             result,
             self.rng,
             faults=self.faults,
             retry=self.retry,
             fault_stats=self.fault_stats,
         )
-        self.sweep(self.bucket(delivered), result)
+        self.sweep(entries, self.bucket(entries, delivered), result)
         if tracer is not None and tracer.enabled:
             tracer.event(
                 "vsa.sweep",
@@ -201,64 +324,57 @@ class VSASweep:
         return result
 
     def bucket(
-        self,
-        delivered: list[tuple[int, ShedCandidate | SpareCapacity]],
-    ) -> dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]]:
-        """Resolve delivered publications to their KT leaves, bucketed.
+        self, entries: VSAEntries, delivered: np.ndarray
+    ) -> dict[int, tuple[list[int], list[int]]]:
+        """Resolve delivered entry ids to their KT leaves, bucketed.
 
         One :meth:`~repro.ktree.tree.KnaryTree.descend_batch` resolves
-        every key; the per-leaf pending buckets (keyed by ``id(leaf)``)
-        fill in delivery order.
+        every key; the per-leaf pending (shed ids, spare ids) buckets,
+        keyed by ``id(leaf)``, fill in delivery order.
         """
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        pending: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]] = {}
-        leaves, ordinals = self.tree.descend_batch(
-            np.asarray([key for key, _ in delivered], dtype=np.int64)
-        )
-        for (key, entry), ordinal in zip(delivered, ordinals.tolist()):
+        pending: dict[int, tuple[list[int], list[int]]] = {}
+        keys = entries.keys[delivered]
+        leaves, ordinals = self.tree.descend_batch(keys)
+        is_heavy = entries.heavy[delivered].tolist()
+        for i, shed, ordinal in zip(
+            delivered.tolist(), is_heavy, ordinals.tolist()
+        ):
             leaf = leaves[ordinal]
             heavy, light = pending.setdefault(id(leaf), ([], []))
-            if isinstance(entry, ShedCandidate):
-                heavy.append(entry)
-            elif isinstance(entry, SpareCapacity):
-                light.append(entry)
-            else:
-                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
+            (heavy if shed else light).append(i)
             if tracing:
                 assert tracer is not None
                 tracer.event(
                     "vsa.publish",
-                    key=key,
+                    key=int(entries.keys[i]),
                     leaf_level=leaf.level,
-                    entry_kind=(
-                        "shed" if isinstance(entry, ShedCandidate) else "spare"
-                    ),
-                    node=entry.node_index,
-                    load=(
-                        entry.load
-                        if isinstance(entry, ShedCandidate)
-                        else entry.delta
-                    ),
+                    entry_kind="shed" if shed else "spare",
+                    node=int(entries.nodes[i]),
+                    load=float(entries.values[i]),
                 )
         return pending
 
     def sweep(
         self,
-        pending: dict[int, tuple[list[ShedCandidate], list[SpareCapacity]]],
+        entries: VSAEntries,
+        pending: dict[int, tuple[list[int], list[int]]],
         result: VSAResult,
     ) -> None:
         """Run the bottom-up rendezvous sweep over delivered buckets.
 
-        ``pending`` maps ``id(leaf)`` to the leaf's delivered
-        (heavy, light) entry lists, as produced by :meth:`bucket`;
-        assignments, leftovers and cost accounting accumulate on
-        ``result``.
+        ``pending`` maps ``id(leaf)`` to the leaf's delivered (shed ids,
+        spare ids) lists, as produced by :meth:`bucket`; assignments,
+        leftovers and cost accounting accumulate on ``result``.
         """
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
+        pairing = SlotPairing(
+            entries, result, self.min_vs_load, self.strict_heaviest_first
+        )
 
-        def bucket(node_id: int) -> tuple[list[ShedCandidate], list[SpareCapacity]]:
+        def bucket(node_id: int) -> tuple[list[int], list[int]]:
             buck = pending.get(node_id)
             if buck is None:
                 buck = ([], [])
@@ -277,16 +393,8 @@ class VSASweep:
             heavy, light = buck
             is_root = node is root
             if is_root or (len(heavy) + len(light)) >= self.threshold:
-                outcome = pair_rendezvous(
-                    heavy,
-                    light,
-                    min_vs_load=self.min_vs_load,
-                    level=node.level,
-                    strict_heaviest_first=self.strict_heaviest_first,
-                )
-                result.assignments.extend(outcome.assignments)
-                result.pairings_by_level[node.level] += len(outcome.assignments)
-                up_heavy, up_light = outcome.leftover_heavy, outcome.leftover_light
+                paired = len(result.assignments)
+                up_heavy, up_light = pairing.pair(heavy, light, node.level, is_root)
                 if tracing:
                     assert tracer is not None
                     tracer.event(
@@ -295,7 +403,7 @@ class VSASweep:
                         is_root=is_root,
                         heavy_in=len(heavy),
                         light_in=len(light),
-                        paired=len(outcome.assignments),
+                        paired=len(result.assignments) - paired,
                         leftover_heavy=len(up_heavy),
                         leftover_light=len(up_light),
                     )
@@ -303,9 +411,8 @@ class VSASweep:
                 up_heavy, up_light = heavy, light
 
             if is_root:
-                result.unassigned_heavy.extend(up_heavy)
-                result.unassigned_light.extend(up_light)
-            elif up_heavy or up_light:
+                continue
+            if up_heavy or up_light:
                 parent_heavy, parent_light = bucket(id(node.parent))
                 parent_heavy.extend(up_heavy)
                 parent_light.extend(up_light)

@@ -110,7 +110,8 @@ class DurableAppendFile:
 
     The journal's storage layer: :meth:`append_line` flushes and fsyncs
     each record so committed lines survive a crash, :meth:`read_bytes`
-    returns the whole current content for validation on open, and
+    returns the current content (validated on open, read back on
+    demand), and
     :meth:`truncate_to` discards a torn tail.  Offsets are byte
     offsets; the journal keeps its lines ASCII so they line up with
     character positions.
@@ -124,9 +125,9 @@ class DurableAppendFile:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a+b")
 
-    def read_bytes(self) -> bytes:
-        """The file's entire current content."""
-        self._fh.seek(0)
+    def read_bytes(self, start: int = 0) -> bytes:
+        """The file's current content from byte offset ``start`` on."""
+        self._fh.seek(start)
         return self._fh.read()
 
     def append_line(self, line: str) -> None:

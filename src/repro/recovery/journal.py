@@ -150,7 +150,14 @@ class TransferJournal:
         self.metrics = metrics if metrics is not None else current_metrics()
         self._file = DurableAppendFile(path)
         self.path = self._file.path
-        self.entries: list[JournalRecord] = []
+        #: Records on file; the records themselves stay on disk and are
+        #: read back on demand, so memory does not grow with the file.
+        self._count = 0
+        #: ``(byte offset, seq)`` just past the last checkpoint marker
+        #: (``(0, 0)`` with none): where the replay tail starts.
+        self._tail_start = (0, 0)
+        #: Byte length of the valid content.
+        self._size = 0
         self.truncated_bytes = 0
         self._replay: deque[JournalRecord] = deque()
         self._load()
@@ -169,15 +176,18 @@ class TransferJournal:
                 offset = line_end
                 continue
             record = JournalRecord.from_line(
-                chunk.decode("utf-8", errors="replace"), len(self.entries)
+                chunk.decode("utf-8", errors="replace"), self._count
             )
             if record is None or line_end > len(raw):
                 # Unparsable, checksum-failing, out-of-sequence, or a
                 # final line with no terminating newline: the torn tail.
                 break
-            self.entries.append(record)
+            self._count += 1
+            if record.kind == "checkpoint":
+                self._tail_start = (line_end, self._count)
             offset = line_end
             good_end = line_end
+        self._size = good_end
         if good_end < len(raw):
             self.truncated_bytes = len(raw) - good_end
             self._file.truncate_to(good_end)
@@ -189,16 +199,20 @@ class TransferJournal:
                 self.tracer.event(
                     "recovery.journal_truncate",
                     bytes=self.truncated_bytes,
-                    kept_records=len(self.entries),
+                    kept_records=self._count,
                 )
 
     # ------------------------------------------------------------------
     # Writing (and replay matching)
     # ------------------------------------------------------------------
     def _append(self, kind: str, fields: dict[str, Any]) -> JournalRecord:
-        record = JournalRecord(seq=len(self.entries), kind=kind, fields=fields)
-        self._file.append_line(record.to_line())
-        self.entries.append(record)
+        record = JournalRecord(seq=self._count, kind=kind, fields=fields)
+        line = record.to_line()
+        self._file.append_line(line)
+        self._count += 1
+        self._size += len(line) + 1  # ASCII line plus its newline
+        if kind == "checkpoint":
+            self._tail_start = (self._size, self._count)
         if self.metrics is not None:
             self.metrics.counter("recovery.journal_records").inc()
         return record
@@ -253,19 +267,36 @@ class TransferJournal:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    def _read(self, offset: int, seq: int) -> list[JournalRecord]:
+        """The records on file from byte ``offset`` (record ``seq``) on."""
+        records: list[JournalRecord] = []
+        raw = self._file.read_bytes(offset)[: self._size - offset]
+        for chunk in raw.split(b"\n")[:-1]:
+            record = JournalRecord.from_line(
+                chunk.decode("utf-8"), seq + len(records)
+            )
+            if record is None:  # pragma: no cover - validated on open/append
+                raise RecoveryError(
+                    f"journal {self.path} changed under its writer at "
+                    f"record {seq + len(records)}"
+                )
+            records.append(record)
+        return records
+
+    @property
+    def entries(self) -> list[JournalRecord]:
+        """Every record on file, read back in order."""
+        return self._read(0, 0)
+
     def tail_after_last_checkpoint(self) -> list[JournalRecord]:
         """Every record after the last ``checkpoint`` marker (exclusive).
 
         This is the journal's view of the crashed round in progress:
         what the recovery manager replays after restoring the snapshot
         that checkpoint marker refers to.  With no checkpoint on file
-        the whole journal is the tail.
+        the whole journal is the tail.  Only the tail is read back.
         """
-        last = -1
-        for i, record in enumerate(self.entries):
-            if record.kind == "checkpoint":
-                last = i
-        return self.entries[last + 1 :]
+        return self._read(*self._tail_start)
 
     def crash_markers(self, records: list[JournalRecord]) -> list[tuple[int, str]]:
         """The ``(round, site)`` pairs of every crash marker in ``records``."""
@@ -280,10 +311,10 @@ class TransferJournal:
         self._file.close()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TransferJournal({str(self.path)!r}, records={len(self.entries)}, "
+            f"TransferJournal({str(self.path)!r}, records={self._count}, "
             f"replaying={self.replaying})"
         )

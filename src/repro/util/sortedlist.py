@@ -12,6 +12,9 @@ needs, repeatedly:
 :class:`SortedKeyList` provides exactly those operations in
 ``O(log n)`` lookup / ``O(n)`` insertion (list-backed, which is faster
 than tree structures at the list sizes involved — the threshold is 30).
+The balancer's own sweeps pair entry ids with
+:func:`repro.core.rendezvous.pair_entries` instead; this container
+serves the Rao et al. baseline and the pairing kernel's reference tests.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ShedCandidate, SpareCapacity, pair_rendezvous
+from repro.core.rendezvous import PairingOutcome, pair_entries
+from repro.core.records import Assignment
+from repro.util.sortedlist import SortedKeyList
 
 
 def heavy(load, vs_id=0, node=0):
@@ -155,3 +158,133 @@ class TestConservation:
         ls = [light(sum(heavy_loads) + 1.0, node=200)]
         out = pair_rendezvous(hs, ls, 0.0, level=0)
         assert len(out.assignments) == len(hs)
+
+
+def sorted_list_reference(hs, ls, min_vs_load, level, strict=False):
+    """The pairing loop over two ``SortedKeyList``s — the object-list
+    implementation the id kernel replaced, kept as its specification."""
+    heavy_list = SortedKeyList(hs, key=lambda c: c.load)
+    light_list = SortedKeyList(ls, key=lambda s: s.delta)
+    outcome = PairingOutcome()
+    while heavy_list and light_list:
+        candidate = heavy_list.peek_max()
+        idx = light_list.index_first_at_least(candidate.load)
+        if idx is None:
+            heavy_list.pop_max()
+            outcome.leftover_heavy.append(candidate)
+            if strict:
+                break
+            continue
+        heavy_list.pop_max()
+        spare = light_list.pop_at(idx)
+        outcome.assignments.append(
+            Assignment(candidate=candidate, target_node=spare.node_index, level=level)
+        )
+        remainder = spare.delta - candidate.load
+        if remainder >= min_vs_load and remainder > 0:
+            light_list.add(spare.reduced_by(candidate.load))
+    outcome.leftover_heavy.extend(heavy_list)
+    outcome.leftover_light.extend(light_list)
+    return outcome
+
+
+#: Multiples of 0.5 are exact in binary, so equal values, equal deltas
+#: and remainders landing exactly on ``L_min`` are common.
+GRID = st.integers(0, 12).map(lambda k: k * 0.5)
+
+
+@st.composite
+def slot(draw, max_size=10):
+    hs = [
+        heavy(load, vs_id=i, node=i)
+        for i, load in enumerate(draw(st.lists(GRID, max_size=max_size)))
+    ]
+    ls = [
+        light(delta, node=100 + i)
+        for i, delta in enumerate(draw(st.lists(GRID, max_size=max_size)))
+    ]
+    return hs, ls
+
+
+class TestKernelAgainstReference:
+    @given(entries=slot(), lmin=GRID, strict=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_object_api_matches_reference(self, entries, lmin, strict):
+        hs, ls = entries
+        got = pair_rendezvous(hs, ls, lmin, level=3, strict_heaviest_first=strict)
+        assert got == sorted_list_reference(hs, ls, lmin, level=3, strict=strict)
+
+    def test_remainder_exactly_at_lmin_is_reinserted(self):
+        hs, ls = [heavy(2.0, 1), heavy(1.0, 2)], [light(3.0)]
+        out = pair_rendezvous(hs, ls, 1.0, level=0)
+        assert len(out.assignments) == 2  # 3 - 2 = 1.0 == L_min: reinserted
+        assert out == sorted_list_reference(hs, ls, 1.0, level=0)
+
+    def test_slot_that_cannot_pair_returns_lists_unsorted(self):
+        value = [3.0, 1.0, 2.0]
+        assert pair_entries([0, 1, 2], [], value, 0.0) == ([], [0, 1, 2], [])
+        assert pair_entries([], [2, 0, 1], value, 0.0) == ([], [], [2, 0, 1])
+        assert pair_entries([0, 1, 2], [], value, 0.0, settle=True) == (
+            [],
+            [1, 2, 0],
+            [],
+        )
+
+    @given(
+        children=st.lists(slot(max_size=6), min_size=1, max_size=4),
+        own=slot(max_size=4),
+        lmin=GRID,
+        strict=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_deferred_sort_matches_sorting_at_every_slot(
+        self, children, own, lmin, strict
+    ):
+        """Children pair (or cannot) and relay leftovers to a parent that
+        pairs last: handing unpairable lists up unsorted ends in exactly
+        the reference's settled outcome."""
+        # Renumber so every entry is distinct across slots.
+        hs_all, ls_all = [], []
+        for k, (hs, ls) in enumerate([own] + children):
+            hs_all.append(
+                [heavy(c.load, vs_id=100 * k + i) for i, c in enumerate(hs)]
+            )
+            ls_all.append([light(s.delta, node=100 * k + i) for i, s in enumerate(ls)])
+        # Reference: every slot pairs over sorted lists, leftovers sorted.
+        up_h, up_l, ref_pairs = list(hs_all[0]), list(ls_all[0]), []
+        for hs, ls in zip(hs_all[1:], ls_all[1:]):
+            out = sorted_list_reference(hs, ls, lmin, level=1, strict=strict)
+            ref_pairs += out.assignments
+            up_h += out.leftover_heavy
+            up_l += out.leftover_light
+        root = sorted_list_reference(up_h, up_l, lmin, level=0, strict=strict)
+        ref_pairs += root.assignments
+        # Kernel: one id space, child slots may defer their sort.
+        shed = [c for hs in hs_all for c in hs]
+        spare = [s for ls in ls_all for s in ls]
+        value = [c.load for c in shed] + [s.delta for s in spare]
+        base_l = len(shed)
+        ids_h, ids_l, at_h, at_l = [], [], 0, base_l
+        for hs, ls in zip(hs_all, ls_all):
+            ids_h.append(list(range(at_h, at_h + len(hs))))
+            ids_l.append(list(range(at_l, at_l + len(ls))))
+            at_h += len(hs)
+            at_l += len(ls)
+        got_pairs = []
+        up_h_ids, up_l_ids = list(ids_h[0]), list(ids_l[0])
+        for h, l in zip(ids_h[1:], ids_l[1:]):
+            pairs, left_h, left_l = pair_entries(h, l, value, lmin, strict)
+            got_pairs += pairs
+            up_h_ids += left_h
+            up_l_ids += left_l
+        pairs, left_h, left_l = pair_entries(
+            up_h_ids, up_l_ids, value, lmin, strict, settle=True
+        )
+        got_pairs += pairs
+        assert [(shed[h], spare[l - base_l].node_index) for h, l in got_pairs] == [
+            (a.candidate, a.target_node) for a in ref_pairs
+        ]
+        assert [shed[i] for i in left_h] == root.leftover_heavy
+        assert [
+            (value[i], spare[i - base_l].node_index) for i in left_l
+        ] == [(s.delta, s.node_index) for s in root.leftover_light]

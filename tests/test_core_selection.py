@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import select_shed_subset
-from repro.core.selection import _exact_enum, _exact_tabled, _exact_vec
+from repro.core.selection import (
+    _TABLE_SIDE_LIMIT,
+    EXACT_POLICY_LIMIT,
+    _exact_enum,
+    _exact_tabled,
+    _exact_vec,
+    _greedy,
+    select_shed_subsets,
+)
 from repro.exceptions import BalancerError
 
 
@@ -175,3 +183,121 @@ class TestPaperSemantics:
         got = select_shed_subset(loads, excess, keep_at_least=0)
         remaining = total - sum(loads[i] for i in got)
         assert remaining <= target + 1e-9
+
+
+def per_node_reference(loads, excess, policy, keep_at_least):
+    """The per-node selection rules: validation, infeasible best effort,
+    then the tabled or vectorized exact scan by side width, else greedy."""
+    if any(l < 0 for l in loads):
+        raise BalancerError("virtual server loads must be non-negative")
+    n = len(loads)
+    max_shed = n - keep_at_least
+    if excess <= 0 or n == 0 or max_shed <= 0:
+        return []
+    if sum(sorted(loads)[-max_shed:]) < excess:
+        order = sorted(range(n), key=loads.__getitem__)
+        return sorted(order[-max_shed:])
+    if policy == "exact" and n <= EXACT_POLICY_LIMIT:
+        if n - n // 2 <= _TABLE_SIDE_LIMIT:
+            return _exact_tabled(loads, excess, max_shed)
+        return _exact_vec(loads, excess, max_shed)
+    return _greedy(loads, excess, max_shed)
+
+
+#: Tie-heavy loads: repeats, zeros, and values whose sums round equal
+#: (0.1 + 0.2 != 0.3, 1e16 absorbs 1.0).
+TIE_LOADS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.5, 5.0, 1e16]),
+    st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def shed_node(draw, sizes):
+    loads = draw(st.lists(TIE_LOADS, min_size=sizes[0], max_size=sizes[1]))
+    how = draw(st.sampled_from(["fraction", "subset", "over"]))
+    if how == "fraction":
+        excess = draw(st.floats(-0.1, 1.4)) * sum(loads)
+    elif how == "subset":
+        # Exactly some subset's total: the ``rsum >= excess - lsum``
+        # boundary, where float rounding decides feasibility.
+        chosen = draw(st.lists(st.booleans(), min_size=len(loads), max_size=len(loads)))
+        excess = sum(l for l, c in zip(loads, chosen) if c)
+    else:
+        excess = sum(loads) + draw(st.floats(0.0, 5.0))  # often infeasible
+    return loads, excess
+
+
+class TestBatchedSelection:
+    """``select_shed_subsets`` picks exactly what the per-node rules pick."""
+
+    def _check(self, nodes, policy, keep):
+        loads = [l for l, _ in nodes]
+        excesses = [e for _, e in nodes]
+        expected = [per_node_reference(l, e, policy, keep) for l, e in nodes]
+        assert select_shed_subsets(loads, excesses, policy, keep) == expected
+        assert [
+            select_shed_subset(l, e, policy, keep) for l, e in nodes
+        ] == expected
+
+    @given(
+        nodes=st.lists(shed_node((0, 9)), max_size=12),
+        policy=st.sampled_from(["exact", "greedy"]),
+        keep=st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_counts_match_per_node(self, nodes, policy, keep):
+        self._check(nodes, policy, keep)
+
+    @given(
+        nodes=st.lists(shed_node((8, 9)), min_size=2, max_size=6),
+        keep=st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_counts_share_one_batch(self, nodes, keep):
+        self._check(nodes, "exact", keep)
+
+    @given(
+        nodes=st.lists(
+            shed_node((2 * _TABLE_SIDE_LIMIT - 1, 2 * _TABLE_SIDE_LIMIT + 2)),
+            min_size=1,
+            max_size=3,
+        ),
+        keep=st.integers(0, 2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_counts_crossing_the_table_limit(self, nodes, keep):
+        self._check(nodes, "exact", keep)
+
+    @given(
+        nodes=st.lists(
+            shed_node((EXACT_POLICY_LIMIT - 1, EXACT_POLICY_LIMIT + 2)),
+            min_size=1,
+            max_size=2,
+        ),
+        keep=st.integers(0, 2),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_counts_crossing_the_exact_limit(self, nodes, keep):
+        self._check(nodes, "exact", keep)
+
+    def test_infeasible_and_empty_rows_in_one_batch(self):
+        loads = [[1.0, 2.0, 3.0], [], [4.0], [1.0, 2.0, 3.0], [2.0, 2.0]]
+        excesses = [100.0, 3.0, 1.0, 2.5, 0.0]
+        assert select_shed_subsets(loads, excesses, keep_at_least=1) == [
+            [1, 2],
+            [],
+            [],
+            [2],
+            [],
+        ]
+
+    def test_negative_load_anywhere_rejected(self):
+        with pytest.raises(BalancerError):
+            select_shed_subsets([[1.0, 2.0], [3.0, -0.5]], [0.0, 0.0])
+
+    def test_validation_precedes_an_empty_batch(self):
+        with pytest.raises(BalancerError):
+            select_shed_subsets([], [], policy="bogus")
+        with pytest.raises(BalancerError):
+            select_shed_subsets([], [], keep_at_least=-1)

@@ -4,11 +4,13 @@ Covers the journal's durability contract in isolation: checksummed
 round-trips, torn-tail truncation in every flavour a crash can leave
 behind (partial line, corrupted line, out-of-sequence line, missing
 final newline), replay validation (match, divergence, crash markers
-bypassing the matcher) and the checkpoint-tail view the recovery
-manager restores from.
+bypassing the matcher), the checkpoint-tail view the recovery
+manager restores from, and memory that stays flat as the file grows.
 """
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -219,3 +221,50 @@ class TestStateDirAndSink:
         sink.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert [e["name"] for e in events] == ["c"]
+
+
+class TestBoundedMemory:
+    def test_memory_held_does_not_grow_with_records(self, tmp_path):
+        journal = _journal(tmp_path)
+        journal.record("checkpoint", round=0, digest="c" * 16)
+
+        def append(count):
+            for i in range(count):
+                journal.record("prepare", vs=i, source=0, target=1, load="0x1.0p20")
+
+        tracemalloc.start()
+        try:
+            append(50)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            append(1000)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 1000 records held as objects would be well over 100 kB.
+        assert grown < 16 * 1024
+        assert len(journal) == 1051
+        tail = journal.tail_after_last_checkpoint()
+        assert len(tail) == 1050
+        assert tail[-1] == JournalRecord(
+            seq=1050,
+            kind="prepare",
+            fields={"vs": 999, "source": 0, "target": 1, "load": "0x1.0p20"},
+        )
+        journal.close()
+
+    def test_tail_follows_the_last_checkpoint_across_reopen(self, tmp_path):
+        journal = _journal(tmp_path)
+        journal.record("round_begin", round=0)
+        journal.record("checkpoint", round=1, digest="a" * 16)
+        journal.record("round_begin", round=1)
+        journal.close()
+        reopened = _journal(tmp_path)
+        assert [r.seq for r in reopened.tail_after_last_checkpoint()] == [2]
+        reopened.record("checkpoint", round=2, digest="b" * 16)
+        assert reopened.tail_after_last_checkpoint() == []
+        reopened.record("commit", vs=3)
+        assert [r.kind for r in reopened.tail_after_last_checkpoint()] == ["commit"]
+        assert [r.seq for r in reopened.entries] == [0, 1, 2, 3, 4]
+        reopened.close()

@@ -8,8 +8,9 @@ chain of fixed seeded runs instead, on both the serial
 :class:`~repro.core.IncrementalLoadBalancer`, across every round regime:
 churn at two tree degrees, proximity-aware placement (on a tiny
 transit-stub graph and on one with ~20-vertex domains), message faults
-with mid-round crashes, partitions (a mid-round cut and a component
-left without reports), stale-LBI reuse, a defended adversary that
+with mid-round crashes, partitions (a mid-round cut, a component
+left without reports, and a proximity-aware split with crashes in both
+components), stale-LBI reuse, a defended adversary that
 quarantines, an attached journal and a crash-and-restore run.  Each
 regime also asserts that its code path really ran, and on the
 incremental engine the robustness regimes assert that they ran the
@@ -201,6 +202,54 @@ def regime_aware_separator(engine: type[LoadBalancer]) -> list[BalanceReport]:
     return reports
 
 
+def regime_aware_partitioned(engine: type[LoadBalancer]) -> list[BalanceReport]:
+    """Proximity-aware rounds under message drops, mid-batch crashes and
+    a two-way split: each component publishes Hilbert keys and balances
+    on its own, and a component after the first publishes against loads
+    its predecessors' VST batches may have changed."""
+    scenario = build_scenario(
+        GaussianLoadModel(mu=1e5, sigma=500.0),
+        num_nodes=48,
+        vs_per_node=3,
+        topology_params=SEPARATOR_TS,
+        rng=11,
+    )
+    plan = FaultPlan(
+        seed=5,
+        drop=0.05,
+        crash_mid_round=1,
+        partitions=(PartitionSpec(at_round=1, duration=2, num_components=2),),
+    )
+    balancer = engine(
+        scenario.ring,
+        _config(mode="aware"),
+        topology=scenario.topology,
+        oracle=scenario.oracle,
+        rng=6,
+        faults=plan,
+    )
+    gen = np.random.default_rng(3)
+    reports = []
+    moved_in_both = []
+    for _ in range(4):
+        report = balancer.run_round()
+        reports.append(report)
+        assert balancer.membership is not None
+        view = balancer.membership.active
+        if view is not None and report.fault_stats.crashed_nodes:
+            sources = {view.component_of(t.source_node) for t in report.transfers}
+            moved_in_both.append(len(sources) == 2)
+        centers = [int(c) for c in gen.integers(0, scenario.ring.space.size, 2)]
+        apply_load_drift(
+            scenario.ring, GaussianLoadModel(mu=1e5, sigma=500.0),
+            int(gen.integers(1 << 30)), centers, fraction=0.2,
+        )
+    # A split round with a crash moved load in both components.
+    assert any(moved_in_both), "no split round balanced both components"
+    assert any(t.has_distance for r in reports for t in r.transfers)
+    return reports
+
+
 def regime_faults(engine: type[LoadBalancer]) -> list[BalanceReport]:
     plan = FaultPlan(seed=5, drop=0.1, transfer_abort=0.2, crash_mid_round=1)
     ring = _pareto_ring(12)
@@ -347,6 +396,7 @@ REGIMES: dict[str, Callable[[type[LoadBalancer]], list[BalanceReport]]] = {
     "ignorant_k4": regime_ignorant_k4,
     "aware": regime_aware,
     "aware-separator": regime_aware_separator,
+    "aware-partitioned": regime_aware_partitioned,
     "faults": regime_faults,
     "partitions": regime_partitions,
     "stale_lbi": regime_stale_lbi,
@@ -379,6 +429,12 @@ PINS: dict[str, list[str]] = {
         'dfe189b45b2ed7abfef5e40b4efb651a44c645d35e02a01557e63fc3325f6f99',
         '82859006542be62e889dc5430b08148c24599f54d4f9f2e738d2bf862fb73695',
         'de37f307e2bbe240a0bfd63018eb8fa8ed830e450873e68ac990ac2b4701e105',
+    ],
+    'aware-partitioned': [
+        'b21d62558ded022da53d53193062267f2bb36a1b3e6accf6a1c5f9de40330bd8',
+        '59899adc633df000f7c8411c732827042a84f97e03194c5de89140a17359f438',
+        '96dee00a16abe3cb2650513dae5d06c715b7aa33fd865a7b646dd126471ccc1e',
+        '0681333d44aadd94774eeca7f0c0f9feff93c144e8690be54c48ae300b980dca',
     ],
     'faults': [
         'bf8dc4c73ef4fe476c585c6b40e96b91a0738214f179b7edf7d034129ce5d091',
@@ -425,7 +481,14 @@ PINS: dict[str, list[str]] = {
 #: Regimes whose faulted, attacked, quarantined or partitioned rounds
 #: must run the incremental engine's fast kernels.
 ROBUST_REGIMES = frozenset(
-    {"faults", "partitions", "stale_lbi", "adversary", "recovery"}
+    {
+        "aware-partitioned",
+        "faults",
+        "partitions",
+        "stale_lbi",
+        "adversary",
+        "recovery",
+    }
 )
 
 
