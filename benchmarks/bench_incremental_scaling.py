@@ -18,14 +18,14 @@ Two protocol rules, learned the hard way (see ``docs/performance.md``):
   schedules — and hence the digests — comparable round for round), with
   a collection in between.
 * Warm-up rounds are excluded from the speedup.  Round 0 is a rebuild
-  and the first rounds still pay delivery-cache misses; the reported
+  and the first rounds still pay leaf-directory misses; the reported
   ratio is over the tail, which is what a long-running churn study
   actually sees.
 
 Two engines run the schedule: the serial baseline and the incremental
-engine (batched level-synchronous descents + delta cache repair).  They
-must agree byte for byte; the gates are the serial vs incremental
-LBI+VSA speedup and zero stale cache misses.
+engine (leaf directory lookups + batched level-synchronous descents).
+They must agree byte for byte; the gate is the serial vs incremental
+LBI+VSA speedup.
 
 The ``--million`` configuration drives the incremental engine alone
 through a 10^6-node steady-state schedule (no serial twin — the twin
@@ -78,7 +78,7 @@ PAPER_ROUNDS = 10
 #: does not flake the gate; the bench-trend baseline ratchets the
 #: incremental engine's absolute costs separately.  At paper scale the
 #: measured ratio is ~4-5x over the ten-round schedule (the first
-#: post-warm-up rounds still pay delivery-cache misses) and >6x on the
+#: post-warm-up rounds still pay leaf-directory misses) and >6x on the
 #: fully warm tail rounds; both engines share the descent and
 #: shed-selection primitives, so optimizing those speeds the serial
 #: baseline up too and the honest ratio moves less than the absolute
@@ -221,8 +221,6 @@ def run_incremental_scaling(
         "speedup": (serial_lbi + serial_vsa) / denom if denom > 0 else 0.0,
         "incremental_descent_seconds": inc_descent,
         "miss_descents": float(inc_stats.get("miss_descents", 0)),
-        "cache_repairs": float(inc_stats.get("cache_repairs", 0)),
-        "stale_cache_misses": float(inc_stats.get("stale_cache_misses", 0)),
     }
     metrics = current_metrics()
     if metrics is not None:
@@ -239,8 +237,8 @@ def run_million_steady(
     Measures the post-warm-up wall-clock per round at ``num_nodes`` —
     the regime the serial twin cannot reach in bench time.  Correctness
     at this scale rides on the invariants the property suites pin at
-    smaller rings (digest identity, zero stale cache misses); the
-    stale-miss count is re-asserted here since it is free to check.
+    smaller rings (digest identity, key-to-leaf resolution); that the
+    fast kernels ran at all (batched descents counted) is asserted here.
     """
     assert rounds > WARMUP_ROUNDS, "need post-warm-up rounds to measure"
     model = ParetoLoadModel(mu=MU)
@@ -259,8 +257,10 @@ def run_million_steady(
         if rnd < rounds - 1:
             apply_churn(ring, model, gen)
     stats = dict(getattr(balancer, "descent_stats", {}))
-    assert stats.get("stale_cache_misses", 0) == 0, (
-        f"delta repair missed cache entries: {stats}"
+    # The serial kernels never move this counter: zero would mean the
+    # run measured the wrong engine.
+    assert stats.get("miss_descents", 0) > 0, (
+        f"fast kernels never descended: {stats}"
     )
     steady_walls = round_walls[WARMUP_ROUNDS:]
     summary = {
@@ -271,7 +271,6 @@ def run_million_steady(
         "mean_steady_round_seconds": sum(steady_walls) / len(steady_walls),
         "steady_descent_seconds": sum(descent_seconds[WARMUP_ROUNDS:]),
         "miss_descents": float(stats.get("miss_descents", 0)),
-        "cache_repairs": float(stats.get("cache_repairs", 0)),
     }
     metrics = current_metrics()
     if metrics is not None:
@@ -305,11 +304,7 @@ def format_summary(summary: dict[str, float], target: float) -> str:
                 f"  miss descent:        "
                 f"{summary['incremental_descent_seconds']:>8.2f}s"
             ),
-            (
-                f"  descent economy:     {int(summary['miss_descents'])} descents,"
-                f" {int(summary['cache_repairs'])} repairs,"
-                f" {int(summary['stale_cache_misses'])} stale"
-            ),
+            f"  miss descents:       {int(summary['miss_descents']):>8d}",
         ]
     )
 
@@ -331,7 +326,6 @@ def format_million_summary(summary: dict[str, float], ceiling: float) -> str:
             f"  steady round (mean): {summary['mean_steady_round_seconds']:>8.2f}s",
             (
                 f"  descent economy:     {int(summary['miss_descents'])} descents,"
-                f" {int(summary['cache_repairs'])} repairs,"
                 f" {summary['steady_descent_seconds']:.2f}s steady descent"
             ),
         ]
@@ -358,10 +352,6 @@ def test_incremental_scaling(settings, report_lines):
     assert summary["speedup"] >= target, (
         f"steady-state lbi+vsa speedup {summary['speedup']:.2f}x below "
         f"floor {target}x at {nodes} nodes"
-    )
-    assert summary["stale_cache_misses"] == 0, (
-        "delta repair let corridor re-descents through: "
-        f"{int(summary['stale_cache_misses'])} stale cache misses"
     )
 
 
@@ -404,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         summary = run_million_steady(nodes, rounds)
         print(format_million_summary(summary, ceiling))
         if args.smoke:
-            print("smoke OK: steady-state plumbing + zero stale misses")
+            print("smoke OK: steady-state plumbing, fast kernels ran")
         if ceiling and summary["steady_round_seconds"] > ceiling:
             return 1
         return 0
@@ -419,11 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     summary = run_incremental_scaling(nodes, rounds)
     print(format_summary(summary, target))
     if args.smoke:
-        # Smoke still gates the *invariants* (identity is asserted in
-        # run_incremental_scaling; the economy must show zero corridor
-        # re-descents).
-        assert summary["stale_cache_misses"] == 0, summary
-        print("smoke OK: digests identical on all rounds, zero stale misses")
+        # Smoke still gates digest identity (asserted in
+        # run_incremental_scaling).
+        print("smoke OK: digests identical on all rounds")
         return 0
     if summary["speedup"] < target:
         return 1

@@ -120,14 +120,12 @@ def _smoke_snapshot() -> dict:
     incremental.run_round()
 
     # A steady-state stretch shaped like the 10^6 configuration of
-    # bench_incremental_scaling (--million) at smoke scale: batched
-    # descents plus delta-driven cache repair over fractional churn.
-    # Pins the miss-descent economy counters — incremental.miss_descents
-    # (keys resolved by descending), incremental.cache_repairs (entries
-    # remapped without a descent) and incremental.stale_cache_misses
-    # (corridor re-descents, exactly zero while repair holds its
-    # invariant) — so a repair regression surfaces as descent growth
-    # here long before it costs wall-clock at a million nodes.
+    # bench_incremental_scaling (--million) at smoke scale: leaf
+    # directory lookups plus batched descents over fractional churn.
+    # Pins incremental.miss_descents (keys the directory could not
+    # answer, resolved by descending), so a directory regression — say,
+    # a patch that drops live leaves — surfaces as descent growth here
+    # long before it costs wall-clock at a million nodes.
     steady_scenario = scenario()
     steady = IncrementalLoadBalancer(
         steady_scenario.ring, config, rng=7, metrics=registry

@@ -75,11 +75,11 @@ echo "== incremental smoke: persistent-tree rounds match serial digests =="
 # to the serial engine's on every round.
 python -c "import sys; sys.path.insert(0, '.'); from benchmarks.bench_incremental_scaling import main; sys.exit(main(['--smoke']))"
 
-echo "== million-steady smoke: batched descents + cache repair, zero stale misses =="
+echo "== million-steady smoke: directory lookups + batched descents =="
 # The 10^6 steady-state configuration at reduced scale: batched engine
-# only, four rounds with fractional churn; asserts the delta repair
-# invariant (no corridor re-descents) on the same code path the
-# full --million run gates by wall-clock.
+# only, four rounds with fractional churn; asserts the fast kernels ran
+# (batched descents counted) on the same code path the full --million
+# run gates by wall-clock.
 python -c "import sys; sys.path.insert(0, '.'); from benchmarks.bench_incremental_scaling import main; sys.exit(main(['--million', '--smoke']))"
 
 echo "== partition smoke: split, degraded rounds, conservation-checked heal =="

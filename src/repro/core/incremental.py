@@ -11,18 +11,12 @@ changed:
   :meth:`KnaryTree.refresh_dirty` repairs only the subtrees overlapping
   the dirty identifier spans those events imply, and the
   :class:`TreeIndex` slot arrays absorb the structural delta.
-* Whole-ring reporter keys (region centers and notional hash
-  positions) resolve through a key-to-leaf cache kept valid *by
-  construction*: after each ``refresh_dirty`` the structural delta
-  drives a surgical cache repair
-  (:meth:`IncrementalLoadBalancer._repair_cache`) that remaps only the
-  entries whose leaves were pruned or flipped — surviving entries are
-  rebound through one batched directory lookup and only genuinely
-  re-tiled keys descend.  Other keys resolve through
-  :meth:`TreeIndex.resolve_leaves`, and the remaining misses descend
-  the tree **together** via :meth:`KnaryTree.descend_batch`, one level
-  at a time over the whole miss set, instead of N independent Python
-  walks.
+* Every key — reporter keys and VSA publication keys alike — resolves
+  one way: :meth:`TreeIndex.resolve_leaves` looks it up in the sorted
+  directory of materialised leaves (patched from the same delta), and
+  the misses descend the tree **together** via
+  :meth:`KnaryTree.descend_batch`, one level at a time over the whole
+  miss set, instead of N independent Python walks.
 * Quarantine and partition views are cuts of the one tree, not fresh
   trees.  A view holds a subset of the ring's virtual servers, so its
   arcs are unions of consecutive ring arcs and every region the ring
@@ -74,7 +68,6 @@ from repro.core.vsa import (
     VSAResult,
     deliver_publications,
 )
-from repro.dht.chord import ChordRing
 from repro.dht.events import RingEventLog
 from repro.faults.stats import FaultRoundStats
 from repro.ktree.index import TreeIndex
@@ -89,6 +82,10 @@ class IncrementalLoadBalancer(LoadBalancer):
     and the serial kernels happens per round (see the module
     docstring).  The config is untouched — engine choice is not part of
     the digested experiment identity.
+
+    ``descent_stats["miss_descents"]`` counts the keys the leaf
+    directory could not answer, which descended the tree; only the fast
+    kernels move it.
     """
 
     #: Above this many logged ring events per round (relative floor 64,
@@ -101,24 +98,7 @@ class IncrementalLoadBalancer(LoadBalancer):
         self._events = RingEventLog(self.ring)
         self._tree: KnaryTree | None = None
         self._index: TreeIndex | None = None
-        #: identifier key -> leaf slot for whole-ring reporter keys.
-        #: Every entry names a live leaf containing its key (maintained
-        #: by ``_repair_cache``).
-        self._key_leaf: dict[int, int] = {}
-        #: leaf slot -> keys cached there (reverse of ``_key_leaf``;
-        #: drives delta-driven repair).  Entries may be stale after a
-        #: key is remapped — repair re-checks against ``_key_leaf``
-        #: before trusting one.
-        self._slot_keys: dict[int, list[int]] = {}
-        #: Cumulative resolution economy: keys resolved via batch
-        #: descent, cache entries surgically remapped without a descent,
-        #: and cached slots found invalid at use time (corridor
-        #: re-descents — zero, by the repair invariant).
-        self.descent_stats: dict[str, int] = {
-            "miss_descents": 0,
-            "cache_repairs": 0,
-            "stale_cache_misses": 0,
-        }
+        self.descent_stats: dict[str, int] = {"miss_descents": 0}
         self._needs_reset = True
         #: Fast kernels this round?  And the LBI report paths' (node
         #: count, height), which the sweep extends.
@@ -156,12 +136,10 @@ class IncrementalLoadBalancer(LoadBalancer):
             self.ring, self.config.tree_degree, metrics=self.metrics
         )
         self._index = TreeIndex(self._tree)
-        self._key_leaf.clear()
-        self._slot_keys.clear()
         self._needs_reset = False
 
-    def _sync_world(self, clock: PhaseClock) -> None:
-        """Bring the persistent tree and caches up to the current ring."""
+    def _sync_world(self) -> None:
+        """Bring the persistent tree and its index up to the current ring."""
         log = self._events
         if self._needs_reset or self._tree is None or self._index is None:
             log.drain(resolve=False)
@@ -183,158 +161,49 @@ class IncrementalLoadBalancer(LoadBalancer):
         assert delta.dirty is not None
         refresh = self._tree.refresh_dirty(delta.dirty)
         index = self._index
-        slot_keys = self._slot_keys
-        # Slots whose cached key->leaf entries the delta invalidated:
-        # pruned leaves and leaves that flipped internal.  (Nodes that
-        # *became* leaves were internal before, so nothing was cached
-        # there; their keys sit on the pruned descendants.)
-        doomed: list[int] = []
         for node in refresh.pruned_nodes:
-            slot = index.slot_if_registered(node)
             index.drop(node)
-            if slot is not None and slot in slot_keys:
-                doomed.append(slot)
         for node in refresh.became_leaf:
             index.set_leaf(node, True)
         for node in refresh.became_internal:
-            slot = index.slot_if_registered(node)
             index.set_leaf(node, False)
-            if slot is not None and slot in slot_keys:
-                doomed.append(slot)
-        if doomed:
-            self._repair_cache(doomed, clock)
-
-    def _count(self, name: str, amount: int) -> None:
-        """Bump a resolution-economy stat (and its metrics counter).
-
-        The counter is touched even at zero so a snapshot always carries
-        it — the bench-trend baseline pins ``stale_cache_misses`` at 0,
-        which only works if the instrument exists in every dump.
-        """
-        if self.metrics is not None:
-            counter = self.metrics.counter(f"incremental.{name}")
-            if amount:
-                counter.inc(amount)
-        self.descent_stats[name] += amount
 
     # ------------------------------------------------------------------
-    # Batched key-to-leaf resolution + delta-driven cache repair
+    # Key-to-leaf resolution: directory lookup + one batched descent
     # ------------------------------------------------------------------
-    def _descend_slots(
-        self, keys: np.ndarray, view: ChordRing | None = None
-    ) -> np.ndarray:
-        """Leaf slots for ``keys`` via one level-synchronous batch descent
-        (stopping at ``view``'s leaves when one is given)."""
-        index = self._index
-        tree = self._tree
-        assert index is not None and tree is not None
-        leaves, ordinals = tree.descend_batch(keys, view)
-        slots = np.fromiter(
-            (index.slot(leaf) for leaf in leaves),
-            dtype=np.int64,
-            count=len(leaves),
-        )
-        self._count("miss_descents", int(keys.size))
-        return slots[ordinals]
-
-    def _resolve_and_cache(self, keys: np.ndarray) -> np.ndarray:
-        """Resolve uncached ``keys`` to leaf slots and register them.
-
-        Directory hits resolve without touching the tree; the remaining
-        misses descend together.  Every key is recorded in ``_key_leaf``
-        (and the reverse map) so the next delta repair can find it.
-        """
-        index = self._index
-        assert index is not None
-        slots = index.resolve_leaves(keys)
-        miss = np.flatnonzero(slots < 0)
-        if miss.size:
-            slots[miss] = self._descend_slots(keys[miss])
-        key_leaf = self._key_leaf
-        slot_keys = self._slot_keys
-        for key, slot in zip(keys.tolist(), slots.tolist()):
-            if key_leaf.get(key) != slot:
-                key_leaf[key] = slot
-                slot_keys.setdefault(slot, []).append(key)
-        return slots
-
-    def _repair_cache(self, doomed: list[int], clock: PhaseClock) -> None:
-        """Remap the cache entries stranded on ``doomed`` slots.
-
-        The delta names exactly the slots that stopped being live
-        leaves, so the affected keys are read off the reverse map
-        instead of scanning the cache.  Survivors whose key now lands in
-        an already-materialised leaf are rebound by one batched
-        directory lookup (*repairs* — no descent); only keys whose
-        corridor was genuinely re-tiled descend, batched.  Afterwards
-        every cache entry again names a live leaf containing its key,
-        which is what lets the fold skip per-use validation misses.
-        """
-        key_leaf = self._key_leaf
-        slot_keys = self._slot_keys
-        affected: list[int] = []
-        for slot in doomed:
-            for key in slot_keys.pop(slot, ()):
-                # Reverse entries can be stale (key since remapped);
-                # only keys still bound to the doomed slot move.
-                if key_leaf.get(key) == slot:
-                    affected.append(key)
-        if not affected:
-            return
-        with clock.phase("miss_descent"):
-            before = self.descent_stats["miss_descents"]
-            self._resolve_and_cache(np.asarray(affected, dtype=np.int64))
-            descended = self.descent_stats["miss_descents"] - before
-        self._count("cache_repairs", len(affected) - descended)
-
     def _part_slots(
-        self,
-        part: RoundPart,
-        keys: np.ndarray,
-        clock: PhaseClock,
-        cached: bool = False,
+        self, part: RoundPart, keys: np.ndarray, clock: PhaseClock
     ) -> np.ndarray:
         """Leaf slots of the part's KT for ``keys``, in the persistent tree.
 
-        Keys resolve to whole-ring leaves first: ``cached`` reporter
-        keys through the repaired ``_key_leaf`` cache (with delta repair
-        active, a cached slot can only be invalid if repair missed it,
-        so per-use invalidity feeds the ``stale_cache_misses`` counter,
-        pinned to zero by the regression tests), the rest through the
-        sorted leaf directory; the misses descend together.  A view
-        part's leaves are then cut out of the whole-ring paths
+        Keys resolve to whole-ring leaves through the sorted leaf
+        directory (:meth:`TreeIndex.resolve_leaves`); the misses descend
+        together in one :meth:`KnaryTree.descend_batch` — for a view
+        part, only down to the view's leaves.  A view part's leaves are
+        then cut out of the whole-ring paths
         (:meth:`TreeIndex.view_leaves`) — the view's KT is an upper
         subtree of the ring's, so no fresh tree is built.
         """
         index = self._index
-        assert index is not None
+        tree = self._tree
+        assert index is not None and tree is not None
         view = None if part.ring is self.ring else part.ring
-        if cached:
-            key_leaf = self._key_leaf
-            slots = np.fromiter(
-                (key_leaf.get(key, -1) for key in keys.tolist()),
-                dtype=np.int64,
-                count=keys.size,
-            )
-            known = slots >= 0
-            valid = known.copy()
-            valid[known] = index.alive[slots[known]] & index.is_leaf[slots[known]]
-            self._count(
-                "stale_cache_misses", int(np.count_nonzero(known & ~valid))
-            )
-            miss = np.flatnonzero(~valid)
-            if miss.size:
-                with clock.phase("miss_descent"):
-                    slots[miss] = self._resolve_and_cache(keys[miss])
-        else:
-            slots = index.resolve_leaves(keys)
-            miss = np.flatnonzero(slots < 0)
-            if miss.size:
-                # View centers and placement keys are not worth a cache
-                # entry, but their descents batch just the same — for a
-                # view, only down to its leaves.
-                with clock.phase("miss_descent"):
-                    slots[miss] = self._descend_slots(keys[miss], view)
+        slots = index.resolve_leaves(keys)
+        miss = np.flatnonzero(slots < 0)
+        if miss.size:
+            with clock.phase("miss_descent"):
+                leaves, ordinals = tree.descend_batch(keys[miss], view)
+                leaf_slots = np.fromiter(
+                    (index.slot(leaf) for leaf in leaves),
+                    dtype=np.int64,
+                    count=len(leaves),
+                )
+                slots[miss] = leaf_slots[ordinals]
+            self.descent_stats["miss_descents"] += int(miss.size)
+            if self.metrics is not None:
+                self.metrics.counter("incremental.miss_descents").inc(
+                    int(miss.size)
+                )
         if view is not None:
             slots = index.view_leaves(slots, view)
         return slots
@@ -351,8 +220,8 @@ class IncrementalLoadBalancer(LoadBalancer):
         clock: PhaseClock,
     ) -> tuple[SystemLBI, AggregationTrace] | None:
         """Tree sync, the shared report decisions, then the scatter +
-        level fold over the admitted rows.  Descent/repair time inside
-        lbi and vsa also accumulates in the ``miss_descent`` sub-phase.
+        level fold over the admitted rows.  Descent time inside lbi and
+        vsa also accumulates in the ``miss_descent`` sub-phase.
 
         The tree is synced at every part's fold: a crash inside an
         earlier part's VST batch removes virtual servers before the next
@@ -367,7 +236,7 @@ class IncrementalLoadBalancer(LoadBalancer):
         """
         if not self._fast:
             return super()._fold_lbi(part, arrays, stats, adv_stats, clock)
-        self._sync_world(clock)
+        self._sync_world()
         index = self._index
         assert index is not None
         whole = part.ring is self.ring
@@ -391,7 +260,7 @@ class IncrementalLoadBalancer(LoadBalancer):
             _, count, _ = index.stamp_paths(np.zeros(1, dtype=np.int64))
             self._lbi_paths = (count, 0)
             return None
-        leaf_slots = self._part_slots(part, rows.keys, clock, cached=whole)
+        leaf_slots = self._part_slots(part, rows.keys, clock)
         fresh, count, height = index.stamp_paths(leaf_slots)
         # Accumulator cells are reset at exactly the slots this fold
         # stamps; no other cell is read.

@@ -23,10 +23,10 @@ constraint the paper leaves implicit.
 A round selects for all its heavy nodes in one
 :func:`select_shed_subsets` call: nodes are grouped by VS count and the
 exact policy scans each group as one array program with a leading node
-axis (:func:`_exact_rows`).  The per-node scans :func:`_exact_tabled`,
-:func:`_exact_vec` and :func:`_exact_enum` stay as the executable
-references that batch is property-tested against; every path picks the
-same indices, ties included, which the balancing digests rely on.
+axis (:func:`_exact_rows`).  The per-node scan :func:`_exact_enum` is
+the written specification that batch is property-tested against; both
+pick the same indices, ties included, which the balancing digests rely
+on.
 """
 
 from __future__ import annotations
@@ -121,25 +121,22 @@ def _greedy(loads: list[float], excess: float, max_shed: int) -> list[int]:
     """Best-fit-decreasing: cover the remaining excess as tightly as possible."""
     remaining = excess
     available = sorted(range(len(loads)), key=lambda i: loads[i])
+    # Sorted loads of ``available``; only the tail is ever popped, so the
+    # two lists stay in step without a rebuild per step.
+    keys = [loads[i] for i in available]
     chosen: list[int] = []
     while remaining > 0 and available and len(chosen) < max_shed:
         # Smallest VS that alone covers the remaining excess.
-        keys = [loads[i] for i in available]
         pos = bisect_left(keys, remaining)
         if pos < len(available):
-            chosen.append(available.pop(pos))
+            chosen.append(available[pos])
             return sorted(chosen)
         # None covers it: take the largest and continue.
         idx = available.pop()
+        keys.pop()
         chosen.append(idx)
         remaining -= loads[idx]
     return sorted(chosen)
-
-
-#: Per-node references: :func:`_exact_tabled` for side widths up to
-#: this, :func:`_exact_vec` for wider sides (n > 2 * limit).  The
-#: batched selection's property tests cross it.
-_TABLE_SIDE_LIMIT = 10
 
 
 @lru_cache(maxsize=64)
@@ -161,85 +158,6 @@ def _side_table(side_len: int) -> tuple[tuple[int, int], ...]:
     return tuple(entries)
 
 
-def _subset_sums(vals: list[float]) -> list[float]:
-    """Sum per bitmask-subset of ``vals``, ascending-index fold order.
-
-    ``sums[mask]`` strips the highest bit, so every total accumulates
-    lowest index first — the same left fold (and therefore the same
-    float rounding) as ``sum(vals[i] for i in combo)`` over an
-    ascending combo.
-    """
-    sums = [0.0] * (1 << len(vals))
-    for mask in range(1, len(sums)):
-        high = 1 << (mask.bit_length() - 1)
-        sums[mask] = sums[mask ^ high] + vals[high.bit_length() - 1]
-    return sums
-
-
-def _exact_tabled(loads: list[float], excess: float, max_shed: int) -> list[int]:
-    """Per-node exact scan over cached per-side subset tables.
-
-    A reference for :func:`_exact_rows` at narrow sides.  Same
-    enumeration order, same float folds, same tie-breaks as
-    :func:`_exact_enum` — only the per-call tuple building is hoisted
-    into :func:`_side_table` / :func:`_subset_sums`.
-    """
-    n = len(loads)
-    half = n // 2
-    left_table = _side_table(half)
-    right_table = _side_table(n - half)
-    lsums = _subset_sums(loads[:half])
-    rsums = _subset_sums(loads[half:])
-
-    # Size-grouped right subsets, stably sorted by sum so "smallest sum
-    # >= need" is a binary search; stability keeps enumeration order
-    # among equal sums, exactly like the list.sort in _exact_enum.
-    by_size: dict[int, tuple[list[float], list[int]]] = {}
-    for rsize, rmask in right_table:
-        group = by_size.get(rsize)
-        if group is None:
-            group = ([], [])
-            by_size[rsize] = group
-        group[0].append(rsums[rmask])
-        group[1].append(rmask)
-    groups: list[tuple[int, list[float], list[int]]] = []
-    for rsize, (vals, masks) in by_size.items():
-        order = sorted(range(len(vals)), key=vals.__getitem__)
-        groups.append(
-            (rsize, [vals[j] for j in order], [masks[j] for j in order])
-        )
-
-    best_total: tuple[float, int] | None = None
-    best_masks: tuple[int, int] | None = None
-    for lsize, lmask in left_table:
-        if lsize > max_shed:
-            continue
-        lsum = lsums[lmask]
-        need = excess - lsum
-        if need <= 0:
-            cand_total = (lsum, lsize)
-            if best_total is None or cand_total < best_total:
-                best_total = cand_total
-                best_masks = (lmask, 0)
-            continue
-        for rsize, sums, masks in groups:
-            if lsize + rsize > max_shed:
-                continue
-            pos = bisect_left(sums, need)
-            if pos == len(sums):
-                continue
-            cand_total = (lsum + sums[pos], lsize + rsize)
-            if best_total is None or cand_total < best_total:
-                best_total = cand_total
-                best_masks = (lmask, masks[pos])
-    if best_masks is None:
-        # No feasible subset within the size budget covers the excess;
-        # fall back to greedy best effort.
-        return _greedy(loads, excess, max_shed)
-    lmask, rmask = best_masks
-    return _mask_bits(lmask, rmask, half, n)
-
-
 @lru_cache(maxsize=64)
 def _side_arrays(side_len: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_side_table` as parallel ``(sizes, masks)`` int64 arrays."""
@@ -250,12 +168,14 @@ def _side_arrays(side_len: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subset_sums_rows(vals: np.ndarray) -> np.ndarray:
-    """:func:`_subset_sums` for every row of ``vals``, bit for bit.
+    """Sum per bitmask-subset of every row of ``vals``.
 
-    The level-``b`` slice assignment adds ``vals[:, b]`` to every sum
-    whose mask gains bit ``b`` as its new highest bit — the same operand
-    pairs as the scalar DP, and NumPy's elementwise float64 add rounds
-    identically to Python's ``+``.
+    ``sums[:, mask]`` strips the highest bit, so every total accumulates
+    lowest index first — the same left fold (and therefore the same
+    float rounding) as ``sum(vals[i] for i in combo)`` over an ascending
+    combo.  The level-``b`` slice assignment adds ``vals[:, b]`` to every
+    sum whose mask gains bit ``b`` as its new highest bit, and NumPy's
+    elementwise float64 add rounds identically to Python's ``+``.
     """
     rows, width = vals.shape
     sums = np.zeros((rows, 1 << width), dtype=np.float64)
@@ -289,17 +209,27 @@ _PAIR_COMPARE_LIMIT = 1 << 16
 def _exact_rows(
     matrix: np.ndarray, excess: np.ndarray, max_shed: int
 ) -> list[list[int] | None]:
-    """:func:`_exact_vec` for every row of ``matrix`` (one node per row).
+    """:func:`_exact_enum`'s pick for every row of ``matrix`` (one node
+    per row).
+
+    Each node's scan is a candidate matrix: rows are left subsets in
+    enumeration order, columns are right-size groups ascending, and a
+    cell holds the group's smallest right sum satisfying
+    ``rsum >= excess - lsum``.  Row-major over that matrix is exactly
+    the scan order of :func:`_exact_enum`, where only a strictly better
+    ``(total, size)`` replaces the incumbent, so the winner is the
+    row-major first cell of minimal ``(total, size)``.  The matrix also
+    fills the group cells of ``need <= 0`` rows (the serial scan skips
+    them), which is safe: each such cell is dominated by the same row's
+    empty-right cell (``total >= lsum`` with a strictly larger size on
+    equality), so it can never become the row-major argmin.
 
     All rows share one VS count, so the subset tables, the size matrix
     and the size-budget mask are common; sums, need and the per-group
-    stable sorts gain a leading node axis, and each node's winner is the
-    row-major first cell of minimal ``(total, size)`` among those whose
-    right sum satisfies ``rsum >= excess - lsum``.  A cell's insertion
-    point counts its group's sums below ``need`` — every pair compared
-    at once for small VS counts, a per-node ``searchsorted`` otherwise.
-    ``None`` marks a node with no such cell (the caller's greedy
-    fallback).
+    stable sorts gain a leading node axis.  A cell's insertion point
+    counts its group's sums below ``need`` — every pair compared at once
+    for small VS counts, a per-node ``searchsorted`` otherwise.  ``None``
+    marks a node with no such cell (the caller's greedy fallback).
     """
     m, n = matrix.shape
     half = n // 2
@@ -367,70 +297,6 @@ def _mask_bits(lmask: int, rmask: int, half: int, n: int) -> list[int]:
     chosen = [i for i in range(half) if lmask >> i & 1]
     chosen.extend(half + i for i in range(n - half) if rmask >> i & 1)
     return chosen
-
-
-def _exact_vec(loads: list[float], excess: float, max_shed: int) -> list[int]:
-    """Per-node exact scan as one vectorized candidate matrix.
-
-    The per-node scan :func:`_exact_rows` generalises, kept as its
-    reference.  Row-major over a candidate matrix — rows are left subsets in
-    enumeration order, columns are right-size groups ascending — is
-    exactly the scan order of :func:`_exact_enum`, where only a strictly
-    better ``(total, size)`` replaces the incumbent.  The matrix also
-    fills the group cells of ``need <= 0`` rows (the serial scan skips
-    them), which is safe: each such cell is dominated by the same row's
-    empty-right cell (``total >= lsum`` with a strictly larger size on
-    equality), so it can never become the row-major argmin.
-    """
-    n = len(loads)
-    half = n // 2
-    lsizes, lmasks = _side_arrays(half)
-    rsizes_all, rmasks_all = _side_arrays(n - half)
-    lsums = _subset_sums_rows(np.asarray([loads[:half]], dtype=np.float64))[0][lmasks]
-    rsums_all = _subset_sums_rows(np.asarray([loads[half:]], dtype=np.float64))[0][
-        rmasks_all
-    ]
-    need = excess - lsums
-    row_ok = lsizes <= max_shed
-
-    # Per right-size group: sums stably sorted (ties keep enumeration
-    # order, like the list.sort in _exact_enum) with their masks.
-    group_sums: list[np.ndarray] = []
-    group_masks: list[np.ndarray] = []
-    for rsize in range(n - half + 1):
-        sel = np.flatnonzero(rsizes_all == rsize)
-        order = np.argsort(rsums_all[sel], kind="stable")
-        group_sums.append(rsums_all[sel][order])
-        group_masks.append(rmasks_all[sel][order])
-
-    num_rows = lmasks.shape[0]
-    num_groups = len(group_sums)
-    totals = np.empty((num_rows, num_groups), dtype=np.float64)
-    sizes = np.empty((num_rows, num_groups), dtype=np.int64)
-    valid = np.zeros((num_rows, num_groups), dtype=bool)
-    pos_by_group: list[np.ndarray] = []
-    for g, gsums in enumerate(group_sums):
-        pos = np.searchsorted(gsums, need, side="left")
-        pos_by_group.append(pos)
-        ok = row_ok & (lsizes + g <= max_shed) & (pos < gsums.shape[0])
-        idx = np.flatnonzero(ok)
-        totals[idx, g] = lsums[idx] + gsums[pos[idx]]
-        sizes[idx, g] = lsizes[idx] + g
-        valid[idx, g] = True
-
-    cand = np.flatnonzero(valid.ravel())
-    if cand.size == 0:
-        # No feasible subset within the size budget covers the excess;
-        # fall back to greedy best effort.
-        return _greedy(loads, excess, max_shed)
-    ctotals = totals.ravel()[cand]
-    cand = cand[ctotals == ctotals.min()]
-    csizes = sizes.ravel()[cand]
-    winner = int(cand[csizes == csizes.min()][0])
-    row, g = divmod(winner, num_groups)
-    lmask = int(lmasks[row])
-    rmask = int(group_masks[g][pos_by_group[g][row]])
-    return _mask_bits(lmask, rmask, half, n)
 
 
 def _exact_enum(loads: list[float], excess: float, max_shed: int) -> list[int]:

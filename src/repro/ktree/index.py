@@ -12,14 +12,17 @@ paths vectorisable:
   the node set a from-scratch lazily-built tree would materialise for
   the same keys, so the serial path's message/height accounting can be
   reproduced from the stamps alone.
-* *Leaf validity* (:attr:`alive` / :attr:`is_leaf`) lets cached
-  key-to-leaf resolutions be checked in O(1): a cached leaf is still
-  the correct destination for its key iff it is alive and still a leaf
-  (tree shape is a pure function of the ring, so the root-to-leaf
-  descent for the key cannot end anywhere else).
+* *Leaf directory* (:meth:`resolve_leaves`) answers which materialised
+  leaf owns each key with one ``searchsorted`` over the live leaves'
+  region starts.  The directory is patched from the same
+  :meth:`drop` / :meth:`set_leaf` calls that keep :attr:`alive` and
+  :attr:`is_leaf` current, so a lookup never returns a pruned slot or
+  one that has since split.
 
-Slots are never reused: a pruned node's slot stays dead forever, so a
-stale cached slot can never silently alias a new node.
+A pruned node's slot is retired (``alive`` false, ``nodes[slot]`` is
+``None``) and not handed out again.  Every key resolves afresh each
+round, so nothing outside the index holds a slot across a refresh: a
+retired slot is dead weight, not a hazard.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ class TreeIndex:
         "length",
         "_stamp",
         "_stamp_id",
-        "_heap_keys",
         "_dir_starts",
         "_dir_ends",
         "_dir_slots",
@@ -90,9 +92,6 @@ class TreeIndex:
         self.length = np.zeros(self._capacity, dtype=np.int64)
         self._stamp = np.zeros(self._capacity, dtype=np.int32)
         self._stamp_id = 0
-        #: slot -> heap ordering key.  Safe to cache forever: a node's
-        #: root path is fixed at registration and slots are never reused.
-        self._heap_keys: dict[int, tuple[int, ...]] = {}
         # Sorted leaf directory (lazily built, incrementally patched;
         # see resolve_leaves).  ``_dir_pending`` holds slots whose leaf
         # membership may have changed since the directory was last
@@ -200,7 +199,7 @@ class TreeIndex:
     # Maintenance (driven by KnaryTree.refresh_dirty deltas)
     # ------------------------------------------------------------------
     def drop(self, node: KTNode) -> None:
-        """Retire a pruned node's slot (slots are never reused)."""
+        """Retire a pruned node's slot (it is not handed out again)."""
         slot = self.slot_if_registered(node)
         if slot is None:
             return
@@ -218,10 +217,6 @@ class TreeIndex:
             self.is_leaf[slot] = flag
             if self._dir_starts is not None:
                 self._dir_pending.add(slot)
-
-    def valid_leaf(self, slot: int) -> bool:
-        """Whether ``slot`` still names a live leaf (cached-slot check)."""
-        return bool(self.alive[slot]) and bool(self.is_leaf[slot])
 
     # ------------------------------------------------------------------
     # Batch key resolution
@@ -398,30 +393,3 @@ class TreeIndex:
         else:
             fresh = np.empty(0, dtype=np.int64)
         return fresh, count, max_level
-
-    # ------------------------------------------------------------------
-    # Sweep ordering
-    # ------------------------------------------------------------------
-    def heap_key(self, slot: int) -> tuple[int, ...]:
-        """Negated root-to-node child-rank path for min-heap ordering.
-
-        Sorting ascending by this key walks equal-level nodes in
-        *descending* path order — the order the serial bottom-up VSA
-        sweep visits them (preorder with children pushed ascending and
-        popped in reverse).  Keys are cached per slot: the root path is
-        fixed at registration and slots are never reused.
-        """
-        key = self._heap_keys.get(slot)
-        if key is not None:
-            return key
-        parts: list[int] = []
-        parent = self.parent
-        rank = self.child_rank
-        current = int(slot)
-        while parent[current] >= 0:
-            parts.append(-int(rank[current]))
-            current = int(parent[current])
-        parts.reverse()
-        key = tuple(parts)
-        self._heap_keys[slot] = key
-        return key

@@ -71,8 +71,8 @@ def leaf_rule(
 class RefreshDelta:
     """Structural outcome of one :meth:`KnaryTree.refresh_dirty` pass.
 
-    Carries the affected node *objects* (not just counters) so slot
-    indexes and key-to-leaf caches can invalidate exactly the entries
+    Carries the affected node *objects* (not just counters) so a slot
+    index and its leaf directory can retire or flip exactly the nodes
     the repair touched.
     """
 
@@ -478,7 +478,7 @@ class KnaryTree:
         spans from the logged ring events).
 
         Returns a :class:`RefreshDelta` naming the pruned and flipped
-        nodes so slot indexes and key-to-leaf caches can be updated
+        nodes so a slot index and its leaf directory can be updated
         without rescanning the tree.
         """
         delta = RefreshDelta()

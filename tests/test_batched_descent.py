@@ -1,6 +1,6 @@
-"""Batched level-synchronous descents and delta-driven cache repair.
+"""Batched level-synchronous descents and the one key-to-leaf path.
 
-Three contracts from docs/performance.md are pinned here:
+Four contracts from docs/performance.md are pinned here:
 
 * :meth:`~repro.ktree.tree.KnaryTree.descend_batch` materialises exactly
   the nodes the per-key :meth:`~repro.ktree.tree.KnaryTree.ensure_leaf_for_key`
@@ -15,11 +15,14 @@ Three contracts from docs/performance.md are pinned here:
   ring leaf to the view leaf a fresh tree over the view reaches, and a
   view-bounded :meth:`~repro.ktree.tree.KnaryTree.descend_batch` stops
   at that same node.
-* Delta-driven cache repair keeps every ``key -> leaf`` cache entry
-  valid across churn without re-descending surviving reporter
-  corridors: ``stale_cache_misses`` stays zero while repairs fire, and
-  the digests stay identical to the serial balancer's.
+* Every key the incremental engine resolves — reporter and VSA keys,
+  of the whole ring and of a partition view — goes through one path
+  (leaf directory, then one batched descent over the misses, then the
+  view cut) and lands on the leaf a fresh tree over the part's ring
+  reaches; the digests stay identical to the serial balancer's.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
 from repro.dht import RingEventLog, crash_node, join_node, leave_node
 from repro.exceptions import RegionError, TreeError
+from repro.faults import FaultPlan, PartitionSpec
 from repro.idspace import IdentifierSpace, Region
 from repro.ktree import KnaryTree, TreeIndex
 from repro.membership import ComponentRingView
@@ -332,34 +336,63 @@ def _run_rounds(seed, rounds=6):
     return bal, digests
 
 
-class TestDescentEconomy:
-    @pytest.mark.parametrize("seed", (2, 7))
-    def test_repair_replaces_corridor_redescent(self, seed):
-        bal, _ = _run_rounds(seed)
-        stats = bal.descent_stats
-        # Repair must keep every surviving cache entry valid: a cached
-        # slot that stopped being a live leaf would surface as a stale
-        # cache miss (a corridor re-descent), which the engine must
-        # never pay.
-        assert stats["stale_cache_misses"] == 0
-        # Churn invalidated some corridors, so repairs must have fired.
-        assert stats["cache_repairs"] > 0
+#: Two-component partition over rounds 1-2, so parts are views then.
+SPLIT = FaultPlan(
+    seed=3,
+    partitions=(PartitionSpec(at_round=1, duration=2, num_components=2),),
+)
 
-    @pytest.mark.parametrize("seed", (4, 11))
-    def test_cached_entries_validate_against_fresh_descent(self, seed):
-        # Property: after any churn history, every key -> slot entry in
-        # the repair-maintained cache names the exact leaf a fresh
-        # serial descent reaches for that key.
-        bal, _ = _run_rounds(seed)
+
+def _checking_part_slots(bal, seen):
+    """Wrap ``bal._part_slots`` so every key it resolves is checked
+    against the leaf a fresh tree over the part's ring reaches."""
+    resolve = bal._part_slots
+
+    def checked(part, keys, clock):
+        slots = resolve(part, keys, clock)
+        fresh = KnaryTree(part.ring, bal.config.tree_degree)
         index = bal._index
-        tree = bal._tree
-        assert bal._key_leaf, "cache unexpectedly empty"
-        for key, slot in bal._key_leaf.items():
-            assert index.alive[slot] and index.is_leaf[slot]
-            node = index.node_at(slot)
-            assert node.region.contains(key)
-            assert tree.ensure_leaf_for_key(key) is node
+        for key, slot in zip(keys.tolist(), slots.tolist()):
+            leaf = fresh.ensure_leaf_for_key(key)
+            assert (int(index.start[slot]), int(index.length[slot])) == (
+                leaf.region.start,
+                leaf.region.length,
+            )
+        shape = "ring" if part.ring is bal.ring else "view"
+        caller = sys._getframe(1).f_code.co_name  # _fold_lbi / _sweep_vsa
+        seen.add((shape, caller))
+        return slots
 
+    bal._part_slots = checked
+
+
+class TestOneResolutionPath:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 1 << 16), k=st.sampled_from((2, 4)))
+    def test_part_slots_match_fresh_descent(self, seed, k):
+        # Property: after any churn history, every admitted reporter key
+        # and every delivered VSA key — of the whole ring and of each
+        # partition view — lands on the leaf a fresh tree over the
+        # part's ring reaches for it.
+        ring = _ring(seed, num_nodes=60, vs_per_node=3)
+        bal = IncrementalLoadBalancer(
+            ring, _config(k), rng=seed + 1, faults=SPLIT
+        )
+        seen: set[tuple[str, str]] = set()
+        _checking_part_slots(bal, seen)
+        gen = np.random.default_rng(seed + 9)
+        for _ in range(5):
+            bal.run_round()
+            _churn(ring, gen)
+        assert seen == {
+            (shape, caller)
+            for shape in ("ring", "view")
+            for caller in ("_fold_lbi", "_sweep_vsa")
+        }
+        assert bal.descent_stats["miss_descents"] > 0
+
+
+class TestDescentEconomy:
     def test_serial_identity(self):
         seed = 33
         ring_s = _ring(seed, num_nodes=80, vs_per_node=4)

@@ -1,5 +1,6 @@
 """Tests for shed-subset selection (exact vs greedy vs brute force)."""
 
+from bisect import bisect_left
 from itertools import combinations
 
 import pytest
@@ -7,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import select_shed_subset
 from repro.core.selection import (
-    _TABLE_SIDE_LIMIT,
+    _PAIR_COMPARE_LIMIT,
     EXACT_POLICY_LIMIT,
     _exact_enum,
-    _exact_tabled,
-    _exact_vec,
     _greedy,
     select_shed_subsets,
 )
@@ -101,6 +100,26 @@ class TestExactOptimality:
         assert got == sorted(set(got))
 
 
+def _greedy_rebuilding(loads, excess, max_shed):
+    """Reference for ``_greedy``: its loop with the sorted-keys list
+    rebuilt on every step (O(n^2) in the VS count)."""
+    remaining = excess
+    available = sorted(range(len(loads)), key=lambda i: loads[i])
+    chosen: list[int] = []
+    while remaining > 0 and available and len(chosen) < max_shed:
+        # Smallest VS that alone covers the remaining excess.
+        keys = [loads[i] for i in available]
+        pos = bisect_left(keys, remaining)
+        if pos < len(available):
+            chosen.append(available.pop(pos))
+            return sorted(chosen)
+        # None covers it: take the largest and continue.
+        idx = available.pop()
+        chosen.append(idx)
+        remaining -= loads[idx]
+    return sorted(chosen)
+
+
 class TestGreedy:
     @given(
         loads=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=20),
@@ -123,54 +142,34 @@ class TestGreedy:
         greedy = select_shed_subset(loads, excess, policy="greedy", keep_at_least=0)
         assert sum(loads[i] for i in exact) <= sum(loads[i] for i in greedy) + 1e-9
 
+    @given(
+        n=st.integers(0, 300),
+        data=st.data(),
+        frac=st.floats(-0.1, 1.2),
+        keep=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rebuilding_loop(self, n, data, frac, keep):
+        loads = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 5.0]),
+                    st.floats(0.0, 100.0),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        excess = frac * sum(loads)
+        max_shed = len(loads) - keep
+        assert _greedy(loads, excess, max_shed) == _greedy_rebuilding(
+            loads, excess, max_shed
+        )
+
     def test_large_vs_count_falls_back_to_greedy(self):
         loads = [1.0] * 40
         got = select_shed_subset(loads, 10.0, policy="exact", keep_at_least=0)
         assert sum(loads[i] for i in got) >= 10.0
-
-
-class TestExactPathIdentity:
-    """The fast _exact paths must match the reference enumeration *exactly*.
-
-    Not approximately: the balancing digests are byte-identical across
-    engines only because every implementation path of the exact policy
-    picks the same indices, ties included.  Tie-heavy load vectors
-    (repeated values, zeros) are therefore the interesting inputs.
-    """
-
-    @given(
-        loads=st.lists(
-            st.one_of(st.sampled_from([0.0, 1.0, 2.5, 5.0]), st.floats(0.0, 10.0)),
-            min_size=1,
-            max_size=14,
-        ),
-        frac=st.floats(0.0, 1.4),
-        keep=st.integers(0, 2),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_tabled_matches_enum(self, loads, frac, keep):
-        excess = frac * sum(loads)
-        max_shed = len(loads) - keep
-        if excess <= 0 or max_shed <= 0:
-            return
-        assert _exact_tabled(loads, excess, max_shed) == _exact_enum(loads, excess, max_shed)
-
-    @given(
-        loads=st.lists(
-            st.one_of(st.sampled_from([0.0, 1.0, 2.5, 5.0]), st.floats(0.0, 10.0)),
-            min_size=21,
-            max_size=23,
-        ),
-        frac=st.floats(0.0, 1.4),
-        keep=st.integers(0, 2),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_vec_matches_enum(self, loads, frac, keep):
-        excess = frac * sum(loads)
-        max_shed = len(loads) - keep
-        if excess <= 0 or max_shed <= 0:
-            return
-        assert _exact_vec(loads, excess, max_shed) == _exact_enum(loads, excess, max_shed)
 
 
 class TestPaperSemantics:
@@ -187,7 +186,7 @@ class TestPaperSemantics:
 
 def per_node_reference(loads, excess, policy, keep_at_least):
     """The per-node selection rules: validation, infeasible best effort,
-    then the tabled or vectorized exact scan by side width, else greedy."""
+    then the specification's exact scan, else greedy."""
     if any(l < 0 for l in loads):
         raise BalancerError("virtual server loads must be non-negative")
     n = len(loads)
@@ -198,9 +197,7 @@ def per_node_reference(loads, excess, policy, keep_at_least):
         order = sorted(range(n), key=loads.__getitem__)
         return sorted(order[-max_shed:])
     if policy == "exact" and n <= EXACT_POLICY_LIMIT:
-        if n - n // 2 <= _TABLE_SIDE_LIMIT:
-            return _exact_tabled(loads, excess, max_shed)
-        return _exact_vec(loads, excess, max_shed)
+        return _exact_enum(loads, excess, max_shed)
     return _greedy(loads, excess, max_shed)
 
 
@@ -228,8 +225,20 @@ def shed_node(draw, sizes):
     return loads, excess
 
 
+#: VS count at which the batched scan stops comparing every subset pair
+#: and binary searches instead (2^n pairs per node).
+PAIR_COMPARE_WIDTH = _PAIR_COMPARE_LIMIT.bit_length() - 1
+
+
 class TestBatchedSelection:
-    """``select_shed_subsets`` picks exactly what the per-node rules pick."""
+    """``select_shed_subsets`` picks exactly what the per-node rules pick.
+
+    Exactly, not approximately: the balancing digests are byte-identical
+    across engines only because the batched exact scan picks the same
+    indices as the specification (:func:`_exact_enum`), ties included.
+    Tie-heavy load vectors (repeated values, zeros) are therefore the
+    interesting inputs.
+    """
 
     def _check(self, nodes, policy, keep):
         loads = [l for l, _ in nodes]
@@ -259,7 +268,7 @@ class TestBatchedSelection:
 
     @given(
         nodes=st.lists(
-            shed_node((2 * _TABLE_SIDE_LIMIT - 1, 2 * _TABLE_SIDE_LIMIT + 2)),
+            shed_node((PAIR_COMPARE_WIDTH - 1, PAIR_COMPARE_WIDTH + 2)),
             min_size=1,
             max_size=3,
         ),
@@ -267,6 +276,8 @@ class TestBatchedSelection:
     )
     @settings(max_examples=15, deadline=None)
     def test_counts_crossing_the_table_limit(self, nodes, keep):
+        # The batch's all-pairs comparison table gives way to a per-node
+        # binary search above PAIR_COMPARE_WIDTH virtual servers.
         self._check(nodes, "exact", keep)
 
     @given(

@@ -3,10 +3,9 @@
 The contract under test (docs/performance.md): the persistent-tree fast
 path survives an *open-ended* churn history — joins, leaves and
 localized drift between every round, never a quiet rebuild-free stretch
-— while (a) conserving load every round, (b) never re-descending a
-repaired corridor (``stale_cache_misses`` stays exactly zero, the
-delta-repair invariant) and (c) actually staying on the fast path (the
-descent counters move; the serial fallback would leave them frozen).
+— while (a) conserving load every round and (b) actually staying on the
+fast path (the batched-descent counter moves; the serial fallback would
+leave it frozen).
 
 The always-on smoke runs a few hundred nodes.  ``REPRO_SOAK=1``
 additionally runs the same loop at 10^5 nodes — the scale the roadmap's
@@ -84,13 +83,10 @@ def test_churn_soak_smoke():
     """Always-on soak: ~512 nodes, six churned rounds, invariants hold."""
     engine, digests = _soak(num_nodes=512, rounds=6, seed=29, churn_per_round=4)
     stats = engine.descent_stats
-    # The delta-repair invariant: a repaired corridor is never
-    # re-descended.  Any nonzero value here is a repair bug, not noise.
-    assert stats["stale_cache_misses"] == 0
-    # The fast path actually ran: descents and/or repairs were counted.
-    # The serial fallback never touches these counters, so zeros would
-    # mean the soak silently tested the wrong engine.
-    assert stats["miss_descents"] + stats["cache_repairs"] > 0
+    # The fast path actually ran: batched descents were counted.  The
+    # serial fallback never touches this counter, so zero would mean the
+    # soak silently tested the wrong engine.
+    assert stats["miss_descents"] > 0
     # Sustained churn, not a single warm-up blip: every round digest is
     # distinct (the ring genuinely changed between rounds).
     assert len(set(digests)) == len(digests)
@@ -113,6 +109,5 @@ def test_churn_soak_hundred_thousand_nodes():
         num_nodes=100_000, rounds=4, seed=29, churn_per_round=64
     )
     stats = engine.descent_stats
-    assert stats["stale_cache_misses"] == 0
-    assert stats["miss_descents"] + stats["cache_repairs"] > 0
+    assert stats["miss_descents"] > 0
     assert len(set(digests)) == len(digests)

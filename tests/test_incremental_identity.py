@@ -236,8 +236,7 @@ class TestJournaledFastPath:
         serial_bytes = (tmp_path / "serial.jsonl").read_bytes()
         assert serial_bytes.count(b"round_end") == 6
         assert serial_bytes == (tmp_path / "incremental.jsonl").read_bytes()
-        # The fast kernels ran: batched descents resolved fresh keys and
-        # churn was absorbed by cache repair, never a stale cache entry.
+        # The fast kernels ran: batched descents resolved fresh keys (the
+        # serial kernels never move this counter).
         assert descents[-1] > descents[0]
-        assert incremental.descent_stats["cache_repairs"] > 0
-        assert incremental.descent_stats["stale_cache_misses"] == 0
+        assert incremental.descent_stats["miss_descents"] > 0

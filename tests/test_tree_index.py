@@ -102,33 +102,22 @@ class TestTreeIndex:
         again, count2, height2 = index.stamp_paths(slots)
         assert count2 == 0 and height2 == 0 and again.size == 0
 
-    def test_heap_key_orders_like_serial_sweep(self):
-        ring = _small_ring(3)
-        tree = KnaryTree(ring, 2)
-        index = TreeIndex(tree)
-        for k in np.random.default_rng(1).integers(0, ring.space.size, size=30):
-            index.slot(tree.ensure_leaf_for_key(int(k)))
-        serial_order = [
-            index.slot(n) for n in tree.nodes_by_level_desc()
-        ]
-        heap_order = sorted(
-            serial_order,
-            key=lambda s: (-int(index.level[s]), index.heap_key(s)),
-        )
-        assert heap_order == serial_order
-
     def test_drop_and_leaf_flip_invalidate(self):
         ring = _small_ring(4)
         tree = KnaryTree(ring, 2)
         index = TreeIndex(tree)
         leaf = tree.ensure_leaf_for_key(777)
         slot = index.slot(leaf)
-        assert index.valid_leaf(slot)
+        probe = np.array([777], dtype=np.int64)
+        assert index.resolve_leaves(probe).tolist() == [slot]
         index.set_leaf(leaf, False)
-        assert not index.valid_leaf(slot)
+        assert not index.is_leaf[slot]
+        assert index.resolve_leaves(probe).tolist() == [-1]
         index.set_leaf(leaf, True)
+        assert index.resolve_leaves(probe).tolist() == [slot]
         index.drop(leaf)
-        assert not index.valid_leaf(slot)
+        assert not index.alive[slot]
+        assert index.resolve_leaves(probe).tolist() == [-1]
         with pytest.raises(TreeError):
             index.node_at(slot)
 
