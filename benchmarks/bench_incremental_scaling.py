@@ -1,7 +1,8 @@
-"""Benchmark: incremental engine scaling under churn-localized drift.
+"""Benchmark: persistent-tree balancer scaling under churn-localized drift.
 
-Drives the serial :class:`repro.core.LoadBalancer` and the persistent
-:class:`repro.core.IncrementalLoadBalancer` through the same schedule —
+Drives the object-walk reference
+:class:`repro.core.reference.SerialLoadBalancer` and the persistent-tree
+:class:`repro.core.LoadBalancer` through the same schedule —
 balancing rounds separated by 1% membership churn (half joins, half
 leaves) with load drift localized at the join sites — and measures the
 steady-state LBI+VSA speedup.  Digest identity is asserted on **every**
@@ -22,10 +23,10 @@ Two protocol rules, learned the hard way (see ``docs/performance.md``):
   ratio is over the tail, which is what a long-running churn study
   actually sees.
 
-Two engines run the schedule: the serial baseline and the incremental
-engine (leaf directory lookups + batched level-synchronous descents).
-They must agree byte for byte; the gate is the serial vs incremental
-LBI+VSA speedup.
+Two kernel sets run the schedule: the serial reference and the
+incremental one (leaf directory lookups + batched level-synchronous
+descents over the persistent tree).  They must agree byte for byte; the
+gate is the serial vs incremental LBI+VSA speedup.
 
 The ``--million`` configuration drives the incremental engine alone
 through a 10^6-node steady-state schedule (no serial twin — the twin
@@ -51,7 +52,8 @@ import time
 
 import numpy as np
 
-from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
+from repro.core import BalancerConfig, LoadBalancer
+from repro.core.reference import SerialLoadBalancer
 from repro.dht import join_node, leave_node
 from repro.experiments.common import ExperimentSettings
 from repro.obs.runtime import current_metrics
@@ -135,9 +137,9 @@ def apply_churn(ring, model: ParetoLoadModel, gen: np.random.Generator) -> None:
 def _make_balancer(engine: str, ring) -> LoadBalancer:
     config = BalancerConfig(proximity_mode="ignorant", epsilon=0.05)
     if engine == "serial":
-        return LoadBalancer(ring, config, rng=BALANCER_SEED)
+        return SerialLoadBalancer(ring, config, rng=BALANCER_SEED)
     if engine == "incremental":
-        return IncrementalLoadBalancer(ring, config, rng=BALANCER_SEED)
+        return LoadBalancer(ring, config, rng=BALANCER_SEED)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -146,10 +148,10 @@ def run_engine(
 ) -> tuple[list[str], list[dict[str, float]], dict[str, int]]:
     """Run one engine over the deterministic schedule, from scratch.
 
-    ``engine`` is ``"serial"`` or ``"incremental"``.  Returns per-round
-    digests,
-    phase timings, and the engine's cumulative descent-economy stats
-    (empty for serial).  Building the ring inside this function (rather
+    ``engine`` is ``"serial"`` (the reference) or ``"incremental"``
+    (:class:`LoadBalancer`).  Returns per-round digests, phase timings,
+    and the engine's cumulative descent-economy stats (zero for the
+    reference).  Building the ring inside this function (rather
     than sharing replicas) keeps each engine's heap private — see the
     GC note in the module docstring.
     """
@@ -205,9 +207,6 @@ def run_incremental_scaling(
     inc_lbi = _steady(inc_times, "lbi")
     inc_vsa = _steady(inc_times, "vsa")
     denom = inc_lbi + inc_vsa
-    # Descent time is summed over *all* rounds: the rebuild round is
-    # where the full miss set descends.
-    inc_descent = sum(t.get("miss_descent", 0.0) for t in inc_times)
     summary = {
         "nodes": float(num_nodes),
         "rounds": float(rounds),
@@ -219,7 +218,6 @@ def run_incremental_scaling(
         "incremental_wall_seconds": inc_wall,
         "lbi_speedup": serial_lbi / inc_lbi if inc_lbi > 0 else 0.0,
         "speedup": (serial_lbi + serial_vsa) / denom if denom > 0 else 0.0,
-        "incremental_descent_seconds": inc_descent,
         "miss_descents": float(inc_stats.get("miss_descents", 0)),
     }
     metrics = current_metrics()
@@ -238,7 +236,7 @@ def run_million_steady(
     the regime the serial twin cannot reach in bench time.  Correctness
     at this scale rides on the invariants the property suites pin at
     smaller rings (digest identity, key-to-leaf resolution); that the
-    fast kernels ran at all (batched descents counted) is asserted here.
+    batched descents ran at all (counted) is asserted here.
     """
     assert rounds > WARMUP_ROUNDS, "need post-warm-up rounds to measure"
     model = ParetoLoadModel(mu=MU)
@@ -248,19 +246,17 @@ def run_million_steady(
     balancer = _make_balancer("incremental", ring)
     gen = ensure_rng(CHURN_SEED)
     round_walls: list[float] = []
-    descent_seconds: list[float] = []
     for rnd in range(rounds):
         t0 = time.perf_counter()
-        report = balancer.run_round()
+        balancer.run_round()
         round_walls.append(time.perf_counter() - t0)
-        descent_seconds.append(report.phase_seconds.get("miss_descent", 0.0))
         if rnd < rounds - 1:
             apply_churn(ring, model, gen)
     stats = dict(getattr(balancer, "descent_stats", {}))
-    # The serial kernels never move this counter: zero would mean the
-    # run measured the wrong engine.
+    # Zero would mean no key ever missed the leaf directory: the run
+    # never exercised the batched descent it is meant to measure.
     assert stats.get("miss_descents", 0) > 0, (
-        f"fast kernels never descended: {stats}"
+        f"no batched descent ran: {stats}"
     )
     steady_walls = round_walls[WARMUP_ROUNDS:]
     summary = {
@@ -269,7 +265,6 @@ def run_million_steady(
         "build_round_seconds": round_walls[0],
         "steady_round_seconds": max(steady_walls),
         "mean_steady_round_seconds": sum(steady_walls) / len(steady_walls),
-        "steady_descent_seconds": sum(descent_seconds[WARMUP_ROUNDS:]),
         "miss_descents": float(stats.get("miss_descents", 0)),
     }
     metrics = current_metrics()
@@ -300,10 +295,6 @@ def format_summary(summary: dict[str, float], target: float) -> str:
             ),
             f"  lbi speedup:         {summary['lbi_speedup']:>8.2f}x",
             f"  lbi+vsa speedup:     {summary['speedup']:>8.2f}x (floor {target}x)",
-            (
-                f"  miss descent:        "
-                f"{summary['incremental_descent_seconds']:>8.2f}s"
-            ),
             f"  miss descents:       {int(summary['miss_descents']):>8d}",
         ]
     )
@@ -324,10 +315,7 @@ def format_million_summary(summary: dict[str, float], ceiling: float) -> str:
                 f" (ceiling {ceiling}s)"
             ),
             f"  steady round (mean): {summary['mean_steady_round_seconds']:>8.2f}s",
-            (
-                f"  descent economy:     {int(summary['miss_descents'])} descents,"
-                f" {summary['steady_descent_seconds']:.2f}s steady descent"
-            ),
+            f"  descent economy:     {int(summary['miss_descents'])} descents",
         ]
     )
 
@@ -394,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         summary = run_million_steady(nodes, rounds)
         print(format_million_summary(summary, ceiling))
         if args.smoke:
-            print("smoke OK: steady-state plumbing, fast kernels ran")
+            print("smoke OK: steady-state plumbing, batched descents ran")
         if ceiling and summary["steady_round_seconds"] > ceiling:
             return 1
         return 0

@@ -7,8 +7,9 @@ Dijkstra runs, dispatch counts, phase timings) through
 gate:
 
 ``gen``
-    Run the deterministic smoke workload — two serial balancing rounds,
-    incremental rounds over churn, one partition lifecycle (mid-round
+    Run the deterministic smoke workload — two balancing rounds on the
+    object-walk reference, persistent-tree rounds over churn, one
+    partition lifecycle (mid-round
     split, degraded rounds, conservation-checked heal), a
     distance-oracle probe that exercises the batched LRU path, and
     three crash-recovery rounds (checkpoint + write-ahead journal, one
@@ -60,6 +61,7 @@ def _smoke_snapshot() -> dict:
     """Run the smoke workload and return one merged metrics snapshot."""
     from repro.core.balancer import LoadBalancer
     from repro.core.config import BalancerConfig
+    from repro.core.reference import SerialLoadBalancer
     from repro.faults import FaultPlan, PartitionSpec
     from repro.obs import MetricsRegistry
     from repro.topology import DistanceOracle
@@ -78,26 +80,27 @@ def _smoke_snapshot() -> dict:
 
     config = BalancerConfig(proximity_mode="ignorant", epsilon=0.05)
 
-    # Two serial rounds, each on a fresh ring: LBI/VSA/VST message and
-    # transfer counters (the committed baseline's totals include two
-    # whole-ring rounds).
+    # Two rounds on the object-walk reference, each on a fresh ring:
+    # LBI/VSA/VST message and transfer counters (the committed
+    # baseline's totals include two whole-ring rounds).
     for _ in range(2):
-        serial = LoadBalancer(scenario().ring, config, rng=7, metrics=registry)
+        serial = SerialLoadBalancer(
+            scenario().ring, config, rng=7, metrics=registry
+        )
         serial.run_round()
 
-    # Three incremental rounds over localized churn: pins the persistent
-    # K-nary tree's repair economy (ktree.materialized / replanted /
-    # pruned / grown) and the shared message counters.  A regression in
+    # Four rounds over localized churn: pins the persistent K-nary
+    # tree's repair economy (ktree.materialized / replanted / pruned /
+    # grown) and the shared message counters.  A regression in
     # dirty-span resolution — say, repairing whole levels instead of
     # overlapped subtrees — shows up here as materialized/grown growth
     # long before it costs wall-clock anywhere.
-    from repro.core.incremental import IncrementalLoadBalancer
     from repro.dht import join_node, leave_node
     from repro.util.rng import ensure_rng
     from repro.workloads import apply_load_drift
 
     inc_scenario = scenario()
-    incremental = IncrementalLoadBalancer(
+    incremental = LoadBalancer(
         inc_scenario.ring, config, rng=7, metrics=registry
     )
     churn_gen = ensure_rng(11)
@@ -127,7 +130,7 @@ def _smoke_snapshot() -> dict:
     # a patch that drops live leaves — surfaces as descent growth here
     # long before it costs wall-clock at a million nodes.
     steady_scenario = scenario()
-    steady = IncrementalLoadBalancer(
+    steady = LoadBalancer(
         steady_scenario.ring, config, rng=7, metrics=registry
     )
     steady_gen = ensure_rng(19)

@@ -69,16 +69,16 @@ echo "== chaos smoke: degraded round survives, conserves, reproduces =="
 # already imports chaos through the registry.)
 python -c "import sys; from repro.experiments.chaos import main; sys.exit(main(['--smoke']))"
 
-echo "== incremental smoke: persistent-tree rounds match serial digests =="
+echo "== incremental smoke: persistent-tree rounds match the reference's digests =="
 # Tiny ring, four rounds with 1% churn + localized drift between them;
-# asserts the incremental engine's canonical digests are byte-identical
-# to the serial engine's on every round.
+# asserts LoadBalancer's canonical digests are byte-identical to the
+# object-walk reference's (SerialLoadBalancer) on every round.
 python -c "import sys; sys.path.insert(0, '.'); from benchmarks.bench_incremental_scaling import main; sys.exit(main(['--smoke']))"
 
 echo "== million-steady smoke: directory lookups + batched descents =="
-# The 10^6 steady-state configuration at reduced scale: batched engine
-# only, four rounds with fractional churn; asserts the fast kernels ran
-# (batched descents counted) on the same code path the full --million
+# The 10^6 steady-state configuration at reduced scale: LoadBalancer
+# only, four rounds with fractional churn; asserts batched descents ran
+# (counted) on the same code path the full --million
 # run gates by wall-clock.
 python -c "import sys; sys.path.insert(0, '.'); from benchmarks.bench_incremental_scaling import main; sys.exit(main(['--million', '--smoke']))"
 

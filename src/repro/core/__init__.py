@@ -13,7 +13,9 @@ The four phases (Section 1.2):
 4. :mod:`repro.core.vst` — virtual-server transfers with topology-aware
    cost accounting.
 
-:class:`repro.core.balancer.LoadBalancer` orchestrates all phases.
+:class:`repro.core.balancer.LoadBalancer` orchestrates all phases;
+:class:`repro.core.reference.SerialLoadBalancer` is its object-walk
+reference for tests.
 """
 
 from repro.core.records import (
@@ -40,7 +42,6 @@ from repro.core.vsa import VSAEntries, VSAResult, VSASweep
 from repro.core.vst import TransferRecord, execute_transfers
 from repro.core.placement import ProximityPlacement, RandomVSPlacement
 from repro.core.balancer import LoadBalancer
-from repro.core.incremental import IncrementalLoadBalancer
 from repro.core.soa import NodeStateArrays
 from repro.core.costs import CostSheet, cost_sheet, estimate_publication_hops
 from repro.core.report import BalanceReport, check_conservation
@@ -73,10 +74,12 @@ __all__ = [
     "ProximityPlacement",
     "RandomVSPlacement",
     "LoadBalancer",
-    "IncrementalLoadBalancer",
     "NodeStateArrays",
     "BalanceReport",
     "CostSheet",
     "cost_sheet",
     "estimate_publication_hops",
 ]
+
+#: The balancer's former name, kept only for the perf benchmark's import.
+IncrementalLoadBalancer = LoadBalancer

@@ -12,6 +12,19 @@ With a topology attached and ``proximity_mode="aware"``, the balancer
 selects landmarks, measures per-node landmark vectors, fits the Hilbert
 grid and publishes VSA information under Hilbert keys; transfer records
 then carry real topology distances.
+
+The round's two tree kernels — the LBI fold and the VSA sweep — work
+over one K-nary tree that persists across rounds, traced or not: ring
+events repair only the dirty subtrees (:meth:`KnaryTree.refresh_dirty`),
+every key resolves through the sorted leaf directory of a
+:class:`~repro.ktree.index.TreeIndex` with one batched descent over the
+misses, quarantine and partition views are cuts of that one tree
+(:meth:`TreeIndex.view_leaves`), the LBI fold is a NumPy scatter plus
+a per-level merge, and the VSA sweep visits only the pairing frontier.
+Digests, journals and traced event streams equal those of the
+object-walk reference :class:`~repro.core.reference.SerialLoadBalancer`
+(a fresh tree per part, walked node by node); ``docs/performance.md``
+§1–3 explains why they can.
 """
 
 from __future__ import annotations
@@ -34,8 +47,9 @@ from repro.core.config import BalancerConfig
 from repro.core.lbi import (
     AggregateSanity,
     AggregationTrace,
-    aggregate_lbi,
-    collect_lbi_reports,
+    admit_lbi_reports,
+    lbi_collect_event,
+    lbi_fold_events,
 )
 from repro.core.placement import (
     PlacementStrategy,
@@ -46,15 +60,24 @@ from repro.core.records import Assignment, NodeClass, SystemLBI
 from repro.core.report import BalanceReport
 from repro.core.selection import select_shed_subsets
 from repro.core.soa import NodeStateArrays
-from repro.core.vsa import VSAEntries, VSAResult, VSASweep
+from repro.core.vsa import (
+    SlotPairing,
+    VSAEntries,
+    VSAResult,
+    deliver_publications,
+    vsa_publish_events,
+    vsa_sweep_event,
+)
 from repro.core.vst import TransferRecord, execute_transfers
 from repro.dht.chord import ChordRing
+from repro.dht.events import RingEventLog
 from repro.dht.node import PhysicalNode
 from repro.exceptions import BalancerError, ConfigError
 from repro.faults.injector import FaultInjector, ensure_injector
 from repro.faults.plan import FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
 from repro.faults.stats import FaultRoundStats
+from repro.ktree.index import TreeIndex
 from repro.ktree.tree import KnaryTree
 from repro.membership import MembershipManager, MembershipView
 from repro.membership.views import ComponentRingView
@@ -80,15 +103,13 @@ class RoundPart:
     partition component's view; ``nodes`` are its alive nodes in ring
     order and ``rows`` masks their rows in the round's
     :class:`~repro.core.soa.NodeStateArrays` snapshot.  ``component``
-    names a partition component by its first member; ``tree`` is the
-    part's KT once the serial LBI kernel has built it.
+    names a partition component by its first member.
     """
 
     ring: ChordRing
     nodes: list[PhysicalNode]
     rows: np.ndarray
     component: int | None = None
-    tree: KnaryTree | None = None
 
 
 def _merge_classes(
@@ -113,6 +134,19 @@ def _merge_classes(
         classes[index] = NodeClass.NEUTRAL
         targets[index] = load
     return ClassificationResult(classes=classes, targets=targets)
+
+
+def _buckets(
+    slots: np.ndarray, entries: np.ndarray, heavy: np.ndarray
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Each slot's (shed ids, spare ids), both lists in the given order."""
+    out: dict[int, tuple[list[int], list[int]]] = {}
+    for slot, entry, shed in zip(slots.tolist(), entries.tolist(), heavy.tolist()):
+        buck = out.get(slot)
+        if buck is None:
+            buck = out[slot] = ([], [])
+        buck[0 if shed else 1].append(entry)
+    return out
 
 
 class LoadBalancer:
@@ -173,7 +207,15 @@ class LoadBalancer:
         are excluded from the round by re-tiling the ring without them.
         ``None`` or a null plan keeps every fast path byte-identical to
         the adversary-free implementation.
+
+    ``descent_stats["miss_descents"]`` counts the keys the leaf
+    directory could not answer, which descended the tree.
     """
+
+    #: Above this many logged ring events per round (relative floor 64,
+    #: else 1/8 of the virtual-server population) the span machinery
+    #: costs more than a from-scratch rebuild; the balancer rebuilds.
+    REBUILD_EVENT_FLOOR = 64
 
     def __init__(
         self,
@@ -211,6 +253,15 @@ class LoadBalancer:
         self._stale_lbi: SystemLBI | None = None
         self._stale_lbi_age = 0
         self._round_index = 0
+        #: The persistent tree, its slot index and the ring events
+        #: logged since the last fold (the tree is built at the first).
+        self._events = RingEventLog(ring)
+        self._tree: KnaryTree | None = None
+        self._index: TreeIndex | None = None
+        self.descent_stats: dict[str, int] = {"miss_descents": 0}
+        #: The LBI report paths' (node count, height), which the sweep
+        #: extends.
+        self._lbi_paths = (0, 0)
         #: Write-ahead transfer journal; attached by the recovery layer
         #: via :meth:`attach_journal` (``None`` = no durability, the
         #: default, with zero overhead on every path).
@@ -471,7 +522,7 @@ class LoadBalancer:
             with clock.phase("lbi"), tracer.span(
                 "lbi", **({} if component is None else {"component": component})
             ):
-                folded = self._fold_lbi(part, arrays, stats, adv_stats, clock)
+                folded = self._fold_lbi(part, arrays, stats, adv_stats)
                 if component is None:
                     folded = self._whole_ring_lbi(folded, stats)
                 elif folded is None:
@@ -496,7 +547,7 @@ class LoadBalancer:
                 vsa_span = tracer.span("vsa")
                 published = self._publish_vsa_entries(part, arrays, masks)
                 part_vsa, height, node_count = self._sweep_vsa(
-                    part, published, system.min_vs_load, stats, clock
+                    part, published, system.min_vs_load, stats
                 )
                 vsa_span.end()
 
@@ -657,7 +708,88 @@ class LoadBalancer:
         return self._stale_lbi, AggregationTrace()
 
     # ------------------------------------------------------------------
-    # Tree kernels (the incremental engine overrides both)
+    # The persistent tree
+    # ------------------------------------------------------------------
+    def _rebuild(self) -> None:
+        # Dropped first, so a build that fails on an empty ring leaves
+        # no stale tree behind for the next fold to repair.
+        self._tree = self._index = None
+        self._tree = KnaryTree(
+            self.ring, self.config.tree_degree, metrics=self.metrics
+        )
+        self._index = TreeIndex(self._tree)
+
+    def _sync_world(self) -> None:
+        """Bring the persistent tree and its index up to the current ring.
+
+        The first fold builds the tree; later folds repair it from the
+        logged ring events, or rebuild it when there are too many.  An
+        empty ring fails the build with
+        :class:`~repro.exceptions.EmptyRingError`.
+        """
+        log = self._events
+        limit = max(
+            self.REBUILD_EVENT_FLOOR, self.ring.num_virtual_servers // 8
+        )
+        if self._tree is None or self._index is None or log.pending_events > limit:
+            log.drain(resolve=False)
+            self._rebuild()
+            return
+        delta = log.drain()
+        if delta.full_reset:
+            self._rebuild()
+            return
+        if delta.empty:
+            return
+        assert delta.dirty is not None
+        refresh = self._tree.refresh_dirty(delta.dirty)
+        index = self._index
+        for node in refresh.pruned_nodes:
+            index.drop(node)
+        for node in refresh.became_leaf:
+            index.set_leaf(node, True)
+        for node in refresh.became_internal:
+            index.set_leaf(node, False)
+
+    # ------------------------------------------------------------------
+    # Key-to-leaf resolution: directory lookup + one batched descent
+    # ------------------------------------------------------------------
+    def _part_slots(self, part: RoundPart, keys: np.ndarray) -> np.ndarray:
+        """Leaf slots of the part's KT for ``keys``, in the persistent tree.
+
+        Keys resolve to whole-ring leaves through the sorted leaf
+        directory (:meth:`TreeIndex.resolve_leaves`); the misses descend
+        together in one :meth:`KnaryTree.descend_batch` — for a view
+        part, only down to the view's leaves.  A view part's leaves are
+        then cut out of the whole-ring paths
+        (:meth:`TreeIndex.view_leaves`) — the view's KT is an upper
+        subtree of the ring's, so no fresh tree is built.
+        """
+        index = self._index
+        tree = self._tree
+        assert index is not None and tree is not None
+        view = None if part.ring is self.ring else part.ring
+        slots = index.resolve_leaves(keys)
+        miss = np.flatnonzero(slots < 0)
+        if miss.size:
+            leaves, ordinals = tree.descend_batch(keys[miss], view)
+            leaf_slots = np.fromiter(
+                (index.slot(leaf) for leaf in leaves),
+                dtype=np.int64,
+                count=len(leaves),
+            )
+            slots[miss] = leaf_slots[ordinals]
+            self.descent_stats["miss_descents"] += int(miss.size)
+            if self.metrics is not None:
+                self.metrics.counter("incremental.miss_descents").inc(
+                    int(miss.size)
+                )
+        if view is not None:
+            slots = index.view_leaves(slots, view)
+        return slots
+
+    # ------------------------------------------------------------------
+    # Phase 1 kernel: vectorized LBI aggregation
     # ------------------------------------------------------------------
     def _fold_lbi(
         self,
@@ -665,22 +797,31 @@ class LoadBalancer:
         arrays: NodeStateArrays,
         stats: FaultRoundStats,
         adv_stats: AdversaryRoundStats,
-        clock: PhaseClock,
     ) -> tuple[SystemLBI, AggregationTrace] | None:
-        """Phase 1 kernel: build the part's KT, collect and fold LBI.
+        """Phase 1 kernel: tree sync, the shared report decisions, then
+        the scatter + level fold over the admitted rows.
 
-        Returns ``None`` when every report was lost or rejected.
+        Returns ``None`` when every report was lost or rejected.  The
+        tree is synced at every part's fold: a crash inside an earlier
+        part's VST batch removes virtual servers before the next part
+        folds.  The part's reports are decided by
+        :func:`~repro.core.lbi.admit_lbi_reports` over its snapshot
+        rows; the admitted keys then resolve to the part's leaf slots
+        (:meth:`_part_slots`).  The union of report root-to-leaf paths
+        — the node set a fresh tree would have materialised — is kept
+        in ``_lbi_paths`` as ``(node count, height)`` for the sweep to
+        extend.  Trace events go through the reference's functions.
         """
-        tree = KnaryTree(
-            part.ring, self.config.tree_degree, metrics=self.metrics,
-            epoch=stats.epoch,
-        )
-        part.tree = tree
-        reports = collect_lbi_reports(
+        tracer = self.tracer
+        self._sync_world()
+        index = self._index
+        assert index is not None
+        whole = part.ring is self.ring
+        rows = admit_lbi_reports(
             part.ring,
-            tree,
-            rng=self._lbi_rng,
-            tracer=self.tracer,
+            part.nodes,
+            arrays if whole else arrays.subset(part.rows),
+            self._lbi_rng,
             faults=self.faults,
             retry=self.retry,
             fault_stats=stats,
@@ -689,36 +830,248 @@ class LoadBalancer:
             adversary=self.adversary,
             adversary_stats=adv_stats,
         )
-        if not reports:
+        index.new_stamp()
+        if not len(rows):
+            # Nothing admitted: a fresh tree would hold just its root,
+            # which the sweep's path count then extends.
+            _, count, _ = index.stamp_paths(np.zeros(1, dtype=np.int64))
+            self._lbi_paths = (count, 0)
+            if tracer.enabled:
+                lbi_collect_event(tracer, rows, 0)
             return None
-        return aggregate_lbi(tree, reports, tracer=self.tracer)
+        leaf_slots = self._part_slots(part, rows.keys)
+        if tracer.enabled:
+            lbi_collect_event(tracer, rows, int(np.unique(leaf_slots).size))
+        fresh, count, height = index.stamp_paths(leaf_slots)
+        # Accumulator cells are reset at exactly the slots this fold
+        # stamps; no other cell is read.
+        acc_load = np.empty(len(index), dtype=np.float64)
+        acc_cap = np.empty(len(index), dtype=np.float64)
+        acc_min = np.empty(len(index), dtype=np.float64)
+        acc_load[fresh] = 0.0
+        acc_cap[fresh] = 0.0
+        acc_min[fresh] = np.inf
+        # Record scatter in admission order == the per-leaf append
+        # order (ufunc .at applies updates sequentially in index order).
+        np.add.at(acc_load, leaf_slots, rows.loads)
+        np.add.at(acc_cap, leaf_slots, rows.capacities)
+        np.minimum.at(acc_min, leaf_slots, rows.min_vs)
 
+        # Child-to-parent merges, one level at a time from the deepest:
+        # a child's accumulator is final before its level is gathered,
+        # and (parent, rank) ordering inside a level reproduces the
+        # ascending-child left-fold after the record fold.
+        levels = index.level[fresh]
+        parents = index.parent[fresh]
+        ranks = index.child_rank[fresh]
+        order = np.lexsort((ranks, parents, -levels))
+        s_slots = fresh[order]
+        s_levels = levels[order]
+        s_parents = parents[order]
+        cuts = np.nonzero(np.diff(s_levels))[0] + 1
+        starts = np.concatenate([[0], cuts])
+        ends = np.concatenate([cuts, [s_levels.size]])
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            if s_levels[a] == 0:
+                continue
+            children = s_slots[a:b]
+            merge_parents = s_parents[a:b]
+            np.add.at(acc_load, merge_parents, acc_load[children])
+            np.add.at(acc_cap, merge_parents, acc_cap[children])
+            np.minimum.at(acc_min, merge_parents, acc_min[children])
+
+        system = SystemLBI(
+            total_load=float(acc_load[0]),
+            total_capacity=float(acc_cap[0]),
+            min_vs_load=float(acc_min[0]),
+        )
+        trace = AggregationTrace(
+            tree_height=height,
+            upward_rounds=height,
+            downward_rounds=height,
+            upward_messages=count - 1,
+            downward_messages=count - 1,
+            reports=len(rows),
+        )
+        self._lbi_paths = (count, height)
+        if tracer.enabled:
+            # Every stamped slot below the root sends one message to
+            # its parent, one level up.
+            arriving = np.bincount(levels[levels > 0] - 1).tolist()
+            lbi_fold_events(
+                tracer,
+                {level: n for level, n in enumerate(arriving) if n},
+                trace,
+                system,
+            )
+        return system, trace
+
+    # ------------------------------------------------------------------
+    # Phase 3b kernel: sparse bottom-up sweep
+    # ------------------------------------------------------------------
     def _sweep_vsa(
         self,
         part: RoundPart,
         published: VSAEntries,
         min_vs_load: float,
         stats: FaultRoundStats,
-        clock: PhaseClock,
     ) -> tuple[VSAResult, int, int]:
-        """Phase 3b kernel: the bottom-up sweep over the part's KT.
+        """Phase 3b kernel: deliver publications, sweep only the frontier.
 
-        Returns the result plus the tree's final height and node count.
+        Returns the result plus the height and node count of the tree a
+        fresh object walk would have materialised.  Delivery is
+        :func:`~repro.core.vsa.deliver_publications`; the delivered
+        entries' keys then land on the part's leaf slots
+        (:meth:`_part_slots`, cut to the view for a quarantine or
+        partition part).
+
+        Pairing fires only where a bucket reaches the rendezvous
+        threshold, and a bucket never holds more entries than were
+        delivered into the slot's subtree — a count that is monotone up
+        the tree.  The slots whose subtree count reaches the threshold
+        therefore form an upward-closed *frontier* subtree (plus the
+        root), and everything below it is pure ordered concatenation:
+        no pairing, one relayed upward message per visited slot.  Below
+        the frontier the object walk's merge order is a DFS — own deliveries
+        first, then children by descending region start — which for
+        leaf-delivered entries equals a stable sort by ``(-region end,
+        level, publication index)``, because tree regions never wrap
+        and children tile their parent in rank order.  So the
+        sub-frontier cascade collapses to one ``np.lexsort`` and the
+        Python loop runs only over frontier slots, in the object walk's
+        snapshot's ``(-level, -start)`` pop order, pairing entry ids
+        through the shared :class:`~repro.core.vsa.SlotPairing`.
+        The tree shape a
+        fresh tree would report is the LBI report paths plus the
+        delivery paths *newly* stamped here (same stamp generation).
+        Trace events go through the reference's functions.
         """
-        tree = part.tree
-        assert tree is not None
-        result = VSASweep(
-            tree,
-            threshold=self.config.rendezvous_threshold,
-            min_vs_load=min_vs_load,
-            strict_heaviest_first=self.config.strict_heaviest_first,
-            tracer=self.tracer,
+        tracer = self.tracer
+        index = self._index
+        assert index is not None
+        lbi_count, lbi_height = self._lbi_paths
+        result = VSAResult(entries_published=len(published), rounds=lbi_height)
+        delivered = deliver_publications(
+            published,
+            result,
+            self._retry_rng,
             faults=self.faults,
             retry=self.retry,
-            rng=self._retry_rng,
             fault_stats=stats,
-        ).run(published)
-        return result, tree.height(), tree.node_count
+        )
+        if not delivered.size:
+            if tracer.enabled:
+                vsa_sweep_event(tracer, result)
+            return result, lbi_height, lbi_count
+        slots_e = self._part_slots(part, published.keys[delivered])
+        if tracer.enabled:
+            vsa_publish_events(
+                tracer, published, delivered, index.level[slots_e].tolist()
+            )
+        _, count, height = index.stamp_paths(slots_e)
+
+        threshold = self.config.rendezvous_threshold
+        level_arr = index.level
+        parent_arr = index.parent
+        start_arr = index.start
+        length_arr = index.length
+
+        # Per-slot subtree delivery counts: chase every delivery path to
+        # the root, merging duplicate parents per step so each slot is
+        # touched once per distinct depth it is reached from.
+        counts = np.zeros(parent_arr.shape[0], dtype=np.int64)
+        cur, weight = np.unique(slots_e, return_counts=True)
+        while cur.size:
+            counts[cur] += weight
+            parents = parent_arr[cur]
+            keep = parents >= 0
+            parents, weight = parents[keep], weight[keep]
+            if parents.size:
+                cur, inverse = np.unique(parents, return_inverse=True)
+                weight = np.bincount(
+                    inverse, weights=weight, minlength=cur.size
+                ).astype(np.int64)
+            else:
+                cur = parents
+        in_frontier = counts >= threshold
+        in_frontier[0] = True  # the root pairs unconditionally
+
+        # Every sub-frontier slot on a delivery path holds a non-empty
+        # bucket when popped (nothing below it can pair) and relays it
+        # in exactly one upward message.
+        result.upward_messages += int(
+            np.count_nonzero((counts > 0) & ~in_frontier)
+        )
+
+        # Per entry: the deepest frontier ancestor (its pairing anchor)
+        # and the topmost sub-frontier slot under it (the child position
+        # its clean-merged group occupies in the anchor's bucket).
+        anchor = slots_e.copy()
+        attach = np.full(anchor.shape, -1, dtype=np.int64)
+        active = np.flatnonzero(~in_frontier[anchor])
+        while active.size:
+            attach[active] = anchor[active]
+            anchor[active] = parent_arr[anchor[active]]
+            active = active[~in_frontier[anchor[active]]]
+
+        # Assemble the clean groups in the object walk's merge order.  The level
+        # key only breaks end-ties between nested slots; deliveries all
+        # land on (disjoint) leaves, so it is inert armour in case
+        # interior delivery ever appears.
+        is_heavy = published.heavy[delivered]
+        end_e = start_arr[slots_e] + length_arr[slots_e]
+        grouped = np.flatnonzero(attach >= 0)
+        order = grouped[
+            np.lexsort((grouped, level_arr[slots_e[grouped]], -end_e[grouped]))
+        ]
+        groups = _buckets(attach[order], delivered[order], is_heavy[order])
+        own = np.flatnonzero(attach < 0)
+        direct = _buckets(anchor[own], delivered[own], is_heavy[own])
+
+        # Contributions pending at each frontier slot, keyed by the
+        # feeding child's region start; children of one parent share a
+        # level, so the object walk's pop order extends them into the parent
+        # bucket in descending start order.
+        feeders: dict[int, list[tuple[int, list[int], list[int]]]] = {}
+        for child, buck in groups.items():
+            feeders.setdefault(int(parent_arr[child]), []).append(
+                (int(start_arr[child]), buck[0], buck[1])
+            )
+
+        pairing = SlotPairing(
+            published, result, min_vs_load, self.config.strict_heaviest_first,
+            tracer=tracer,
+        )
+        frontier = np.flatnonzero(in_frontier & (counts > 0))
+        pop_order = frontier[
+            np.lexsort((-start_arr[frontier], -level_arr[frontier]))
+        ]
+        for slot in pop_order.tolist():
+            base = direct.get(slot)
+            heavy = list(base[0]) if base else []
+            light = list(base[1]) if base else []
+            feed = feeders.pop(slot, None)
+            if feed is not None:
+                feed.sort(key=lambda item: -item[0])
+                for _, add_heavy, add_light in feed:
+                    heavy.extend(add_heavy)
+                    light.extend(add_light)
+            if not heavy and not light:
+                continue
+            is_root = slot == 0
+            if is_root or (len(heavy) + len(light)) >= threshold:
+                heavy, light = pairing.pair(
+                    heavy, light, int(level_arr[slot]), is_root
+                )
+            if not is_root and (heavy or light):
+                feeders.setdefault(int(parent_arr[slot]), []).append(
+                    (int(start_arr[slot]), heavy, light)
+                )
+                result.upward_messages += 1
+        result.rounds = max(lbi_height, height)
+        if tracer.enabled:
+            vsa_sweep_event(tracer, result)
+        return result, result.rounds, lbi_count + count
 
     # ------------------------------------------------------------------
     def _publish_vsa_entries(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -315,12 +315,33 @@ def admit_lbi_reports(
     """Take every per-message LBI decision for ``nodes``, in node order.
 
     ``state`` holds the nodes' honest ``<L, C, L_min>`` and virtual
-    server counts, row for row.  Each node picks its reporter, then its
-    report runs the gauntlet described in :func:`collect_lbi_reports`
-    (faults, accusations, lies, corruption, witness checks, the sanity
-    gate).  Both round kernels fold the returned rows: the serial one
-    through a fresh tree, the incremental one through its persistent
-    tree.
+    server counts, row for row.  Each node reports through the KT leaf
+    of one uniformly chosen hosted virtual server.  Both round kernels
+    fold the returned rows: :class:`~repro.core.balancer.LoadBalancer`
+    through its persistent tree, the reference through a fresh one.
+
+    With a ``faults`` injector attached, each report is one *message*:
+    it may be delayed, duplicated (the duplicate is suppressed at the
+    leaf by the reporter's sequence number and only costs a message) or
+    dropped — dropped reports are resent under ``retry`` (bounded
+    attempts, seeded backoff, phase timeout budget) and count as lost
+    once the bounds bite, leaving the aggregate approximate rather than
+    the phase failed.  Recovery accounting lands in ``fault_stats``.
+
+    With an ``adversary`` engine attached, an active false accuser
+    suppresses its victim's report outright when the plan's defense is
+    off (and is refuted via :meth:`AggregateSanity.refute_accusation`
+    when it is on, since the victim's own report proves liveness), and
+    lying attackers substitute their claimed ``<L, C, L_min>`` via
+    :meth:`~repro.adversary.engine.AdversaryEngine.lie`; accounting
+    lands in ``adversary_stats``.  With a ``sanity`` gate attached, the
+    plan's ``corrupt`` channel may then rewrite the raw values into a
+    seeded lie, :meth:`AggregateSanity.witness_check` sees the claim
+    and the ground truth (which lets the trusted defense run seeded
+    spot-check audits), and the gate admits the values, substitutes the
+    node's last-good report, or quarantines the node and drops the
+    report.  ``epoch`` tags each report with the membership view it was
+    produced under.
 
     Reporter draws come from ``rng``.  With no ``faults`` nothing else
     draws from it, so all reporters are drawn up front in one batched
@@ -466,44 +487,12 @@ def collect_lbi_reports(
 ) -> dict[int, tuple[KTNode, list[LBIRecord]]]:
     """Leaf-indexed LBI reports for every alive node of ``ring``.
 
-    Each node reports through the KT leaf of one uniformly chosen hosted
-    virtual server.  Keys of the returned mapping are ``id(leaf)`` (KT
-    nodes are unhashable by content on purpose); values carry the leaf
-    itself plus its reports.  The decisions are
-    :func:`admit_lbi_reports`'s; the admitted keys then resolve their
-    leaves in one :meth:`~repro.ktree.tree.KnaryTree.descend_batch`.
-
-    With a ``faults`` injector attached, each report is one *message*:
-    it may be delayed, duplicated (the duplicate is suppressed at the
-    leaf by the reporter's sequence number and only costs a message) or
-    dropped — dropped reports are resent under ``retry`` (bounded
-    attempts, seeded backoff, phase timeout budget) and count as lost
-    once the bounds bite, leaving the aggregate approximate rather than
-    the phase failed.  Recovery accounting lands in ``fault_stats``.
-
-    With an enabled ``tracer``, one ``lbi.collect`` event summarises the
-    collection (reports filed, distinct leaves, nodes with no virtual
-    servers reporting through their notional position, reports lost).
-
-    With a ``sanity`` gate attached, every delivered report passes the
-    plausibility defense before an :class:`~repro.core.records.LBIRecord`
-    is built: the plan's ``corrupt`` channel may first rewrite the raw
-    values into a seeded lie, and the gate then either admits the
-    values, substitutes the node's last-good report, or quarantines the
-    node and drops the report.  ``epoch`` tags each report with the
-    membership view it was produced under.
-
-    With an ``adversary`` engine attached, Byzantine behavior strikes
-    the report channel before the sanity gate sees it: an active false
-    accuser suppresses its victim's report outright when the plan's
-    defense is off (and is refuted via
-    :meth:`AggregateSanity.refute_accusation` when it is on, since the
-    victim's own report proves liveness), and lying attackers
-    substitute their claimed ``<L, C, L_min>`` triple via
-    :meth:`~repro.adversary.engine.AdversaryEngine.lie`.  The gate's
-    :meth:`AggregateSanity.witness_check` hook then sees both the claim
-    and the ground truth, which is what lets the trusted defense run
-    seeded spot-check audits.  Accounting lands in ``adversary_stats``.
+    The reference kernel's collection: :func:`admit_lbi_reports`'s
+    decisions, then one :meth:`~repro.ktree.tree.KnaryTree.descend_batch`
+    over the admitted keys.  Keys of the returned mapping are
+    ``id(leaf)`` (KT nodes are unhashable by content on purpose); values
+    carry the leaf itself plus its reports.  With an enabled ``tracer``,
+    one ``lbi.collect`` event summarises the collection.
     """
     nodes = ring.alive_nodes
     rows = admit_lbi_reports(
@@ -530,13 +519,7 @@ def collect_lbi_reports(
             LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs)
         )
     if tracer is not None and tracer.enabled:
-        tracer.event(
-            "lbi.collect",
-            reports=len(rows),
-            leaves=len(by_leaf),
-            vsless_nodes=rows.vsless,
-            reports_lost=rows.lost,
-        )
+        lbi_collect_event(tracer, rows, len(by_leaf))
     return by_leaf
 
 
@@ -597,22 +580,45 @@ def aggregate_lbi(
 
     if tracing:
         assert tracer is not None and messages_at_level is not None
-        for level in sorted(messages_at_level, reverse=True):
-            tracer.event(
-                "lbi.level", level=level, messages_up=messages_at_level[level]
-            )
-        tracer.event(
-            "lbi.aggregate",
-            reports=trace.reports,
-            messages_up=trace.upward_messages,
-            messages_down=trace.downward_messages,
-            rounds=trace.total_rounds,
-            tree_height=trace.tree_height,
-            total_load=system.total_load,
-            total_capacity=system.total_capacity,
-            min_vs_load=system.min_vs_load,
-        )
+        lbi_fold_events(tracer, messages_at_level, trace, system)
     return system, trace
+
+
+def lbi_collect_event(tracer: Tracer, rows: AdmittedReports, leaves: int) -> None:
+    """Emit one part's ``lbi.collect`` summary (``leaves`` distinct leaves)."""
+    tracer.event(
+        "lbi.collect",
+        reports=len(rows),
+        leaves=leaves,
+        vsless_nodes=rows.vsless,
+        reports_lost=rows.lost,
+    )
+
+
+def lbi_fold_events(
+    tracer: Tracer,
+    messages_at_level: Mapping[int, int],
+    trace: AggregationTrace,
+    system: SystemLBI,
+) -> None:
+    """Emit one part's ``lbi.level`` events, deepest first, then its
+    ``lbi.aggregate``; ``messages_at_level`` maps a level to the
+    child-to-parent messages arriving at it."""
+    for level in sorted(messages_at_level, reverse=True):
+        tracer.event(
+            "lbi.level", level=level, messages_up=messages_at_level[level]
+        )
+    tracer.event(
+        "lbi.aggregate",
+        reports=trace.reports,
+        messages_up=trace.upward_messages,
+        messages_down=trace.downward_messages,
+        rounds=trace.total_rounds,
+        tree_height=trace.tree_height,
+        total_load=system.total_load,
+        total_capacity=system.total_capacity,
+        min_vs_load=system.min_vs_load,
+    )
 
 
 def direct_system_lbi(nodes: list[PhysicalNode]) -> SystemLBI:

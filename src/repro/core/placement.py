@@ -76,7 +76,7 @@ class ProximityPlacement:
         """Batched :meth:`key_for` over ``nodes``, in order.
 
         Hilbert keys are precomputed per node at construction, so the
-        batch is a pure lookup — it exists so the incremental engine's
+        batch is a pure lookup — it exists so the balancer's
         batched publication path (and the batched miss descent it feeds)
         applies under proximity-aware placement too.
         """

@@ -1,13 +1,13 @@
 """Struct-of-arrays snapshots of per-node balancing state.
 
-The serial balancer walks ``PhysicalNode`` objects and asks each one for
-its load, capacity and lightest virtual server.  At 10^5-10^6 nodes the
-attribute churn dominates the round, so the incremental engine snapshots
-the same quantities once per round into contiguous NumPy arrays and runs
+Walking ``PhysicalNode`` objects and asking each one for its load,
+capacity and lightest virtual server costs attribute churn that
+dominates the round at 10^5-10^6 nodes, so the balancer snapshots the
+same quantities once per round into contiguous NumPy arrays and runs
 classification and the LBI fold over them.
 
 Bit-exactness contract: every array is built from the *same* Python
-expressions the serial path evaluates (``node.load`` sums
+expressions an object walk evaluates (``node.load`` sums
 ``vs.load`` left-to-right, ``node.min_vs_load`` is a ``min`` over the
 same floats), so downstream float comparisons and folds see identical
 IEEE-754 values in identical order.

@@ -165,15 +165,50 @@ def deliver_publications(
     return np.asarray(delivered, dtype=np.int64)
 
 
+def vsa_publish_events(
+    tracer: Tracer,
+    entries: VSAEntries,
+    delivered: np.ndarray,
+    leaf_levels: list[int],
+) -> None:
+    """Emit one ``vsa.publish`` event per delivered entry, in order;
+    ``leaf_levels[j]`` is the level of the leaf ``delivered[j]`` hit."""
+    for i, level in zip(delivered.tolist(), leaf_levels):
+        tracer.event(
+            "vsa.publish",
+            key=int(entries.keys[i]),
+            leaf_level=level,
+            entry_kind="shed" if entries.heavy[i] else "spare",
+            node=int(entries.nodes[i]),
+            load=float(entries.values[i]),
+        )
+
+
+def vsa_sweep_event(tracer: Tracer, result: VSAResult) -> None:
+    """Emit one part's ``vsa.sweep`` summary, matching ``result``."""
+    tracer.event(
+        "vsa.sweep",
+        entries_published=result.entries_published,
+        entries_lost=result.entries_lost,
+        pairings=len(result.assignments),
+        messages_up=result.upward_messages,
+        rounds=result.rounds,
+        unassigned_heavy=len(result.unassigned_heavy),
+        unassigned_light=len(result.unassigned_light),
+    )
+
+
 class SlotPairing:
     """Pairs one sweep's rendezvous slots over an entry table.
 
-    Both sweeps (the serial walk below and the incremental engine's
-    frontier sweep) hand each pairing slot's id lists to :meth:`pair`,
-    which runs :func:`~repro.core.rendezvous.pair_entries` over a
-    per-sweep copy of the value column (spare remainders are written
-    back into it) and records assignments, per-level counts and, at the
-    root, the settled unassigned entries on ``result``.
+    Both sweeps (the object walk below and
+    :class:`~repro.core.balancer.LoadBalancer`'s frontier sweep) hand
+    each pairing slot's id lists to :meth:`pair`, which runs
+    :func:`~repro.core.rendezvous.pair_entries` over a per-sweep copy of
+    the value column (spare remainders are written back into it) and
+    records assignments, per-level counts and, at the root, the settled
+    unassigned entries on ``result``.  With an enabled ``tracer`` each
+    pairing attempt emits one ``vsa.rendezvous`` event.
     """
 
     def __init__(
@@ -182,6 +217,7 @@ class SlotPairing:
         result: VSAResult,
         min_vs_load: float,
         strict_heaviest_first: bool,
+        tracer: Tracer | None = None,
     ) -> None:
         self.value: list[float] = entries.values.tolist()
         self.nodes: list[int] = entries.nodes.tolist()
@@ -189,6 +225,7 @@ class SlotPairing:
         self.result = result
         self.min_vs_load = min_vs_load
         self.strict = strict_heaviest_first
+        self.tracer = tracer if tracer is not None and tracer.enabled else None
 
     def shed(self, i: int) -> ShedCandidate:
         """Entry ``i`` as the shed record the report carries."""
@@ -213,6 +250,17 @@ class SlotPairing:
             for shed, spare in pairs
         )
         result.pairings_by_level[level] += len(pairs)
+        if self.tracer is not None:
+            self.tracer.event(
+                "vsa.rendezvous",
+                level=level,
+                is_root=is_root,
+                heavy_in=len(heavy),
+                light_in=len(light),
+                paired=len(pairs),
+                leftover_heavy=len(up_heavy),
+                leftover_light=len(up_light),
+            )
         if is_root:
             result.unassigned_heavy.extend(self.shed(i) for i in up_heavy)
             result.unassigned_light.extend(
@@ -311,16 +359,7 @@ class VSASweep:
         )
         self.sweep(entries, self.bucket(entries, delivered), result)
         if tracer is not None and tracer.enabled:
-            tracer.event(
-                "vsa.sweep",
-                entries_published=result.entries_published,
-                entries_lost=result.entries_lost,
-                pairings=len(result.assignments),
-                messages_up=result.upward_messages,
-                rounds=result.rounds,
-                unassigned_heavy=len(result.unassigned_heavy),
-                unassigned_light=len(result.unassigned_light),
-            )
+            vsa_sweep_event(tracer, result)
         return result
 
     def bucket(
@@ -332,8 +371,6 @@ class VSASweep:
         every key; the per-leaf pending (shed ids, spare ids) buckets,
         keyed by ``id(leaf)``, fill in delivery order.
         """
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
         pending: dict[int, tuple[list[int], list[int]]] = {}
         keys = entries.keys[delivered]
         leaves, ordinals = self.tree.descend_batch(keys)
@@ -341,19 +378,16 @@ class VSASweep:
         for i, shed, ordinal in zip(
             delivered.tolist(), is_heavy, ordinals.tolist()
         ):
-            leaf = leaves[ordinal]
-            heavy, light = pending.setdefault(id(leaf), ([], []))
+            heavy, light = pending.setdefault(id(leaves[ordinal]), ([], []))
             (heavy if shed else light).append(i)
-            if tracing:
-                assert tracer is not None
-                tracer.event(
-                    "vsa.publish",
-                    key=int(entries.keys[i]),
-                    leaf_level=leaf.level,
-                    entry_kind="shed" if shed else "spare",
-                    node=int(entries.nodes[i]),
-                    load=float(entries.values[i]),
-                )
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            vsa_publish_events(
+                tracer,
+                entries,
+                delivered,
+                [leaves[ordinal].level for ordinal in ordinals.tolist()],
+            )
         return pending
 
     def sweep(
@@ -368,10 +402,9 @@ class VSASweep:
         spare ids) lists, as produced by :meth:`bucket`; assignments,
         leftovers and cost accounting accumulate on ``result``.
         """
-        tracer = self.tracer
-        tracing = tracer is not None and tracer.enabled
         pairing = SlotPairing(
-            entries, result, self.min_vs_load, self.strict_heaviest_first
+            entries, result, self.min_vs_load, self.strict_heaviest_first,
+            tracer=self.tracer,
         )
 
         def bucket(node_id: int) -> tuple[list[int], list[int]]:
@@ -393,20 +426,7 @@ class VSASweep:
             heavy, light = buck
             is_root = node is root
             if is_root or (len(heavy) + len(light)) >= self.threshold:
-                paired = len(result.assignments)
                 up_heavy, up_light = pairing.pair(heavy, light, node.level, is_root)
-                if tracing:
-                    assert tracer is not None
-                    tracer.event(
-                        "vsa.rendezvous",
-                        level=node.level,
-                        is_root=is_root,
-                        heavy_in=len(heavy),
-                        light_in=len(light),
-                        paired=len(result.assignments) - paired,
-                        leftover_heavy=len(up_heavy),
-                        leftover_light=len(up_light),
-                    )
             else:
                 up_heavy, up_light = heavy, light
 

@@ -184,6 +184,11 @@ class ChordRing:
         """Patch a built index in place for one leave (see _index_insert)."""
         if self._sorted_ids is None:
             return
+        if not self._vs_by_id:
+            # The last server left: an empty ring has no index to query,
+            # so lookups raise EmptyRingError instead of indexing [].
+            self._invalidate()
+            return
         assert self._sorted_vs is not None
         idx = int(np.searchsorted(self._sorted_ids, vs_id, side="left"))
         self._sorted_ids = np.delete(self._sorted_ids, idx)

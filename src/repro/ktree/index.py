@@ -10,7 +10,7 @@ paths vectorisable:
 * *Stamp walks* (:meth:`stamp_paths`) mark the union of root-to-leaf
   paths touched in the current round.  The stamped slot set is exactly
   the node set a from-scratch lazily-built tree would materialise for
-  the same keys, so the serial path's message/height accounting can be
+  the same keys, so the object walk's message/height accounting can be
   reproduced from the stamps alone.
 * *Leaf directory* (:meth:`resolve_leaves`) answers which materialised
   leaf owns each key with one ``searchsorted`` over the live leaves'

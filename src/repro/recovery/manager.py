@@ -21,8 +21,8 @@ Because restore reinstates every RNG stream and the fault-log
 position, the re-executed round is byte-identical to the crashed one
 up to the crash site and indistinguishable from an uncrashed run after
 it: the :class:`~repro.core.report.BalanceReport` digests match — which
-is the acceptance criterion the crash tests assert across the serial
-and incremental engines.
+is the acceptance criterion the crash tests assert on the balancer and
+its object-walk reference.
 
 A **true** restart (process killed before the crash marker could be
 written) converges through the same loop: construction detects the

@@ -433,7 +433,7 @@ class SystemSnapshot:
             _set_rng_state(requested[name], captured_streams[name])
 
         # One bulk notification re-derives every dependent index: the
-        # ring's sorted-id index, the incremental engine's event log,
+        # ring's sorted-id index, the balancer's tree event log,
         # any registered listener.
         ring._invalidate()
         ring._notify("bulk", -1)

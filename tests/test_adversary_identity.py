@@ -2,8 +2,8 @@
 
 The acceptance contract of the adversary subsystem: with an active
 :class:`~repro.adversary.AdversaryPlan` (defense on or off) the round
-digests must be byte-identical across the serial and incremental
-engines, compose with fault plans and
+digests must be byte-identical between :class:`~repro.core.LoadBalancer`
+and its object-walk reference, compose with fault plans and
 partitions, survive a crash-and-recover cycle unchanged, and — when the
 plan fields no active attacker (null plan, f=0 with defense armed, or
 armed-but-dormant ``start_round``) — stay byte-identical to a run with
@@ -16,7 +16,8 @@ import tempfile
 import pytest
 
 from repro.adversary import AdversaryPlan
-from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
+from repro.core import BalancerConfig, LoadBalancer
+from repro.core.reference import SerialLoadBalancer
 from repro.core.report import check_conservation
 from repro.faults import CrashPoint, FaultPlan, PartitionSpec
 from repro.recovery import RecoveryManager
@@ -59,7 +60,9 @@ def _digests(balancer, rounds=ROUNDS):
 
 def _serial_digests(adversary, faults=None, rounds=ROUNDS):
     return _digests(
-        LoadBalancer(_ring(), CONFIG, rng=7, faults=faults, adversary=adversary),
+        SerialLoadBalancer(
+            _ring(), CONFIG, rng=7, faults=faults, adversary=adversary
+        ),
         rounds,
     )
 
@@ -69,7 +72,7 @@ class TestEngineIdentity:
     def test_incremental_matches_serial(self, plan):
         serial = _serial_digests(plan)
         incremental = _digests(
-            IncrementalLoadBalancer(_ring(), CONFIG, rng=7, adversary=plan)
+            LoadBalancer(_ring(), CONFIG, rng=7, adversary=plan)
         )
         assert serial == incremental
 
@@ -95,7 +98,7 @@ class TestComposition:
     def test_with_fault_plan(self, plan):
         serial = _serial_digests(plan, faults=FAULTS)
         incremental = _digests(
-            IncrementalLoadBalancer(
+            LoadBalancer(
                 _ring(), CONFIG, rng=7, faults=FAULTS, adversary=plan
             )
         )
@@ -105,7 +108,7 @@ class TestComposition:
     def test_with_partitions(self, plan):
         serial = _serial_digests(plan, faults=PARTITION_FAULTS, rounds=5)
         incremental = _digests(
-            IncrementalLoadBalancer(
+            LoadBalancer(
                 _ring(), CONFIG, rng=7, faults=PARTITION_FAULTS, adversary=plan
             ),
             rounds=5,

@@ -15,11 +15,12 @@ Four contracts from docs/performance.md are pinned here:
   ring leaf to the view leaf a fresh tree over the view reaches, and a
   view-bounded :meth:`~repro.ktree.tree.KnaryTree.descend_batch` stops
   at that same node.
-* Every key the incremental engine resolves — reporter and VSA keys,
-  of the whole ring and of a partition view — goes through one path
-  (leaf directory, then one batched descent over the misses, then the
-  view cut) and lands on the leaf a fresh tree over the part's ring
-  reaches; the digests stay identical to the serial balancer's.
+* Every key :class:`~repro.core.LoadBalancer` resolves — reporter and
+  VSA keys, of the whole ring and of a partition view — goes through
+  one path (leaf directory, then one batched descent over the misses,
+  then the view cut) and lands on the leaf a fresh tree over the part's
+  ring reaches; the digests stay identical to the object-walk
+  reference's.
 """
 
 import sys
@@ -29,7 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
+from repro.core import BalancerConfig, LoadBalancer
+from repro.core.reference import SerialLoadBalancer
 from repro.dht import RingEventLog, crash_node, join_node, leave_node
 from repro.exceptions import RegionError, TreeError
 from repro.faults import FaultPlan, PartitionSpec
@@ -326,7 +328,7 @@ class TestDirectoryPatch:
 
 def _run_rounds(seed, rounds=6):
     ring = _ring(seed, num_nodes=80, vs_per_node=4)
-    bal = IncrementalLoadBalancer(ring, _config(), rng=seed + 1)
+    bal = LoadBalancer(ring, _config(), rng=seed + 1)
     gen = np.random.default_rng(seed + 9)
     digests = []
     for rnd in range(rounds):
@@ -348,8 +350,8 @@ def _checking_part_slots(bal, seen):
     against the leaf a fresh tree over the part's ring reaches."""
     resolve = bal._part_slots
 
-    def checked(part, keys, clock):
-        slots = resolve(part, keys, clock)
+    def checked(part, keys):
+        slots = resolve(part, keys)
         fresh = KnaryTree(part.ring, bal.config.tree_degree)
         index = bal._index
         for key, slot in zip(keys.tolist(), slots.tolist()):
@@ -375,7 +377,7 @@ class TestOneResolutionPath:
         # partition view — lands on the leaf a fresh tree over the
         # part's ring reaches for it.
         ring = _ring(seed, num_nodes=60, vs_per_node=3)
-        bal = IncrementalLoadBalancer(
+        bal = LoadBalancer(
             ring, _config(k), rng=seed + 1, faults=SPLIT
         )
         seen: set[tuple[str, str]] = set()
@@ -396,7 +398,7 @@ class TestDescentEconomy:
     def test_serial_identity(self):
         seed = 33
         ring_s = _ring(seed, num_nodes=80, vs_per_node=4)
-        serial = LoadBalancer(ring_s, _config(), rng=seed + 1)
+        serial = SerialLoadBalancer(ring_s, _config(), rng=seed + 1)
         gen = np.random.default_rng(seed + 9)
         digests_s = []
         for rnd in range(6):

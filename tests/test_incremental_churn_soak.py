@@ -1,11 +1,10 @@
-"""Sustained-churn soak of the incremental engine.
+"""Sustained-churn soak of the persistent-tree balancer.
 
 The contract under test (docs/performance.md): the persistent-tree fast
 path survives an *open-ended* churn history — joins, leaves and
 localized drift between every round, never a quiet rebuild-free stretch
-— while (a) conserving load every round and (b) actually staying on the
-fast path (the batched-descent counter moves; the serial fallback would
-leave it frozen).
+— while (a) conserving load every round and (b) actually repairing the
+persistent tree (the batched-descent counter moves).
 
 The always-on smoke runs a few hundred nodes.  ``REPRO_SOAK=1``
 additionally runs the same loop at 10^5 nodes — the scale the roadmap's
@@ -17,7 +16,7 @@ import os
 
 import pytest
 
-from repro.core import BalancerConfig, IncrementalLoadBalancer
+from repro.core import BalancerConfig, LoadBalancer
 from repro.core.report import check_conservation
 from repro.dht import join_node, leave_node
 from repro.util.rng import ensure_rng
@@ -54,7 +53,7 @@ def _churn_step(ring, gen, joins, leaves, drift_fraction):
 
 
 def _soak(num_nodes, rounds, seed, churn_per_round):
-    """Drive ``rounds`` incremental rounds under sustained churn.
+    """Drive ``rounds`` balancing rounds under sustained churn.
 
     Returns the engine (for counter inspection) and the per-round
     canonical digests (for determinism checks at smoke scale).
@@ -62,7 +61,7 @@ def _soak(num_nodes, rounds, seed, churn_per_round):
     scenario = build_scenario(
         MODEL, num_nodes=num_nodes, vs_per_node=4, rng=seed
     )
-    engine = IncrementalLoadBalancer(scenario.ring, CONFIG, rng=7)
+    engine = LoadBalancer(scenario.ring, CONFIG, rng=7)
     gen = ensure_rng(seed + 1)
     digests = []
     for _ in range(rounds):
@@ -83,9 +82,9 @@ def test_churn_soak_smoke():
     """Always-on soak: ~512 nodes, six churned rounds, invariants hold."""
     engine, digests = _soak(num_nodes=512, rounds=6, seed=29, churn_per_round=4)
     stats = engine.descent_stats
-    # The fast path actually ran: batched descents were counted.  The
-    # serial fallback never touches this counter, so zero would mean the
-    # soak silently tested the wrong engine.
+    # The persistent tree resolved keys: batched descents were counted.
+    # Zero would mean the soak never exercised the leaf directory's
+    # misses.
     assert stats["miss_descents"] > 0
     # Sustained churn, not a single warm-up blip: every round digest is
     # distinct (the ring genuinely changed between rounds).

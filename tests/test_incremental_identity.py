@@ -1,24 +1,25 @@
-"""Digest identity of the incremental engine against the serial balancer.
+"""Digest identity of the persistent-tree balancer against its reference.
 
 The contract under test (docs/performance.md): for any seed, churn/drift
-history and tree degree, :class:`repro.core.IncrementalLoadBalancer`
-produces a :class:`~repro.core.report.BalanceReport` whose canonical
-digest — every float, assignment, transfer and counter, in order — is
-byte-identical to the serial :class:`~repro.core.balancer.LoadBalancer`
+history and tree degree, :class:`repro.core.LoadBalancer` produces a
+:class:`~repro.core.report.BalanceReport` whose canonical digest — every
+float, assignment, transfer and counter, in order — is byte-identical
+to the object-walk :class:`~repro.core.reference.SerialLoadBalancer`
 run on a twin ring through the same history.  Fault plans, partitions
 (with mid-round crashes inside a component), defended and undefended
-adversaries all run the fast kernels over the one persistent tree, so
-identity there is asserted seed by seed.  An attached write-ahead
-journal keeps the fast kernels, and the journal itself must come out
-byte-identical.
+adversaries all run over the one persistent tree, so identity there is
+asserted seed by seed.  An attached write-ahead journal must come out
+byte-identical, and degenerate rings must end the same way.
 """
 
 import numpy as np
 import pytest
 
 from repro.adversary import AdversaryPlan
-from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
-from repro.dht import crash_node, join_node, leave_node
+from repro.core import BalancerConfig, LoadBalancer
+from repro.core.reference import SerialLoadBalancer
+from repro.dht import ChordRing, crash_node, join_node, leave_node
+from repro.exceptions import BalancerError, EmptyRingError
 from repro.faults import FaultPlan, PartitionSpec
 from repro.recovery import TransferJournal
 from repro.workloads import (
@@ -101,16 +102,16 @@ def _perturb(ring, gen, heavy=False):
 def _run_paired(
     seed, rounds, tree_degree=2, heavy_round=None, faults=None, adversary=None
 ):
-    """Drive serial and incremental twins through one seeded history.
+    """Drive reference and balancer twins through one seeded history.
 
-    Returns the incremental twin so callers can check which path ran.
+    Returns the balancer twin so callers can check which path ran.
     """
     ring_a, ring_b = _ring(seed), _ring(seed)
     cfg = _config(tree_degree)
-    serial = LoadBalancer(
+    serial = SerialLoadBalancer(
         ring_a, cfg, rng=seed + 1, faults=faults, adversary=adversary
     )
-    incremental = IncrementalLoadBalancer(
+    incremental = LoadBalancer(
         ring_b, cfg, rng=seed + 1, faults=faults, adversary=adversary
     )
     gen_a = np.random.default_rng(seed + 500)
@@ -140,8 +141,8 @@ class TestIncrementalByteIdentity:
     def test_quiet_rounds_reuse_caches_exactly(self):
         ring_a, ring_b = _ring(13), _ring(13)
         cfg = _config()
-        serial = LoadBalancer(ring_a, cfg, rng=2)
-        incremental = IncrementalLoadBalancer(ring_b, cfg, rng=2)
+        serial = SerialLoadBalancer(ring_a, cfg, rng=2)
+        incremental = LoadBalancer(ring_b, cfg, rng=2)
         for rnd in range(4):
             assert (
                 serial.run_round().canonical_digest()
@@ -180,41 +181,82 @@ class TestRobustFastPath:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_crash_mid_round_inside_a_partition(self, seed):
         bal = _run_paired(seed, rounds=5, faults=PARTITION_CRASH)
-        # The fast kernels ran: the persistent tree exists and resolved
-        # keys through batched descents.
+        # The persistent tree exists and resolved keys through batched
+        # descents.
         assert bal._tree is not None
         assert bal.descent_stats["miss_descents"] > 0
 
-    def test_fallback_then_fast_path_resyncs(self):
-        # Tracing forces the serial path; disabling it afterwards must
-        # resume the fast path from the mutated ring without divergence.
-        from repro.obs.trace import InMemorySink, Tracer
 
-        ring_a, ring_b = _ring(17), _ring(17)
-        cfg = _config()
-        tracer = Tracer(InMemorySink())
-        serial = LoadBalancer(ring_a, cfg, rng=9, tracer=tracer)
-        incremental = IncrementalLoadBalancer(ring_b, cfg, rng=9, tracer=tracer)
-        gen_a = np.random.default_rng(99)
-        gen_b = np.random.default_rng(99)
-        for rnd in range(4):
-            if rnd == 2:
-                tracer.enabled = False
-            digest_a = serial.run_round().canonical_digest()
-            digest_b = incremental.run_round().canonical_digest()
-            assert digest_a == digest_b, f"round {rnd} diverged"
-            _perturb(ring_a, gen_a)
-            _perturb(ring_b, gen_b)
+def _outcome(engine, case):
+    """Each round's (digest, stale reuse) pair, or the exception type
+    and message it raised.
+
+    ``no-alive-node`` downs every node before round 0 (their virtual
+    servers stay on the ring); ``stale-lbi-reuse`` downs them after a
+    good round, so later rounds reuse its aggregate until the staleness
+    bound runs out; ``emptied-then-refilled`` removes every virtual
+    server after a good round and puts half of them back two rounds
+    later.
+    """
+    ring = ChordRing() if case == "empty-ring" else _ring(5, num_nodes=8)
+    balancer = engine(ring, _config(), rng=3)
+    down_at = {"no-alive-node": 0, "stale-lbi-reuse": 1}.get(case)
+    rounds = []
+    for rnd in range(5):
+        if rnd == down_at:
+            for node in ring.nodes:
+                node.alive = False
+        if case == "emptied-then-refilled" and rnd == 1:
+            servers = [(vs.owner, vs.vs_id, vs.load) for vs in ring.virtual_servers]
+            for _, vs_id, _ in servers:
+                ring.remove_virtual_server(vs_id)
+        if case == "emptied-then-refilled" and rnd == 3:
+            for owner, vs_id, load in servers[::2]:
+                ring.add_virtual_server(owner, vs_id, load)
+        try:
+            report = balancer.run_round()
+        except (BalancerError, EmptyRingError) as exc:
+            rounds.append((type(exc), str(exc)))
+            continue
+        rounds.append(
+            (report.canonical_digest(), report.fault_stats.stale_lbi_reused)
+        )
+    return rounds
+
+
+class TestDegenerateRings:
+    """Degenerate rings end the same way on both kernel sets; no round
+    needs to switch kernels for them."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ("empty-ring", "no-alive-node", "stale-lbi-reuse", "emptied-then-refilled"),
+    )
+    def test_outcome_matches_reference(self, case):
+        rounds = _outcome(LoadBalancer, case)
+        assert rounds == _outcome(SerialLoadBalancer, case)
+        kinds = [kind if isinstance(kind, type) else stale for kind, stale in rounds]
+        no_reports = (BalancerError, "no LBI reports to aggregate")
+        if case == "empty-ring":
+            assert kinds == [EmptyRingError] * 5
+        elif case == "no-alive-node":
+            assert rounds == [no_reports] * 5
+        elif case == "stale-lbi-reuse":
+            # One good round, reuse up to the staleness bound, then none.
+            assert kinds[0] is False and kinds[1] is True
+            assert rounds[-1] == no_reports
+        else:
+            assert kinds == [False, EmptyRingError, EmptyRingError, False, False]
 
 
 class TestJournaledFastPath:
-    """A journal without faults keeps the fast kernels, digest-exact."""
+    """A journaled run is digest- and journal-exact against the reference."""
 
     def test_journaled_rounds_match_serial_and_journal(self, tmp_path):
         ring_a, ring_b = _ring(41), _ring(41)
         cfg = _config()
-        serial = LoadBalancer(ring_a, cfg, rng=6)
-        incremental = IncrementalLoadBalancer(ring_b, cfg, rng=6)
+        serial = SerialLoadBalancer(ring_a, cfg, rng=6)
+        incremental = LoadBalancer(ring_b, cfg, rng=6)
         journal_a = TransferJournal(tmp_path / "serial.jsonl")
         journal_b = TransferJournal(tmp_path / "incremental.jsonl")
         serial.attach_journal(journal_a)
@@ -236,7 +278,7 @@ class TestJournaledFastPath:
         serial_bytes = (tmp_path / "serial.jsonl").read_bytes()
         assert serial_bytes.count(b"round_end") == 6
         assert serial_bytes == (tmp_path / "incremental.jsonl").read_bytes()
-        # The fast kernels ran: batched descents resolved fresh keys (the
-        # serial kernels never move this counter).
+        # The persistent tree ran: batched descents resolved fresh keys
+        # (the reference never moves this counter).
         assert descents[-1] > descents[0]
         assert incremental.descent_stats["miss_descents"] > 0

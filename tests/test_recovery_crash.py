@@ -4,15 +4,17 @@ The subsystem's contract (docs/recovery.md): a run that crashes at any
 :data:`~repro.faults.plan.CRASH_SITES` site and recovers from durable
 state (snapshot restore + journal replay) produces round reports whose
 :meth:`~repro.core.report.BalanceReport.canonical_digest` values are
-byte-identical to the same seeded run without the crash — across the
-serial and incremental engines, through double crashes, and
+byte-identical to the same seeded run without the crash — on
+:class:`~repro.core.LoadBalancer` and its object-walk reference,
+through double crashes, and
 through a *true* restart (a fresh :class:`~repro.recovery.RecoveryManager`
 opened on the state directory a dead process left behind).
 """
 
 import pytest
 
-from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
+from repro.core import BalancerConfig, LoadBalancer
+from repro.core.reference import SerialLoadBalancer
 from repro.exceptions import ProcessCrashError, RecoveryError
 from repro.faults import CrashPoint, FaultPlan, PartitionSpec
 from repro.faults.plan import CRASH_SITES
@@ -62,8 +64,8 @@ def _factory(plan, engine="serial", seed=SEED):
             rng=seed,
         ).ring
         if engine == "serial":
-            return LoadBalancer(ring, config, rng=seed + 1, faults=plan)
-        return IncrementalLoadBalancer(ring, config, rng=seed + 1, faults=plan)
+            return SerialLoadBalancer(ring, config, rng=seed + 1, faults=plan)
+        return LoadBalancer(ring, config, rng=seed + 1, faults=plan)
 
     return build
 

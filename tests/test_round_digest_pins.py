@@ -3,19 +3,23 @@
 The identity suites compare two engines at the same commit, so a bug in
 code both engines share passes every one of them.  This file pins the
 full per-round :meth:`~repro.core.report.BalanceReport.canonical_digest`
-chain of fixed seeded runs instead, on both the serial
-:class:`~repro.core.LoadBalancer` and the
-:class:`~repro.core.IncrementalLoadBalancer`, across every round regime:
+chain of fixed seeded runs instead, on both
+:class:`~repro.core.LoadBalancer` (``incremental``: the persistent-tree
+kernels) and its object-walk reference
+:class:`~repro.core.reference.SerialLoadBalancer` (``serial``), across
+every round regime:
 churn at two tree degrees, proximity-aware placement (on a tiny
 transit-stub graph and on one with ~20-vertex domains), message faults
 with mid-round crashes, partitions (a mid-round cut, a component
 left without reports, and a proximity-aware split with crashes in both
 components), stale-LBI reuse, a defended adversary that
 quarantines, an attached journal and a crash-and-restore run.  Each
-regime also asserts that its code path really ran, and on the
-incremental engine the robustness regimes assert that they ran the
-fast kernels over the one persistent tree: a ``KnaryTree`` is built
-only when that tree is (re)built, never per round or per part.
+regime also asserts that its code path really ran, and on
+``LoadBalancer`` the robustness regimes assert that they ran over the
+one persistent tree: a ``KnaryTree`` is built only when that tree is
+(re)built, never per round or per part.  Every regime also runs traced:
+both kernel sets must emit the same event stream, and tracing must
+leave every pinned digest unchanged.
 
 To recompute the pins (only after a deliberate behaviour change), run::
 
@@ -35,13 +39,15 @@ import numpy as np
 import pytest
 
 from repro.adversary import AdversaryPlan
-from repro.core import BalancerConfig, IncrementalLoadBalancer, LoadBalancer
+from repro.core import BalancerConfig, LoadBalancer
 from repro.core.records import NodeClass
+from repro.core.reference import SerialLoadBalancer
 from repro.core.report import BalanceReport
 from repro.dht import crash_node, join_node, leave_node
 from repro.faults import CrashPoint, FaultInjector, FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
 from repro.ktree import KnaryTree
+from repro.obs import observe
 from repro.recovery import RecoveryManager, TransferJournal
 from repro.topology import Topology, TransitStubParams
 from repro.workloads import (
@@ -73,7 +79,7 @@ SEPARATOR_TS = TransitStubParams(
     name="separator-ts",
 )
 
-ENGINES = {"serial": LoadBalancer, "incremental": IncrementalLoadBalancer}
+ENGINES = {"serial": SerialLoadBalancer, "incremental": LoadBalancer}
 
 
 def _config(tree_degree: int = 2, mode: str = "ignorant") -> BalancerConfig:
@@ -479,7 +485,7 @@ PINS: dict[str, list[str]] = {
 
 
 #: Regimes whose faulted, attacked, quarantined or partitioned rounds
-#: must run the incremental engine's fast kernels.
+#: must run over ``LoadBalancer``'s one persistent tree.
 ROBUST_REGIMES = frozenset(
     {
         "aware-partitioned",
@@ -502,13 +508,13 @@ def test_round_digests_match_pins(
     if checks_tree:
         rebuilding = [False]
         tree_init = KnaryTree.__init__
-        rebuild = IncrementalLoadBalancer._rebuild
+        rebuild = LoadBalancer._rebuild
 
         def counted_init(self: KnaryTree, *args, **kwargs) -> None:
             builds.append(rebuilding[0])
             tree_init(self, *args, **kwargs)
 
-        def flagged_rebuild(self: IncrementalLoadBalancer) -> None:
+        def flagged_rebuild(self: LoadBalancer) -> None:
             rebuilding[0] = True
             try:
                 rebuild(self)
@@ -516,7 +522,7 @@ def test_round_digests_match_pins(
                 rebuilding[0] = False
 
         monkeypatch.setattr(KnaryTree, "__init__", counted_init)
-        monkeypatch.setattr(IncrementalLoadBalancer, "_rebuild", flagged_rebuild)
+        monkeypatch.setattr(LoadBalancer, "_rebuild", flagged_rebuild)
     reports = REGIMES[regime](ENGINES[engine])
     assert _digests(reports) == PINS[regime]
     if checks_tree:
@@ -526,11 +532,36 @@ def test_round_digests_match_pins(
         assert len(builds) < len(reports)
 
 
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_traced_rounds_match_reference(regime: str) -> None:
+    # Tracing switches no engine: a traced run keeps the pinned digests,
+    # and both kernel sets emit the same (kind, name, fields) stream —
+    # wall-clock ``t`` and span ``seconds`` aside.
+    streams = {}
+    for name, engine in ENGINES.items():
+        with observe() as (tracer, _):
+            reports = REGIMES[regime](engine)
+        assert _digests(reports) == PINS[regime], name
+        assert tracer.sink.events("vsa.rendezvous"), name
+        # repr() compares NaN distances (ignorant mode) as equal.
+        streams[name] = [
+            repr(
+                (
+                    record.kind,
+                    record.name,
+                    {k: v for k, v in record.fields.items() if k != "seconds"},
+                )
+            )
+            for record in tracer.sink.records
+        ]
+    assert streams["serial"] == streams["incremental"]
+
+
 if __name__ == "__main__":
     chains = {}
     for name, regime in REGIMES.items():
-        serial = _digests(regime(LoadBalancer))
-        assert serial == _digests(regime(IncrementalLoadBalancer)), name
+        serial = _digests(regime(SerialLoadBalancer))
+        assert serial == _digests(regime(LoadBalancer)), name
         chains[name] = serial
     print("PINS: dict[str, list[str]] = {")
     for name, chain in chains.items():
