@@ -151,7 +151,9 @@ def run_engine(
     ``engine`` is ``"serial"`` (the reference) or ``"incremental"``
     (:class:`LoadBalancer`).  Returns per-round digests, phase timings,
     and the engine's cumulative descent-economy stats (zero for the
-    reference).  Building the ring inside this function (rather
+    reference).  After the last round the incremental engine's tree
+    must pass :meth:`~repro.ktree.tree.KnaryTree.check_invariants`,
+    slot columns included.  Building the ring inside this function (rather
     than sharing replicas) keeps each engine's heap private — see the
     GC note in the module docstring.
     """
@@ -169,6 +171,11 @@ def run_engine(
         timings.append(dict(report.phase_seconds))
         if rnd < rounds - 1:
             apply_churn(ring, model, gen)
+    if engine == "incremental":
+        # The persistent tree's node graph and slot columns still agree
+        # after the whole churn schedule.
+        assert balancer._tree is not None
+        balancer._tree.check_invariants()
     stats = dict(getattr(balancer, "descent_stats", {}))
     return digests, timings, stats
 

@@ -16,10 +16,10 @@ then carry real topology distances.
 The round's two tree kernels — the LBI fold and the VSA sweep — work
 over one K-nary tree that persists across rounds, traced or not: ring
 events repair only the dirty subtrees (:meth:`KnaryTree.refresh_dirty`),
-every key resolves through the sorted leaf directory of a
+every key resolves through the sorted leaf directory of the tree's
 :class:`~repro.ktree.index.TreeIndex` with one batched descent over the
 misses, quarantine and partition views are cuts of that one tree
-(:meth:`TreeIndex.view_leaves`), the LBI fold is a NumPy scatter plus
+(:meth:`KnaryTree.view_leaves`), the LBI fold is a NumPy scatter plus
 a per-level merge, and the VSA sweep visits only the pairing frontier.
 Digests, journals and traced event streams equal those of the
 object-walk reference :class:`~repro.core.reference.SerialLoadBalancer`
@@ -77,7 +77,6 @@ from repro.faults.injector import FaultInjector, ensure_injector
 from repro.faults.plan import FaultPlan, PartitionSpec
 from repro.faults.retry import RetryPolicy
 from repro.faults.stats import FaultRoundStats
-from repro.ktree.index import TreeIndex
 from repro.ktree.tree import KnaryTree
 from repro.membership import MembershipManager, MembershipView
 from repro.membership.views import ComponentRingView
@@ -253,11 +252,10 @@ class LoadBalancer:
         self._stale_lbi: SystemLBI | None = None
         self._stale_lbi_age = 0
         self._round_index = 0
-        #: The persistent tree, its slot index and the ring events
-        #: logged since the last fold (the tree is built at the first).
-        self._events = RingEventLog(ring)
+        #: The persistent tree and the ring events logged since the last
+        #: fold; both are opened by the first fold.
+        self._events: RingEventLog | None = None
         self._tree: KnaryTree | None = None
-        self._index: TreeIndex | None = None
         self.descent_stats: dict[str, int] = {"miss_descents": 0}
         #: The LBI report paths' (node count, height), which the sweep
         #: extends.
@@ -713,43 +711,37 @@ class LoadBalancer:
     def _rebuild(self) -> None:
         # Dropped first, so a build that fails on an empty ring leaves
         # no stale tree behind for the next fold to repair.
-        self._tree = self._index = None
+        self._tree = None
         self._tree = KnaryTree(
             self.ring, self.config.tree_degree, metrics=self.metrics
         )
-        self._index = TreeIndex(self._tree)
 
-    def _sync_world(self) -> None:
-        """Bring the persistent tree and its index up to the current ring.
+    def _sync_world(self) -> KnaryTree:
+        """Bring the persistent tree up to the current ring; return it.
 
-        The first fold builds the tree; later folds repair it from the
-        logged ring events, or rebuild it when there are too many.  An
-        empty ring fails the build with
+        The first fold opens the ring event log and builds the tree;
+        later folds repair it from the logged ring events, or rebuild it
+        when there are too many.  An empty ring fails the build with
         :class:`~repro.exceptions.EmptyRingError`.
         """
         log = self._events
+        if log is None:
+            log = self._events = RingEventLog(self.ring)
         limit = max(
             self.REBUILD_EVENT_FLOOR, self.ring.num_virtual_servers // 8
         )
-        if self._tree is None or self._index is None or log.pending_events > limit:
+        if self._tree is None or log.pending_events > limit:
             log.drain(resolve=False)
             self._rebuild()
-            return
-        delta = log.drain()
-        if delta.full_reset:
-            self._rebuild()
-            return
-        if delta.empty:
-            return
-        assert delta.dirty is not None
-        refresh = self._tree.refresh_dirty(delta.dirty)
-        index = self._index
-        for node in refresh.pruned_nodes:
-            index.drop(node)
-        for node in refresh.became_leaf:
-            index.set_leaf(node, True)
-        for node in refresh.became_internal:
-            index.set_leaf(node, False)
+        else:
+            delta = log.drain()
+            if delta.full_reset:
+                self._rebuild()
+            elif not delta.empty:
+                assert delta.dirty is not None
+                self._tree.refresh_dirty(delta.dirty)
+        assert self._tree is not None
+        return self._tree
 
     # ------------------------------------------------------------------
     # Key-to-leaf resolution: directory lookup + one batched descent
@@ -762,30 +754,23 @@ class LoadBalancer:
         together in one :meth:`KnaryTree.descend_batch` — for a view
         part, only down to the view's leaves.  A view part's leaves are
         then cut out of the whole-ring paths
-        (:meth:`TreeIndex.view_leaves`) — the view's KT is an upper
+        (:meth:`KnaryTree.view_leaves`) — the view's KT is an upper
         subtree of the ring's, so no fresh tree is built.
         """
-        index = self._index
         tree = self._tree
-        assert index is not None and tree is not None
+        assert tree is not None
         view = None if part.ring is self.ring else part.ring
-        slots = index.resolve_leaves(keys)
+        slots = tree.index.resolve_leaves(keys)
         miss = np.flatnonzero(slots < 0)
         if miss.size:
-            leaves, ordinals = tree.descend_batch(keys[miss], view)
-            leaf_slots = np.fromiter(
-                (index.slot(leaf) for leaf in leaves),
-                dtype=np.int64,
-                count=len(leaves),
-            )
-            slots[miss] = leaf_slots[ordinals]
+            slots[miss] = tree.descend_batch(keys[miss], view)
             self.descent_stats["miss_descents"] += int(miss.size)
             if self.metrics is not None:
                 self.metrics.counter("incremental.miss_descents").inc(
                     int(miss.size)
                 )
         if view is not None:
-            slots = index.view_leaves(slots, view)
+            slots = tree.view_leaves(slots, view)
         return slots
 
     # ------------------------------------------------------------------
@@ -813,9 +798,7 @@ class LoadBalancer:
         extend.  Trace events go through the reference's functions.
         """
         tracer = self.tracer
-        self._sync_world()
-        index = self._index
-        assert index is not None
+        index = self._sync_world().index
         whole = part.ring is self.ring
         rows = admit_lbi_reports(
             part.ring,
@@ -947,8 +930,8 @@ class LoadBalancer:
         Trace events go through the reference's functions.
         """
         tracer = self.tracer
-        index = self._index
-        assert index is not None
+        assert self._tree is not None
+        index = self._tree.index
         lbi_count, lbi_height = self._lbi_paths
         result = VSAResult(entries_published=len(published), rounds=lbi_height)
         delivered = deliver_publications(

@@ -508,13 +508,12 @@ def collect_lbi_reports(
         adversary=adversary,
         adversary_stats=adversary_stats,
     )
-    leaves, ordinals = tree.descend_batch(rows.keys)
     by_leaf: dict[int, tuple[KTNode, list[LBIRecord]]] = {}
-    for load, capacity, min_vs, ordinal in zip(
+    for load, capacity, min_vs, slot in zip(
         rows.loads.tolist(), rows.capacities.tolist(), rows.min_vs.tolist(),
-        ordinals.tolist(),
+        tree.descend_batch(rows.keys).tolist(),
     ):
-        leaf = leaves[ordinal]
+        leaf = tree.index.node_at(slot)
         by_leaf.setdefault(id(leaf), (leaf, []))[1].append(
             LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs)
         )

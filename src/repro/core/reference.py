@@ -39,10 +39,7 @@ class SerialLoadBalancer(LoadBalancer):
 
         Returns ``None`` when every report was lost or rejected.
         """
-        tree = KnaryTree(
-            part.ring, self.config.tree_degree, metrics=self.metrics,
-            epoch=stats.epoch,
-        )
+        tree = KnaryTree(part.ring, self.config.tree_degree, metrics=self.metrics)
         self._part_tree = tree
         reports = collect_lbi_reports(
             part.ring,

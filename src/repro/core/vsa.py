@@ -372,21 +372,16 @@ class VSASweep:
         keyed by ``id(leaf)``, fill in delivery order.
         """
         pending: dict[int, tuple[list[int], list[int]]] = {}
-        keys = entries.keys[delivered]
-        leaves, ordinals = self.tree.descend_batch(keys)
+        index = self.tree.index
+        slots = self.tree.descend_batch(entries.keys[delivered])
         is_heavy = entries.heavy[delivered].tolist()
-        for i, shed, ordinal in zip(
-            delivered.tolist(), is_heavy, ordinals.tolist()
-        ):
-            heavy, light = pending.setdefault(id(leaves[ordinal]), ([], []))
+        for i, shed, slot in zip(delivered.tolist(), is_heavy, slots.tolist()):
+            heavy, light = pending.setdefault(id(index.node_at(slot)), ([], []))
             (heavy if shed else light).append(i)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             vsa_publish_events(
-                tracer,
-                entries,
-                delivered,
-                [leaves[ordinal].level for ordinal in ordinals.tolist()],
+                tracer, entries, delivered, index.level[slots].tolist()
             )
         return pending
 

@@ -42,7 +42,6 @@ from repro.faults.plan import (
     PartitionSpec,
 )
 from repro.faults.retry import (
-    JITTER_MODES,
     DeliveryOutcome,
     RetryBudget,
     RetryPolicy,
@@ -52,7 +51,6 @@ from repro.faults.stats import FaultRoundStats
 
 __all__ = [
     "CRASH_SITES",
-    "JITTER_MODES",
     "NULL_PLAN",
     "CrashPoint",
     "DeliveryOutcome",

@@ -28,9 +28,6 @@ import numpy as np
 
 from repro.exceptions import FaultPlanError
 
-#: Supported backoff jitter strategies (see :attr:`RetryPolicy.jitter_mode`).
-JITTER_MODES = ("scaled", "full", "decorrelated")
-
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
@@ -48,16 +45,6 @@ class RetryPolicy:
         Fraction of each backoff randomised away: the delay is scaled
         by ``1 - jitter + jitter * u`` with ``u ~ U[0, 1)`` drawn from
         the caller's seeded generator.  ``0`` disables jitter.
-    jitter_mode:
-        How the jitter draw shapes the delay.  ``"scaled"`` (default)
-        is the classic partial jitter above; ``"full"`` draws the whole
-        delay from ``U[0, raw)`` (maximal desynchronisation, AWS-style
-        "full jitter"); ``"decorrelated"`` draws from
-        ``U[base_delay, 3 * previous)`` capped at ``max_delay``, which
-        forgets the attempt number and instead decorrelates consecutive
-        retries.  Every mode draws exactly one variate per backoff from
-        the caller's seeded generator, so changing modes never shifts
-        any other stream.
     phase_budget:
         Total simulated time one phase may spend on backoff before
         giving up on further retries (degraded mode takes over).
@@ -70,7 +57,6 @@ class RetryPolicy:
     base_delay: float = 0.05
     max_delay: float = 1.0
     jitter: float = 0.5
-    jitter_mode: str = "scaled"
     phase_budget: float = 8.0
     lbi_staleness_rounds: int = 2
 
@@ -85,11 +71,6 @@ class RetryPolicy:
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise FaultPlanError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.jitter_mode not in JITTER_MODES:
-            raise FaultPlanError(
-                f"jitter_mode must be one of {JITTER_MODES}, "
-                f"got {self.jitter_mode!r}"
-            )
         if self.phase_budget < 0:
             raise FaultPlanError(f"phase_budget must be >= 0, got {self.phase_budget}")
         if self.lbi_staleness_rounds < 0:
@@ -97,35 +78,19 @@ class RetryPolicy:
                 f"lbi_staleness_rounds must be >= 0, got {self.lbi_staleness_rounds}"
             )
 
-    def backoff_delay(
-        self,
-        attempt: int,
-        rng: np.random.Generator,
-        previous: float | None = None,
-    ) -> float:
+    def backoff_delay(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff before retry number ``attempt`` (1-based), jittered.
 
         Exponential growth capped at ``max_delay``; the jitter variate
-        is drawn from ``rng`` so the schedule is a pure function of the
-        seed.  ``previous`` is the delay the caller last slept (fed
-        back by :func:`deliver_with_retry`); only the
-        ``"decorrelated"`` mode consumes it, the others derive the
-        delay from ``attempt`` alone.
+        (one draw per backoff, none when ``jitter`` is 0) is drawn from
+        ``rng`` so the schedule is a pure function of the seed.
         """
         if attempt < 1:
             raise FaultPlanError(f"attempt must be >= 1, got {attempt}")
         raw = min(self.base_delay * (2.0 ** (attempt - 1)), self.max_delay)
         if self.jitter == 0:
             return raw
-        if self.jitter_mode == "scaled":
-            return raw * (1.0 - self.jitter + self.jitter * float(rng.random()))
-        if self.jitter_mode == "full":
-            return raw * float(rng.random())
-        anchor = self.base_delay if previous is None else previous
-        span = max(3.0 * anchor - self.base_delay, 0.0)
-        return min(
-            self.base_delay + span * float(rng.random()), self.max_delay
-        )
+        return raw * (1.0 - self.jitter + self.jitter * float(rng.random()))
 
 
 class RetryBudget:
@@ -190,7 +155,6 @@ def deliver_with_retry(
         budget.charge(extra_delay)
         delay += extra_delay
     attempts = 0
-    previous: float | None = None
     for attempt in range(1, policy.max_attempts + 1):
         attempts = attempt
         if not dropped(attempt):
@@ -199,8 +163,7 @@ def deliver_with_retry(
             )
         if attempt == policy.max_attempts:
             break
-        backoff = policy.backoff_delay(attempt, rng, previous=previous)
-        previous = backoff
+        backoff = policy.backoff_delay(attempt, rng)
         if not budget.charge(backoff):
             break  # budget exhausted: give up early, degrade gracefully
         delay += backoff

@@ -10,7 +10,7 @@ which is what makes it self-repairing under churn.
 """
 
 from repro.ktree.node import KTNode
-from repro.ktree.tree import KnaryTree, RefreshDelta
+from repro.ktree.tree import KnaryTree
 from repro.ktree.index import TreeIndex
 
-__all__ = ["KTNode", "KnaryTree", "RefreshDelta", "TreeIndex"]
+__all__ = ["KTNode", "KnaryTree", "TreeIndex"]

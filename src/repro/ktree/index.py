@@ -1,11 +1,14 @@
-"""A struct-of-arrays index over a persistent K-nary tree.
+"""The struct-of-arrays slot columns of one K-nary tree.
 
-:class:`TreeIndex` assigns every materialised :class:`~repro.ktree.node.KTNode`
-a stable integer *slot* and mirrors the tree's linkage into contiguous
-NumPy arrays (``parent``, ``level``, ``child_rank``, ``alive``,
-``is_leaf``).  The incremental balancer folds LBI aggregates and sweeps
-VSA buckets over slots instead of objects, which is what makes its hot
-paths vectorisable:
+Every :class:`~repro.ktree.tree.KnaryTree` owns one :class:`TreeIndex`
+and registers each :class:`~repro.ktree.node.KTNode` in it the moment
+the node materialises, under a stable integer *slot*.  The columns
+(``parent``, ``level``, ``child_rank``, ``alive``, ``is_leaf``,
+``start``, ``length``) mirror the tree's linkage and regions, and the
+tree's self-repair writes them in the same pass that prunes or flips
+nodes, so no caller ever syncs them.  The balancer folds LBI aggregates
+and sweeps VSA buckets over slots instead of objects, which is what
+makes its hot paths vectorisable:
 
 * *Stamp walks* (:meth:`stamp_paths`) mark the union of root-to-leaf
   paths touched in the current round.  The stamped slot set is exactly
@@ -14,44 +17,38 @@ paths vectorisable:
   reproduced from the stamps alone.
 * *Leaf directory* (:meth:`resolve_leaves`) answers which materialised
   leaf owns each key with one ``searchsorted`` over the live leaves'
-  region starts.  The directory is patched from the same
-  :meth:`drop` / :meth:`set_leaf` calls that keep :attr:`alive` and
-  :attr:`is_leaf` current, so a lookup never returns a pruned slot or
-  one that has since split.
+  region starts.  Every registration, retirement and leaf flip marks
+  its slot pending, and the next lookup splices the pending slots in or
+  out, so a lookup never returns a pruned slot or one that has since
+  split.
 
 A pruned node's slot is retired (``alive`` false, ``nodes[slot]`` is
 ``None``) and not handed out again.  Every key resolves afresh each
-round, so nothing outside the index holds a slot across a refresh: a
+round, so nothing outside the tree holds a slot across a refresh: a
 retired slot is dead weight, not a hazard.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
-from repro.dht.chord import ChordRing
 from repro.exceptions import TreeError
-from repro.idspace.region import split_bounds
 from repro.ktree.node import KTNode
-from repro.ktree.tree import KnaryTree, leaf_rule
 
 
 class TreeIndex:
-    """Slot registry and linkage arrays for one :class:`KnaryTree`.
+    """Slot registry, linkage columns and leaf directory of one tree.
 
-    Parameters
-    ----------
-    tree:
-        The tree to index.  The root is registered eagerly as slot 0;
-        every other node registers lazily on first :meth:`slot` lookup
-        (ancestor chains register root-down so ``parent[slot]`` is
-        always valid).
+    Only the owning :class:`~repro.ktree.tree.KnaryTree` writes it
+    (:meth:`_register`, :meth:`_retire`, :meth:`_flip`); everyone else
+    reads the columns and calls the lookups.
     """
 
     __slots__ = (
-        "tree",
         "nodes",
-        "_foreign",
+        "live",
         "_size",
         "_capacity",
         "parent",
@@ -73,12 +70,10 @@ class TreeIndex:
     #: dirty slots the batched splice costs more than a fresh sort.
     DIR_PATCH_FLOOR = 64
 
-    def __init__(self, tree: KnaryTree, capacity: int = 1024) -> None:
-        self.tree = tree
+    def __init__(self, capacity: int = 1024) -> None:
         self.nodes: list[KTNode | None] = []
-        #: Slots of nodes whose ``slot`` attribute another index over the
-        #: same tree claimed first (a twin index; empty in the engine).
-        self._foreign: dict[int, int] = {}
+        #: Number of live (materialised, unpruned) slots.
+        self.live = 0
         self._size = 0
         self._capacity = max(int(capacity), 16)
         # Slot-valued and small-integer columns are int32 (a persistent
@@ -101,16 +96,17 @@ class TreeIndex:
         self._dir_ends: np.ndarray | None = None
         self._dir_slots: np.ndarray | None = None
         self._dir_pending: set[int] = set()
-        self._register(tree.root, parent_slot=-1, rank=0)
 
     # ------------------------------------------------------------------
-    # Registration
+    # Registration (written by the owning tree only)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
 
-    def _grow(self) -> None:
-        new_cap = self._capacity * 3 // 2
+    def _grow(self, needed: int) -> None:
+        new_cap = self._capacity
+        while new_cap < needed:
+            new_cap = new_cap * 3 // 2
         for name in (
             "parent",
             "level",
@@ -127,66 +123,56 @@ class TreeIndex:
             setattr(self, name, fresh)
         self._capacity = new_cap
 
-    def _register(self, node: KTNode, parent_slot: int, rank: int) -> int:
-        # Integer slot-count comparison; the rule keys on the "capacity"
-        # name, but no float is involved.
-        if self._size == self._capacity:  # lint: disable=no-float-equality
-            self._grow()
-        slot = self._size
-        self._size += 1
-        self.nodes.append(node)
-        if node.slot < 0:
-            node.slot = slot
-        else:
-            self._foreign[id(node)] = slot
-        self.parent[slot] = parent_slot
-        self.level[slot] = node.level
-        self.child_rank[slot] = rank
-        self.alive[slot] = True
-        self.is_leaf[slot] = node.is_leaf
-        if parent_slot < 0:
-            start, length = 0, self.tree.ring.space.size
-        else:
-            start, length = split_bounds(
-                int(self.start[parent_slot]),
-                int(self.length[parent_slot]),
-                self.tree.k,
-                rank,
-                self.tree.ring.space.size,
-            )
-        self.start[slot] = start
-        self.length[slot] = length
-        if node.is_leaf and self._dir_starts is not None:
-            self._dir_pending.add(slot)
-        return slot
+    def _register(
+        self,
+        nodes: Sequence[KTNode],
+        starts: Iterable[int] | np.ndarray,
+        lengths: Iterable[int] | np.ndarray,
+    ) -> None:
+        """Give freshly materialised ``nodes`` the next slots, in order.
 
-    def slot(self, node: KTNode) -> int:
-        """The slot of ``node``, registering its ancestor chain if new."""
-        chain: list[KTNode] = []
-        current: KTNode | None = node
-        while current is not None:
-            slot = self.slot_if_registered(current)
-            if slot is not None:
-                break
-            chain.append(current)
-            current = current.parent
-        else:
-            raise TreeError("node does not descend from the indexed root")
-        for item in reversed(chain):
-            assert item.parent is not None
-            slot = self._register(item, parent_slot=slot, rank=item.rank)
-        return slot
-
-    def slot_if_registered(self, node: KTNode) -> int | None:
-        """The slot of ``node`` if it is registered here, else ``None``.
-
-        Unlike :meth:`slot` this never registers anything — safe to call
-        with nodes the tree has already detached (delta bookkeeping).
+        ``starts``/``lengths`` are the nodes' regions; each node's
+        parent must already be registered.
         """
-        slot = node.slot
-        if 0 <= slot < self._size and self.nodes[slot] is node:
-            return slot
-        return self._foreign.get(id(node)) if self._foreign else None
+        first = self._size
+        end = first + len(nodes)
+        if end > self._capacity:
+            self._grow(end)
+        for slot, node in enumerate(nodes, first):
+            node.slot = slot
+        self.nodes.extend(nodes)
+        self.parent[first:end] = [
+            -1 if node.parent is None else node.parent.slot for node in nodes
+        ]
+        self.level[first:end] = [node.level for node in nodes]
+        self.child_rank[first:end] = [node.rank for node in nodes]
+        leaf = [node.is_leaf for node in nodes]
+        self.is_leaf[first:end] = leaf
+        self.alive[first:end] = True
+        self.start[first:end] = starts
+        self.length[first:end] = lengths
+        self._size = end
+        self.live += len(nodes)
+        if self._dir_starts is not None:
+            self._dir_pending.update(
+                slot for slot, flag in enumerate(leaf, first) if flag
+            )
+
+    def _retire(self, slots: Sequence[int]) -> None:
+        """Retire pruned nodes' slots (they are not handed out again)."""
+        for slot in slots:
+            self.nodes[slot] = None
+        self.alive[slots] = False
+        self.is_leaf[slots] = False
+        self.live -= len(slots)
+        if self._dir_starts is not None:
+            self._dir_pending.update(slots)
+
+    def _flip(self, slot: int, leaf: bool) -> None:
+        """Record that the node at ``slot`` became a leaf or internal."""
+        self.is_leaf[slot] = leaf
+        if self._dir_starts is not None:
+            self._dir_pending.add(slot)
 
     def node_at(self, slot: int) -> KTNode:
         """The live node registered at ``slot``."""
@@ -194,29 +180,6 @@ class TreeIndex:
         if node is None:
             raise TreeError(f"slot {slot} was pruned")
         return node
-
-    # ------------------------------------------------------------------
-    # Maintenance (driven by KnaryTree.refresh_dirty deltas)
-    # ------------------------------------------------------------------
-    def drop(self, node: KTNode) -> None:
-        """Retire a pruned node's slot (it is not handed out again)."""
-        slot = self.slot_if_registered(node)
-        if slot is None:
-            return
-        self._foreign.pop(id(node), None)
-        self.nodes[slot] = None
-        self.alive[slot] = False
-        self.is_leaf[slot] = False
-        if self._dir_starts is not None:
-            self._dir_pending.add(slot)
-
-    def set_leaf(self, node: KTNode, flag: bool) -> None:
-        """Record a leaf-ness flip for ``node`` if it is registered."""
-        slot = self.slot_if_registered(node)
-        if slot is not None:
-            self.is_leaf[slot] = flag
-            if self._dir_starts is not None:
-                self._dir_pending.add(slot)
 
     # ------------------------------------------------------------------
     # Batch key resolution
@@ -301,53 +264,6 @@ class TreeIndex:
         safe = np.where(hit, pos, 0)
         hit &= keys < self._dir_ends[safe]
         return np.where(hit, self._dir_slots[safe], -1)
-
-    def view_leaves(self, slots: np.ndarray, view: ChordRing) -> np.ndarray:
-        """Cut leaf ``slots`` of this tree to the leaves of ``view``'s KT.
-
-        ``view`` must hold a subset of the indexed ring's virtual
-        servers (a partition component or quarantine view).  Each view
-        arc is then a union of consecutive ring arcs, so every region
-        the ring covers the view covers too: the view's KT is an upper
-        subtree of this one, with the same regions, levels and linkage.
-        The view leaf on a key's path is therefore the *shallowest* slot
-        on its ring leaf's root path that ``view`` covers (or that is
-        too short to split, the ``length < k`` rule).  One batched
-        :func:`~repro.ktree.tree.leaf_rule` probe over the distinct path
-        slots answers coverage; the cut then propagates top-down one
-        level at a time.  Returns one view-leaf slot per input slot
-        (a slot that already is a view leaf maps to itself).
-        """
-        parent = self.parent
-        on_path = np.zeros(self._size, dtype=bool)
-        current = np.unique(np.asarray(slots, dtype=np.int64))
-        while current.size:
-            on_path[current] = True
-            parents = parent[current]
-            parents = np.unique(parents[parents >= 0])
-            current = parents[~on_path[parents]]
-        path = np.flatnonzero(on_path)
-        is_view_leaf = np.zeros(self._size, dtype=bool)
-        is_view_leaf[path] = leaf_rule(
-            view, self.start[path], self.length[path], self.tree.k
-        )[1]
-        cut = np.full(self._size, -1, dtype=np.int64)
-        levels = self.level[path]
-        order = np.argsort(levels, kind="stable")
-        by_level = path[order]
-        bounds = np.flatnonzero(np.diff(levels[order])) + 1
-        for group in np.split(by_level, bounds):
-            above = parent[group]
-            inherited = np.where(above >= 0, cut[np.maximum(above, 0)], -1)
-            cut[group] = np.where(
-                inherited >= 0,
-                inherited,
-                np.where(is_view_leaf[group], group, -1),
-            )
-        out = cut[np.asarray(slots, dtype=np.int64)]
-        if out.size and int(out.min()) < 0:
-            raise TreeError("view is not a sub-ring of the indexed ring")
-        return out
 
     # ------------------------------------------------------------------
     # Stamp walks

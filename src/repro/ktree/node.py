@@ -30,10 +30,10 @@ class KTNode:
         The virtual server the KT node is planted in — the owner of
         ``region.center``.  Refreshed by the tree when the ring changes.
     slot:
-        Position in the :class:`~repro.ktree.index.TreeIndex` that
-        registered the node (``-1`` until one does).  The index checks
-        it against its own registry, so a stale or foreign value never
-        aliases.
+        Position in the owning tree's
+        :class:`~repro.ktree.index.TreeIndex`, assigned when the tree
+        materialises the node (``-1`` only until then).  A pruned
+        node's slot is retired, never reused.
 
     A node stores no region of its own: :attr:`region` derives it from
     the root's by splitting at each rank on the path, so a persistent

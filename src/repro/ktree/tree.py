@@ -22,21 +22,26 @@ Two construction modes are provided:
 
 Nodes carry no region objects: a node's region derives from the root's
 through the split ranks on its path (:attr:`KTNode.region`), and the
-tree's own walks carry regions along as they descend.
+tree's own walks carry regions along as they descend.  The tree owns
+one :class:`~repro.ktree.index.TreeIndex`: every node is registered in
+its slot columns when it materialises, and the self-repair walk retires
+and flips slots as it prunes and flips nodes, so the columns always
+describe exactly the materialised tree.
 
-Self-repair (Section 3.1.1) is modelled by :meth:`KnaryTree.refresh`:
-after any ring change it re-plants every materialised KT node in the
-virtual server that now owns its center point, prunes children that
-became redundant (region now covered by the hosting VS) and grows
-children that became necessary.  Each refresh pass corresponds to one
-round of the paper's periodic top-down checking.
+Self-repair (Section 3.1.1) is one top-down walk,
+:meth:`KnaryTree.refresh_dirty`: it re-plants every materialised KT
+node inside the given dirty identifier spans in the virtual server that
+now owns its center point, prunes children that became redundant
+(region now covered by the hosting VS) and grows children that became
+necessary.  :meth:`KnaryTree.refresh` is the same walk over the whole
+identifier space; each pass corresponds to one round of the paper's
+periodic top-down checking.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, cast
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from repro.dht.virtual_server import VirtualServer
 from repro.exceptions import TreeError
 from repro.idspace import IntervalSet, Region
 from repro.idspace.region import split_bounds
+from repro.ktree.index import TreeIndex
 from repro.ktree.node import KTNode, KTRoot
 from repro.obs.metrics import MetricsRegistry
 
@@ -67,31 +73,6 @@ def leaf_rule(
     return hosts, covered | (lengths < k)
 
 
-@dataclass
-class RefreshDelta:
-    """Structural outcome of one :meth:`KnaryTree.refresh_dirty` pass.
-
-    Carries the affected node *objects* (not just counters) so a slot
-    index and its leaf directory can retire or flip exactly the nodes
-    the repair touched.
-    """
-
-    replanted: int = 0
-    pruned_nodes: list[KTNode] = field(default_factory=list)
-    became_leaf: list[KTNode] = field(default_factory=list)
-    became_internal: list[KTNode] = field(default_factory=list)
-
-    @property
-    def changed(self) -> bool:
-        """Whether the pass changed any structure or planting."""
-        return bool(
-            self.replanted
-            or self.pruned_nodes
-            or self.became_leaf
-            or self.became_internal
-        )
-
-
 class KnaryTree:
     """The K-nary aggregation/assignment tree over a Chord ring.
 
@@ -105,12 +86,13 @@ class KnaryTree:
         Optional metrics registry; when attached, the tree counts node
         materialisations (``ktree.materialized``) and self-repair work
         (``ktree.replanted`` / ``ktree.pruned`` / ``ktree.grown``).
-    epoch:
-        Membership view number this tree was built under (0 = the
-        unpartitioned view).  Per-component trees built during a
-        partition carry the partitioned epoch, and LBI reports
-        aggregated through them are tagged with it so the sanity
-        defense can reject cross-epoch state.
+
+    Attributes
+    ----------
+    index:
+        The tree's :class:`~repro.ktree.index.TreeIndex`.  The root is
+        slot 0; every other node takes the next slot when it
+        materialises, and keeps it until a refresh prunes it.
     """
 
     def __init__(
@@ -118,18 +100,17 @@ class KnaryTree:
         ring: ChordRing,
         k: int = 2,
         metrics: MetricsRegistry | None = None,
-        *,
-        epoch: int = 0,
     ) -> None:
         if not isinstance(k, int) or k < 2:
             raise TreeError(f"tree degree must be an integer >= 2, got {k!r}")
         self.ring = ring
         self.k = k
         self.metrics = metrics
-        self.epoch = epoch
-        host, is_leaf = self._host_and_leaf(0, ring.space.size)
+        size = ring.space.size
+        host, is_leaf = self._host_and_leaf(0, size)
         self.root: KTNode = KTRoot(ring.space, host, is_leaf, k)
-        self._node_count = 1
+        self.index = TreeIndex()
+        self.index._register([self.root], [0], [size])
 
     # ------------------------------------------------------------------
     # Node construction helpers
@@ -173,7 +154,7 @@ class KnaryTree:
         host, is_leaf = self._host_and_leaf(start, length)
         child = KTNode(node.level + 1, node, index, host, is_leaf, self.k)
         node.set_child(index, child)
-        self._node_count += 1
+        self.index._register([child], [start], [length])
         if self.metrics is not None:
             self.metrics.counter("ktree.materialized").inc()
         return child
@@ -196,7 +177,7 @@ class KnaryTree:
             for i in range(self.k):
                 c_start, c_length = split_bounds(start, length, self.k, i, size)
                 child = self._materialize_child(node, i, c_start, c_length)
-                if self._node_count > max_nodes:
+                if self.index.live > max_nodes:
                     raise TreeError(
                         f"full tree exceeds max_nodes={max_nodes}; "
                         "use lazy construction for large rings"
@@ -247,12 +228,11 @@ class KnaryTree:
 
     def descend_batch(
         self, keys: np.ndarray, view: ChordRing | None = None
-    ) -> tuple[list[KTNode], np.ndarray]:
+    ) -> np.ndarray:
         """Level-synchronous batched descent: all ``keys`` down together.
 
-        Returns ``(leaves, ordinals)``: the distinct leaves reached, in
-        first-touch order, and for every input key the position of its
-        leaf in ``leaves``.  Behaviourally identical to calling
+        Returns, for every input key, the slot (in :attr:`index`) of the
+        leaf it reaches.  Behaviourally identical to calling
         :meth:`ensure_leaf_for_key` per key (the split sequence is a
         pure function of the ring, so the same leaves materialise), but
         the per-level child arithmetic — digit extraction against the
@@ -266,36 +246,32 @@ class KnaryTree:
         Regions stay raw integer columns throughout; genuinely new
         children materialise in bulk per level — one vectorised
         :meth:`~repro.dht.chord.ChordRing.hosts_with_regions` probe
-        answers every new child's planting and leaf-ness at once — and
-        the ``ktree.materialized`` accounting matches the serial
-        descent.
+        answers every new child's planting and leaf-ness at once, and
+        one registration writes their slot columns — and the
+        ``ktree.materialized`` accounting matches the serial descent.
 
         With a ``view`` — a ring holding a subset of this ring's virtual
         servers — the descent stops at the first node ``view`` covers
-        (see :meth:`~repro.ktree.index.TreeIndex.view_leaves`): the
-        returned nodes are the leaves of the view's KT, and nothing below
-        them materialises.
+        (see :meth:`view_leaves`): the returned slots are the leaves of
+        the view's KT, and nothing below them materialises.
         """
         size = self.ring.space.size
         k = self.k
+        index = self.index
         key_arr = np.ascontiguousarray(keys, dtype=np.int64)
         n = int(key_arr.size)
+        slots = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return [], np.empty(0, dtype=np.int64)
+            return slots
         if int(key_arr.min()) < 0 or int(key_arr.max()) >= size:
             raise TreeError("descend_batch key outside the identifier space")
-        ordinals = np.empty(n, dtype=np.int64)
-        leaves: list[KTNode] = []
-        leaf_ordinal: dict[int, int] = {}
         root_stops = self.root.is_leaf
         if view is not None and not root_stops:
             # A view with one virtual server covers the whole ring.
             whole = np.full(1, size, dtype=np.int64)
             root_stops = bool(leaf_rule(view, whole * 0, whole, k)[1][0])
         if root_stops:
-            leaves.append(self.root)
-            ordinals[:] = 0
-            return leaves, ordinals
+            return slots  # the root is slot 0
         # Frontier: the distinct internal nodes the active keys sit at,
         # with their regions as raw (start, length) integer columns.
         frontier: list[KTNode] = [self.root]
@@ -344,54 +320,89 @@ class KnaryTree:
                 m_start = g_start[m]
                 m_length = g_length[m]
                 hosts, new_leaf = leaf_rule(self.ring, m_start, m_length, k)
+                born: list[KTNode] = []
                 for j, host, leaf_j in zip(missing, hosts, new_leaf.tolist()):
                     node = parents_u[j]
                     rank = ranks_u[j]
                     child = KTNode(node.level + 1, node, rank, host, leaf_j, k)
                     node.set_child(rank, child)
                     children_u[j] = child
-                self._node_count += len(missing)
+                    born.append(child)
+                index._register(born, m_start, m_length)
                 if self.metrics is not None:
                     self.metrics.counter("ktree.materialized").inc(len(missing))
-            child_is_leaf = np.empty(uniq.size, dtype=bool)
-            child_ord = np.empty(uniq.size, dtype=np.int64)
-            stops = (
-                leaf_rule(view, g_start, g_length, k)[1].tolist()
-                if view is not None
-                else None
+            children = cast("list[KTNode]", children_u)
+            child_slots = np.fromiter(
+                (child.slot for child in children),
+                dtype=np.int64,
+                count=len(children),
             )
-            next_frontier: list[KTNode] = []
-            for j, child in enumerate(children_u):
-                assert child is not None
-                if child.is_leaf or (stops is not None and stops[j]):
-                    child_is_leaf[j] = True
-                    ordinal = leaf_ordinal.get(id(child))
-                    if ordinal is None:
-                        ordinal = len(leaves)
-                        leaves.append(child)
-                        leaf_ordinal[id(child)] = ordinal
-                    child_ord[j] = ordinal
-                else:
-                    child_is_leaf[j] = False
-                    child_ord[j] = len(next_frontier)
-                    next_frontier.append(child)
-            per_key_leaf = child_is_leaf[inverse]
-            per_key_ord = child_ord[inverse]
-            done = active[per_key_leaf]
-            if done.size:
-                ordinals[done] = per_key_ord[per_key_leaf]
-            cont = ~per_key_leaf
-            active = active[cont]
-            if active.size:
-                key_node[active] = per_key_ord[cont]
-            frontier = next_frontier
-            keep = ~child_is_leaf
+            stop = index.is_leaf[child_slots]
+            if view is not None:
+                stop |= leaf_rule(view, g_start, g_length, k)[1]
+            key_stop = stop[inverse]
+            slots[active[key_stop]] = child_slots[inverse[key_stop]]
+            keep = ~stop
+            frontier = [children[j] for j in np.flatnonzero(keep).tolist()]
             f_start = g_start[keep]
             f_length = g_length[keep]
+            cont = ~key_stop
+            active = active[cont]
+            if active.size:
+                key_node[active] = (np.cumsum(keep) - 1)[inverse[cont]]
             guard += 1
             if guard > 8 * self.ring.space.bits:  # pragma: no cover
                 raise TreeError("runaway descent in descend_batch")
-        return leaves, ordinals
+        return slots
+
+    def view_leaves(self, slots: np.ndarray, view: ChordRing) -> np.ndarray:
+        """Cut leaf ``slots`` of this tree to the leaves of ``view``'s KT.
+
+        ``view`` must hold a subset of this ring's virtual servers (a
+        partition component or quarantine view).  Each view arc is then
+        a union of consecutive ring arcs, so every region the ring
+        covers the view covers too: the view's KT is an upper subtree of
+        this one, with the same regions, levels and linkage.  The view
+        leaf on a key's path is therefore the *shallowest* slot on its
+        ring leaf's root path that ``view`` covers (or that is too short
+        to split, the ``length < k`` rule).  One batched
+        :func:`leaf_rule` probe over the distinct path slots answers
+        coverage; the cut then propagates top-down one level at a time.
+        Returns one view-leaf slot per input slot (a slot that already
+        is a view leaf maps to itself).
+        """
+        index = self.index
+        size = len(index)
+        parent = index.parent
+        on_path = np.zeros(size, dtype=bool)
+        current = np.unique(np.asarray(slots, dtype=np.int64))
+        while current.size:
+            on_path[current] = True
+            parents = parent[current]
+            parents = np.unique(parents[parents >= 0])
+            current = parents[~on_path[parents]]
+        path = np.flatnonzero(on_path)
+        is_view_leaf = np.zeros(size, dtype=bool)
+        is_view_leaf[path] = leaf_rule(
+            view, index.start[path], index.length[path], self.k
+        )[1]
+        cut = np.full(size, -1, dtype=np.int64)
+        levels = index.level[path]
+        order = np.argsort(levels, kind="stable")
+        by_level = path[order]
+        bounds = np.flatnonzero(np.diff(levels[order])) + 1
+        for group in np.split(by_level, bounds):
+            above = parent[group]
+            inherited = np.where(above >= 0, cut[np.maximum(above, 0)], -1)
+            cut[group] = np.where(
+                inherited >= 0,
+                inherited,
+                np.where(is_view_leaf[group], group, -1),
+            )
+        out = cut[np.asarray(slots, dtype=np.int64)]
+        if out.size and int(out.min()) < 0:
+            raise TreeError("view is not a sub-ring of the indexed ring")
+        return out
 
     # ------------------------------------------------------------------
     # Queries
@@ -399,7 +410,7 @@ class KnaryTree:
     @property
     def node_count(self) -> int:
         """Number of currently materialised KT nodes."""
-        return self._node_count
+        return self.index.live
 
     def iter_nodes(self) -> Iterator[KTNode]:
         """All materialised nodes, preorder."""
@@ -425,18 +436,38 @@ class KnaryTree:
     # Maintenance (self-repair)
     # ------------------------------------------------------------------
     def refresh(self) -> dict[str, int]:
-        """One top-down maintenance pass after ring changes.
+        """One top-down maintenance pass over the whole tree.
 
-        Re-plants every materialised node, prunes subtrees whose root
-        became a leaf (region now covered by a single virtual server) and
+        :meth:`refresh_dirty` with the whole identifier space dirty.
+        Returns counters: ``replanted``, ``pruned``, ``grown``.
+        """
+        space = self.ring.space
+        return self.refresh_dirty(IntervalSet(space, [(0, space.size)]))
+
+    def refresh_dirty(self, dirty: IntervalSet) -> dict[str, int]:
+        """Self-repair restricted to the subtrees overlapping ``dirty``.
+
+        Re-plants every visited node, prunes subtrees whose root became
+        a leaf (region now covered by a single virtual server) and
         re-evaluates leaf-ness the other way (a leaf whose host shrank
-        grows back into an internal node with unmaterialised children).
+        grows back into an internal node with unmaterialised children),
+        retiring pruned slots and flipping leaf flags in :attr:`index`
+        as it goes.  Subtrees whose region does not intersect the dirty
+        identifier spans are skipped.  This is sound because a KT node's
+        planting and leaf-ness depend only on the ring ownership of
+        identifiers inside its own region: when no ownership inside the
+        region changed, ``successor(center)`` and the covering test give
+        the answers they gave last round.  The caller is responsible for
+        ``dirty`` covering every region whose ownership changed (see
+        :meth:`repro.dht.events.RingEventLog.drain`, which derives the
+        spans from the logged ring events).
 
         Returns counters: ``replanted``, ``pruned``, ``grown``.
         """
         replanted = pruned = grown = 0
+        index = self.index
         size = self.ring.space.size
-        stack = [(self.root, 0, size)]
+        stack = [(self.root, 0, size)] if dirty else []
         while stack:
             node, start, length = stack.pop()
             new_host, leaf_now = self._host_and_leaf(start, length)
@@ -444,65 +475,17 @@ class KnaryTree:
                 node.host_vs = new_host
                 replanted += 1
             if leaf_now and not node.is_leaf:
-                removed = sum(1 for _ in self._count_subtree(node)) - 1
-                pruned += removed
-                self._node_count -= removed
+                removed = [n.slot for n in self._subtree(node) if n is not node]
+                index._retire(removed)
+                pruned += len(removed)
                 node.children = ()
                 node.is_leaf = True
+                index._flip(node.slot, True)
             elif not leaf_now and node.is_leaf:
                 node.is_leaf = False
                 node.children = (None,) * self.k
+                index._flip(node.slot, False)
                 grown += 1
-            stack.extend(
-                (child, *split_bounds(start, length, self.k, child.rank, size))
-                for child in node.materialized_children()
-            )
-        if self.metrics is not None:
-            self.metrics.counter("ktree.replanted").inc(replanted)
-            self.metrics.counter("ktree.pruned").inc(pruned)
-            self.metrics.counter("ktree.grown").inc(grown)
-        return {"replanted": replanted, "pruned": pruned, "grown": grown}
-
-    def refresh_dirty(self, dirty: IntervalSet) -> RefreshDelta:
-        """Self-repair restricted to the subtrees overlapping ``dirty``.
-
-        Behaviourally a :meth:`refresh` that skips every subtree whose
-        region does not intersect the dirty identifier spans.  This is
-        sound because a KT node's planting and leaf-ness depend only on
-        the ring ownership of identifiers inside its own region: when no
-        ownership inside the region changed, ``successor(center)`` and
-        the covering test give the answers they gave last round.  The
-        caller is responsible for ``dirty`` covering every region whose
-        ownership changed (see
-        :meth:`repro.dht.events.RingEventLog.drain`, which derives the
-        spans from the logged ring events).
-
-        Returns a :class:`RefreshDelta` naming the pruned and flipped
-        nodes so a slot index and its leaf directory can be updated
-        without rescanning the tree.
-        """
-        delta = RefreshDelta()
-        if not dirty:
-            return delta
-        size = self.ring.space.size
-        stack = [(self.root, 0, size)]
-        while stack:
-            node, start, length = stack.pop()
-            new_host, leaf_now = self._host_and_leaf(start, length)
-            if new_host is not node.host_vs:
-                node.host_vs = new_host
-                delta.replanted += 1
-            if leaf_now and not node.is_leaf:
-                removed = [n for n in self._count_subtree(node) if n is not node]
-                delta.pruned_nodes.extend(removed)
-                self._node_count -= len(removed)
-                node.children = ()
-                node.is_leaf = True
-                delta.became_leaf.append(node)
-            elif not leaf_now and node.is_leaf:
-                node.is_leaf = False
-                node.children = (None,) * self.k
-                delta.became_internal.append(node)
             for child in node.materialized_children():
                 c_start, c_length = split_bounds(
                     start, length, self.k, child.rank, size
@@ -510,12 +493,12 @@ class KnaryTree:
                 if dirty.overlaps(c_start, c_length):
                     stack.append((child, c_start, c_length))
         if self.metrics is not None:
-            self.metrics.counter("ktree.replanted").inc(delta.replanted)
-            self.metrics.counter("ktree.pruned").inc(len(delta.pruned_nodes))
-            self.metrics.counter("ktree.grown").inc(len(delta.became_internal))
-        return delta
+            self.metrics.counter("ktree.replanted").inc(replanted)
+            self.metrics.counter("ktree.pruned").inc(pruned)
+            self.metrics.counter("ktree.grown").inc(grown)
+        return {"replanted": replanted, "pruned": pruned, "grown": grown}
 
-    def _count_subtree(self, node: KTNode) -> Iterator[KTNode]:
+    def _subtree(self, node: KTNode) -> Iterator[KTNode]:
         stack = [node]
         while stack:
             n = stack.pop()
@@ -523,18 +506,44 @@ class KnaryTree:
             stack.extend(n.materialized_children())
 
     def check_invariants(self) -> None:
-        """Structural invariants of a (fully or lazily) materialised tree."""
+        """Structural invariants of a (fully or lazily) materialised tree,
+        and of :attr:`index` against it.
+
+        Every materialised node must be live in the index with its own
+        linkage, level, leaf flag and region in the slot columns, no
+        other slot may be live, and the leaf directory must resolve each
+        live leaf's region start to that leaf.
+        """
+        index = self.index
+        leaf_slots: list[int] = []
+        visited = 0
         stack = [(self.root, Region.full(self.ring.space))]
         while stack:
             node, region = stack.pop()
             if node.region != region:
                 raise TreeError("KT node's derived region does not match its path")
+            slot = node.slot
+            if not (0 <= slot < len(index) and index.nodes[slot] is node):
+                raise TreeError("materialised KT node is not registered")
+            parent_slot = -1 if node.parent is None else node.parent.slot
+            if (
+                not index.alive[slot]
+                or int(index.parent[slot]) != parent_slot
+                or int(index.level[slot]) != node.level
+                or int(index.child_rank[slot]) != node.rank
+                or bool(index.is_leaf[slot]) != node.is_leaf
+                or int(index.start[slot]) != region.start
+                or int(index.length[slot]) != region.length
+            ):
+                raise TreeError("slot columns disagree with their KT node")
+            visited += 1
             host_region = self.ring.region_of(node.host_vs)
             if not host_region.contains(region.center):
                 raise TreeError("KT node planted in a VS that does not own its center")
             if node.is_leaf:
                 if not (host_region.covers(region) or region.length < self.k):
                     raise TreeError("leaf KT node's region is not covered by its host VS")
+                leaf_slots.append(slot)
                 continue
             if host_region.covers(region):
                 raise TreeError("internal KT node should be a leaf")
@@ -544,9 +553,11 @@ class KnaryTree:
                 if child.parent is not node or child.rank != i:
                     raise TreeError("child/parent link mismatch")
                 stack.append((child, region.split_part(self.k, i)))
+        if visited != index.live or int(index.alive[: len(index)].sum()) != visited:
+            raise TreeError("a live slot holds no materialised KT node")
+        leaves = np.asarray(leaf_slots, dtype=np.int64)
+        if not np.array_equal(index.resolve_leaves(index.start[leaves]), leaves):
+            raise TreeError("leaf directory does not resolve a leaf's region")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"KnaryTree(k={self.k}, materialized={self._node_count}, "
-            f"epoch={self.epoch})"
-        )
+        return f"KnaryTree(k={self.k}, materialized={self.node_count})"

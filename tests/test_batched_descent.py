@@ -11,7 +11,7 @@ Four contracts from docs/performance.md are pinned here:
   and the non-validating :meth:`~repro.idspace.Region.trusted`
   constructor agree with their scalar/validating counterparts.
 * A partition or quarantine view's KT is an upper cut of the whole
-  ring's: :meth:`~repro.ktree.index.TreeIndex.view_leaves` maps each
+  ring's: :meth:`~repro.ktree.tree.KnaryTree.view_leaves` maps each
   ring leaf to the view leaf a fresh tree over the view reaches, and a
   view-bounded :meth:`~repro.ktree.tree.KnaryTree.descend_batch` stops
   at that same node.
@@ -36,7 +36,7 @@ from repro.dht import RingEventLog, crash_node, join_node, leave_node
 from repro.exceptions import RegionError, TreeError
 from repro.faults import FaultPlan, PartitionSpec
 from repro.idspace import IdentifierSpace, Region
-from repro.ktree import KnaryTree, TreeIndex
+from repro.ktree import KnaryTree
 from repro.membership import ComponentRingView
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import ParetoLoadModel, apply_load_drift, build_scenario
@@ -107,15 +107,15 @@ class TestDescendBatch:
         per_key = KnaryTree(ring, k, metrics=per_key_metrics)
         batched = KnaryTree(ring, k, metrics=batched_metrics)
         expected = [per_key.ensure_leaf_for_key(int(x)) for x in keys.tolist()]
-        leaves, ordinals = batched.descend_batch(keys)
-        assert ordinals.shape == keys.shape
+        slots = batched.descend_batch(keys)
+        assert slots.shape == keys.shape
         assert per_key.node_count == batched.node_count
         assert (
             per_key_metrics.counter("ktree.materialized").value
             == batched_metrics.counter("ktree.materialized").value
         )
         for i in range(keys.size):
-            a, b = expected[i], leaves[ordinals[i]]
+            a, b = expected[i], batched.index.node_at(int(slots[i]))
             assert (a.region.start, a.region.length) == (
                 b.region.start,
                 b.region.length,
@@ -152,18 +152,16 @@ class TestDescendBatch:
         ring = _ring(12)
         tree = KnaryTree(ring, 2)
         key = int(ring.space.size // 3)
-        leaves, ordinals = tree.descend_batch(
-            np.asarray([key, key, key], dtype=np.int64)
-        )
-        assert len(leaves) == 1
-        assert ordinals.tolist() == [0, 0, 0]
+        slots = tree.descend_batch(np.asarray([key, key, key], dtype=np.int64))
+        assert slots.tolist() == [slots[0]] * 3
+        assert tree.index.node_at(int(slots[0])).is_leaf
 
     def test_empty_batch(self):
         ring = _ring(13)
         tree = KnaryTree(ring, 2)
         before = tree.node_count
-        leaves, ordinals = tree.descend_batch(np.empty(0, dtype=np.int64))
-        assert leaves == [] and ordinals.size == 0
+        slots = tree.descend_batch(np.empty(0, dtype=np.int64))
+        assert slots.size == 0
         assert tree.node_count == before
 
     def test_out_of_range_key_rejected(self):
@@ -196,13 +194,10 @@ def _members(ring, shape, fraction, seed):
 def _assert_cut_matches_view_tree(ring, view, k, keys):
     """Whole-ring leaves cut to ``view`` equal a fresh view tree's leaves."""
     tree = KnaryTree(ring, k)
-    index = TreeIndex(tree)
-    leaves, ordinals = tree.descend_batch(keys)
-    ring_slots = np.asarray(
-        [index.slot(leaf) for leaf in leaves], dtype=np.int64
-    )[ordinals]
-    cut = index.view_leaves(ring_slots, view)
-    bounded, bounded_ordinals = KnaryTree(ring, k).descend_batch(keys, view)
+    index = tree.index
+    cut = tree.view_leaves(tree.descend_batch(keys), view)
+    bounded_tree = KnaryTree(ring, k)
+    bounded = bounded_tree.descend_batch(keys, view)
     reference = KnaryTree(view, k)
     for i, key in enumerate(keys.tolist()):
         want = reference.ensure_leaf_for_key(key)
@@ -210,7 +205,7 @@ def _assert_cut_matches_view_tree(ring, view, k, keys):
         slot = int(cut[i])
         got = (int(index.start[slot]), int(index.length[slot]), int(index.level[slot]))
         assert got == expected
-        stop = bounded[bounded_ordinals[i]]
+        stop = bounded_tree.index.node_at(int(bounded[i]))
         assert (stop.region.start, stop.region.length, stop.level) == expected
 
 
@@ -292,38 +287,43 @@ class TestRegionTrusted:
 class TestDirectoryPatch:
     @pytest.mark.parametrize("seed", (0, 3, 8))
     def test_patched_directory_matches_rebuild(self, seed):
-        # Drive an indexed tree through churn; after every refresh the
-        # incrementally patched leaf directory must answer exactly like
-        # a directory rebuilt from scratch on a twin index.
+        # Drive a tree through descents and churn; after every refresh
+        # the incrementally patched leaf directory must equal one rebuilt
+        # from scratch over the same slot columns.
         ring = _ring(seed, num_nodes=40)
         tree = KnaryTree(ring, 2)
-        index = TreeIndex(tree)
+        index = tree.index
         log = RingEventLog(ring)
         gen = np.random.default_rng(seed + 50)
         probes = gen.integers(0, ring.space.size, size=64, dtype=np.int64)
+        spliced = False
         for _ in range(8):
-            for k in gen.integers(0, ring.space.size, size=24):
-                index.slot(tree.ensure_leaf_for_key(int(k)))
+            tree.descend_batch(
+                gen.integers(0, ring.space.size, size=24, dtype=np.int64)
+            )
             index.resolve_leaves(probes)  # builds / patches the directory
             _churn(ring, gen)
             delta = log.drain()
             assert delta.dirty is not None
-            refresh = tree.refresh_dirty(delta.dirty)
-            for node in refresh.pruned_nodes:
-                index.drop(node)
-            for node in refresh.became_leaf:
-                index.set_leaf(node, True)
-            for node in refresh.became_internal:
-                index.set_leaf(node, False)
-            patched = index.resolve_leaves(probes)
-            twin = TreeIndex(tree)
-            for slot in np.flatnonzero(index.alive).tolist():
-                twin.slot(index.node_at(slot))
-            rebuilt = twin.resolve_leaves(probes)
-            hit = patched >= 0
-            assert (hit == (rebuilt >= 0)).all()
-            for a, b in zip(patched[hit].tolist(), rebuilt[hit].tolist()):
-                assert index.node_at(a) is twin.node_at(b)
+            tree.refresh_dirty(delta.dirty)
+            assert index._dir_slots is not None
+            spliced |= 0 < len(index._dir_pending) <= max(
+                index.DIR_PATCH_FLOOR, index._dir_slots.size // 8
+            )
+            resolved = index.resolve_leaves(probes)
+            patched = (index._dir_starts, index._dir_ends, index._dir_slots)
+            index._rebuild_directory()
+            rebuilt = (index._dir_starts, index._dir_ends, index._dir_slots)
+            for a, b in zip(patched, rebuilt):
+                assert np.array_equal(a, b)
+            for key, slot in zip(probes.tolist(), resolved.tolist()):
+                if slot >= 0:
+                    assert index.is_leaf[slot] and index.alive[slot]
+                    start = int(index.start[slot])
+                    assert start <= key < start + int(index.length[slot])
+            tree.check_invariants()
+        # At least one refresh was small enough to splice, not re-sort.
+        assert spliced
 
 
 def _run_rounds(seed, rounds=6):
@@ -353,7 +353,7 @@ def _checking_part_slots(bal, seen):
     def checked(part, keys):
         slots = resolve(part, keys)
         fresh = KnaryTree(part.ring, bal.config.tree_degree)
-        index = bal._index
+        index = bal._tree.index
         for key, slot in zip(keys.tolist(), slots.tolist()):
             leaf = fresh.ensure_leaf_for_key(key)
             assert (int(index.start[slot]), int(index.length[slot])) == (
@@ -407,3 +407,23 @@ class TestDescentEconomy:
                 _churn(ring_s, gen)
         _, digests_b = _run_rounds(seed)
         assert digests_s == digests_b
+
+    def test_reference_holds_no_ring_events(self):
+        # The reference builds a fresh tree per part and never drains a
+        # ring event log, so it must not keep one open: its pending
+        # events stay at zero however much the ring churns.
+        ring = _ring(5, num_nodes=400, vs_per_node=2)
+        serial = SerialLoadBalancer(ring, _config(), rng=6)
+        gen = np.random.default_rng(7)
+        for _ in range(5):
+            serial.run_round()
+            for _ in range(4):
+                join_node(
+                    ring, capacity=10.0, vs_count=1,
+                    rng=int(gen.integers(1 << 30)),
+                )
+            alive = [n for n in ring.alive_nodes if n.virtual_servers]
+            for i in gen.choice(len(alive), size=4, replace=False).tolist():
+                leave_node(ring, alive[i])
+            log = serial._events
+            assert (0 if log is None else log.pending_events) == 0

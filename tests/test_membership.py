@@ -169,10 +169,9 @@ class TestComponentRingView:
     def test_tree_builds_per_component(self):
         ring = build_ring()
         for members in split_indices(ring):
-            tree = KnaryTree(ComponentRingView(ring, members), 2, epoch=1)
+            tree = KnaryTree(ComponentRingView(ring, members), 2)
             tree.build_full()
             tree.check_invariants()
-            assert tree.epoch == 1
 
 
 class TestMembershipManager:

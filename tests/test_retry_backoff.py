@@ -1,29 +1,20 @@
-"""Tests for the jittered-backoff strategies on :class:`RetryPolicy`.
+"""Tests for the jittered backoff of :class:`RetryPolicy`.
 
-The ``scaled`` default must stay byte-identical to the pre-jitter-mode
-formula (digest compatibility: backoff delays feed ``fault_stats``),
-``full`` and ``decorrelated`` must respect their documented bounds, and
-every mode must consume exactly one RNG draw per backoff so fault
-schedules stay aligned across modes.
+The delay must stay byte-identical to the partial-jitter formula
+(digest compatibility: backoff delays feed ``fault_stats``), consume
+exactly one RNG draw per backoff (none without jitter) so fault
+schedules stay aligned, and :func:`deliver_with_retry` must charge
+exactly the delays it slept.
 """
 
-import numpy as np
 import pytest
 
-from repro.exceptions import FaultPlanError
-from repro.faults import JITTER_MODES, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.faults.retry import RetryBudget, deliver_with_retry
 from repro.util.rng import ensure_rng
 
 
 class TestJitterModes:
-    def test_modes_registry(self):
-        assert JITTER_MODES == ("scaled", "full", "decorrelated")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(FaultPlanError, match="jitter_mode"):
-            RetryPolicy(jitter_mode="thermal")
-
     def test_scaled_matches_legacy_formula(self):
         policy = RetryPolicy(base_delay=0.25, max_delay=4.0, jitter=0.3)
         rng_a, rng_b = ensure_rng(7), ensure_rng(7)
@@ -33,60 +24,25 @@ class TestJitterModes:
             assert policy.backoff_delay(attempt, rng_a) == legacy
 
     def test_zero_jitter_is_deterministic_in_every_mode(self):
-        for mode in JITTER_MODES:
-            policy = RetryPolicy(
-                base_delay=0.5, max_delay=8.0, jitter=0.0, jitter_mode=mode
-            )
-            rng = ensure_rng(1)
-            state = rng.bit_generator.state
-            assert policy.backoff_delay(3, rng) == 2.0
-            assert rng.bit_generator.state == state  # no draw consumed
-
-    def test_full_jitter_bounds(self):
-        policy = RetryPolicy(
-            base_delay=0.5, max_delay=8.0, jitter=0.4, jitter_mode="full"
-        )
-        rng = ensure_rng(3)
-        for attempt in range(1, 10):
-            raw = min(0.5 * 2.0 ** (attempt - 1), 8.0)
-            delay = policy.backoff_delay(attempt, rng)
-            assert 0.0 <= delay < raw
-
-    def test_decorrelated_bounds_and_feedback(self):
-        policy = RetryPolicy(
-            base_delay=0.5, max_delay=8.0, jitter=0.4, jitter_mode="decorrelated"
-        )
-        rng = ensure_rng(5)
-        previous = None
-        for attempt in range(1, 12):
-            delay = policy.backoff_delay(attempt, rng, previous=previous)
-            anchor = 0.5 if previous is None else previous
-            upper = min(0.5 + max(3.0 * anchor - 0.5, 0.0), 8.0)
-            assert 0.5 <= delay <= upper
-            assert delay <= 8.0
-            previous = delay
+        policy = RetryPolicy(base_delay=0.5, max_delay=8.0, jitter=0.0)
+        rng = ensure_rng(1)
+        state = rng.bit_generator.state
+        assert policy.backoff_delay(3, rng) == 2.0
+        assert rng.bit_generator.state == state  # no draw consumed
 
     def test_one_draw_per_backoff_in_every_mode(self):
-        for mode in JITTER_MODES:
-            policy = RetryPolicy(
-                base_delay=0.5, max_delay=8.0, jitter=0.4, jitter_mode=mode
-            )
-            rng = ensure_rng(11)
-            shadow = ensure_rng(11)
-            policy.backoff_delay(2, rng, previous=1.0)
-            shadow.random()
-            assert rng.bit_generator.state == shadow.bit_generator.state
+        policy = RetryPolicy(base_delay=0.5, max_delay=8.0, jitter=0.4)
+        rng = ensure_rng(11)
+        shadow = ensure_rng(11)
+        policy.backoff_delay(2, rng)
+        shadow.random()
+        assert rng.bit_generator.state == shadow.bit_generator.state
 
 
 class TestDeliveryFeedback:
-    @pytest.mark.parametrize("mode", JITTER_MODES)
-    def test_delivery_charges_jittered_delays(self, mode):
+    def test_delivery_charges_jittered_delays(self):
         policy = RetryPolicy(
-            max_attempts=5,
-            base_delay=0.5,
-            max_delay=8.0,
-            jitter=0.4,
-            jitter_mode=mode,
+            max_attempts=5, base_delay=0.5, max_delay=8.0, jitter=0.4
         )
         rng = ensure_rng(13)
         shadow = ensure_rng(13)
@@ -96,28 +52,9 @@ class TestDeliveryFeedback:
         )
         assert outcome.delivered
         assert outcome.attempts == 3
-        # Recompute the two backoffs by hand: the feedback chain must
+        # Recompute the two backoffs by hand: the charged delay must
         # match what the loop actually slept.
-        first = policy.backoff_delay(1, shadow, previous=None)
-        second = policy.backoff_delay(2, shadow, previous=first)
+        first = policy.backoff_delay(1, shadow)
+        second = policy.backoff_delay(2, shadow)
         assert outcome.simulated_delay == pytest.approx(first + second)
         assert budget.spent == pytest.approx(first + second)
-
-    def test_modes_only_change_delays_not_attempts(self):
-        outcomes = []
-        for mode in JITTER_MODES:
-            policy = RetryPolicy(
-                max_attempts=6,
-                base_delay=0.5,
-                jitter=0.4,
-                jitter_mode=mode,
-            )
-            outcome = deliver_with_retry(
-                policy,
-                lambda attempt: attempt < 4,
-                ensure_rng(17),
-                RetryBudget(1000.0),
-            )
-            outcomes.append(outcome)
-        assert {o.attempts for o in outcomes} == {4}
-        assert len({o.simulated_delay for o in outcomes}) == len(JITTER_MODES)

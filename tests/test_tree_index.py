@@ -1,4 +1,5 @@
-"""Units for the incremental substrate: IntervalSet, TreeIndex, refresh_dirty.
+"""Units for the incremental substrate: IntervalSet, the tree's slot
+columns, refresh_dirty.
 
 ``refresh_dirty`` must be behaviourally identical to the full
 :meth:`~repro.ktree.tree.KnaryTree.refresh` whenever the dirty spans
@@ -9,10 +10,17 @@ twin trees through seeded churn and comparing them node by node.
 import numpy as np
 import pytest
 
-from repro.dht import ChordRing, RingEventLog, crash_node, join_node, leave_node
+from repro.dht import (
+    ChordRing,
+    PhysicalNode,
+    RingEventLog,
+    crash_node,
+    join_node,
+    leave_node,
+)
 from repro.exceptions import TreeError, WorkloadError
 from repro.idspace import IdentifierSpace, IntervalSet, Region
-from repro.ktree import KnaryTree, TreeIndex
+from repro.ktree import KnaryTree
 from repro.workloads import ParetoLoadModel, apply_load_drift, build_scenario
 
 SPACE = IdentifierSpace(bits=8)
@@ -52,42 +60,45 @@ def _small_ring(seed, num_nodes=40):
     ).ring
 
 
+def _quarter_ring():
+    """Four virtual servers owning the quarters of an 8-bit ring."""
+    ring = ChordRing(IdentifierSpace(bits=8))
+    node = PhysicalNode(index=0, capacity=1.0)
+    ring.nodes.append(node)
+    for vs_id in (63, 127, 191, 255):
+        ring.add_virtual_server(node, vs_id)
+    return ring, node
+
+
 class TestTreeIndex:
     def test_slots_stable_and_ancestors_registered(self):
         ring = _small_ring(1)
         tree = KnaryTree(ring, 2)
-        index = TreeIndex(tree)
-        leaf = tree.ensure_leaf_for_key(123456)
-        slot = index.slot(leaf)
-        assert index.slot(leaf) == slot
-        assert index.node_at(slot) is leaf
-        # The whole ancestor chain registered root-down.
+        index = tree.index
+        key = np.array([123456], dtype=np.int64)
+        slot = int(tree.descend_batch(key)[0])
+        assert int(tree.descend_batch(key)[0]) == slot
+        leaf = index.node_at(slot)
+        assert tree.ensure_leaf_for_key(123456) is leaf
+        # The whole ancestor chain is registered, root-down.
         current = leaf
-        while current is not None:
-            s = index.slot(current)
+        while current.parent is not None:
+            s = current.slot
+            assert index.node_at(s) is current
             assert index.level[s] == current.level
+            assert index.parent[s] == current.parent.slot < s
             current = current.parent
+        assert current is tree.root and index.node_at(0) is tree.root
         assert index.parent[0] == -1
-
-    def test_foreign_node_rejected(self):
-        ring = _small_ring(1)
-        index = TreeIndex(KnaryTree(ring, 2))
-        other = KnaryTree(ring, 2)
-        foreign = other.ensure_leaf_for_key(99)
-        with pytest.raises(TreeError):
-            index.slot(foreign)
 
     def test_stamp_paths_counts_fresh_union(self):
         ring = _small_ring(2)
         tree = KnaryTree(ring, 2)
-        index = TreeIndex(tree)
+        index = tree.index
         keys = [int(k) for k in np.random.default_rng(0).integers(
             0, ring.space.size, size=25
         )]
-        slots = np.asarray(
-            [index.slot(tree.ensure_leaf_for_key(k)) for k in keys],
-            dtype=np.int64,
-        )
+        slots = tree.descend_batch(np.asarray(keys, dtype=np.int64))
         index.new_stamp()
         fresh, count, height = index.stamp_paths(slots)
         # The stamped union equals what a fresh lazy tree materialises
@@ -103,23 +114,33 @@ class TestTreeIndex:
         assert count2 == 0 and height2 == 0 and again.size == 0
 
     def test_drop_and_leaf_flip_invalidate(self):
-        ring = _small_ring(4)
+        ring, node = _quarter_ring()
         tree = KnaryTree(ring, 2)
-        index = TreeIndex(tree)
-        leaf = tree.ensure_leaf_for_key(777)
-        slot = index.slot(leaf)
-        probe = np.array([777], dtype=np.int64)
+        index = tree.index
+        probe = np.array([10], dtype=np.int64)
+        slot = int(tree.descend_batch(probe)[0])
+        assert (int(index.start[slot]), int(index.length[slot])) == (0, 64)
         assert index.resolve_leaves(probe).tolist() == [slot]
-        index.set_leaf(leaf, False)
+        # A join inside the leaf's region splits it: the slot turns
+        # internal and the directory stops answering with it.
+        split = ring.add_virtual_server(node, 31)
+        assert tree.refresh()["grown"] == 1
         assert not index.is_leaf[slot]
         assert index.resolve_leaves(probe).tolist() == [-1]
-        index.set_leaf(leaf, True)
+        ring.remove_virtual_server(split)
+        tree.refresh()
+        assert index.is_leaf[slot]
         assert index.resolve_leaves(probe).tolist() == [slot]
-        index.drop(leaf)
+        # Without the leaf's host, [0, 128) is one arc: the parent turns
+        # leaf and the pruned child's slot retires.
+        parent = int(index.parent[slot])
+        ring.remove_virtual_server(63)
+        assert tree.refresh()["pruned"] == 1
         assert not index.alive[slot]
-        assert index.resolve_leaves(probe).tolist() == [-1]
+        assert index.resolve_leaves(probe).tolist() == [parent]
         with pytest.raises(TreeError):
             index.node_at(slot)
+        tree.check_invariants()
 
 
 def _assert_same_tree(a, b):
@@ -169,14 +190,15 @@ class TestRefreshDirty:
             full_tree.refresh()
             _assert_same_tree(dirty_tree, full_tree)
             dirty_tree.check_invariants()
+            full_tree.check_invariants()
 
     def test_empty_spans_do_nothing(self):
         ring = _small_ring(6)
         tree = KnaryTree(ring, 2)
         tree.ensure_leaf_for_key(5)
         before = tree.node_count
-        delta = tree.refresh_dirty(IntervalSet(ring.space, []))
-        assert not delta.changed
+        counters = tree.refresh_dirty(IntervalSet(ring.space, []))
+        assert counters == {"replanted": 0, "pruned": 0, "grown": 0}
         assert tree.node_count == before
 
     def test_delta_names_pruned_and_flipped_nodes(self):
@@ -194,10 +216,18 @@ class TestRefreshDirty:
             leave_node(ring, alive[int(gen.integers(len(alive)))])
         delta = log.drain()
         assert delta.dirty is not None
-        refresh = tree.refresh_dirty(delta.dirty)
-        assert refresh.changed
-        for node in refresh.pruned_nodes:
-            assert node is not tree.root
+        index = tree.index
+        size = len(index)
+        was_alive = index.alive[:size].copy()
+        was_leaf = index.is_leaf[:size].copy()
+        counters = tree.refresh_dirty(delta.dirty)
+        # The columns name exactly the nodes the repair pruned and flipped.
+        alive, leaf = index.alive[:size], index.is_leaf[:size]
+        assert counters["pruned"] > 0
+        assert int((was_alive & ~alive).sum()) == counters["pruned"]
+        assert alive[0]
+        assert int((alive & was_leaf & ~leaf).sum()) == counters["grown"]
+        assert (alive & ~was_leaf & leaf).any()
         tree.check_invariants()
 
 
