@@ -39,7 +39,7 @@ def main():
     print("\n== phase 1: LBI aggregation over the K-nary tree ==")
     tree = KnaryTree(ring, k=2)
     reports = collect_lbi_reports(ring, tree, rng=1)
-    print(f"  {sum(len(r) for _, r in reports.values())} LBI reports entered "
+    print(f"  {sum(len(r) for r in reports.values())} LBI reports entered "
           f"{len(reports)} distinct KT leaves")
     system, trace = aggregate_lbi(tree, reports)
     print(f"  aggregated <L, C, L_min> = <{system.total_load:.1f}, "

@@ -6,8 +6,8 @@
 # incremental smoke (persistent-tree digest identity under churn), the
 # partition smoke (a network split healing under the conservation
 # gate) and the recovery smokes (a monitored chaos soak with process
-# crashes, and the durability-overhead bound).  Run from the
-# repository root:
+# crashes, and the durability-overhead bound), and every example
+# script.  Run from the repository root:
 #
 #   bash scripts/verify.sh
 #
@@ -45,6 +45,18 @@ if python -c "import mypy" >/dev/null 2>&1; then
 else
     echo "mypy not installed; skipping (pip install -e '.[dev]' to enable)"
 fi
+
+echo "== examples: every script in examples/ runs to a zero exit =="
+# Each example self-checks its output; a non-zero exit fails the build.
+# They run from a scratch directory so their output files stay out of
+# the checkout.
+ROOT="$(pwd)"
+EXAMPLES_TMP="$(mktemp -d /tmp/examples.XXXXXX)"
+for example in examples/*.py; do
+    echo "  $example"
+    (cd "$EXAMPLES_TMP" && PYTHONPATH="$ROOT/src" python "$ROOT/$example" >/dev/null)
+done
+rm -rf "$EXAMPLES_TMP"
 
 echo "== generated API docs freshness =="
 python scripts/gen_api_docs.py --check

@@ -41,7 +41,7 @@ from repro.core import (
 )
 from repro.dht import ChordRing, PhysicalNode, VirtualServer
 from repro.idspace import IdentifierSpace, Region
-from repro.ktree import KnaryTree, KTNode
+from repro.ktree import KnaryTree
 from repro.proximity import HilbertCurve, ProximityMapper
 from repro.topology import (
     DistanceOracle,
@@ -79,7 +79,6 @@ __all__ = [
     "VirtualServer",
     # tree
     "KnaryTree",
-    "KTNode",
     # proximity
     "HilbertCurve",
     "ProximityMapper",

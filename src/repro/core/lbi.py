@@ -40,7 +40,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryBudget, RetryPolicy, deliver_with_retry
 from repro.faults.stats import FaultRoundStats
 from repro.idspace.hashing import hash_to_id
-from repro.ktree.node import KTNode
 from repro.ktree.tree import KnaryTree
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -484,15 +483,14 @@ def collect_lbi_reports(
     epoch: int = 0,
     adversary: "AdversaryEngine | None" = None,
     adversary_stats: "AdversaryRoundStats | None" = None,
-) -> dict[int, tuple[KTNode, list[LBIRecord]]]:
+) -> dict[int, list[LBIRecord]]:
     """Leaf-indexed LBI reports for every alive node of ``ring``.
 
     The reference kernel's collection: :func:`admit_lbi_reports`'s
     decisions, then one :meth:`~repro.ktree.tree.KnaryTree.descend_batch`
-    over the admitted keys.  Keys of the returned mapping are
-    ``id(leaf)`` (KT nodes are unhashable by content on purpose); values
-    carry the leaf itself plus its reports.  With an enabled ``tracer``,
-    one ``lbi.collect`` event summarises the collection.
+    over the admitted keys.  The returned mapping takes each reached
+    leaf's slot to its reports, in admission order.  With an enabled
+    ``tracer``, one ``lbi.collect`` event summarises the collection.
     """
     nodes = ring.alive_nodes
     rows = admit_lbi_reports(
@@ -508,13 +506,12 @@ def collect_lbi_reports(
         adversary=adversary,
         adversary_stats=adversary_stats,
     )
-    by_leaf: dict[int, tuple[KTNode, list[LBIRecord]]] = {}
+    by_leaf: dict[int, list[LBIRecord]] = {}
     for load, capacity, min_vs, slot in zip(
         rows.loads.tolist(), rows.capacities.tolist(), rows.min_vs.tolist(),
         tree.descend_batch(rows.keys).tolist(),
     ):
-        leaf = tree.index.node_at(slot)
-        by_leaf.setdefault(id(leaf), (leaf, []))[1].append(
+        by_leaf.setdefault(slot, []).append(
             LBIRecord(load=load, capacity=capacity, min_vs_load=min_vs)
         )
     if tracer is not None and tracer.enabled:
@@ -524,7 +521,7 @@ def collect_lbi_reports(
 
 def aggregate_lbi(
     tree: KnaryTree,
-    reports_by_leaf: dict[int, tuple[KTNode, list[LBIRecord]]],
+    reports_by_leaf: dict[int, list[LBIRecord]],
     tracer: Tracer | None = None,
 ) -> tuple[SystemLBI, AggregationTrace]:
     """Run the bottom-up aggregation sweep and the top-down dissemination.
@@ -544,29 +541,33 @@ def aggregate_lbi(
     tracing = tracer is not None and tracer.enabled
     messages_at_level: Counter[int] | None = Counter() if tracing else None
 
-    # Bottom-up merge over the materialised tree.
+    # Bottom-up merge over the materialised tree, keyed by slot; each
+    # node folds its own reports, then its children by ascending rank.
     partial: dict[int, LBIRecord] = {}
-    nodes = tree.nodes_by_level_desc()
-    trace.tree_height = nodes[0].level if nodes else 0
-    for node in nodes:
+    index = tree.index
+    slots = tree.nodes_by_level_desc()
+    levels = index.level[slots].tolist()
+    trace.tree_height = levels[0]
+    for slot, level, row in zip(
+        slots.tolist(), levels, index.child[slots].tolist()
+    ):
         acc: LBIRecord | None = None
-        if id(node) in reports_by_leaf:
-            leaf, records = reports_by_leaf[id(node)]
-            assert leaf is node
+        records = reports_by_leaf.get(slot)
+        if records is not None:
             trace.reports += len(records)
             for rec in records:
                 acc = rec if acc is None else acc.merge(rec)
-        for child in node.materialized_children():
-            child_val = partial.pop(id(child), None)
+        for child in row:
+            child_val = partial.pop(child, None)
             if child_val is not None:
                 acc = child_val if acc is None else acc.merge(child_val)
                 trace.upward_messages += 1
                 if messages_at_level is not None:
-                    messages_at_level[node.level] += 1
+                    messages_at_level[level] += 1
         if acc is not None:
-            partial[id(node)] = acc
+            partial[slot] = acc
 
-    root_val = partial.get(id(tree.root))
+    root_val = partial.get(0)
     if root_val is None:
         raise BalancerError("aggregation produced no value at the root")
     system = SystemLBI.from_record(root_val)

@@ -369,14 +369,14 @@ class VSASweep:
 
         One :meth:`~repro.ktree.tree.KnaryTree.descend_batch` resolves
         every key; the per-leaf pending (shed ids, spare ids) buckets,
-        keyed by ``id(leaf)``, fill in delivery order.
+        keyed by leaf slot, fill in delivery order.
         """
         pending: dict[int, tuple[list[int], list[int]]] = {}
         index = self.tree.index
         slots = self.tree.descend_batch(entries.keys[delivered])
         is_heavy = entries.heavy[delivered].tolist()
         for i, shed, slot in zip(delivered.tolist(), is_heavy, slots.tolist()):
-            heavy, light = pending.setdefault(id(index.node_at(slot)), ([], []))
+            heavy, light = pending.setdefault(slot, ([], []))
             (heavy if shed else light).append(i)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -393,7 +393,7 @@ class VSASweep:
     ) -> None:
         """Run the bottom-up rendezvous sweep over delivered buckets.
 
-        ``pending`` maps ``id(leaf)`` to the leaf's delivered (shed ids,
+        ``pending`` maps a leaf slot to the leaf's delivered (shed ids,
         spare ids) lists, as produced by :meth:`bucket`; assignments,
         leftovers and cost accounting accumulate on ``result``.
         """
@@ -402,33 +402,29 @@ class VSASweep:
             tracer=self.tracer,
         )
 
-        def bucket(node_id: int) -> tuple[list[int], list[int]]:
-            buck = pending.get(node_id)
-            if buck is None:
-                buck = ([], [])
-                pending[node_id] = buck
-            return buck
-
-        # Bottom-up sweep over every materialised node.  Materialisation
+        # Bottom-up sweep over every materialised slot.  Materialisation
         # is frozen now: iterate a snapshot sorted deepest-first.
-        nodes = self.tree.nodes_by_level_desc()
-        result.rounds = nodes[0].level if nodes else 0
-        root = self.tree.root
-        for node in nodes:
-            buck = pending.pop(id(node), None)
+        index = self.tree.index
+        slots = self.tree.nodes_by_level_desc()
+        levels = index.level[slots].tolist()
+        result.rounds = levels[0]
+        for slot, level, parent in zip(
+            slots.tolist(), levels, index.parent[slots].tolist()
+        ):
+            buck = pending.pop(slot, None)
             if buck is None:
                 continue
             heavy, light = buck
-            is_root = node is root
+            is_root = slot == 0
             if is_root or (len(heavy) + len(light)) >= self.threshold:
-                up_heavy, up_light = pairing.pair(heavy, light, node.level, is_root)
+                up_heavy, up_light = pairing.pair(heavy, light, level, is_root)
             else:
                 up_heavy, up_light = heavy, light
 
             if is_root:
                 continue
             if up_heavy or up_light:
-                parent_heavy, parent_light = bucket(id(node.parent))
+                parent_heavy, parent_light = pending.setdefault(parent, ([], []))
                 parent_heavy.extend(up_heavy)
                 parent_light.extend(up_light)
                 result.upward_messages += 1

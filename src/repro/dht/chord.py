@@ -243,11 +243,10 @@ class ChordRing:
     def host_with_region(self, key: int) -> tuple[VirtualServer, int, int]:
         """:meth:`successor` plus its owned region as raw ``(start, length)``.
 
-        One ``searchsorted`` yields both the owning virtual server and
-        its predecessor, so callers that need the owner *and* its region
-        (the K-nary tree plants a node and immediately tests coverage)
-        pay a single index probe instead of two.  The arithmetic mirrors
-        :meth:`successor` followed by :meth:`region_of` exactly,
+        The scalar reference for :meth:`hosts_with_regions`, which is
+        what the K-nary tree probes: one ``searchsorted`` yields both the
+        owning virtual server and its predecessor.  The arithmetic
+        mirrors :meth:`successor` followed by :meth:`region_of` exactly,
         including the full-ring convention for a single-VS ring.
         """
         self.space.validate(key)
@@ -305,9 +304,9 @@ class ChordRing:
         ``(starts, lengths)`` int64 columns.  One ``searchsorted`` over
         the sorted-id index serves the whole batch; the arithmetic —
         including the full-ring convention for a single-VS ring —
-        mirrors the scalar method exactly.  This is what lets the
-        K-nary tree's batched descent materialise a whole tree level's
-        new children without per-node index probes.
+        mirrors the scalar method exactly.  This is what lets every
+        K-nary tree walk plant and leaf-test a whole tree level without
+        per-node index probes.
         """
         arr = np.asarray(keys, dtype=np.int64)
         size = self.space.size

@@ -3,16 +3,18 @@
 The incremental balancer needs one primitive the plain :class:`Region`
 does not provide efficiently: given a *batch* of dirty regions (the
 identifier-space spans whose ownership changed since the last round),
-answer ``does this KT node's region overlap any dirty span?`` in
-``O(log s)`` instead of ``O(s)``.  :class:`IntervalSet` canonicalises
-the batch once — wrapping regions are split at zero, overlapping spans
-are merged — and answers overlap queries by binary search.
+answer ``which of these KT node regions overlap a dirty span?`` for a
+whole tree level at once.  :class:`IntervalSet` canonicalises the batch
+once — wrapping regions are split at zero, overlapping spans are merged
+— and answers a level's overlap queries with one binary search over its
+span columns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.idspace.region import Region
 from repro.idspace.space import IdentifierSpace
@@ -41,8 +43,8 @@ class IntervalSet:
                     merged[-1][1] = end
             else:
                 merged.append([start, end])
-        self._starts = [s for s, _ in merged]
-        self._ends = [e for _, e in merged]
+        self._starts = np.asarray([s for s, _ in merged], dtype=np.int64)
+        self._ends = np.asarray([e for _, e in merged], dtype=np.int64)
 
     @classmethod
     def from_regions(
@@ -60,35 +62,25 @@ class IntervalSet:
         return cls(space, pieces)
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return int(self._starts.size)
 
     def __bool__(self) -> bool:
-        return bool(self._starts)
+        return bool(self._starts.size)
 
-    def _overlaps_linear(self, start: int, end: int) -> bool:
-        """Overlap test against one unwrapped ``[start, end)`` range."""
-        if start >= end:
-            return False
-        idx = bisect_right(self._starts, start)
-        if idx > 0 and self._ends[idx - 1] > start:
-            return True
-        return idx < len(self._starts) and self._starts[idx] < end
+    def overlaps(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Which arcs ``[starts, starts + lengths)`` intersect the set.
 
-    def contains(self, ident: int) -> bool:
-        """Whether ``ident`` lies inside any interval of the set."""
-        return self._overlaps_linear(ident, ident + 1)
-
-    def overlaps_region(self, region: Region) -> bool:
-        """Whether ``region`` (possibly wrapping) intersects the set."""
-        return self.overlaps(region.start, region.length)
-
-    def overlaps(self, start: int, length: int) -> bool:
-        """Whether the arc ``[start, start + length)`` intersects the set."""
-        if not self._starts:
-            return False
-        size = self.space.size
-        if start + length <= size:
-            return self._overlaps_linear(start, start + length)
-        return self._overlaps_linear(start, size) or self._overlaps_linear(
-            0, start + length - size
-        )
+        The arcs must not wrap (``starts + lengths <= space.size``), as
+        K-nary tree regions never do.  The set's spans are sorted and
+        disjoint, so their ends ascend too: the first span ending after
+        an arc's start is the only candidate, found by one
+        ``searchsorted`` over the whole batch.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        n = self._starts.size
+        if not n:
+            return np.zeros(starts.shape, dtype=bool)
+        first = np.searchsorted(self._ends, starts, side="right")
+        candidate = self._starts[np.minimum(first, n - 1)]
+        return (first < n) & (candidate < starts + lengths) & (lengths > 0)

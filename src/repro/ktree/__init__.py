@@ -7,10 +7,13 @@ covered by its hosting virtual server's region is a leaf; otherwise its
 region splits into K equal parts, one per child.  The tree therefore
 tracks the DHT's ring structure and can always be reconstructed from it,
 which is what makes it self-repairing under churn.
+
+A KT node is an integer slot into the struct-of-arrays columns of the
+tree's :class:`TreeIndex` (region, linkage, child table, host); every
+construction and repair walk runs one tree level at a time over them.
 """
 
-from repro.ktree.node import KTNode
 from repro.ktree.tree import KnaryTree
 from repro.ktree.index import TreeIndex
 
-__all__ = ["KTNode", "KnaryTree", "TreeIndex"]
+__all__ = ["KnaryTree", "TreeIndex"]

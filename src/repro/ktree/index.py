@@ -1,20 +1,19 @@
-"""The struct-of-arrays slot columns of one K-nary tree.
+"""The struct-of-arrays slot columns that *are* one K-nary tree.
 
-Every :class:`~repro.ktree.tree.KnaryTree` owns one :class:`TreeIndex`
-and registers each :class:`~repro.ktree.node.KTNode` in it the moment
-the node materialises, under a stable integer *slot*.  The columns
-(``parent``, ``level``, ``child_rank``, ``alive``, ``is_leaf``,
-``start``, ``length``) mirror the tree's linkage and regions, and the
-tree's self-repair writes them in the same pass that prunes or flips
-nodes, so no caller ever syncs them.  The balancer folds LBI aggregates
-and sweeps VSA buckets over slots instead of objects, which is what
-makes its hot paths vectorisable:
+Every :class:`~repro.ktree.tree.KnaryTree` owns one :class:`TreeIndex`.
+A materialised KT node is nothing but an integer *slot* into its
+columns: ``parent``, ``level``, ``child_rank``, ``alive``, ``is_leaf``,
+``start``, ``length``, the ``slots x K`` ``child`` table (``-1`` where a
+child is not materialised) and the ``host`` list of planting virtual
+servers.  The tree's construction and self-repair write the columns
+level by level; the balancer folds LBI aggregates and sweeps VSA
+buckets over them, which is what makes its hot paths vectorisable:
 
 * *Stamp walks* (:meth:`stamp_paths`) mark the union of root-to-leaf
   paths touched in the current round.  The stamped slot set is exactly
   the node set a from-scratch lazily-built tree would materialise for
-  the same keys, so the object walk's message/height accounting can be
-  reproduced from the stamps alone.
+  the same keys, so the reference walk's message/height accounting can
+  be reproduced from the stamps alone.
 * *Leaf directory* (:meth:`resolve_leaves`) answers which materialised
   leaf owns each key with one ``searchsorted`` over the live leaves'
   region starts.  Every registration, retirement and leaf flip marks
@@ -22,38 +21,40 @@ makes its hot paths vectorisable:
   out, so a lookup never returns a pruned slot or one that has since
   split.
 
-A pruned node's slot is retired (``alive`` false, ``nodes[slot]`` is
-``None``) and not handed out again.  Every key resolves afresh each
-round, so nothing outside the tree holds a slot across a refresh: a
-retired slot is dead weight, not a hazard.
+A pruned node's slot is retired (``alive`` false, no host) onto a free
+list, and the next registration reuses it before the columns grow.
+Every key resolves afresh each round, so nothing outside the tree holds
+a slot across a refresh, and slot numbers are never observable.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.exceptions import TreeError
-from repro.ktree.node import KTNode
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dht.virtual_server import VirtualServer
 
 
 class TreeIndex:
-    """Slot registry, linkage columns and leaf directory of one tree.
+    """Slot columns, child table, host list and leaf directory of one tree.
 
     Only the owning :class:`~repro.ktree.tree.KnaryTree` writes it
-    (:meth:`_register`, :meth:`_retire`, :meth:`_flip`); everyone else
-    reads the columns and calls the lookups.
+    (:meth:`_register`, :meth:`_retire`, :meth:`_flip`, and ``host`` on
+    replanting); everyone else reads the columns and calls the lookups.
     """
 
     __slots__ = (
-        "nodes",
+        "host",
         "live",
         "_size",
         "_capacity",
+        "_free",
         "parent",
         "level",
         "child_rank",
+        "child",
         "alive",
         "is_leaf",
         "start",
@@ -66,26 +67,32 @@ class TreeIndex:
         "_dir_pending",
     )
 
+    #: Initial slot capacity; the columns grow by half when it runs out.
+    CAPACITY = 1024
+
     #: Pending-patch flood valve: above ``max(64, len(directory) // 8)``
     #: dirty slots the batched splice costs more than a fresh sort.
     DIR_PATCH_FLOOR = 64
 
-    def __init__(self, capacity: int = 1024) -> None:
-        self.nodes: list[KTNode | None] = []
+    def __init__(self, k: int) -> None:
+        #: Planting virtual server per slot (``None`` on retired slots).
+        self.host: list[VirtualServer | None] = []
         #: Number of live (materialised, unpruned) slots.
         self.live = 0
         self._size = 0
-        self._capacity = max(int(capacity), 16)
+        self._capacity = cap = self.CAPACITY
+        self._free: list[int] = []
         # Slot-valued and small-integer columns are int32 (a persistent
         # tree holds tens of thousands of slots); regions need int64.
-        self.parent = np.full(self._capacity, -1, dtype=np.int32)
-        self.level = np.zeros(self._capacity, dtype=np.int32)
-        self.child_rank = np.zeros(self._capacity, dtype=np.int32)
-        self.alive = np.zeros(self._capacity, dtype=bool)
-        self.is_leaf = np.zeros(self._capacity, dtype=bool)
-        self.start = np.zeros(self._capacity, dtype=np.int64)
-        self.length = np.zeros(self._capacity, dtype=np.int64)
-        self._stamp = np.zeros(self._capacity, dtype=np.int32)
+        self.parent = np.full(cap, -1, dtype=np.int32)
+        self.level = np.zeros(cap, dtype=np.int32)
+        self.child_rank = np.zeros(cap, dtype=np.int32)
+        self.child = np.full((cap, k), -1, dtype=np.int32)
+        self.alive = np.zeros(cap, dtype=bool)
+        self.is_leaf = np.zeros(cap, dtype=bool)
+        self.start = np.zeros(cap, dtype=np.int64)
+        self.length = np.zeros(cap, dtype=np.int64)
+        self._stamp = np.zeros(cap, dtype=np.int32)
         self._stamp_id = 0
         # Sorted leaf directory (lazily built, incrementally patched;
         # see resolve_leaves).  ``_dir_pending`` holds slots whose leaf
@@ -111,6 +118,7 @@ class TreeIndex:
             "parent",
             "level",
             "child_rank",
+            "child",
             "alive",
             "is_leaf",
             "start",
@@ -118,68 +126,86 @@ class TreeIndex:
             "_stamp",
         ):
             old = getattr(self, name)
-            fresh = np.full(new_cap, -1 if name == "parent" else 0, dtype=old.dtype)
+            fill = -1 if name in ("parent", "child") else 0
+            fresh = np.full((new_cap,) + old.shape[1:], fill, dtype=old.dtype)
             fresh[: self._capacity] = old
             setattr(self, name, fresh)
         self._capacity = new_cap
 
     def _register(
         self,
-        nodes: Sequence[KTNode],
-        starts: Iterable[int] | np.ndarray,
-        lengths: Iterable[int] | np.ndarray,
-    ) -> None:
-        """Give freshly materialised ``nodes`` the next slots, in order.
+        parents: np.ndarray,
+        ranks: np.ndarray,
+        hosts: Sequence[VirtualServer],
+        leaf: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+    ) -> np.ndarray:
+        """Register freshly materialised nodes; returns their slots.
 
-        ``starts``/``lengths`` are the nodes' regions; each node's
-        parent must already be registered.
+        Node ``i`` is child ``ranks[i]`` of slot ``parents[i]`` (``-1``
+        for the root), planted in ``hosts[i]``, a leaf iff ``leaf[i]``,
+        with region ``[starts[i], starts[i] + lengths[i])``.  Retired
+        slots (whose child rows :meth:`_retire` cleared) are reused, last
+        retired first, before the columns grow; each parent's
+        child-table entry is written.
         """
+        n = len(hosts)
+        reused = [self._free.pop() for _ in range(min(n, len(self._free)))]
         first = self._size
-        end = first + len(nodes)
+        end = first + n - len(reused)
         if end > self._capacity:
             self._grow(end)
-        for slot, node in enumerate(nodes, first):
-            node.slot = slot
-        self.nodes.extend(nodes)
-        self.parent[first:end] = [
-            -1 if node.parent is None else node.parent.slot for node in nodes
-        ]
-        self.level[first:end] = [node.level for node in nodes]
-        self.child_rank[first:end] = [node.rank for node in nodes]
-        leaf = [node.is_leaf for node in nodes]
-        self.is_leaf[first:end] = leaf
-        self.alive[first:end] = True
-        self.start[first:end] = starts
-        self.length[first:end] = lengths
+        slots = np.concatenate(
+            (np.asarray(reused, dtype=np.int64), np.arange(first, end))
+        )
+        for slot, host in zip(reused, hosts):
+            self.host[slot] = host
+        self.host.extend(hosts[len(reused) :])
+        linked = parents >= 0
+        self.parent[slots] = parents
+        self.level[slots] = np.where(
+            linked, self.level[np.maximum(parents, 0)] + 1, 0
+        )
+        self.child_rank[slots] = ranks
+        self.child[parents[linked], ranks[linked]] = slots[linked]
+        self.is_leaf[slots] = leaf
+        self.alive[slots] = True
+        self.start[slots] = starts
+        self.length[slots] = lengths
+        self._stamp[slots] = 0
         self._size = end
-        self.live += len(nodes)
+        self.live += n
         if self._dir_starts is not None:
-            self._dir_pending.update(
-                slot for slot, flag in enumerate(leaf, first) if flag
-            )
+            self._dir_pending.update(slots[leaf].tolist())
+        return slots
 
-    def _retire(self, slots: Sequence[int]) -> None:
-        """Retire pruned nodes' slots (they are not handed out again)."""
-        for slot in slots:
-            self.nodes[slot] = None
+    def _retire(self, slots: np.ndarray) -> None:
+        """Retire pruned nodes' slots onto the free list.
+
+        The caller clears the child-table entries pointing at them.
+        """
+        for slot in slots.tolist():
+            self.host[slot] = None
         self.alive[slots] = False
         self.is_leaf[slots] = False
+        self.child[slots] = -1
         self.live -= len(slots)
+        self._free.extend(slots.tolist())
         if self._dir_starts is not None:
-            self._dir_pending.update(slots)
+            self._dir_pending.update(slots.tolist())
 
-    def _flip(self, slot: int, leaf: bool) -> None:
-        """Record that the node at ``slot`` became a leaf or internal."""
-        self.is_leaf[slot] = leaf
+    def _flip(self, slots: np.ndarray, leaf: bool) -> None:
+        """Record that the nodes at ``slots`` became leaves or internal.
+
+        A leaf has no children, so flipping to a leaf clears the slots'
+        child-table rows.
+        """
+        self.is_leaf[slots] = leaf
+        if leaf:
+            self.child[slots] = -1
         if self._dir_starts is not None:
-            self._dir_pending.add(slot)
-
-    def node_at(self, slot: int) -> KTNode:
-        """The live node registered at ``slot``."""
-        node = self.nodes[slot]
-        if node is None:
-            raise TreeError(f"slot {slot} was pruned")
-        return node
+            self._dir_pending.update(slots.tolist())
 
     # ------------------------------------------------------------------
     # Batch key resolution
@@ -202,10 +228,11 @@ class TreeIndex:
 
         Self-correcting rather than event-ordered: every pending slot is
         first removed from the directory, then re-inserted iff it is a
-        live leaf *now* — so a slot that flipped twice between resolves
-        lands in the state the flag arrays describe.  Leaf regions tile
-        the ring disjointly, so region starts are unique and one batched
-        ``searchsorted`` + ``np.insert`` keeps the order strict.
+        live leaf *now* — so a slot that flipped twice, or was retired
+        and reused, between resolves lands in the state the columns
+        describe.  Leaf regions tile the ring disjointly, so region
+        starts are unique and one batched ``searchsorted`` +
+        ``np.insert`` keeps the order strict.
         """
         starts = self._dir_starts
         slots_arr = self._dir_slots

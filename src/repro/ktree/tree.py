@@ -1,57 +1,57 @@
-"""Construction and maintenance of the K-nary tree.
+"""Construction and maintenance of the K-nary tree, over slot columns.
 
-Two construction modes are provided:
+The tree *is* its :class:`~repro.ktree.index.TreeIndex`: a KT node is a
+slot, its region, linkage and leaf flag are columns, its children are a
+row of the ``slots x K`` child table and its planting virtual server is
+an entry of the ``host`` list.  Every walk is level-synchronous: it
+holds one level's slots as an array, answers their planting and
+leaf-ness with one :func:`leaf_rule` probe, and gathers the next level
+from the child table.
 
+Construction
+------------
 * :meth:`KnaryTree.build_full` materialises every KT node down to the
-  leaves.  Exact but O(#leaves); meant for small rings and for tests
-  that verify the structural invariants (every virtual server hosts at
-  least one leaf, leaf regions tile the ring, ...).
-
+  leaves, one level at a time.  Exact but O(#leaves); meant for small
+  rings and for tests that verify the structural invariants (every
+  virtual server hosts at least one leaf, leaf regions tile the ring,
+  ...).
 * :meth:`KnaryTree.descend_batch` materialises only the root-to-leaf
-  paths of a batch of keys, one tree level at a time.  Because the tree
-  shape is a pure function of the ring, lazily materialised paths
-  coincide exactly with the full tree; the aggregation and VSA sweeps
-  only ever touch the paths of keys that carry information, which
-  keeps the paper-scale experiments (4096 nodes x 5 virtual servers,
-  32-bit space) cheap.  Every round resolves its keys this way; with a
-  ``view`` (a sub-ring such as a partition component) the descent
-  stops at the view's leaves, the upper cut of this tree that a fresh
-  tree over the view would build.
+  paths of a batch of keys.  Because the tree shape is a pure function
+  of the ring, lazily materialised paths coincide exactly with the full
+  tree; the aggregation and VSA sweeps only ever touch the paths of
+  keys that carry information, which keeps the paper-scale experiments
+  (4096 nodes x 5 virtual servers, 32-bit space) cheap.  Every round
+  resolves its keys this way; with a ``view`` (a sub-ring such as a
+  partition component) the descent stops at the view's leaves, the
+  upper cut of this tree that a fresh tree over the view would build.
   :meth:`KnaryTree.ensure_leaf_for_key` is the one-key walk the batch
   is tested against.
 
-Nodes carry no region objects: a node's region derives from the root's
-through the split ranks on its path (:attr:`KTNode.region`), and the
-tree's own walks carry regions along as they descend.  The tree owns
-one :class:`~repro.ktree.index.TreeIndex`: every node is registered in
-its slot columns when it materialises, and the self-repair walk retires
-and flips slots as it prunes and flips nodes, so the columns always
-describe exactly the materialised tree.
+All three create nodes through one bulk materialiser: a level's new
+children get one :func:`leaf_rule` probe and one registration, which
+writes their columns and their parents' child-table entries.
 
-Self-repair (Section 3.1.1) is one top-down walk,
-:meth:`KnaryTree.refresh_dirty`: it re-plants every materialised KT
-node inside the given dirty identifier spans in the virtual server that
-now owns its center point, prunes children that became redundant
-(region now covered by the hosting VS) and grows children that became
-necessary.  :meth:`KnaryTree.refresh` is the same walk over the whole
-identifier space; each pass corresponds to one round of the paper's
-periodic top-down checking.
+Self-repair
+-----------
+Section 3.1.1's periodic top-down check is :meth:`KnaryTree.refresh_dirty`,
+a level walk over the materialised nodes inside the given dirty
+identifier spans: each level re-plants its nodes in the virtual servers
+that now own their centers, retires the subtrees of nodes that became
+leaves (region now covered by the hosting VS) and flips leaves whose
+host shrank back into internal nodes.  :meth:`KnaryTree.refresh` is the
+same walk over the whole identifier space.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Iterator, cast
 
 import numpy as np
 
 from repro.dht.chord import ChordRing
 from repro.dht.virtual_server import VirtualServer
 from repro.exceptions import TreeError
-from repro.idspace import IntervalSet, Region
+from repro.idspace import IntervalSet
 from repro.idspace.region import split_bounds
 from repro.ktree.index import TreeIndex
-from repro.ktree.node import KTNode, KTRoot
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -60,10 +60,13 @@ def leaf_rule(
 ) -> tuple[list[VirtualServer], np.ndarray]:
     """Hosts and leaf-ness of the regions ``[starts, starts + lengths)``.
 
-    The batched form of :meth:`KnaryTree._host_and_leaf`: one
+    A KT node is planted in the virtual server owning its region's
+    center, and is a leaf when that server's region completely covers
+    its own.  On degenerate tiny rings a region may also become too
+    small to split into K parts; such a region cannot grow children
+    either, so it is a leaf.  One
     :meth:`~repro.dht.chord.ChordRing.hosts_with_regions` probe at the
-    region centers, then the same raw-integer coverage test and the
-    ``length < k`` rule.
+    region centers answers both, on raw integers.
     """
     size = ring.space.size
     hosts, h_start, h_length = ring.hosts_with_regions(
@@ -91,8 +94,8 @@ class KnaryTree:
     ----------
     index:
         The tree's :class:`~repro.ktree.index.TreeIndex`.  The root is
-        slot 0; every other node takes the next slot when it
-        materialises, and keeps it until a refresh prunes it.
+        slot 0; every other node takes a free slot when it materialises,
+        and keeps it until a refresh prunes it.
     """
 
     def __init__(
@@ -106,125 +109,95 @@ class KnaryTree:
         self.ring = ring
         self.k = k
         self.metrics = metrics
-        size = ring.space.size
-        host, is_leaf = self._host_and_leaf(0, size)
-        self.root: KTNode = KTRoot(ring.space, host, is_leaf, k)
-        self.index = TreeIndex()
-        self.index._register([self.root], [0], [size])
-
-    # ------------------------------------------------------------------
-    # Node construction helpers
-    # ------------------------------------------------------------------
-    def _host_and_leaf(self, start: int, length: int) -> tuple[VirtualServer, bool]:
-        """Hosting VS of region ``[start, start + length)`` and the
-        paper's leaf rule, in one probe.
-
-        A KT node is a leaf when its region is completely covered by the
-        region of its hosting virtual server (the successor of its center
-        point).  On degenerate tiny rings a region may also become too
-        small to split into K parts; such a region cannot grow children
-        either, so it is a leaf.
-
-        Uses :meth:`~repro.dht.chord.ChordRing.host_with_region` so the
-        host lookup and the coverage test share a single index probe; the
-        raw-integer arithmetic mirrors :meth:`Region.center` and
-        :meth:`Region.covers` exactly.
-        """
-        size = self.ring.space.size
-        host, hstart, hlength = self.ring.host_with_region(
-            (start + length // 2) % size
+        self.index = TreeIndex(k)
+        starts = np.zeros(1, dtype=np.int64)
+        lengths = np.full(1, ring.space.size, dtype=np.int64)
+        hosts, leaf = leaf_rule(ring, starts, lengths, k)
+        self.index._register(
+            np.full(1, -1), np.zeros(1, dtype=np.int64), hosts, leaf, starts, lengths
         )
-        if hlength == size:
-            covered = True
-        elif length == size:
-            covered = False
-        else:
-            covered = (start - hstart) % size + length <= hlength
-        return host, covered or length < self.k
 
-    def _materialize_child(
-        self, node: KTNode, index: int, start: int, length: int
-    ) -> KTNode:
-        """Child ``index`` of ``node``, whose region is ``[start, start + length)``."""
-        if node.is_leaf:
-            raise TreeError("leaf KT nodes have no children")
-        existing = node.children[index]
-        if existing is not None:
-            return existing
-        host, is_leaf = self._host_and_leaf(start, length)
-        child = KTNode(node.level + 1, node, index, host, is_leaf, self.k)
-        node.set_child(index, child)
-        self.index._register([child], [start], [length])
+    # ------------------------------------------------------------------
+    # The bulk materialiser
+    # ------------------------------------------------------------------
+    def _materialize(self, parents: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Materialise child ``ranks[i]`` of every slot ``parents[i]``.
+
+        The children's regions split their parents' by the uneven K-way
+        rule of :func:`~repro.idspace.region.split_bounds` (tree regions
+        never wrap); one :func:`leaf_rule` probe plants them and one
+        registration writes their columns.  Returns their slots.
+        """
+        index = self.index
+        k = self.k
+        starts = index.start[parents]
+        lengths = index.length[parents]
+        base = lengths // k
+        extra = lengths - base * k
+        below = ranks < extra
+        starts = starts + np.where(
+            below, ranks * (base + 1), extra * (base + 1) + (ranks - extra) * base
+        )
+        lengths = np.where(below, base + 1, base)
+        hosts, leaf = leaf_rule(self.ring, starts, lengths, k)
+        slots = index._register(parents, ranks, hosts, leaf, starts, lengths)
         if self.metrics is not None:
-            self.metrics.counter("ktree.materialized").inc()
-        return child
+            self.metrics.counter("ktree.materialized").inc(len(slots))
+        return slots
 
     # ------------------------------------------------------------------
     # Construction modes
     # ------------------------------------------------------------------
     def build_full(self, max_nodes: int = 2_000_000) -> None:
-        """Materialise the entire tree (small rings / structural tests).
+        """Materialise the entire tree, one level at a time.
 
         Raises :class:`TreeError` when the tree would exceed ``max_nodes``
         — a guard against accidentally full-building a 32-bit ring.
         """
-        size = self.ring.space.size
-        queue: deque[tuple[KTNode, int, int]] = deque([(self.root, 0, size)])
-        while queue:
-            node, start, length = queue.popleft()
-            if node.is_leaf:
-                continue
-            for i in range(self.k):
-                c_start, c_length = split_bounds(start, length, self.k, i, size)
-                child = self._materialize_child(node, i, c_start, c_length)
-                if self.index.live > max_nodes:
+        index = self.index
+        level = np.flatnonzero(~index.is_leaf[:1])
+        while level.size:
+            rows = index.child[level]
+            at, ranks = np.nonzero(rows < 0)
+            if at.size:
+                if index.live + at.size > max_nodes:
                     raise TreeError(
                         f"full tree exceeds max_nodes={max_nodes}; "
                         "use lazy construction for large rings"
                     )
-                queue.append((child, c_start, c_length))
+                rows[at, ranks] = self._materialize(level[at], ranks)
+            kids = rows.ravel()
+            level = kids[~index.is_leaf[kids]]
 
-    def ensure_leaf_for_key(self, key: int) -> KTNode:
-        """Materialise (if needed) and return the leaf whose region has ``key``.
+    def ensure_leaf_for_key(self, key: int) -> int:
+        """Materialise (if needed) the leaf whose region has ``key``; its slot.
 
         The returned leaf is identical to the one :meth:`build_full`
         would produce, because the split sequence is deterministic.
-        This is the one-key reference walk; rounds resolve their keys
-        with :meth:`descend_batch`.
-
-        The descent tracks the current region as raw ``(start, length)``
-        integers and replicates :meth:`Region.child_index_for` inline, so
-        steps through already-materialised children cost no region
-        allocation or validation.
+        This is the one-key reference walk, on scalar arithmetic;
+        rounds resolve their keys with :meth:`descend_batch`.
         """
         self.ring.space.validate(key)
-        size = self.ring.space.size
+        index = self.index
         k = self.k
-        node = self.root
-        start, length = 0, size
-        guard = 0
-        while not node.is_leaf:
-            offset = (key - start) % size
+        slot = 0
+        while not index.is_leaf[slot]:
+            start = int(index.start[slot])
+            length = int(index.length[slot])
+            offset = key - start
             base, extra = divmod(length, k)
             boundary = (base + 1) * extra
             if offset < boundary:
-                index = offset // (base + 1)
-                child_offset = index * (base + 1)
-                child_length = base + 1
+                rank = offset // (base + 1)
             else:
-                index = extra + (offset - boundary) // base
-                child_offset = boundary + (index - extra) * base
-                child_length = base
-            start = (start + child_offset) % size
-            length = child_length
-            child = node.children[index]
-            if child is None:
-                child = self._materialize_child(node, index, start, length)
-            node = child
-            guard += 1
-            if guard > 8 * self.ring.space.bits:  # pragma: no cover
-                raise TreeError("runaway descent in ensure_leaf_for_key")
-        return node
+                rank = extra + (offset - boundary) // base
+            child = int(index.child[slot, rank])
+            if child < 0:
+                child = int(
+                    self._materialize(np.array([slot]), np.array([rank]))[0]
+                )
+            slot = child
+        return slot
 
     def descend_batch(
         self, keys: np.ndarray, view: ChordRing | None = None
@@ -235,19 +208,10 @@ class KnaryTree:
         leaf it reaches.  Behaviourally identical to calling
         :meth:`ensure_leaf_for_key` per key (the split sequence is a
         pure function of the ring, so the same leaves materialise), but
-        the per-level child arithmetic — digit extraction against the
-        uneven K-way split — runs once over the whole active key set as
-        NumPy integer programs, and the Python loop touches each
-        *distinct* ``(node, child)`` pair exactly once per level.  The
-        total Python work is therefore proportional to the number of
-        distinct path nodes the key set touches, not ``len(keys) x
-        depth``.
-
-        Regions stay raw integer columns throughout; genuinely new
-        children materialise in bulk per level — one vectorised
-        :meth:`~repro.dht.chord.ChordRing.hosts_with_regions` probe
-        answers every new child's planting and leaf-ness at once, and
-        one registration writes their slot columns — and the
+        each level's digit extraction against the uneven K-way split
+        runs once over the whole active key set, the child table
+        answers every ``(slot, digit)`` pair in one gather, and the
+        distinct missing children materialise in one bulk call — so the
         ``ktree.materialized`` accounting matches the serial descent.
 
         With a ``view`` — a ring holding a subset of this ring's virtual
@@ -265,94 +229,42 @@ class KnaryTree:
             return slots
         if int(key_arr.min()) < 0 or int(key_arr.max()) >= size:
             raise TreeError("descend_batch key outside the identifier space")
-        root_stops = self.root.is_leaf
+        root_stops = bool(index.is_leaf[0])
         if view is not None and not root_stops:
             # A view with one virtual server covers the whole ring.
             whole = np.full(1, size, dtype=np.int64)
             root_stops = bool(leaf_rule(view, whole * 0, whole, k)[1][0])
         if root_stops:
             return slots  # the root is slot 0
-        # Frontier: the distinct internal nodes the active keys sit at,
-        # with their regions as raw (start, length) integer columns.
-        frontier: list[KTNode] = [self.root]
-        f_start = np.zeros(1, dtype=np.int64)
-        f_length = np.full(1, size, dtype=np.int64)
-        key_node = np.zeros(n, dtype=np.int64)
         active = np.arange(n, dtype=np.int64)
-        guard = 0
+        at = np.zeros(n, dtype=np.int64)  # each active key's internal slot
         while active.size:
-            akeys = key_arr[active]
-            anode = key_node[active]
-            starts = f_start[anode]
-            lengths = f_length[anode]
             # Inline Region.child_index_for over the whole active set
             # (internal regions always have length >= k, so base >= 1).
-            offsets = (akeys - starts) % size
+            offsets = key_arr[active] - index.start[at]
+            lengths = index.length[at]
             base = lengths // k
             extra = lengths - base * k
             boundary = (base + 1) * extra
-            below = offsets < boundary
-            idx = np.where(
-                below,
+            ranks = np.where(
+                offsets < boundary,
                 offsets // (base + 1),
-                extra + (offsets - boundary) // np.maximum(base, 1),
+                extra + (offsets - boundary) // base,
             )
-            child_offset = np.where(
-                below, idx * (base + 1), boundary + (idx - extra) * base
-            )
-            child_length = np.where(below, base + 1, base)
-            # Group the active keys by (frontier node, child digit) and
-            # materialise each distinct child once.
-            group = anode * k + idx
-            uniq, first_pos, inverse = np.unique(
-                group, return_index=True, return_inverse=True
-            )
-            g_start = (starts[first_pos] + child_offset[first_pos]) % size
-            g_length = child_length[first_pos]
-            parents_u = [frontier[g] for g in (uniq // k).tolist()]
-            ranks_u = (uniq % k).tolist()
-            children_u: list[KTNode | None] = [
-                node.children[rank] for node, rank in zip(parents_u, ranks_u)
-            ]
-            missing = [j for j, c in enumerate(children_u) if c is None]
-            if missing:
-                m = np.asarray(missing, dtype=np.int64)
-                m_start = g_start[m]
-                m_length = g_length[m]
-                hosts, new_leaf = leaf_rule(self.ring, m_start, m_length, k)
-                born: list[KTNode] = []
-                for j, host, leaf_j in zip(missing, hosts, new_leaf.tolist()):
-                    node = parents_u[j]
-                    rank = ranks_u[j]
-                    child = KTNode(node.level + 1, node, rank, host, leaf_j, k)
-                    node.set_child(rank, child)
-                    children_u[j] = child
-                    born.append(child)
-                index._register(born, m_start, m_length)
-                if self.metrics is not None:
-                    self.metrics.counter("ktree.materialized").inc(len(missing))
-            children = cast("list[KTNode]", children_u)
-            child_slots = np.fromiter(
-                (child.slot for child in children),
-                dtype=np.int64,
-                count=len(children),
-            )
-            stop = index.is_leaf[child_slots]
+            uniq, inverse = np.unique(at * k + ranks, return_inverse=True)
+            parents, ranks = np.divmod(uniq, k)
+            kids = index.child[parents, ranks].astype(np.int64)
+            missing = np.flatnonzero(kids < 0)
+            if missing.size:
+                kids[missing] = self._materialize(parents[missing], ranks[missing])
+            stop = index.is_leaf[kids]
             if view is not None:
-                stop |= leaf_rule(view, g_start, g_length, k)[1]
+                stop |= leaf_rule(view, index.start[kids], index.length[kids], k)[1]
             key_stop = stop[inverse]
-            slots[active[key_stop]] = child_slots[inverse[key_stop]]
-            keep = ~stop
-            frontier = [children[j] for j in np.flatnonzero(keep).tolist()]
-            f_start = g_start[keep]
-            f_length = g_length[keep]
+            slots[active[key_stop]] = kids[inverse[key_stop]]
             cont = ~key_stop
             active = active[cont]
-            if active.size:
-                key_node[active] = (np.cumsum(keep) - 1)[inverse[cont]]
-            guard += 1
-            if guard > 8 * self.ring.space.bits:  # pragma: no cover
-                raise TreeError("runaway descent in descend_batch")
+            at = kids[inverse[cont]]
         return slots
 
     def view_leaves(self, slots: np.ndarray, view: ChordRing) -> np.ndarray:
@@ -405,32 +317,53 @@ class KnaryTree:
         return out
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (all return slots)
     # ------------------------------------------------------------------
     @property
     def node_count(self) -> int:
         """Number of currently materialised KT nodes."""
         return self.index.live
 
-    def iter_nodes(self) -> Iterator[KTNode]:
-        """All materialised nodes, preorder."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.materialized_children())
+    def _live(self) -> np.ndarray:
+        index = self.index
+        return np.flatnonzero(index.alive[: len(index)])
 
-    def leaves(self) -> list[KTNode]:
-        """All materialised leaves."""
-        return [n for n in self.iter_nodes() if n.is_leaf]
+    def leaves(self) -> np.ndarray:
+        """Slots of all materialised leaves, ascending."""
+        index = self.index
+        size = len(index)
+        return np.flatnonzero(index.alive[:size] & index.is_leaf[:size])
 
     def height(self) -> int:
         """Maximum level among materialised nodes (root = 0)."""
-        return max((n.level for n in self.iter_nodes()), default=0)
+        return int(self.index.level[self._live()].max())
 
-    def nodes_by_level_desc(self) -> list[KTNode]:
-        """Materialised nodes sorted deepest-first (bottom-up sweep order)."""
-        return sorted(self.iter_nodes(), key=lambda n: -n.level)
+    def nodes_by_level_desc(self) -> np.ndarray:
+        """Materialised slots deepest-first (bottom-up sweep order).
+
+        Within a level, by descending region start: the order a stable
+        deepest-first sort of the descending-rank preorder gives.
+        """
+        index = self.index
+        live = self._live()
+        return live[np.lexsort((-index.start[live], -index.level[live]))]
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(parents, children)`` slots of every materialised tree edge.
+
+        Parents come in descending-rank preorder (a node, then its
+        children's subtrees from the highest rank down) — the order that
+        sorts regions by descending end, shallower first — and each
+        parent's children by ascending rank.
+        """
+        index = self.index
+        live = self._live()
+        ends = index.start[live] + index.length[live]
+        preorder = live[np.lexsort((index.level[live], -ends))]
+        rows = index.child[preorder]
+        linked = rows >= 0
+        parents = np.repeat(preorder, self.k).reshape(rows.shape)
+        return parents[linked], rows[linked].astype(np.int64)
 
     # ------------------------------------------------------------------
     # Maintenance (self-repair)
@@ -447,115 +380,120 @@ class KnaryTree:
     def refresh_dirty(self, dirty: IntervalSet) -> dict[str, int]:
         """Self-repair restricted to the subtrees overlapping ``dirty``.
 
-        Re-plants every visited node, prunes subtrees whose root became
-        a leaf (region now covered by a single virtual server) and
-        re-evaluates leaf-ness the other way (a leaf whose host shrank
-        grows back into an internal node with unmaterialised children),
-        retiring pruned slots and flipping leaf flags in :attr:`index`
-        as it goes.  Subtrees whose region does not intersect the dirty
-        identifier spans are skipped.  This is sound because a KT node's
-        planting and leaf-ness depend only on the ring ownership of
-        identifiers inside its own region: when no ownership inside the
-        region changed, ``successor(center)`` and the covering test give
-        the answers they gave last round.  The caller is responsible for
-        ``dirty`` covering every region whose ownership changed (see
-        :meth:`repro.dht.events.RingEventLog.drain`, which derives the
-        spans from the logged ring events).
+        A level walk from the root: each level's slots get one
+        :func:`leaf_rule` probe; a slot whose host changed (by identity)
+        is re-planted, a slot that became a leaf (region now covered by
+        a single virtual server) has its subtree retired through the
+        child table, and a leaf whose host shrank grows back into an
+        internal node with unmaterialised children.  The next level is
+        the materialised children of the slots that stayed internal
+        whose regions overlap ``dirty``.  Skipping the rest is sound
+        because a KT node's planting and leaf-ness depend only on the
+        ring ownership of identifiers inside its own region: when no
+        ownership inside the region changed, ``successor(center)`` and
+        the covering test give the answers they gave last round.  The
+        caller is responsible for ``dirty`` covering every region whose
+        ownership changed (see :meth:`repro.dht.events.RingEventLog.drain`,
+        which derives the spans from the logged ring events).
 
         Returns counters: ``replanted``, ``pruned``, ``grown``.
         """
         replanted = pruned = grown = 0
         index = self.index
-        size = self.ring.space.size
-        stack = [(self.root, 0, size)] if dirty else []
-        while stack:
-            node, start, length = stack.pop()
-            new_host, leaf_now = self._host_and_leaf(start, length)
-            if new_host is not node.host_vs:
-                node.host_vs = new_host
-                replanted += 1
-            if leaf_now and not node.is_leaf:
-                removed = [n.slot for n in self._subtree(node) if n is not node]
-                index._retire(removed)
-                pruned += len(removed)
-                node.children = ()
-                node.is_leaf = True
-                index._flip(node.slot, True)
-            elif not leaf_now and node.is_leaf:
-                node.is_leaf = False
-                node.children = (None,) * self.k
-                index._flip(node.slot, False)
-                grown += 1
-            for child in node.materialized_children():
-                c_start, c_length = split_bounds(
-                    start, length, self.k, child.rank, size
-                )
-                if dirty.overlaps(c_start, c_length):
-                    stack.append((child, c_start, c_length))
+        host = index.host
+        level = np.zeros(1 if dirty else 0, dtype=np.int64)
+        while level.size:
+            hosts, leaf_now = leaf_rule(
+                self.ring, index.start[level], index.length[level], self.k
+            )
+            for slot, new_host in zip(level.tolist(), hosts):
+                if host[slot] is not new_host:
+                    host[slot] = new_host
+                    replanted += 1
+            was_leaf = index.is_leaf[level]
+            prune = level[leaf_now & ~was_leaf]
+            if prune.size:
+                below = index.child[prune].ravel()
+                below = below[below >= 0]
+                while below.size:
+                    kids = index.child[below].ravel()
+                    index._retire(below)
+                    pruned += below.size
+                    below = kids[kids >= 0]
+                index._flip(prune, True)
+            grow = level[~leaf_now & was_leaf]
+            if grow.size:
+                index._flip(grow, False)
+                grown += grow.size
+            kids = index.child[level[~(leaf_now | was_leaf)]].ravel()
+            kids = kids[kids >= 0]
+            level = kids[dirty.overlaps(index.start[kids], index.length[kids])]
         if self.metrics is not None:
             self.metrics.counter("ktree.replanted").inc(replanted)
             self.metrics.counter("ktree.pruned").inc(pruned)
             self.metrics.counter("ktree.grown").inc(grown)
         return {"replanted": replanted, "pruned": pruned, "grown": grown}
 
-    def _subtree(self, node: KTNode) -> Iterator[KTNode]:
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(n.materialized_children())
-
     def check_invariants(self) -> None:
-        """Structural invariants of a (fully or lazily) materialised tree,
-        and of :attr:`index` against it.
+        """Structural invariants of the slot columns, against a recomputation.
 
-        Every materialised node must be live in the index with its own
-        linkage, level, leaf flag and region in the slot columns, no
-        other slot may be live, and the leaf directory must resolve each
-        live leaf's region start to that leaf.
+        The live slots must be exactly those reachable from slot 0
+        through the child table; the child table must agree with the
+        ``parent`` and ``child_rank`` columns; each live region must be
+        its parent's split part at its rank (the root's is the whole
+        ring); each host must be the virtual server owning its node's
+        center; the leaf flags must obey the leaf rule; and the leaf
+        directory must resolve each live leaf's region start to that
+        leaf.
         """
         index = self.index
-        leaf_slots: list[int] = []
-        visited = 0
-        stack = [(self.root, Region.full(self.ring.space))]
-        while stack:
-            node, region = stack.pop()
-            if node.region != region:
-                raise TreeError("KT node's derived region does not match its path")
-            slot = node.slot
-            if not (0 <= slot < len(index) and index.nodes[slot] is node):
-                raise TreeError("materialised KT node is not registered")
-            parent_slot = -1 if node.parent is None else node.parent.slot
-            if (
-                not index.alive[slot]
-                or int(index.parent[slot]) != parent_slot
-                or int(index.level[slot]) != node.level
-                or int(index.child_rank[slot]) != node.rank
-                or bool(index.is_leaf[slot]) != node.is_leaf
-                or int(index.start[slot]) != region.start
-                or int(index.length[slot]) != region.length
-            ):
-                raise TreeError("slot columns disagree with their KT node")
-            visited += 1
-            host_region = self.ring.region_of(node.host_vs)
-            if not host_region.contains(region.center):
-                raise TreeError("KT node planted in a VS that does not own its center")
-            if node.is_leaf:
-                if not (host_region.covers(region) or region.length < self.k):
-                    raise TreeError("leaf KT node's region is not covered by its host VS")
-                leaf_slots.append(slot)
-                continue
-            if host_region.covers(region):
-                raise TreeError("internal KT node should be a leaf")
-            for i, child in enumerate(node.children):
-                if child is None:
-                    continue
-                if child.parent is not node or child.rank != i:
-                    raise TreeError("child/parent link mismatch")
-                stack.append((child, region.split_part(self.k, i)))
-        if visited != index.live or int(index.alive[: len(index)].sum()) != visited:
-            raise TreeError("a live slot holds no materialised KT node")
-        leaves = np.asarray(leaf_slots, dtype=np.int64)
+        k = self.k
+        size = self.ring.space.size
+        live = self._live()
+        reached = np.zeros(len(index), dtype=bool)
+        level = np.zeros(1, dtype=np.int64)
+        while level.size:
+            if reached[level].any():
+                raise TreeError("child table revisits a slot")
+            reached[level] = True
+            kids = index.child[level].ravel()
+            level = kids[kids >= 0].astype(np.int64)
+        if index.live != live.size or not np.array_equal(
+            np.flatnonzero(reached), live
+        ):
+            raise TreeError("live slots are not exactly the slots under the root")
+        at, ranks = np.nonzero(index.child[live] >= 0)
+        kids = index.child[live[at], ranks]
+        if (
+            index.parent[0] != -1
+            or not np.array_equal(index.parent[kids], live[at])
+            or not np.array_equal(index.child_rank[kids], ranks)
+        ):
+            raise TreeError("child table disagrees with parent/child_rank")
+        regions = [(0, size, 0)]  # live[0] is the root, slot 0
+        for slot in live[1:].tolist():
+            p = int(index.parent[slot])
+            regions.append(
+                split_bounds(
+                    int(index.start[p]), int(index.length[p]), k,
+                    int(index.child_rank[slot]), size,
+                )
+                + (int(index.level[p]) + 1,)
+            )
+        want = np.asarray(regions, dtype=np.int64).reshape(-1, 3)
+        got = np.stack(
+            (index.start[live], index.length[live], index.level[live]), axis=1
+        )
+        if not np.array_equal(want, got):
+            raise TreeError("slot region or level is not its parent's split part")
+        hosts, leaf = leaf_rule(self.ring, index.start[live], index.length[live], k)
+        if any(index.host[s] is not h for s, h in zip(live.tolist(), hosts)):
+            raise TreeError("KT node planted in a VS that does not own its center")
+        if not np.array_equal(index.is_leaf[live], leaf):
+            raise TreeError("leaf flag breaks the leaf rule")
+        if (index.child[live[leaf]] >= 0).any():
+            raise TreeError("leaf KT node has materialised children")
+        leaves = live[leaf]
         if not np.array_equal(index.resolve_leaves(index.start[leaves]), leaves):
             raise TreeError("leaf directory does not resolve a leaf's region")
 

@@ -270,33 +270,32 @@ class HeartbeatMonitor:
         # in flight; miss_threshold consecutive losses on one edge make
         # the parent suspect the child and dispatch a verification probe.
         faults = self.faults
-        for node in self.tree.iter_nodes():
-            for child in node.materialized_children():
-                if not child.host_vs.owner.alive:
-                    continue
-                edge = child.host_vs.vs_id
-                if self._edge_blocked(
-                    node.host_vs.owner.index, child.host_vs.owner.index
-                ):
-                    self.trace.heartbeats_blocked += 1
-                    cut = (node.host_vs.vs_id, edge)
-                    blocked = self._blocked_misses.get(cut, 0) + 1
-                    self._blocked_misses[cut] = blocked
-                    if blocked >= self.miss_threshold and cut not in self._orphaned:
-                        self._orphaned.add(cut)
-                        self.trace.orphaned_subtrees += 1
-                    continue
-                if faults is not None and faults.drop(
-                    "heartbeat", f"edge:{edge}"
-                ):
-                    self.trace.heartbeats_dropped += 1
-                    misses = self._misses.get(edge, 0) + 1
-                    self._misses[edge] = misses
-                    if misses >= self.miss_threshold:
-                        self._dispatch_probe(child.host_vs)
-                    continue
-                self._misses[edge] = 0
-                self.trace.heartbeats_sent += 1
+        host = self.tree.index.host
+        parents, children = self.tree.edges()
+        for p_slot, c_slot in zip(parents.tolist(), children.tolist()):
+            parent_vs, child_vs = host[p_slot], host[c_slot]
+            assert parent_vs is not None and child_vs is not None
+            if not child_vs.owner.alive:
+                continue
+            edge = child_vs.vs_id
+            if self._edge_blocked(parent_vs.owner.index, child_vs.owner.index):
+                self.trace.heartbeats_blocked += 1
+                cut = (parent_vs.vs_id, edge)
+                blocked = self._blocked_misses.get(cut, 0) + 1
+                self._blocked_misses[cut] = blocked
+                if blocked >= self.miss_threshold and cut not in self._orphaned:
+                    self._orphaned.add(cut)
+                    self.trace.orphaned_subtrees += 1
+                continue
+            if faults is not None and faults.drop("heartbeat", f"edge:{edge}"):
+                self.trace.heartbeats_dropped += 1
+                misses = self._misses.get(edge, 0) + 1
+                self._misses[edge] = misses
+                if misses >= self.miss_threshold:
+                    self._dispatch_probe(child_vs)
+                continue
+            self._misses[edge] = 0
+            self.trace.heartbeats_sent += 1
 
         # Declare failures whose miss window has elapsed.
         for node_index, crash_time in list(self._crashed.items()):

@@ -114,34 +114,33 @@ class TestDescendBatch:
             per_key_metrics.counter("ktree.materialized").value
             == batched_metrics.counter("ktree.materialized").value
         )
-        for i in range(keys.size):
-            a, b = expected[i], batched.index.node_at(int(slots[i]))
-            assert (a.region.start, a.region.length) == (
-                b.region.start,
-                b.region.length,
-            )
-            assert a.host_vs.vs_id == b.host_vs.vs_id
-            assert a.is_leaf and b.is_leaf
+        ia, ib = per_key.index, batched.index
+        for a, b in zip(expected, slots.tolist()):
+            assert (ia.start[a], ia.length[a]) == (ib.start[b], ib.length[b])
+            assert ia.host[a].vs_id == ib.host[b].vs_id
+            assert ia.is_leaf[a] and ib.is_leaf[b]
 
     def test_children_attach_to_correct_parents(self):
-        # Every materialised child must sit in its parent's child list at
-        # the rank whose split part is its region (guards the batched
-        # frontier-to-parent indexing).
+        # Every materialised child must sit in its parent's child-table
+        # row at the rank whose split part is its region (guards the
+        # batched (slot, digit) gather).
         ring = _ring(11)
         tree = KnaryTree(ring, 2)
         keys = np.random.default_rng(1).integers(
             0, ring.space.size, size=300, dtype=np.int64
         )
         tree.descend_batch(keys)
-        stack = [tree.root]
+        index = tree.index
+        stack = [0]
         while stack:
-            node = stack.pop()
-            for rank, child in enumerate(node.children):
-                if child is None:
+            slot = stack.pop()
+            region = Region(ring.space, int(index.start[slot]), int(index.length[slot]))
+            for rank, child in enumerate(index.child[slot].tolist()):
+                if child < 0:
                     continue
-                assert child.parent is node
-                part = node.region.split_part(tree.k, rank)
-                assert (child.region.start, child.region.length) == (
+                assert index.parent[child] == slot
+                part = region.split_part(tree.k, rank)
+                assert (index.start[child], index.length[child]) == (
                     part.start,
                     part.length,
                 )
@@ -154,7 +153,7 @@ class TestDescendBatch:
         key = int(ring.space.size // 3)
         slots = tree.descend_batch(np.asarray([key, key, key], dtype=np.int64))
         assert slots.tolist() == [slots[0]] * 3
-        assert tree.index.node_at(int(slots[0])).is_leaf
+        assert tree.index.is_leaf[slots[0]] and tree.index.alive[slots[0]]
 
     def test_empty_batch(self):
         ring = _ring(13)
@@ -199,14 +198,15 @@ def _assert_cut_matches_view_tree(ring, view, k, keys):
     bounded_tree = KnaryTree(ring, k)
     bounded = bounded_tree.descend_batch(keys, view)
     reference = KnaryTree(view, k)
+
+    def shape(index, slot):
+        return int(index.start[slot]), int(index.length[slot]), int(index.level[slot])
+
     for i, key in enumerate(keys.tolist()):
-        want = reference.ensure_leaf_for_key(key)
-        expected = (want.region.start, want.region.length, want.level)
-        slot = int(cut[i])
-        got = (int(index.start[slot]), int(index.length[slot]), int(index.level[slot]))
-        assert got == expected
-        stop = bounded_tree.index.node_at(int(bounded[i]))
-        assert (stop.region.start, stop.region.length, stop.level) == expected
+        expected = shape(reference.index, reference.ensure_leaf_for_key(key))
+        assert shape(index, int(cut[i])) == expected
+        assert bounded_tree.index.alive[bounded[i]]
+        assert shape(bounded_tree.index, int(bounded[i])) == expected
 
 
 class TestViewCut:
@@ -356,9 +356,9 @@ def _checking_part_slots(bal, seen):
         index = bal._tree.index
         for key, slot in zip(keys.tolist(), slots.tolist()):
             leaf = fresh.ensure_leaf_for_key(key)
-            assert (int(index.start[slot]), int(index.length[slot])) == (
-                leaf.region.start,
-                leaf.region.length,
+            assert (index.start[slot], index.length[slot]) == (
+                fresh.index.start[leaf],
+                fresh.index.length[leaf],
             )
         shape = "ring" if part.ring is bal.ring else "view"
         caller = sys._getframe(1).f_code.co_name  # _fold_lbi / _sweep_vsa

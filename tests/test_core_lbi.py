@@ -28,15 +28,17 @@ class TestCollect:
     def test_one_report_per_node(self, ring):
         tree = KnaryTree(ring, 2)
         reports = collect_lbi_reports(ring, tree, rng=0)
-        total = sum(len(records) for _, records in reports.values())
+        total = sum(len(records) for records in reports.values())
         assert total == len(ring.nodes)
 
     def test_reports_via_hosted_leaf(self, ring):
         """A node's report must enter at a leaf hosted by one of its VSs."""
         tree = KnaryTree(ring, 2)
         reports = collect_lbi_reports(ring, tree, rng=1)
-        for leaf, records in reports.values():
-            owner = leaf.host_vs.owner
+        index = tree.index
+        for leaf, records in reports.items():
+            assert index.alive[leaf] and index.is_leaf[leaf]
+            assert index.host[leaf].owner.alive
             for rec in records:
                 # the record matches some node hosted by... at minimum the
                 # leaf's host VS owner reports plausible values
@@ -50,7 +52,7 @@ class TestCollect:
             ring.successor(vs.vs_id).load += vs_load
         tree = KnaryTree(ring, 2)
         reports = collect_lbi_reports(ring, tree, rng=2)
-        total = sum(len(records) for _, records in reports.values())
+        total = sum(len(records) for records in reports.values())
         assert total == len(ring.nodes)  # including the empty one
 
 

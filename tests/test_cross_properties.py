@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import BalancerConfig, LoadBalancer
 from repro.dht import ChordRing, lookup_path
 from repro.dht.pastry import PastryRouter
-from repro.idspace import IdentifierSpace
+from repro.idspace import IdentifierSpace, Region
 from repro.ktree import KnaryTree
 from repro.workloads import GaussianLoadModel, assign_loads
 
@@ -59,10 +59,12 @@ class TestOwnershipContracts:
     def test_tree_leaf_host_owns_leaf_center(self, seed, key):
         ring = make_ring(seed, 8)
         tree = KnaryTree(ring, 2)
+        index = tree.index
         leaf = tree.ensure_leaf_for_key(key)
-        assert leaf.region.contains(key)
-        host_region = ring.region_of(leaf.host_vs)
-        assert host_region.contains(leaf.region.center)
+        region = Region(ring.space, int(index.start[leaf]), int(index.length[leaf]))
+        assert region.contains(key)
+        host_region = ring.region_of(index.host[leaf])
+        assert host_region.contains(region.center)
 
 
 class TestBalancerContracts:

@@ -11,6 +11,12 @@ from repro.idspace import IdentifierSpace, Region
 from repro.ktree import KnaryTree
 
 
+def region(tree, slot):
+    """The identifier-space region of the KT node at ``slot``."""
+    index = tree.index
+    return Region(tree.ring.space, int(index.start[slot]), int(index.length[slot]))
+
+
 @pytest.fixture
 def ring():
     r = ChordRing(IdentifierSpace(bits=10))
@@ -21,13 +27,13 @@ def ring():
 class TestConstruction:
     def test_root_owns_full_ring(self, ring):
         tree = KnaryTree(ring, 2)
-        assert tree.root.region.is_full_ring
-        assert tree.root.level == 0
+        assert region(tree, 0).is_full_ring
+        assert tree.index.level[0] == 0 and tree.index.parent[0] == -1
 
     def test_root_planted_at_ring_center_owner(self, ring):
         tree = KnaryTree(ring, 2)
         center = Region.full(ring.space).center
-        assert tree.root.host_vs is ring.successor(center)
+        assert tree.index.host[0] is ring.successor(center)
 
     def test_invalid_degree(self, ring):
         with pytest.raises(TreeError):
@@ -37,7 +43,8 @@ class TestConstruction:
         r = ChordRing(IdentifierSpace(bits=8))
         r.populate(1, 1, [1.0], rng=0)
         tree = KnaryTree(r, 2)
-        assert tree.root.is_leaf
+        assert tree.index.is_leaf[0]
+        assert tree.leaves().tolist() == [0]
 
 
 class TestFullBuild:
@@ -45,22 +52,23 @@ class TestFullBuild:
     def test_leaves_tile_ring(self, ring, k):
         tree = KnaryTree(ring, k)
         tree.build_full()
-        total = sum(leaf.region.length for leaf in tree.leaves())
+        total = sum(region(tree, leaf).length for leaf in tree.leaves())
         assert total == ring.space.size
 
     def test_every_vs_hosts_a_leaf(self, ring):
         """Paper guarantee: a KT leaf node is planted in each virtual server."""
         tree = KnaryTree(ring, 2)
         tree.build_full()
-        hosting = {leaf.host_vs.vs_id for leaf in tree.leaves()}
+        hosting = {tree.index.host[leaf].vs_id for leaf in tree.leaves()}
         assert hosting == {vs.vs_id for vs in ring.virtual_servers}
 
     def test_leaf_regions_covered_by_host(self, ring):
         tree = KnaryTree(ring, 2)
         tree.build_full()
         for leaf in tree.leaves():
-            host_region = ring.region_of(leaf.host_vs)
-            assert host_region.covers(leaf.region) or leaf.region.length < tree.k
+            host_region = ring.region_of(tree.index.host[leaf])
+            leaf_region = region(tree, leaf)
+            assert host_region.covers(leaf_region) or leaf_region.length < tree.k
 
     def test_invariants(self, ring):
         tree = KnaryTree(ring, 2)
@@ -93,26 +101,26 @@ class TestLazyPaths:
         tree = KnaryTree(ring, 2)
         for key in [0, 17, 512, 1023]:
             leaf = tree.ensure_leaf_for_key(key)
-            assert leaf.is_leaf
-            assert leaf.region.contains(key)
+            assert tree.index.is_leaf[leaf]
+            assert region(tree, leaf).contains(key)
 
     def test_lazy_leaf_matches_full_tree(self, ring):
         lazy = KnaryTree(ring, 2)
         full = KnaryTree(ring, 2)
         full.build_full()
         full_leaves = {
-            (l.region.start, l.region.length) for l in full.leaves()
+            (full.index.start[l], full.index.length[l]) for l in full.leaves()
         }
         gen = np.random.default_rng(0)
         for key in gen.integers(0, ring.space.size, size=40):
             leaf = lazy.ensure_leaf_for_key(int(key))
-            assert (leaf.region.start, leaf.region.length) in full_leaves
+            assert (lazy.index.start[leaf], lazy.index.length[leaf]) in full_leaves
 
     def test_repeated_key_returns_same_leaf(self, ring):
         tree = KnaryTree(ring, 2)
         a = tree.ensure_leaf_for_key(100)
         b = tree.ensure_leaf_for_key(100)
-        assert a is b
+        assert a == b
 
     def test_lazy_much_smaller_than_full(self):
         r = ChordRing(IdentifierSpace(bits=20))
@@ -134,8 +142,30 @@ class TestLazyPaths:
         tree = KnaryTree(ring, 2)
         tree.ensure_leaf_for_key(5)
         tree.ensure_leaf_for_key(900)
-        levels = [n.level for n in tree.nodes_by_level_desc()]
+        order = tree.nodes_by_level_desc()
+        assert sorted(order.tolist()) == list(range(tree.node_count))
+        levels = tree.index.level[order].tolist()
         assert levels == sorted(levels, reverse=True)
+        # Within a level, deepest-first runs by descending region start.
+        keys = list(zip(levels, tree.index.start[order].tolist()))
+        assert keys == sorted(keys, reverse=True)
+
+    def test_edges_in_descending_rank_preorder(self, ring):
+        """Parents in the stack preorder that pushes children by ascending
+        rank (so pops the highest rank first); each parent's children by
+        ascending rank."""
+        tree = KnaryTree(ring, 3)
+        for key in [3, 700, 222, 1000, 512]:
+            tree.ensure_leaf_for_key(key)
+        child = tree.index.child
+        expected, stack = [], [0]
+        while stack:
+            slot = stack.pop()
+            kids = [c for c in child[slot].tolist() if c >= 0]
+            expected += [(slot, c) for c in kids]
+            stack.extend(kids)
+        parents, children = tree.edges()
+        assert list(zip(parents.tolist(), children.tolist())) == expected
 
     def test_invariants_on_lazy_tree(self, ring):
         tree = KnaryTree(ring, 2)
@@ -174,7 +204,7 @@ class TestRepair:
         # every remaining VS still hosts a leaf after repair + growth
         full = KnaryTree(ring, 2)
         full.build_full()
-        assert {l.host_vs.vs_id for l in full.leaves()} == {
+        assert {full.index.host[l].vs_id for l in full.leaves()} == {
             vs.vs_id for vs in ring.virtual_servers
         }
 

@@ -42,7 +42,9 @@ class TestQuietOperation:
 
     def test_heartbeat_count_scales_with_edges_and_rounds(self, system):
         ring, tree = system
-        edges = sum(1 for n in tree.iter_nodes() for _ in n.materialized_children())
+        parents, children = tree.edges()
+        edges = children.size
+        assert edges == tree.node_count - 1 == parents.size
         monitor = HeartbeatMonitor(ring, tree, heartbeat_interval=1.0)
         trace = monitor.run(until=3.0)  # rounds at t=0,1,2,3
         assert trace.heartbeats_sent == 4 * edges

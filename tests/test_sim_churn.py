@@ -42,7 +42,7 @@ class TestChurnProcess:
         ChurnProcess(ring, tree, rng=5).run(num_events=12)
         fresh = KnaryTree(ring, 2)
         fresh.build_full()
-        hosting = {leaf.host_vs.vs_id for leaf in fresh.leaves()}
+        hosting = {fresh.index.host[leaf].vs_id for leaf in fresh.leaves()}
         assert hosting == {vs.vs_id for vs in ring.virtual_servers}
 
     def test_join_only_churn(self, system):

@@ -10,6 +10,7 @@ twin trees through seeded churn and comparing them node by node.
 import numpy as np
 import pytest
 
+from repro.core import BalancerConfig, LoadBalancer
 from repro.dht import (
     ChordRing,
     PhysicalNode,
@@ -18,36 +19,50 @@ from repro.dht import (
     join_node,
     leave_node,
 )
-from repro.exceptions import TreeError, WorkloadError
+from repro.exceptions import WorkloadError
 from repro.idspace import IdentifierSpace, IntervalSet, Region
 from repro.ktree import KnaryTree
+from repro.obs import MetricsRegistry
 from repro.workloads import ParetoLoadModel, apply_load_drift, build_scenario
 
 SPACE = IdentifierSpace(bits=8)
 
 
+def _hits(spans, idents):
+    """Which single identifiers the set contains (unit-length arcs)."""
+    idents = np.asarray(idents, dtype=np.int64)
+    return spans.overlaps(idents, np.ones_like(idents)).tolist()
+
+
 class TestIntervalSet:
     def test_merges_overlapping_pieces(self):
         spans = IntervalSet(SPACE, [(10, 20), (15, 30), (40, 50)])
-        assert spans.contains(12)
-        assert spans.contains(29)
-        assert not spans.contains(30)
-        assert not spans.contains(35)
-        assert spans.contains(40)
+        assert len(spans) == 2
+        assert _hits(spans, [12, 29, 30, 35, 40]) == [
+            True, True, False, False, True,
+        ]
 
     def test_from_regions_splits_wrapping(self):
         wrapping = Region(SPACE, start=250, length=10)  # 250..255, 0..3
         spans = IntervalSet.from_regions(SPACE, [wrapping])
-        assert spans.contains(252)
-        assert spans.contains(3)
-        assert not spans.contains(4)
-        assert not spans.contains(249)
+        assert len(spans) == 2
+        assert _hits(spans, [252, 3, 4, 249]) == [True, True, False, False]
+        # Arcs touching either piece of the wrapped span overlap it.
+        starts = np.array([0, 4, 200, 240, 255])
+        lengths = np.array([1, 100, 50, 10, 1])
+        assert spans.overlaps(starts, lengths).tolist() == [
+            True, False, False, False, True,
+        ]
 
-    def test_overlaps_region_handles_wrap(self):
-        spans = IntervalSet(SPACE, [(0, 5)])
-        wrapping = Region(SPACE, start=250, length=10)
-        assert spans.overlaps_region(wrapping)
-        assert not spans.overlaps_region(Region(SPACE, start=100, length=10))
+    def test_overlap_edges_are_half_open(self):
+        spans = IntervalSet(SPACE, [(10, 20), (40, 50)])
+        starts = np.array([0, 0, 20, 19, 25, 0, 30, 50, 15])
+        lengths = np.array([10, 11, 20, 1, 100, 256, 10, 206, 0])
+        assert spans.overlaps(starts, lengths).tolist() == [
+            False, True, False, True, True, True, False, False, False,
+        ]
+        empty = IntervalSet(SPACE, [])
+        assert empty.overlaps(starts, lengths).tolist() == [False] * 9
 
     def test_empty_is_falsy(self):
         assert not IntervalSet(SPACE, [])
@@ -78,18 +93,16 @@ class TestTreeIndex:
         key = np.array([123456], dtype=np.int64)
         slot = int(tree.descend_batch(key)[0])
         assert int(tree.descend_batch(key)[0]) == slot
-        leaf = index.node_at(slot)
-        assert tree.ensure_leaf_for_key(123456) is leaf
-        # The whole ancestor chain is registered, root-down.
-        current = leaf
-        while current.parent is not None:
-            s = current.slot
-            assert index.node_at(s) is current
-            assert index.level[s] == current.level
-            assert index.parent[s] == current.parent.slot < s
-            current = current.parent
-        assert current is tree.root and index.node_at(0) is tree.root
-        assert index.parent[0] == -1
+        assert tree.ensure_leaf_for_key(123456) == slot
+        # The whole ancestor chain is live and linked, root-down.
+        current = slot
+        while index.parent[current] >= 0:
+            parent = int(index.parent[current])
+            assert index.alive[current] and not index.is_leaf[parent]
+            assert index.level[current] == index.level[parent] + 1
+            assert index.child[parent, index.child_rank[current]] == current
+            current = parent
+        assert current == 0 and index.level[0] == 0
 
     def test_stamp_paths_counts_fresh_union(self):
         ring = _small_ring(2)
@@ -138,23 +151,68 @@ class TestTreeIndex:
         assert tree.refresh()["pruned"] == 1
         assert not index.alive[slot]
         assert index.resolve_leaves(probe).tolist() == [parent]
-        with pytest.raises(TreeError):
-            index.node_at(slot)
+        assert index.host[slot] is None
+        assert (index.child[parent] == -1).all()
         tree.check_invariants()
+        # The retired slot is the next one handed out, and the directory
+        # answers with it again once it holds a live leaf.
+        size = len(index)
+        ring.add_virtual_server(node, 63)
+        assert tree.refresh()["grown"] == 1
+        assert int(tree.descend_batch(probe)[0]) == slot
+        assert len(index) == size
+        assert index.resolve_leaves(probe).tolist() == [slot]
+        tree.check_invariants()
+
+
+def test_retired_slots_are_reused():
+    """Under steady churn the slot columns grow only to the peak live count.
+
+    Every round repairs the persistent tree (retiring pruned slots) and
+    then descends (registering new ones); registration reuses retired
+    slots before appending, so no round leaves more slots than the most
+    nodes the tree has ever held at once.
+    """
+    ring = build_scenario(
+        ParetoLoadModel(mu=1e4), num_nodes=400, vs_per_node=3, rng=3
+    ).ring
+    metrics = MetricsRegistry()
+    balancer = LoadBalancer(
+        ring,
+        BalancerConfig(proximity_mode="ignorant", epsilon=0.05),
+        rng=4,
+        metrics=metrics,
+    )
+    gen = np.random.default_rng(5)
+    balancer.run_round()
+    tree = balancer._tree
+    peak = tree.index.live
+    for _ in range(12):
+        for _ in range(3):
+            join_node(ring, capacity=10.0, vs_count=3, rng=int(gen.integers(1 << 30)))
+        alive = [n for n in ring.alive_nodes if n.virtual_servers]
+        for i in gen.choice(len(alive), size=3, replace=False).tolist():
+            leave_node(ring, alive[i])
+        balancer.run_round()
+        assert balancer._tree is tree  # repaired, never rebuilt
+        peak = max(peak, tree.index.live)
+    assert metrics.counter("ktree.pruned").value > 0
+    assert len(tree.index) == peak
+    tree.check_invariants()
 
 
 def _assert_same_tree(a, b):
     """Structural equality of two trees (regions, leafness, hosts)."""
-    stack = [(a.root, b.root)]
+    stack = [(0, 0)]
+    ia, ib = a.index, b.index
     while stack:
-        na, nb = stack.pop()
-        assert na.region == nb.region
-        assert na.is_leaf == nb.is_leaf
-        assert na.host_vs.vs_id == nb.host_vs.vs_id
-        kids_a = list(na.materialized_children())
-        kids_b = list(nb.materialized_children())
-        assert len(kids_a) == len(kids_b)
-        stack.extend(zip(kids_a, kids_b))
+        sa, sb = stack.pop()
+        assert (ia.start[sa], ia.length[sa]) == (ib.start[sb], ib.length[sb])
+        assert ia.is_leaf[sa] == ib.is_leaf[sb]
+        assert ia.host[sa].vs_id == ib.host[sb].vs_id
+        kids_a, kids_b = ia.child[sa], ib.child[sb]
+        assert ((kids_a >= 0) == (kids_b >= 0)).all()
+        stack.extend(zip(kids_a[kids_a >= 0], kids_b[kids_b >= 0]))
     assert a.node_count == b.node_count
 
 
