@@ -1,10 +1,15 @@
 """Shared benchmark configuration.
 
-Benchmarks default to a reduced scale (512 nodes) so the suite runs in
-about a minute; set ``REPRO_SCALE=paper`` to run everything at the
-paper's 4096-node scale.  Every figure bench prints a paper-vs-measured
-table through the ``figure_table`` helper so ``pytest benchmarks/
---benchmark-only -s`` regenerates the evaluation section.
+The benches here are ablations and cost/scaling measurements.  The
+paper's figures and claims have no bench: ``repro-p2plb run <id>`` is
+each registered experiment's one driver, and its shape assertions live
+in the tier-1 tests (``tests/test_experiments.py``,
+``tests/test_experiment_byzantine.py``).
+
+Benchmarks default to a reduced scale (512 nodes); set
+``REPRO_SCALE=paper`` to run everything at the paper's 4096-node scale.
+Each bench hands its result table to :func:`emit`, and the session
+prints every table once at the end (``pytest benchmarks/ -s``).
 
 Observability hook (opt-in): set ``REPRO_OBS_OUT=DIR`` and the session
 installs a process-wide :class:`repro.obs.MetricsRegistry` that every

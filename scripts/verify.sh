@@ -6,8 +6,9 @@
 # incremental smoke (persistent-tree digest identity under churn), the
 # partition smoke (a network split healing under the conservation
 # gate) and the recovery smokes (a monitored chaos soak with process
-# crashes, and the durability-overhead bound), and every example
-# script.  Run from the repository root:
+# crashes, and the durability-overhead bound), every example script,
+# and one untimed pass over the pytest benches.  Run from the
+# repository root:
 #
 #   bash scripts/verify.sh
 #
@@ -72,6 +73,14 @@ BENCH_TMP="$(mktemp /tmp/bench_trend.XXXXXX.json)"
 trap 'rm -f "$BENCH_TMP"' EXIT
 python scripts/check_bench_trend.py gen --out "$BENCH_TMP" >/dev/null
 python scripts/check_bench_trend.py check "$BENCH_TMP"
+
+echo "== benchmarks: every remaining pytest bench runs once, untimed =="
+# Each bench's assertions run once with timing off.  The paper's
+# figures have no bench here: their drivers are `repro-p2plb run <id>`
+# and their assertions run in tier-1.  bench_incremental_scaling is
+# left out: the --smoke and --million --smoke stages below cover it.
+python -m pytest -q benchmarks --benchmark-disable \
+    --ignore=benchmarks/bench_incremental_scaling.py
 
 echo "== chaos smoke: degraded round survives, conserves, reproduces =="
 # Small ring, fixed seed, 10% message drop + one mid-round crash; the

@@ -47,8 +47,6 @@ class RingDelta:
     #: A :meth:`ChordRing.populate` happened (or the ring emptied):
     #: subscribers must rebuild derived state from scratch.
     full_reset: bool = False
-    #: Virtual servers whose region changed (deduplicated, drain-time).
-    affected_vs_ids: list[int] = field(default_factory=list)
     #: Canonicalised dirty identifier spans, or ``None`` on full reset.
     dirty: IntervalSet | None = None
 
@@ -61,21 +59,17 @@ class RingDelta:
 class RingEventLog:
     """Accumulates ring membership events between balancing rounds."""
 
-    __slots__ = ("ring", "_event_ids", "_removed_ids", "_full_reset")
+    __slots__ = ("ring", "_event_ids", "_full_reset")
 
     def __init__(self, ring: ChordRing) -> None:
         self.ring = ring
         self._event_ids: list[int] = []
-        self._removed_ids: list[int] = []
         self._full_reset = False
         ring.add_listener(self._on_event)
 
     def _on_event(self, kind: str, vs_id: int) -> None:
-        if kind == "add":
+        if kind in ("add", "remove"):
             self._event_ids.append(vs_id)
-        elif kind == "remove":
-            self._event_ids.append(vs_id)
-            self._removed_ids.append(vs_id)
         elif kind == "bulk":
             self._full_reset = True
         # "transfer" changes hosting, not region boundaries: ignored.
@@ -97,9 +91,7 @@ class RingEventLog:
         delta = RingDelta(
             event_ids=self._event_ids, full_reset=self._full_reset
         )
-        removed = self._removed_ids
         self._event_ids = []
-        self._removed_ids = []
         self._full_reset = False
         if delta.full_reset or not delta.event_ids or not resolve:
             return delta
@@ -120,6 +112,5 @@ class RingEventLog:
             if vs.vs_id not in seen:
                 seen.add(vs.vs_id)
                 regions.append(ring.region_of(vs))
-        delta.affected_vs_ids = sorted(seen.union(removed))
         delta.dirty = IntervalSet.from_regions(ring.space, regions)
         return delta

@@ -1,9 +1,9 @@
 """Experiment drivers: one module per paper figure/claim.
 
 Each module exposes ``run(...)`` returning a typed result with a
-``format_rows()`` text table; the benchmark harness and the CLI are thin
-wrappers over these.  ``registry`` maps experiment ids (``fig4`` ...
-``timing``) to their drivers.
+``format_rows()`` text table.  ``registry`` maps experiment ids
+(``fig4`` ... ``timing``) to their drivers, which ``repro-p2plb run
+<id>`` runs.
 """
 
 from repro.experiments.common import ExperimentSettings

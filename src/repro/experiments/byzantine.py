@@ -20,27 +20,28 @@ sees:
   with a few nodes at several times their target (what unchecked lies
   produce).
 
-``python -m repro.experiments.byzantine --smoke`` runs the acceptance
-scenario and asserts the defense strictly reduces damage at ``f=10%``,
-that ``f=0`` with the defense armed is digest-identical to a run with
-no plan at all (the zero-overhead-when-clean contract), and that a
-repeat run reproduces the byte-identical attack signature and per-round
-digests.
+The sweep runs through ``repro-p2plb run byzantine``.  ``python -m
+repro.experiments.byzantine --smoke`` runs the acceptance scenario and
+asserts the defense strictly reduces damage at ``f=10%``, that ``f=0``
+with the defense armed is digest-identical to a run with no plan at
+all (the zero-overhead-when-clean contract), and that a repeat run
+reproduces the byte-identical attack signature and per-round digests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from repro.adversary import AdversaryPlan
 from repro.core.balancer import LoadBalancer
-from repro.core.config import BalancerConfig
-from repro.core.report import BalanceReport, check_conservation
-from repro.experiments.common import ExperimentSettings
-from repro.parallel.trials import TrialExecutor
-from repro.workloads.loads import GaussianLoadModel
-from repro.workloads.scenario import build_scenario
+from repro.experiments.common import (
+    ExperimentSettings,
+    build_ignorant_balancer,
+    run_checked_rounds,
+    smoke_parser,
+    sweep,
+)
 
 #: Attacker fractions swept by default (the paper-style 0..20% range).
 DEFAULT_FRACTIONS: tuple[float, ...] = (0.0, 0.01, 0.05, 0.10, 0.20)
@@ -100,42 +101,6 @@ class ByzantineResult:
         return "\n".join(lines)
 
 
-def _build_balancer(
-    settings: ExperimentSettings, plan: AdversaryPlan | None
-) -> LoadBalancer:
-    """The shared scenario + balancer for one sweep point."""
-    scenario = build_scenario(
-        GaussianLoadModel(mu=settings.mu, sigma=settings.sigma),
-        num_nodes=settings.num_nodes,
-        vs_per_node=settings.vs_per_node,
-        rng=settings.seed,
-    )
-    return LoadBalancer(
-        scenario.ring,
-        BalancerConfig(
-            proximity_mode="ignorant",
-            epsilon=settings.epsilon,
-            tree_degree=settings.tree_degree,
-        ),
-        rng=settings.balancer_seed,
-        adversary=plan,
-    )
-
-
-def _run_rounds(balancer: LoadBalancer, rounds: int) -> list[BalanceReport]:
-    """Run consecutive rounds, conservation-checking every one.
-
-    Byzantine lies distort what nodes *claim*, never what they hold, so
-    true load is conserved round for round regardless of the plan.
-    """
-    reports = []
-    for _ in range(rounds):
-        report = balancer.run_round()
-        check_conservation(report)
-        reports.append(report)
-    return reports
-
-
 def _honest_damage(
     balancer: LoadBalancer, epsilon: float, attackers: frozenset[int]
 ) -> tuple[int, float]:
@@ -180,8 +145,8 @@ def byzantine_row(
     plan = AdversaryPlan(
         seed=adversary_seed, fraction=fraction, defense=defense
     )
-    balancer = _build_balancer(settings, plan)
-    reports = _run_rounds(balancer, ROUNDS_PER_POINT)
+    balancer = build_ignorant_balancer(settings, adversary=plan)
+    reports = run_checked_rounds(balancer, ROUNDS_PER_POINT)
     advs = [r.adversary_stats for r in reports]
     attackers = (
         frozenset(balancer.adversary.attacker_indices)
@@ -234,12 +199,7 @@ def run(
         for defense in (False, True)
     )
     row_fn = partial(byzantine_row, s, points, aseed)
-    indices = range(len(points))
-    if s.workers > 1:
-        with TrialExecutor(workers=s.workers) as executor:
-            rows = list(executor.map(row_fn, indices))
-    else:
-        rows = [row_fn(index) for index in indices]
+    rows = sweep(row_fn, len(points), s.workers)
     return ByzantineResult(settings=s, rows=rows)
 
 
@@ -293,15 +253,18 @@ def smoke(num_nodes: int = 64, seed: int = 7) -> str:
         "round digests diverged across identical defended runs"
     )
 
-    clean = _build_balancer(settings, None)
+    clean = build_ignorant_balancer(settings)
     clean_digests = [
-        r.canonical_digest() for r in _run_rounds(clean, ROUNDS_PER_POINT)
+        r.canonical_digest()
+        for r in run_checked_rounds(clean, ROUNDS_PER_POINT)
     ]
-    armed = _build_balancer(
-        settings, AdversaryPlan(seed=seed, fraction=0.0, defense=True)
+    armed = build_ignorant_balancer(
+        settings,
+        adversary=AdversaryPlan(seed=seed, fraction=0.0, defense=True),
     )
     armed_digests = [
-        r.canonical_digest() for r in _run_rounds(armed, ROUNDS_PER_POINT)
+        r.canonical_digest()
+        for r in run_checked_rounds(armed, ROUNDS_PER_POINT)
     ]
     assert clean_digests == armed_digests, (
         "f=0 with defense armed diverged from the no-plan run "
@@ -319,47 +282,14 @@ def smoke(num_nodes: int = 64, seed: int = 7) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.byzantine [--smoke]`` entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.byzantine",
-        description="Byzantine-robustness sweep / smoke for the balancer",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the small fixed-seed acceptance scenario and assert "
-        "the defense reduces damage plus the zero-overhead and "
+    """``python -m repro.experiments.byzantine --smoke`` entry point."""
+    args = smoke_parser(
+        "byzantine",
+        "run the small fixed-seed acceptance scenario and assert the "
+        "defense reduces damage plus the zero-overhead and "
         "reproducibility contracts",
-    )
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sweep (default: serial)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        print(
-            smoke(
-                num_nodes=args.nodes if args.nodes is not None else 64,
-                seed=args.seed if args.seed is not None else 7,
-            )
-        )
-        return 0
-
-    settings = ExperimentSettings.from_env()
-    if args.nodes is not None:
-        settings = replace(settings, num_nodes=args.nodes)
-    if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
-    if args.workers is not None:
-        settings = replace(settings, workers=args.workers)
-    print(run(settings).format_rows())
+    ).parse_args(argv)
+    print(smoke(num_nodes=args.nodes, seed=args.seed))
     return 0
 
 

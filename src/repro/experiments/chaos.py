@@ -10,26 +10,29 @@ fall smoothly with the drop rate — never a hang, never a conservation
 violation — while the recovery counters (retries, stale-LBI reuse,
 rollbacks) show the machinery that absorbed the faults.
 
-``python -m repro.experiments.chaos --smoke`` runs the acceptance
-scenario from the fault-injection work (small ring, fixed seed, 10%
-drop, one mid-round crash) and asserts conservation, convergence and
-fault-sequence reproducibility; ``scripts/verify.sh`` wires it in as
-the chaos smoke stage.
+The sweep runs through ``repro-p2plb run chaos``.  ``python -m
+repro.experiments.chaos --smoke`` runs the acceptance scenario from the
+fault-injection work (small ring, fixed seed, 10% drop, one mid-round
+crash) and asserts conservation, convergence and fault-sequence
+reproducibility; ``scripts/verify.sh`` wires it in as the chaos smoke
+stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
-from repro.core.balancer import LoadBalancer
-from repro.core.config import BalancerConfig
 from repro.core.report import BalanceReport, check_conservation
-from repro.experiments.common import ExperimentSettings, pct
+from repro.experiments.common import (
+    ExperimentSettings,
+    build_ignorant_balancer,
+    pct,
+    run_checked_rounds,
+    smoke_parser,
+    sweep,
+)
 from repro.faults import FaultPlan
-from repro.parallel.trials import TrialExecutor
-from repro.workloads.loads import GaussianLoadModel
-from repro.workloads.scenario import build_scenario
 
 #: Drop probabilities swept by default (0.0 still injects the crash and
 #: abort channels, so the first row shows their cost in isolation).
@@ -89,31 +92,6 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _run_round(
-    settings: ExperimentSettings, faults: FaultPlan | None
-) -> BalanceReport:
-    """One balancing round over the shared scenario, conservation-checked."""
-    scenario = build_scenario(
-        GaussianLoadModel(mu=settings.mu, sigma=settings.sigma),
-        num_nodes=settings.num_nodes,
-        vs_per_node=settings.vs_per_node,
-        rng=settings.seed,
-    )
-    balancer = LoadBalancer(
-        scenario.ring,
-        BalancerConfig(
-            proximity_mode="ignorant",
-            epsilon=settings.epsilon,
-            tree_degree=settings.tree_degree,
-        ),
-        rng=settings.balancer_seed,
-        faults=faults,
-    )
-    report = balancer.run_round()
-    check_conservation(report)
-    return report
-
-
 def chaos_row(
     settings: ExperimentSettings,
     drop_rates: tuple[float, ...],
@@ -137,7 +115,9 @@ def chaos_row(
         crash_mid_round=crash_mid_round,
         transfer_abort=transfer_abort,
     )
-    report = _run_round(settings, faults=plan)
+    [report] = run_checked_rounds(
+        build_ignorant_balancer(settings, faults=plan)
+    )
     fs = report.fault_stats
     ratio = report.moved_load / baseline_moved if baseline_moved > 0 else 0.0
     return ChaosRow(
@@ -176,18 +156,13 @@ def run(
     """
     s = settings if settings is not None else ExperimentSettings.from_env()
     fseed = fault_seed if fault_seed is not None else s.seed
-    baseline = _run_round(s, faults=None)
+    [baseline] = run_checked_rounds(build_ignorant_balancer(s))
 
     row_fn = partial(
         chaos_row, s, drop_rates, crash_mid_round, transfer_abort, fseed,
         baseline.moved_load,
     )
-    indices = range(len(drop_rates))
-    if s.workers > 1:
-        with TrialExecutor(workers=s.workers) as executor:
-            rows = list(executor.map(row_fn, indices))
-    else:
-        rows = [row_fn(index) for index in indices]
+    rows = sweep(row_fn, len(drop_rates), s.workers)
     return ChaosResult(
         settings=s,
         crash_mid_round=crash_mid_round,
@@ -259,46 +234,13 @@ def smoke(num_nodes: int = 64, seed: int = 7) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.chaos [--smoke]`` entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.chaos",
-        description="fault-rate sweep / chaos smoke for the load balancer",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the small fixed-seed acceptance scenario and assert "
+    """``python -m repro.experiments.chaos --smoke`` entry point."""
+    args = smoke_parser(
+        "chaos",
+        "run the small fixed-seed acceptance scenario and assert "
         "conservation, convergence and reproducibility",
-    )
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sweep (default: serial)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        print(
-            smoke(
-                num_nodes=args.nodes if args.nodes is not None else 64,
-                seed=args.seed if args.seed is not None else 7,
-            )
-        )
-        return 0
-
-    settings = ExperimentSettings.from_env()
-    if args.nodes is not None:
-        settings = replace(settings, num_nodes=args.nodes)
-    if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
-    if args.workers is not None:
-        settings = replace(settings, workers=args.workers)
-    print(run(settings).format_rows())
+    ).parse_args(argv)
+    print(smoke(num_nodes=args.nodes, seed=args.seed))
     return 0
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.figures import Figure4Data, figure4_data
-from repro.core.balancer import LoadBalancer
-from repro.core.config import BalancerConfig
 from repro.core.report import BalanceReport
-from repro.experiments.common import ExperimentSettings, pct
-from repro.workloads.loads import GaussianLoadModel
-from repro.workloads.scenario import build_scenario
+from repro.experiments.common import (
+    ExperimentSettings,
+    build_ignorant_balancer,
+    pct,
+    run_checked_rounds,
+)
 
 
 @dataclass(frozen=True)
@@ -42,20 +43,5 @@ class Fig4Result:
 def run(settings: ExperimentSettings | None = None) -> Fig4Result:
     """Run the figure-4 experiment (identifier-space only, no topology)."""
     s = settings if settings is not None else ExperimentSettings.from_env()
-    scenario = build_scenario(
-        GaussianLoadModel(mu=s.mu, sigma=s.sigma),
-        num_nodes=s.num_nodes,
-        vs_per_node=s.vs_per_node,
-        rng=s.seed,
-    )
-    balancer = LoadBalancer(
-        scenario.ring,
-        BalancerConfig(
-            proximity_mode="ignorant",
-            epsilon=s.epsilon,
-            tree_degree=s.tree_degree,
-        ),
-        rng=s.balancer_seed,
-    )
-    report = balancer.run_round()
+    [report] = run_checked_rounds(build_ignorant_balancer(s))
     return Fig4Result(settings=s, data=figure4_data(report), report=report)

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.figures import Figure56Data, figure56_data
-from repro.core.balancer import LoadBalancer
-from repro.core.config import BalancerConfig
 from repro.core.report import BalanceReport
-from repro.experiments.common import ExperimentSettings
-from repro.workloads.loads import GaussianLoadModel
-from repro.workloads.scenario import build_scenario
+from repro.experiments.common import (
+    ExperimentSettings,
+    build_ignorant_balancer,
+    run_checked_rounds,
+)
 
 
 @dataclass(frozen=True)
@@ -49,22 +49,7 @@ class Fig56Result:
 def run(settings: ExperimentSettings | None = None) -> Fig56Result:
     """Run the figure-5 experiment (Gaussian loads, capacity alignment)."""
     s = settings if settings is not None else ExperimentSettings.from_env()
-    scenario = build_scenario(
-        GaussianLoadModel(mu=s.mu, sigma=s.sigma),
-        num_nodes=s.num_nodes,
-        vs_per_node=s.vs_per_node,
-        rng=s.seed,
-    )
-    balancer = LoadBalancer(
-        scenario.ring,
-        BalancerConfig(
-            proximity_mode="ignorant",
-            epsilon=s.epsilon,
-            tree_degree=s.tree_degree,
-        ),
-        rng=s.balancer_seed,
-    )
-    report = balancer.run_round()
+    [report] = run_checked_rounds(build_ignorant_balancer(s))
     return Fig56Result(
         settings=s, data=figure56_data(report, "gaussian"), report=report
     )

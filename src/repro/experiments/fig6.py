@@ -9,34 +9,22 @@ only gracefully under Pareto.
 
 from __future__ import annotations
 
-from repro.core.balancer import LoadBalancer
-from repro.core.config import BalancerConfig
 from repro.analysis.figures import figure56_data
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import (
+    ExperimentSettings,
+    build_ignorant_balancer,
+    run_checked_rounds,
+)
 from repro.experiments.fig5 import Fig56Result
 from repro.workloads.loads import ParetoLoadModel
-from repro.workloads.scenario import build_scenario
 
 
 def run(settings: ExperimentSettings | None = None) -> Fig56Result:
     """Run the figure-6 experiment (Pareto loads, capacity alignment)."""
     s = settings if settings is not None else ExperimentSettings.from_env()
-    scenario = build_scenario(
-        ParetoLoadModel(mu=s.mu),
-        num_nodes=s.num_nodes,
-        vs_per_node=s.vs_per_node,
-        rng=s.seed,
+    [report] = run_checked_rounds(
+        build_ignorant_balancer(s, ParetoLoadModel(mu=s.mu))
     )
-    balancer = LoadBalancer(
-        scenario.ring,
-        BalancerConfig(
-            proximity_mode="ignorant",
-            epsilon=s.epsilon,
-            tree_degree=s.tree_degree,
-        ),
-        rng=s.balancer_seed,
-    )
-    report = balancer.run_round()
     return Fig56Result(
         settings=s, data=figure56_data(report, "pareto"), report=report
     )

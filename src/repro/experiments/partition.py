@@ -15,27 +15,29 @@ are the robustness invariants, not throughput:
 * the whole history (epochs, suspensions, heal outcomes, final loads)
   is a pure function of ``(scenario seed, fault plan)``.
 
-``python -m repro.experiments.partition --smoke`` runs the acceptance
-scenario (small ring, fixed seed, mid-round 2-way split healing two
-rounds later) and asserts all of the above; ``--corrupt-heal`` flips a
-test hook that drops one suspended transfer during reconciliation, so
-the conservation guard must abort the run with a non-zero exit — the
+The sweep runs through ``repro-p2plb run partition``.  ``python -m
+repro.experiments.partition --smoke`` runs the acceptance scenario
+(small ring, fixed seed, mid-round 2-way split healing two rounds
+later) and asserts all of the above; ``--corrupt-heal`` flips a test
+hook that drops one suspended transfer during reconciliation, so the
+conservation guard must abort the run with a non-zero exit — the
 negative control proving the defense is live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
-from repro.core.balancer import LoadBalancer
-from repro.core.config import BalancerConfig
-from repro.core.report import BalanceReport, check_conservation
-from repro.experiments.common import ExperimentSettings
+from repro.core.report import BalanceReport
+from repro.experiments.common import (
+    ExperimentSettings,
+    build_ignorant_balancer,
+    run_checked_rounds,
+    smoke_parser,
+    sweep,
+)
 from repro.faults import FaultPlan, PartitionSpec
-from repro.parallel.trials import TrialExecutor
-from repro.workloads.loads import GaussianLoadModel
-from repro.workloads.scenario import build_scenario
 
 #: Component counts swept by default: the ring is cut into this many
 #: pieces mid-round, held apart for two rounds, then healed.
@@ -98,40 +100,6 @@ class PartitionResult:
         return "\n".join(lines)
 
 
-def _build_balancer(
-    settings: ExperimentSettings, plan: FaultPlan | None
-) -> LoadBalancer:
-    """The shared scenario + balancer for one sweep point."""
-    scenario = build_scenario(
-        GaussianLoadModel(mu=settings.mu, sigma=settings.sigma),
-        num_nodes=settings.num_nodes,
-        vs_per_node=settings.vs_per_node,
-        rng=settings.seed,
-    )
-    return LoadBalancer(
-        scenario.ring,
-        BalancerConfig(
-            proximity_mode="ignorant",
-            epsilon=settings.epsilon,
-            tree_degree=settings.tree_degree,
-        ),
-        rng=settings.balancer_seed,
-        faults=plan,
-    )
-
-
-def _run_rounds(
-    balancer: LoadBalancer, rounds: int
-) -> list[BalanceReport]:
-    """Run consecutive rounds, conservation-checking every one."""
-    reports = []
-    for _ in range(rounds):
-        report = balancer.run_round()
-        check_conservation(report)
-        reports.append(report)
-    return reports
-
-
 def partition_row(
     settings: ExperimentSettings,
     component_counts: tuple[int, ...],
@@ -162,8 +130,9 @@ def partition_row(
             ),
         ),
     )
-    balancer = _build_balancer(settings, plan)
-    reports = _run_rounds(balancer, ROUNDS_PER_POINT)
+    reports = run_checked_rounds(
+        build_ignorant_balancer(settings, faults=plan), ROUNDS_PER_POINT
+    )
     fs = [r.fault_stats for r in reports]
     return PartitionRow(
         num_components=num_components,
@@ -207,12 +176,7 @@ def run(
     row_fn = partial(
         partition_row, s, component_counts, duration, drop, corrupt, fseed
     )
-    indices = range(len(component_counts))
-    if s.workers > 1:
-        with TrialExecutor(workers=s.workers) as executor:
-            rows = list(executor.map(row_fn, indices))
-    else:
-        rows = [row_fn(index) for index in indices]
+    rows = sweep(row_fn, len(component_counts), s.workers)
     return PartitionResult(
         settings=s, duration=duration, drop=drop, corrupt=corrupt, rows=rows
     )
@@ -261,11 +225,11 @@ def smoke(
     )
 
     def one_run() -> tuple[list[BalanceReport], str, list[str]]:
-        balancer = _build_balancer(settings, plan)
+        balancer = build_ignorant_balancer(settings, faults=plan)
         if corrupt_heal:
             assert balancer.membership is not None
             balancer.membership.corrupt_heal = True
-        reports = _run_rounds(balancer, ROUNDS_PER_POINT)
+        reports = run_checked_rounds(balancer, ROUNDS_PER_POINT)
         digests = [r.canonical_digest() for r in reports]
         return reports, reports[-1].fault_stats.signature, digests
 
@@ -295,61 +259,26 @@ def smoke(
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.partition [--smoke]`` entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.partition",
-        description="partition-tolerance sweep / smoke for the balancer",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the small fixed-seed acceptance scenario and assert "
+    """``python -m repro.experiments.partition --smoke`` entry point."""
+    parser = smoke_parser(
+        "partition",
+        "run the small fixed-seed acceptance scenario and assert "
         "conservation through partition and heal, plus reproducibility",
     )
     parser.add_argument(
         "--corrupt-heal",
         action="store_true",
-        help="smoke only: drop one suspended transfer during the heal; "
-        "the conservation guard must abort the run (negative control)",
-    )
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--duration", type=int, default=None,
-        help="sweep only: rounds the partition stays active",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sweep (default: serial)",
+        help="drop one suspended transfer during the heal; the "
+        "conservation guard must abort the run (negative control)",
     )
     args = parser.parse_args(argv)
-
-    if args.corrupt_heal and not args.smoke:
-        parser.error("--corrupt-heal requires --smoke")
-
-    if args.smoke:
-        print(
-            smoke(
-                num_nodes=args.nodes if args.nodes is not None else 64,
-                seed=args.seed if args.seed is not None else 7,
-                corrupt_heal=args.corrupt_heal,
-            )
+    print(
+        smoke(
+            num_nodes=args.nodes,
+            seed=args.seed,
+            corrupt_heal=args.corrupt_heal,
         )
-        return 0
-
-    settings = ExperimentSettings.from_env()
-    if args.nodes is not None:
-        settings = replace(settings, num_nodes=args.nodes)
-    if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
-    if args.workers is not None:
-        settings = replace(settings, workers=args.workers)
-    duration = args.duration if args.duration is not None else 2
-    print(run(settings, duration=duration).format_rows())
+    )
     return 0
 
 

@@ -1,8 +1,8 @@
 """Meta-tests: documentation references must match the repository.
 
 These keep DESIGN.md / EXPERIMENTS.md / README.md honest: every bench
-file they name exists, every registered experiment has a bench or
-driver, and every example the README advertises is a runnable file.
+file they name exists, every registered experiment is run by a tier-1
+test, and every example the README advertises is a runnable file.
 """
 
 from __future__ import annotations
@@ -75,19 +75,25 @@ class TestReadme:
 
 
 class TestRegistryCoverage:
-    def test_every_figure_experiment_has_a_bench(self):
+    def test_every_registered_experiment_is_run_by_a_tier1_test(self):
+        """Some ``tests/test_*.py`` calls each registered driver.
+
+        A driver is named the way tests call it: ``fig8.run(`` for the
+        ``run`` of :mod:`repro.experiments.fig8`.
+        """
         from repro.experiments.registry import EXPERIMENTS
 
-        bench_text = "\n".join(
-            p.read_text() for p in (REPO / "benchmarks").glob("bench_*.py")
+        test_text = "\n".join(
+            p.read_text()
+            for p in (REPO / "tests").glob("test_*.py")
+            if p.name != Path(__file__).name
         )
-        for name in EXPERIMENTS:
-            assert (
-                f"experiments import {name}" in bench_text
-                or f"experiments.{name}" in bench_text
-                or f"import {name}" in bench_text
-                or name in bench_text
-            ), f"experiment {name} has no benchmark"
+        for name, (runner, _) in EXPERIMENTS.items():
+            module = runner.__module__.rsplit(".", 1)[-1]
+            call = rf"\b{module}\.{runner.__name__}\("
+            assert re.search(call, test_text), (
+                f"experiment {name} is not run by any tier-1 test"
+            )
 
     def test_all_benches_collected_by_pytest_config(self):
         import tomllib

@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import ExperimentSettings
+from repro.adversary import AdversaryPlan
+from repro.experiments import ExperimentSettings, byzantine
 from repro.experiments.byzantine import (
+    ROUNDS_PER_POINT,
     ByzantineResult,
     byzantine_row,
-    run,
     smoke,
 )
+from repro.experiments.common import build_ignorant_balancer, run_checked_rounds
 from repro.experiments.registry import EXPERIMENTS
 
 SETTINGS = ExperimentSettings(num_nodes=48, seed=7)
@@ -25,7 +27,7 @@ def _row(index):
 def test_registered_experiment():
     assert "byzantine" in EXPERIMENTS
     fn, description = EXPERIMENTS["byzantine"]
-    assert fn is run
+    assert fn is byzantine.run
     assert "Byzantine" in description
 
 
@@ -60,8 +62,10 @@ def test_rows_are_pure_functions_of_their_inputs():
 
 def test_serial_and_parallel_sweeps_agree():
     fractions = (0.0, 0.10)
-    serial = run(SETTINGS, fractions=fractions)
-    parallel = run(replace(SETTINGS, workers=2), fractions=fractions)
+    serial = byzantine.run(SETTINGS, fractions=fractions)
+    parallel = byzantine.run(
+        replace(SETTINGS, workers=2), fractions=fractions
+    )
     assert isinstance(serial, ByzantineResult)
     assert [replace(r) for r in serial.rows] == [
         replace(r) for r in parallel.rows
@@ -70,7 +74,7 @@ def test_serial_and_parallel_sweeps_agree():
 
 
 def test_format_rows_mentions_every_point():
-    result = run(SETTINGS, fractions=(0.10,))
+    result = byzantine.run(SETTINGS, fractions=(0.10,))
     text = result.format_rows()
     assert "off" in text and "on" in text
     assert "damage" in text
@@ -81,3 +85,27 @@ def test_smoke_passes_and_reports():
     # damage at f=0.10 and the clean world stays digest-identical.
     message = smoke(num_nodes=48, seed=11)
     assert "byzantine smoke OK" in message
+
+
+def test_dormant_plan_and_defense_at_256_nodes():
+    """A dormant plan leaves clean digests alone; the defense claws back.
+
+    256 nodes, scenario seed 42, adversary seed 13: an armed plan that
+    drafts nobody reproduces the no-plan run's per-round digests, and
+    the defense strictly cuts the honest damage of a 10% attacker
+    draft.
+    """
+    settings = ExperimentSettings(num_nodes=256, seed=42)
+
+    def digests(plan):
+        balancer = build_ignorant_balancer(settings, adversary=plan)
+        return [
+            r.canonical_digest()
+            for r in run_checked_rounds(balancer, ROUNDS_PER_POINT)
+        ]
+
+    assert digests(AdversaryPlan(seed=13, fraction=0.0)) == digests(None)
+    points = ((0.10, False), (0.10, True))
+    undefended = byzantine_row(settings, points, 13, 0)
+    defended = byzantine_row(settings, points, 13, 1)
+    assert defended.damage < undefended.damage
