@@ -1,7 +1,8 @@
 """Benchmark: crash-recovery durability overhead vs plain rounds.
 
-The durable path adds a snapshot checkpoint per round plus a fsynced
-write-ahead journal record per transfer intent.  This bench measures
+The durable path adds a snapshot checkpoint per round plus a
+write-ahead journal record per transfer intent, group-committed (one
+fsync at the checkpoint and one at ``round_end``).  This bench measures
 that tax directly: the same seeded scenario run (a) plain and (b)
 through a :class:`~repro.recovery.RecoveryManager`, asserting the
 digests stay byte-identical (durability must be a pure tax, never a

@@ -85,10 +85,8 @@ python -m pytest -q benchmarks --benchmark-disable \
 echo "== chaos smoke: degraded round survives, conserves, reproduces =="
 # Small ring, fixed seed, 10% message drop + one mid-round crash; the
 # module asserts conservation, convergence and byte-identical fault
-# sequences across two runs.  (Invoked via -c rather than -m to avoid
-# the runpy double-import warning: the experiments package __init__
-# already imports chaos through the registry.)
-python -c "import sys; from repro.experiments.chaos import main; sys.exit(main(['--smoke']))"
+# sequences across two runs.
+python -m repro.experiments.chaos --smoke
 
 echo "== incremental smoke: persistent-tree rounds match the reference's digests =="
 # Tiny ring, four rounds with 1% churn + localized drift between them;
@@ -107,7 +105,7 @@ echo "== partition smoke: split, degraded rounds, conservation-checked heal =="
 # Mid-round 2-way split held for two rounds, then healed; the module
 # asserts epochs, suspended == commits + rollbacks, global conservation
 # and byte-identical signatures/digests across two runs.
-python -c "import sys; from repro.experiments.partition import main; sys.exit(main(['--smoke']))"
+python -m repro.experiments.partition --smoke
 
 echo "== byzantine smoke: defended sweep point beats undefended, reproduces =="
 # Small ring, fixed seed, 10% Byzantine attackers; the module asserts
@@ -115,7 +113,7 @@ echo "== byzantine smoke: defended sweep point beats undefended, reproduces =="
 # reproduces attack signatures/digests across two runs, and that an
 # armed-but-empty adversary (f=0, defense on) stays digest-identical
 # to a run with no adversary plan at all.
-python -c "import sys; from repro.experiments.byzantine import main; sys.exit(main(['--smoke']))"
+python -m repro.experiments.byzantine --smoke
 
 echo "== recovery smoke: chaos soak (churn x faults x crashes, monitored) =="
 # Two seeded schedules composing churn, message faults, a partition and

@@ -12,7 +12,9 @@ Resolution rules (documented in ``docs/static_analysis.md``):
   vsa``, ``from repro.core.vsa import run as r`` all bind local names
   to absolute dotted targets; a dotted call chain is resolved by
   substituting the binding and matching the longest known module
-  prefix.
+  prefix.  An import inside a function body binds in that function's
+  scope (and the functions nested in it), shadowing the module's
+  bindings there.
 * **methods** — ``self.m()`` / ``cls.m()`` resolve through the
   enclosing class and its project-resolvable bases; ``obj.m()``
   resolves when ``obj``'s type is known from a parameter annotation, a
@@ -120,6 +122,8 @@ class FunctionInfo:
     ``"closure"``.  ``generator_carriers`` maps names whose *value
     embeds* a non-spawned generator object (e.g. a task list built from
     a shared stream) to the embedded generator's origin.
+    ``local_imports`` maps names bound by an ``import`` in the function
+    body (or in an enclosing function) to absolute dotted targets.
     """
 
     qname: str
@@ -135,6 +139,7 @@ class FunctionInfo:
     generator_lists: set[str] = field(default_factory=set)
     generator_carriers: dict[str, str] = field(default_factory=dict)
     local_types: dict[str, str] = field(default_factory=dict)
+    local_imports: dict[str, str] = field(default_factory=dict)
 
     @property
     def line(self) -> int:
@@ -156,19 +161,8 @@ class _ModuleBinder:
 
     def _collect(self) -> None:
         for node in ast.iter_child_nodes(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    # `import a.b.c` binds `a`; `import a.b.c as x` binds
-                    # x to the full dotted path.
-                    target = alias.name if alias.asname else local
-                    self.imports[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                if node.module is None or node.level:
-                    continue  # relative imports are not used in-tree
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.imports[local] = f"{node.module}.{alias.name}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.imports.update(_import_bindings(node))
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[node.name] = f"{self.module}.{node.name}"
             elif isinstance(node, ast.ClassDef):
@@ -196,6 +190,22 @@ class _ModuleBinder:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             self.module_generators[target.id] = node.lineno
+
+
+def _import_bindings(
+    node: ast.Import | ast.ImportFrom,
+) -> Iterator[tuple[str, str]]:
+    """The ``(local name, absolute dotted target)`` pairs an import binds."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            local = alias.asname or alias.name.split(".")[0]
+            # `import a.b.c` binds `a`; `import a.b.c as x` binds x to
+            # the full dotted path.
+            yield local, alias.name if alias.asname else local
+    elif node.module is not None and not node.level:
+        # (relative imports are not used in-tree)
+        for alias in node.names:
+            yield alias.asname or alias.name, f"{node.module}.{alias.name}"
 
 
 def _is_generator_factory_call(node: ast.expr) -> bool:
@@ -502,7 +512,7 @@ class _FunctionWalker:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._walk_function(
                     node, qname=f"{self.binder.module}.{node.name}", cls=None,
-                    closure_gens={},
+                    closure_gens={}, closure_imports={},
                 )
             elif isinstance(node, ast.ClassDef):
                 cls_qname = f"{self.binder.module}.{node.name}"
@@ -515,6 +525,7 @@ class _FunctionWalker:
                             qname=f"{cls_qname}.{child.name}",
                             cls=cls_qname,
                             closure_gens={},
+                            closure_imports={},
                         )
 
     # ------------------------------------------------------------------
@@ -524,6 +535,7 @@ class _FunctionWalker:
         qname: str,
         cls: str | None,
         closure_gens: dict[str, str],
+        closure_imports: dict[str, str],
     ) -> Iterator[FunctionInfo]:
         params = tuple(
             a.arg
@@ -541,6 +553,7 @@ class _FunctionWalker:
             cls=cls,
             params=params,
             is_protocol=self.ctx.is_protocol,
+            local_imports=dict(closure_imports),
         )
         local_functions = self._collect_locals(node, info, closure_gens)
         self._active_types = info.local_types
@@ -573,6 +586,7 @@ class _FunctionWalker:
                         qname=f"{qname}.{child.name}",
                         cls=cls,
                         closure_gens=nested_env,
+                        closure_imports=info.local_imports,
                     )
 
     @staticmethod
@@ -607,6 +621,7 @@ class _FunctionWalker:
         """Populate generator/type bindings; return local fn aliases."""
         local_functions: dict[str, str] = {}
         local_types = info.local_types
+        self._active_imports = info.local_imports
         gens = info.generator_origins
         gens.update(closure_gens)
         for name in self.binder.module_generators:
@@ -638,7 +653,9 @@ class _FunctionWalker:
         scope_nodes = list(self._own_scope_walk(node.body))
         for _ in range(2):
             for stmt in scope_nodes:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    info.local_imports.update(_import_bindings(stmt))
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     local_functions[stmt.name] = f"{info.qname}.{stmt.name}"
                 elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                     self._bind_assignment(
@@ -721,9 +738,7 @@ class _FunctionWalker:
         if isinstance(value, ast.Call):
             fchain = dotted_name(value.func)
             if fchain:
-                resolved_t = self.project.resolve_in_module(
-                    self.binder, fchain
-                )
+                resolved_t = self._resolve_chain(fchain)
                 if resolved_t is not None and resolved_t[0] == "class":
                     local_types[name] = resolved_t[1]
                     return
@@ -818,13 +833,24 @@ class _FunctionWalker:
         local_types: dict[str, str] = getattr(self, "_active_types", {})
         if head in local_types and len(chain) == 2:
             return self.project.find_method(local_types[head], chain[1])
-        resolved = self.project.resolve_in_module(self.binder, chain)
+        resolved = self._resolve_chain(chain)
         if resolved is None:
             return None
         kind, qname = resolved
         if kind == "func":
             return qname
         return self.project.constructor_of(qname)
+
+    def _resolve_chain(
+        self, chain: tuple[str, ...]
+    ) -> tuple[str, str] | None:
+        """Resolve a dotted chain to ``(kind, qname)``, local imports first."""
+        local_imports: dict[str, str] = getattr(self, "_active_imports", {})
+        if chain and chain[0] in local_imports:
+            return self.project.resolve_absolute(
+                ".".join((local_imports[chain[0]], *chain[1:]))
+            )
+        return self.project.resolve_in_module(self.binder, chain)
 
     def _scan(
         self,
@@ -835,6 +861,7 @@ class _FunctionWalker:
     ) -> None:
         """Collect call, ref and submission sites from a function body."""
         self._active_types = info.local_types
+        self._active_imports = info.local_imports
         stack: list[ast.AST] = list(body)
         func_position: set[int] = set()
         while stack:

@@ -6,9 +6,12 @@ module — the ``durable-write-discipline`` lint rule flags any other
 ``open``/``os.replace``/``write_text`` call inside ``repro.recovery``.
 Two disciplines cover everything:
 
-* **fsync'd append** (:class:`DurableAppendFile`) — journal records are
-  flushed and fsynced line by line, so a crash can lose at most the
-  torn tail of the final record (which the journal truncates on open);
+* **group-committed append** (:class:`DurableAppendFile`) — journal
+  records are flushed line by line and fsynced at the writer's sync
+  points (:meth:`DurableAppendFile.sync`).  A killed process loses
+  nothing that was flushed; an OS crash loses at most the records
+  written since the last sync point, plus possibly a torn tail (which
+  the journal truncates on open);
 * **atomic rename-on-commit** (:func:`atomic_write_text`) — snapshots
   are written to a temp file, fsynced, then :func:`os.replace`'d over
   the destination and the directory entry fsynced, so a reader never
@@ -106,15 +109,17 @@ def read_json(path: str | Path) -> Any:
 
 
 class DurableAppendFile:
-    """Append-only binary file with per-write fsync and tail truncation.
+    """Append-only binary file with group-commit fsync and tail truncation.
 
-    The journal's storage layer: :meth:`append_line` flushes and fsyncs
-    each record so committed lines survive a crash, :meth:`read_bytes`
-    returns the current content (validated on open, read back on
-    demand), and
-    :meth:`truncate_to` discards a torn tail.  Offsets are byte
-    offsets; the journal keeps its lines ASCII so they line up with
-    character positions.
+    The journal's storage layer: :meth:`append_line` flushes each
+    record to the OS, so it survives the writing process being killed;
+    :meth:`sync` fsyncs everything appended so far, so it also survives
+    an OS crash.  The writer decides where the sync points fall (the
+    journal syncs once per durable unit, not once per record).
+    :meth:`read_bytes` returns the current content (validated on open,
+    read back on demand), and :meth:`truncate_to` durably discards a
+    torn tail.  Offsets are byte offsets; the journal keeps its lines
+    ASCII so they line up with character positions.
     """
 
     __slots__ = ("path", "_fh")
@@ -131,10 +136,13 @@ class DurableAppendFile:
         return self._fh.read()
 
     def append_line(self, line: str) -> None:
-        """Append ``line`` plus a newline, flushed and fsynced."""
+        """Append ``line`` plus a newline, flushed (not yet fsynced)."""
         self._fh.seek(0, os.SEEK_END)
         self._fh.write(line.encode("utf-8") + b"\n")
         self._fh.flush()
+
+    def sync(self) -> None:
+        """fsync every line appended so far (a group-commit point)."""
         os.fsync(self._fh.fileno())
 
     def truncate_to(self, size: int) -> None:
@@ -144,8 +152,10 @@ class DurableAppendFile:
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        """Close the underlying file handle."""
-        self._fh.close()
+        """Sync the appended lines, then close the file handle."""
+        if not self._fh.closed:
+            self.sync()
+            self._fh.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DurableAppendFile({str(self.path)!r})"

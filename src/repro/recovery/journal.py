@@ -19,7 +19,7 @@ report's canonical digest), and the recovery manager interleaves
 ``checkpoint`` and ``crash`` markers.  The journal therefore serves
 three roles at once:
 
-* a durable record of what the crashed round already did;
+* a record of what the crashed round already did;
 * **replay validation** — after a restore, :meth:`TransferJournal.begin_replay`
   arms the journaled tail as the *expected* sequence: the re-executed
   round's ``record`` calls must match it one for one (a mismatch means
@@ -31,6 +31,15 @@ three roles at once:
   prefix for the third;
 * the carrier of ``crash`` markers, from which the recovery manager
   disarms already-fired :class:`~repro.faults.CrashPoint` sites.
+
+Group commit: every record is flushed as it is appended, but the file
+is fsynced only after the kinds in :data:`SYNC_KINDS` — the records
+that close a durable unit (``round_end``, ``checkpoint``, ``crash``).
+A killed process therefore loses nothing it journaled; an OS crash
+loses at most the records written since the last sync point.  Those
+belong to the round in flight, which recovery restores from its
+checkpoint and re-executes byte-identically, so a lost unsynced tail
+only shortens the replay expectation.
 
 The on-disk format is the same JSON-lines shape
 :class:`repro.obs.sinks.JSONLSink` emits (see its ``append``/``sync``
@@ -73,6 +82,13 @@ JOURNAL_KINDS = frozenset(
 REPLAYABLE_KINDS = frozenset(
     {"round_begin", "prepare", "commit", "rollback", "suspend", "round_end"}
 )
+
+#: Kinds after which the journal fsyncs (its group-commit points): each
+#: closes a durable unit — a finished round, a checkpoint the next
+#: restore starts from, a crash the restart must disarm.  Every other
+#: record is flushed but not fsynced, so the sync count per round is a
+#: constant, independent of the number of transfers.
+SYNC_KINDS = frozenset({"round_end", "checkpoint", "crash"})
 
 
 def _checksum(payload: Mapping[str, Any]) -> str:
@@ -209,6 +225,8 @@ class TransferJournal:
         record = JournalRecord(seq=self._count, kind=kind, fields=fields)
         line = record.to_line()
         self._file.append_line(line)
+        if kind in SYNC_KINDS:
+            self._file.sync()
         self._count += 1
         self._size += len(line) + 1  # ASCII line plus its newline
         if kind == "checkpoint":
@@ -218,10 +236,11 @@ class TransferJournal:
         return record
 
     def record(self, kind: str, **fields: Any) -> JournalRecord:
-        """Durably journal one record (or match it against the replay tail).
+        """Journal one record (or match it against the replay tail).
 
-        Outside replay mode this is a plain write-ahead append.  In
-        replay mode (armed by :meth:`begin_replay` after a restore) the
+        Outside replay mode this is a plain write-ahead append, synced
+        to disk if ``kind`` is a group-commit point (:data:`SYNC_KINDS`).
+        In replay mode (armed by :meth:`begin_replay` after a restore) the
         call must reproduce the next expected record exactly — same
         kind, same fields — in which case nothing is re-written and the
         journaled record is returned; any divergence raises
@@ -258,6 +277,11 @@ class TransferJournal:
         self._replay = deque(
             r for r in expected if r.kind in REPLAYABLE_KINDS
         )
+
+    @property
+    def checkpointed(self) -> bool:
+        """Whether the file holds at least one ``checkpoint`` marker."""
+        return self._tail_start != (0, 0)
 
     @property
     def replaying(self) -> bool:
@@ -307,7 +331,7 @@ class TransferJournal:
         ]
 
     def close(self) -> None:
-        """Close the underlying append file."""
+        """Sync and close the underlying append file."""
         self._file.close()
 
     def __len__(self) -> int:

@@ -25,10 +25,11 @@ is the acceptance criterion the crash tests assert on the balancer and
 its object-walk reference.
 
 A **true** restart (process killed before the crash marker could be
-written) converges through the same loop: construction detects the
-incomplete round in the journal tail, restores, and the re-run either
-replays cleanly or re-fires the same seeded crash — this time writing
-the marker — before recovering normally.  A double crash during
+written, or an OS crash that dropped the round's unsynced records)
+converges through the same loop: construction detects the incomplete
+round in the journal tail, restores, and the re-run either replays
+cleanly or re-fires the same seeded crash — this time writing the
+marker — before recovering normally.  A double crash during
 recovery likewise just adds one more marker and one more restore.
 """
 
@@ -204,19 +205,23 @@ class RecoveryManager:
     def _maybe_resume(self) -> None:
         """Detect (at construction) a round the previous process left open.
 
-        A round in progress shows up as a journal tail whose protocol
-        records do not close with ``round_end`` — the previous process
-        died (or crashed without writing its marker) somewhere between
-        the checkpoint and the round's last record.  In that case
-        restore-and-replay before the first caller round; the re-run
-        then either completes the round or re-fires the same seeded
-        crash and converges through :meth:`run_round`'s loop.  A tail
-        that *does* close with ``round_end`` is a clean shutdown: the
-        next round simply checkpoints on top of it.
+        A round in progress shows up as a checkpointed journal tail
+        that holds no ``round_end`` — the previous process died (or
+        crashed without writing its marker) somewhere between the
+        checkpoint and the round's last record, possibly before the
+        round's first record, or an OS crash dropped the records written
+        since that checkpoint was synced.  In that case restore-and-replay
+        before the first caller round; the re-run then either completes
+        the round or re-fires the same seeded crash and converges
+        through :meth:`run_round`'s loop.  A tail that closes with
+        ``round_end`` is a clean shutdown, and a journal with neither a
+        checkpoint nor protocol records is brand new: the next round
+        simply checkpoints on top of it.
         """
         tail = self.journal.tail_after_last_checkpoint()
-        protocol = [r for r in tail if r.kind in REPLAYABLE_KINDS]
-        if protocol and protocol[-1].kind != "round_end":
+        protocol = [r.kind for r in tail if r.kind in REPLAYABLE_KINDS]
+        closed = protocol[-1:] == ["round_end"]
+        if not closed and (protocol or self.journal.checkpointed):
             self._restart()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -7,12 +7,27 @@ import pytest
 
 from repro.dht import ChordRing
 from repro.idspace import IdentifierSpace
+from repro.recovery import durable
 from repro.topology import (
     DistanceOracle,
     TransitStubParams,
     generate_transit_stub,
 )
 from repro.workloads import GaussianLoadModel, build_scenario
+
+
+@pytest.fixture
+def fsync_calls(monkeypatch) -> list[int]:
+    """Every ``os.fsync`` the durable layer makes, in order (still synced)."""
+    calls: list[int] = []
+    real_fsync = durable.os.fsync
+
+    def counting_fsync(fd: int) -> None:
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(durable.os, "fsync", counting_fsync)
+    return calls
 
 
 @pytest.fixture

@@ -8,7 +8,10 @@ transit-stub topology needs a densely populated overlay for distance
 distributions to be meaningful.
 """
 
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +49,26 @@ class TestRegistry:
 
     def test_get_returns_callable(self):
         assert callable(get_experiment("fig4"))
+
+    @pytest.mark.parametrize("module", ["chaos", "partition", "byzantine"])
+    def test_module_entry_point_runs_warning_free(self, module):
+        """``python -m repro.experiments.<id>`` imports no driver early.
+
+        The package loads the registry (which imports every driver)
+        only on first access, so runpy finds the driver absent from
+        ``sys.modules`` and warns about nothing.  Without ``--smoke``
+        the entry point exits 2 straight after import.
+        """
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             f"repro.experiments.{module}"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestFig4:

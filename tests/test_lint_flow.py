@@ -201,6 +201,64 @@ def test_method_dispatch_through_self_and_typed_receiver(tmp_path):
     assert "wall-clock" in analysis.effects_of("repro.analysis.meth.drive")
 
 
+def test_function_local_imports_bind_in_function_scope(tmp_path):
+    write(
+        tmp_path,
+        "repro/analysis/clock.py",
+        """
+        import time
+
+        def stamp():
+            return time.time()
+
+        class Clock:
+            def read(self):
+                return time.time()
+        """,
+    )
+    write(
+        tmp_path,
+        "repro/analysis/driver.py",
+        """
+        def from_import():
+            from repro.analysis.clock import stamp
+            return stamp()
+
+        def module_alias():
+            import repro.analysis.clock as clock
+            return clock.stamp()
+
+        def typed_receiver():
+            from repro.analysis.clock import Clock
+            c = Clock()
+            return c.read()
+
+        def enclosing():
+            from repro.analysis.clock import stamp as s
+
+            def inner():
+                return s()
+
+            return inner
+
+        def unbound():
+            return stamp()
+        """,
+    )
+    analysis = analyze(tmp_path)
+    for name in (
+        "from_import",
+        "module_alias",
+        "typed_receiver",
+        "enclosing.inner",
+        "enclosing",
+    ):
+        qname = f"repro.analysis.driver.{name}"
+        assert "wall-clock" in analysis.effects_of(qname), qname
+    # A function-local import binds nothing at module scope.
+    assert analysis.effects_of("repro.analysis.driver.unbound") == frozenset()
+
+
 def test_unordered_iteration_propagates_interprocedurally(tmp_path):
     write(
         tmp_path,

@@ -11,6 +11,11 @@ through a *true* restart (a fresh :class:`~repro.recovery.RecoveryManager`
 opened on the state directory a dead process left behind).
 """
 
+import json
+import os
+import shutil
+from itertools import accumulate
+
 import pytest
 
 from repro.core import BalancerConfig, LoadBalancer
@@ -19,6 +24,7 @@ from repro.exceptions import ProcessCrashError, RecoveryError
 from repro.faults import CrashPoint, FaultPlan, PartitionSpec
 from repro.faults.plan import CRASH_SITES
 from repro.recovery import RecoveryManager
+from repro.recovery.manager import JOURNAL_NAME
 from repro.recovery.soak import run_schedule
 from repro.sim.dynamics import LoadDynamics, run_dynamic_simulation
 from repro.workloads import GaussianLoadModel, build_scenario
@@ -161,6 +167,109 @@ class TestHarderSchedules:
                 manager._restart()
         finally:
             manager.close()
+
+
+class TestRestartAtEveryRecordBoundary:
+    """A true restart after an OS crash at any point of a round in flight.
+
+    Group commit syncs the journal only at ``checkpoint``, ``crash``
+    and ``round_end``, so an OS crash can drop any suffix of the
+    records written after the round's checkpoint.  For every such
+    record boundary — from just after the checkpoint marker up to just
+    before ``round_end`` — cut a copy of the state directory back to
+    it, open a fresh manager on the copy and finish the run (the
+    crashed round and the one after it): the reports and the final
+    journal bytes must equal the uncut run's.
+    """
+
+    @pytest.mark.parametrize(
+        "site, at_round",
+        [("post-lbi-fold", 0), ("mid-vst-batch", 1), ("pre-heal-commit", 4)],
+    )
+    def test_every_boundary_recovers_byte_identically(
+        self, tmp_path, site, at_round
+    ):
+        plan = _plan(CrashPoint(at_round=at_round, site=site))
+        factory = _factory(plan, "incremental")
+        rounds = min(ROUNDS, at_round + 2)
+        run_dir, frozen = tmp_path / "run", tmp_path / "frozen"
+        first = RecoveryManager(factory, state_dir=run_dir)
+        try:
+            digests = [
+                first.run_round().canonical_digest()
+                for _ in range(at_round + 1)
+            ]
+            # The round's own checkpoint is the latest snapshot here.
+            shutil.copytree(run_dir, frozen)
+            digests += [
+                first.run_round().canonical_digest()
+                for _ in range(rounds - at_round - 1)
+            ]
+        finally:
+            first.close()
+        assert first.restores == 1
+        assert digests == _baseline_digests("incremental")[:rounds]
+        full_journal = (run_dir / JOURNAL_NAME).read_bytes()
+
+        lines = (frozen / JOURNAL_NAME).read_bytes().splitlines(keepends=True)
+        kinds = [json.loads(line)["kind"] for line in lines]
+        checkpoint = len(kinds) - 1 - kinds[::-1].index("checkpoint")
+        assert kinds[-1] == "round_end"
+        assert "crash" in kinds[checkpoint:]
+        # Line ends from the checkpoint's through the one before round_end.
+        boundaries = list(accumulate(map(len, lines)))[checkpoint:-1]
+
+        for offset in boundaries:
+            cut = tmp_path / f"cut-{offset}"
+            shutil.copytree(frozen, cut)
+            os.truncate(cut / JOURNAL_NAME, offset)
+            second = RecoveryManager(factory, state_dir=cut)
+            try:
+                assert second.restores == 1, offset  # resumed at open
+                resumed = [
+                    second.run_round().canonical_digest()
+                    for _ in range(rounds - at_round)
+                ]
+            finally:
+                second.close()
+            assert resumed == digests[at_round :], offset
+            assert (cut / JOURNAL_NAME).read_bytes() == full_journal, offset
+            shutil.rmtree(cut)
+
+    def test_brand_new_state_dir_does_not_resume(self, tmp_path):
+        manager = RecoveryManager(_factory(_plan()), state_dir=tmp_path)
+        try:
+            assert manager.restores == 0
+            assert not manager.journal.checkpointed
+        finally:
+            manager.close()
+
+
+class TestGroupCommitSyncCount:
+    """The journal fsyncs a constant number of times per managed round."""
+
+    #: Snapshot temp file + its directory entry, the ``checkpoint``
+    #: marker and ``round_end`` — whatever the round transfers.
+    FSYNCS_PER_ROUND = 4
+
+    def test_constant_per_round_independent_of_transfers(
+        self, tmp_path, fsync_calls
+    ):
+        manager = RecoveryManager(
+            _factory(_plan(), "incremental"), state_dir=tmp_path
+        )
+        per_round, records, transfers = [], [], []
+        try:
+            for _ in range(ROUNDS):
+                syncs_before, records_before = len(fsync_calls), len(manager.journal)
+                report = manager.run_round()
+                per_round.append(len(fsync_calls) - syncs_before)
+                records.append(len(manager.journal) - records_before)
+                transfers.append(len(report.transfers))
+        finally:
+            manager.close()
+        assert per_round == [self.FSYNCS_PER_ROUND] * ROUNDS
+        assert len(set(transfers)) > 1 and len(set(records)) > 1
 
 
 class TestEmbeddings:

@@ -19,7 +19,7 @@ from repro.obs.sinks import JSONLSink
 from repro.obs.trace import TraceRecord
 from repro.recovery import JournalRecord, TransferJournal, resolve_state_dir
 from repro.recovery.durable import STATE_DIR_ENV
-from repro.recovery.journal import JOURNAL_KINDS, REPLAYABLE_KINDS
+from repro.recovery.journal import JOURNAL_KINDS, REPLAYABLE_KINDS, SYNC_KINDS
 
 
 def _journal(tmp_path, name="journal.jsonl"):
@@ -122,6 +122,53 @@ class TestPersistence:
         assert len(journal) == 0
         assert journal.tail_after_last_checkpoint() == []
         journal.close()
+
+
+class TestGroupCommit:
+    """Records are flushed as written, fsynced only at the sync points."""
+
+    def test_only_unit_closing_kinds_sync(self, tmp_path, fsync_calls):
+        assert SYNC_KINDS == {"round_end", "checkpoint", "crash"}
+        assert SYNC_KINDS < JOURNAL_KINDS
+        journal = _journal(tmp_path)
+        for kind in sorted(JOURNAL_KINDS - SYNC_KINDS):
+            journal.record(kind, vs=1)
+        assert fsync_calls == []
+        # Unsynced records are already flushed: a second reader sees them.
+        reader = _journal(tmp_path)
+        assert len(reader.entries) == len(JOURNAL_KINDS - SYNC_KINDS)
+        reader.close()
+        before = len(fsync_calls)
+        journal.record("checkpoint", round=1, digest="c" * 16)
+        assert len(fsync_calls) == before + 1
+        journal.record("round_end", round=1, digest="e" * 16)
+        assert len(fsync_calls) == before + 2
+        journal.close()
+
+    def test_record_crash_syncs_even_while_replaying(self, tmp_path, fsync_calls):
+        journal = _journal(tmp_path)
+        journal.record("checkpoint", round=1, digest="c" * 16)
+        journal.record("round_begin", round=1)
+        journal.begin_replay(journal.tail_after_last_checkpoint())
+        before = len(fsync_calls)
+        journal.record_crash(1, "mid-vst-batch")
+        assert len(fsync_calls) == before + 1
+        assert journal.replaying
+        journal.close()
+
+    def test_truncate_and_close_sync(self, tmp_path, fsync_calls):
+        journal = _journal(tmp_path)
+        journal.record("round_begin", round=0)
+        journal.close()
+        assert len(fsync_calls) == 1  # close syncs what was appended
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(path.read_bytes() + b'{"torn')
+        repaired = _journal(tmp_path)  # truncate_to on open
+        assert repaired.truncated_bytes == len(b'{"torn')
+        assert len(fsync_calls) == 2
+        repaired.close()
+        repaired.close()  # a second close is a no-op
+        assert len(fsync_calls) == 3
 
 
 class TestReplay:
