@@ -1,5 +1,7 @@
 """Tests for balancing-trigger policies."""
 
+import hashlib
+
 import pytest
 
 from repro.core import BalancerConfig, LoadBalancer
@@ -94,3 +96,101 @@ class TestRunWithPolicy:
             balancer, dynamics, ImbalanceTriggeredPolicy(threshold=0.99), epochs=3
         )
         assert all(e.control_messages > 0 for e in trace.epochs)
+
+
+# ----------------------------------------------------------------------
+# Pinned policy runs: the measurement and the rounds it triggers
+# ----------------------------------------------------------------------
+POLICIES = {
+    "periodic": PeriodicPolicy,
+    "trigger-0.10": lambda: ImbalanceTriggeredPolicy(0.10),
+    "trigger-0.25": lambda: ImbalanceTriggeredPolicy(0.25),
+}
+
+#: Per-epoch ``(heavy_fraction, balanced, moved_load, transfers,
+#: control_messages)`` of each pinned run.
+EPOCH_PINS = {
+    'periodic': [
+        ('0x1.5800000000000p-1', True, '0x1.ee91f511edf0ep+15', 131, 1602),
+        ('0x1.4000000000000p-3', True, '0x1.2f57ccfba2f7ep+10', 11, 1775),
+        ('0x1.0000000000000p-3', True, '0x1.087cc4a2a56fep+10', 8, 1716),
+        ('0x1.2000000000000p-3', True, '0x1.47e5a4853bddcp+9', 9, 1723),
+        ('0x1.4000000000000p-4', True, '0x1.8c75e6c33eecbp+8', 5, 1727),
+        ('0x1.c000000000000p-4', True, '0x1.4ea265956e417p+9', 7, 1744),
+        ('0x1.4000000000000p-4', True, '0x1.0d8a673eaeb56p+9', 6, 1693),
+        ('0x1.0000000000000p-3', True, '0x1.519d39391074ep+9', 8, 1710),
+    ],
+    'trigger-0.10': [
+        ('0x1.5800000000000p-1', True, '0x1.ee91f511edf0ep+15', 131, 1602),
+        ('0x1.4000000000000p-3', True, '0x1.2f57ccfba2f7ep+10', 11, 1775),
+        ('0x1.0000000000000p-3', True, '0x1.087cc4a2a56fep+10', 8, 1716),
+        ('0x1.2000000000000p-3', True, '0x1.47e5a4853bddcp+9', 9, 1723),
+        ('0x1.4000000000000p-4', False, '0x0.0p+0', 0, 696),
+        ('0x1.0000000000000p-3', True, '0x1.a9857f3f50a30p+9', 8, 1723),
+        ('0x1.8000000000000p-4', False, '0x0.0p+0', 0, 696),
+        ('0x1.0000000000000p-3', True, '0x1.a891eb8370b06p+9', 8, 1743),
+    ],
+    'trigger-0.25': [
+        ('0x1.5800000000000p-1', True, '0x1.ee91f511edf0ep+15', 131, 1602),
+        ('0x1.4000000000000p-3', False, '0x0.0p+0', 0, 708),
+        ('0x1.0000000000000p-3', False, '0x0.0p+0', 0, 714),
+        ('0x1.a000000000000p-3', False, '0x0.0p+0', 0, 702),
+        ('0x1.a000000000000p-3', False, '0x0.0p+0', 0, 716),
+        ('0x1.c000000000000p-3', False, '0x0.0p+0', 0, 696),
+        ('0x1.6000000000000p-3', False, '0x0.0p+0', 0, 692),
+        ('0x1.6000000000000p-3', False, '0x0.0p+0', 0, 694),
+    ],
+}
+RING_PINS = {
+    'periodic': (
+        'ddb0bb86b04b3b865b828ecc0e283dc9'
+        '8334a72f33b230cc0d41da8957515574'
+    ),
+    'trigger-0.10': (
+        'acd7ae8f877751a7b83656b5792b72c9'
+        'd3bb8405b676f55a9827c8bc98d32d3b'
+    ),
+    'trigger-0.25': (
+        '5e16af3585033e299800bf745aac248d'
+        'fff1e230953597f5f40f2af14920148c'
+    ),
+}
+
+
+def _pinned_run(policy_name):
+    """Eight drift-0.05 epochs: per-epoch fields (floats as hex) plus a
+    hash of every node's ``(vs_id, load.hex())`` after the run."""
+    balancer = make_balancer()
+    trace = run_with_policy(
+        balancer, LoadDynamics(drift_sigma=0.05, rng=9),
+        POLICIES[policy_name](), epochs=8,
+    )
+    epochs = [
+        (
+            e.heavy_fraction.hex(),
+            e.balanced,
+            e.moved_load.hex(),
+            e.transfers,
+            e.control_messages,
+        )
+        for e in trace.epochs
+    ]
+    ring = repr(
+        [
+            (n.index, [(vs.vs_id, vs.load.hex()) for vs in n.virtual_servers])
+            for n in balancer.ring.alive_nodes
+        ]
+    )
+    return epochs, hashlib.sha256(ring.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+def test_policy_runs_match_pins(policy_name):
+    epochs, ring_hash = _pinned_run(policy_name)
+    assert epochs == EPOCH_PINS[policy_name]
+    assert ring_hash == RING_PINS[policy_name]
+
+
+if __name__ == "__main__":
+    for name in POLICIES:
+        print(name, _pinned_run(name))
