@@ -2,9 +2,9 @@
 
 The paper runs its protocol "periodically at an interval T".  With an
 explicit trigger policy the system can skip the heavyweight VSA/VST
-phases when the cheap LBI measurement shows the system is still
-balanced — fewer control messages and transfers for the same worst-case
-imbalance bound.
+phases when the LBI measurement (O(log_K N) rounds, O(N) messages)
+shows the system is still balanced — fewer control messages and
+transfers for the same worst-case imbalance bound.
 """
 
 from __future__ import annotations

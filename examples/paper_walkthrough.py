@@ -14,10 +14,11 @@ Run:  python examples/paper_walkthrough.py
 import collections
 
 from repro import BalancerConfig, GaussianLoadModel, KnaryTree, build_scenario
-from repro.core import NodeClass, ShedCandidate, SpareCapacity, VSASweep
+from repro.core import NodeClass, ShedCandidate, SpareCapacity
 from repro.core.classification import classify_all
 from repro.core.lbi import aggregate_lbi, collect_lbi_reports
 from repro.core.placement import RandomVSPlacement
+from repro.core.reference import VSASweep
 from repro.core.selection import select_shed_subset
 from repro.core.vst import execute_transfers
 

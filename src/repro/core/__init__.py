@@ -38,7 +38,7 @@ from repro.core.classification import (
 from repro.core.config import BalancerConfig
 from repro.core.selection import select_shed_subset, select_shed_subsets
 from repro.core.rendezvous import PairingOutcome, pair_rendezvous
-from repro.core.vsa import VSAEntries, VSAResult, VSASweep
+from repro.core.vsa import VSAEntries, VSAResult
 from repro.core.vst import TransferRecord, execute_transfers
 from repro.core.placement import ProximityPlacement, RandomVSPlacement
 from repro.core.balancer import LoadBalancer
@@ -68,7 +68,6 @@ __all__ = [
     "pair_rendezvous",
     "VSAEntries",
     "VSAResult",
-    "VSASweep",
     "TransferRecord",
     "execute_transfers",
     "ProximityPlacement",

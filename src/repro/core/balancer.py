@@ -45,6 +45,7 @@ from repro.core.classification import (
 )
 from repro.core.config import BalancerConfig
 from repro.core.lbi import (
+    AdmittedReports,
     AggregateSanity,
     AggregationTrace,
     admit_lbi_reports,
@@ -520,7 +521,7 @@ class LoadBalancer:
             with clock.phase("lbi"), tracer.span(
                 "lbi", **({} if component is None else {"component": component})
             ):
-                folded = self._fold_lbi(part, arrays, stats, adv_stats)
+                folded = self._lbi_phase(part, arrays, stats, adv_stats)
                 if component is None:
                     folded = self._whole_ring_lbi(folded, stats)
                 elif folded is None:
@@ -776,43 +777,40 @@ class LoadBalancer:
     # ------------------------------------------------------------------
     # Phase 1 kernel: vectorized LBI aggregation
     # ------------------------------------------------------------------
-    def _fold_lbi(
+    def _lbi_phase(
         self,
         part: RoundPart,
         arrays: NodeStateArrays,
         stats: FaultRoundStats,
         adv_stats: AdversaryRoundStats,
     ) -> tuple[SystemLBI, AggregationTrace] | None:
-        """Phase 1 kernel: tree sync, the shared report decisions, then
-        the scatter + level fold over the admitted rows.
+        """Phase 1 kernel: :func:`~repro.core.lbi.admit_lbi_reports` over
+        the part's snapshot rows, then :meth:`_fold_lbi`; ``None`` when
+        every report was lost or rejected."""
+        rows = admit_lbi_reports(
+            part.ring, part.nodes,
+            arrays if part.ring is self.ring else arrays.subset(part.rows),
+            self._lbi_rng, faults=self.faults, retry=self.retry,
+            fault_stats=stats, sanity=self._sanity, epoch=stats.epoch,
+            adversary=self.adversary, adversary_stats=adv_stats,
+        )
+        return self._fold_lbi(part, rows)
 
-        Returns ``None`` when every report was lost or rejected.  The
-        tree is synced at every part's fold: a crash inside an earlier
-        part's VST batch removes virtual servers before the next part
-        folds.  The part's reports are decided by
-        :func:`~repro.core.lbi.admit_lbi_reports` over its snapshot
-        rows; the admitted keys then resolve to the part's leaf slots
-        (:meth:`_part_slots`).  The union of report root-to-leaf paths
-        — the node set a fresh tree would have materialised — is kept
-        in ``_lbi_paths`` as ``(node count, height)`` for the sweep to
-        extend.  Trace events go through the reference's functions.
+    def _fold_lbi(
+        self, part: RoundPart, rows: AdmittedReports
+    ) -> tuple[SystemLBI, AggregationTrace] | None:
+        """Tree sync, then the scatter + level fold over admitted rows.
+
+        Returns ``None`` when no row was admitted.  The tree is synced
+        at every fold: a crash inside an earlier part's VST batch
+        removes virtual servers before the next part folds.  The keys
+        resolve to the part's leaf slots (:meth:`_part_slots`).  The
+        union of report root-to-leaf paths — the node set a fresh tree
+        would have materialised — is kept in ``_lbi_paths`` as ``(node
+        count, height)`` for the sweep to extend.
         """
         tracer = self.tracer
         index = self._sync_world().index
-        whole = part.ring is self.ring
-        rows = admit_lbi_reports(
-            part.ring,
-            part.nodes,
-            arrays if whole else arrays.subset(part.rows),
-            self._lbi_rng,
-            faults=self.faults,
-            retry=self.retry,
-            fault_stats=stats,
-            sanity=self._sanity,
-            epoch=stats.epoch,
-            adversary=self.adversary,
-            adversary_stats=adv_stats,
-        )
         index.new_stamp()
         if not len(rows):
             # Nothing admitted: a fresh tree would hold just its root,
@@ -1078,8 +1076,7 @@ class LoadBalancer:
         no randomness).  All keys are then drawn in one ``keys_for`` call
         over the publishers in node order, so the placement stream — and
         hence the table — is identical to drawing each key as its node
-        is visited.  A placement that only defines ``key_for`` is asked
-        node by node.
+        is visited.
         """
         cfg = self.config
         placement = self._placement
@@ -1100,12 +1097,7 @@ class LoadBalancer:
         counts[heavy_rows] = [len(shed) for shed in sheds]
         rows = np.flatnonzero(counts)
         publishers = [nodes[r] for r in rows.tolist()]
-        keys_for = getattr(placement, "keys_for", None)
-        keys = (
-            keys_for(publishers)
-            if keys_for is not None
-            else [placement.key_for(node) for node in publishers]
-        )
+        keys = placement.keys_for(publishers)
         counts = counts[rows]
         starts = np.cumsum(counts) - counts
         size = int(counts.sum())
@@ -1271,3 +1263,22 @@ class LoadBalancer:
             if stop_when_balanced and report.heavy_after == 0:
                 break
         return out
+
+    def measure_lbi(
+        self, rng: int | np.random.Generator
+    ) -> tuple[NodeStateArrays, SystemLBI, AggregationTrace]:
+        """Measure the whole ring's LBI through the round's own fold.
+
+        Reporters are drawn from ``rng``; no faults, sanity gate or
+        adversary take part, so none of the balancer's streams is
+        consumed.  Returns the snapshot, the aggregate and its cost, or
+        raises :class:`~repro.exceptions.BalancerError`.
+        """
+        alive = self.ring.alive_nodes
+        arrays = NodeStateArrays.snapshot(alive)
+        rows = admit_lbi_reports(self.ring, alive, arrays, ensure_rng(rng))
+        whole = RoundPart(self.ring, alive, np.ones(len(alive), dtype=bool))
+        folded = self._fold_lbi(whole, rows)
+        if folded is None:
+            raise BalancerError("no LBI reports to aggregate")
+        return arrays, *folded

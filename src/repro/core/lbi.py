@@ -486,11 +486,13 @@ def collect_lbi_reports(
 ) -> dict[int, list[LBIRecord]]:
     """Leaf-indexed LBI reports for every alive node of ``ring``.
 
-    The reference kernel's collection: :func:`admit_lbi_reports`'s
-    decisions, then one :meth:`~repro.ktree.tree.KnaryTree.descend_batch`
-    over the admitted keys.  The returned mapping takes each reached
-    leaf's slot to its reports, in admission order.  With an enabled
-    ``tracer``, one ``lbi.collect`` event summarises the collection.
+    A reference kernel with no production caller, kept in this module
+    because the round benchmark's span table names it here.
+    :func:`admit_lbi_reports`'s decisions, then one
+    :meth:`~repro.ktree.tree.KnaryTree.descend_batch` over the admitted
+    keys; the mapping takes each reached leaf's slot to its reports, in
+    admission order.  With an enabled ``tracer``, one ``lbi.collect``
+    event summarises the collection.
     """
     nodes = ring.alive_nodes
     rows = admit_lbi_reports(
@@ -526,7 +528,9 @@ def aggregate_lbi(
 ) -> tuple[SystemLBI, AggregationTrace]:
     """Run the bottom-up aggregation sweep and the top-down dissemination.
 
-    Returns the root aggregate and the cost trace.  Raises
+    A reference kernel with no production caller, kept here for the
+    benchmark like :func:`collect_lbi_reports`.  Returns the root
+    aggregate and the cost trace.  Raises
     :class:`BalancerError` when no reports were supplied (an empty system
     has no meaningful ``<L, C, L_min>``).
 

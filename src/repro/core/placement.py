@@ -30,9 +30,9 @@ from repro.util.rng import ensure_rng
 
 
 class PlacementStrategy(Protocol):
-    """Maps a node to the DHT key under which its VSA info is published."""
+    """Maps nodes to the DHT keys under which their VSA info is published."""
 
-    def key_for(self, node: PhysicalNode) -> int:  # pragma: no cover - protocol
+    def keys_for(self, nodes: list[PhysicalNode]) -> list[int]:  # pragma: no cover
         ...
 
 
@@ -73,13 +73,7 @@ class ProximityPlacement:
             ) from None
 
     def keys_for(self, nodes: list[PhysicalNode]) -> list[int]:
-        """Batched :meth:`key_for` over ``nodes``, in order.
-
-        Hilbert keys are precomputed per node at construction, so the
-        batch is a pure lookup — it exists so the balancer's
-        batched publication path (and the batched miss descent it feeds)
-        applies under proximity-aware placement too.
-        """
+        """:meth:`key_for` over ``nodes``, in order (a pure lookup)."""
         return [self.key_for(node) for node in nodes]
 
 

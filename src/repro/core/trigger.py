@@ -7,13 +7,15 @@ natural policy layer:
 
 * :class:`PeriodicPolicy` — balance every epoch (the paper's implicit
   behaviour);
-* :class:`ImbalanceTriggeredPolicy` — run the cheap LBI aggregation
-  every epoch (it is O(log N) messages anyway) but run VSA/VST only
-  when the measured heavy fraction exceeds a threshold.
+* :class:`ImbalanceTriggeredPolicy` — measure LBI every epoch
+  (O(log_K N) rounds, but O(N) messages: every node reports) and run
+  VSA/VST only when the measured heavy fraction exceeds a threshold.
 
 :func:`run_with_policy` drives either policy against a
 :class:`~repro.sim.dynamics.LoadDynamics` process and accounts what each
-epoch actually cost, so the policies can be compared head to head.
+epoch actually cost, so the policies can be compared head to head.  The
+measurement is the round's own LBI fold over the persistent tree
+(:meth:`~repro.core.balancer.LoadBalancer.measure_lbi`).
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from repro.core.balancer import LoadBalancer
-from repro.core.classification import classify_all
-from repro.core.lbi import aggregate_lbi, collect_lbi_reports
-from repro.core.records import NodeClass
+from repro.core.classification import classification_masks
 from repro.exceptions import ConfigError
-from repro.ktree.tree import KnaryTree
 from repro.sim.dynamics import LoadDynamics
 
 
@@ -98,7 +99,8 @@ def run_with_policy(
 ) -> PolicyTrace:
     """Drive load dynamics under a balancing policy.
 
-    Every epoch: loads evolve, then the (cheap) LBI measurement runs; the
+    Every epoch: loads evolve, then the LBI measurement runs, its
+    reporters drawn from a generator seeded with the epoch number; the
     full VSA/VST machinery runs only when the policy says so.  The
     measurement cost is charged every epoch, the balancing cost only on
     triggered epochs.
@@ -106,45 +108,28 @@ def run_with_policy(
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     trace = PolicyTrace()
-    ring = balancer.ring
-    cfg = balancer.config
     for epoch in range(epochs):
-        dynamics.step(ring)
+        dynamics.step(balancer.ring)
 
-        # Cheap measurement pass: LBI + classification only.
-        tree = KnaryTree(ring, cfg.tree_degree)
-        reports = collect_lbi_reports(ring, tree, rng=epoch)
-        system, agg_trace = aggregate_lbi(tree, reports)
-        classification = classify_all(ring.alive_nodes, system, cfg.epsilon)
-        alive = len(ring.alive_nodes)
-        heavy_fraction = (
-            sum(1 for c in classification.classes.values() if c is NodeClass.HEAVY)
-            / alive
+        # Measurement pass: LBI + classification only.
+        arrays, system, agg_trace = balancer.measure_lbi(epoch)
+        _, heavy, _ = classification_masks(
+            arrays.capacities, arrays.loads, system, balancer.config.epsilon
         )
+        heavy_fraction = int(np.count_nonzero(heavy)) / len(arrays)
 
-        if policy.should_balance(heavy_fraction):
+        row = PolicyEpoch(
+            epoch=epoch,
+            heavy_fraction=heavy_fraction,
+            balanced=policy.should_balance(heavy_fraction),
+            control_messages=agg_trace.total_messages,
+        )
+        if row.balanced:
             report = balancer.run_round()
-            trace.epochs.append(
-                PolicyEpoch(
-                    epoch=epoch,
-                    heavy_fraction=heavy_fraction,
-                    balanced=True,
-                    moved_load=report.moved_load,
-                    transfers=len(report.transfers),
-                    control_messages=(
-                        agg_trace.total_messages
-                        + report.aggregation.total_messages
-                        + report.vsa.upward_messages
-                    ),
-                )
+            row.moved_load = report.moved_load
+            row.transfers = len(report.transfers)
+            row.control_messages += (
+                report.aggregation.total_messages + report.vsa.upward_messages
             )
-        else:
-            trace.epochs.append(
-                PolicyEpoch(
-                    epoch=epoch,
-                    heavy_fraction=heavy_fraction,
-                    balanced=False,
-                    control_messages=agg_trace.total_messages,
-                )
-            )
+        trace.epochs.append(row)
     return trace

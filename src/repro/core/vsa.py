@@ -21,7 +21,9 @@ entry ids) to the sweep, whose buckets hold entry ids and whose
 rendezvous points pair them with
 :func:`~repro.core.rendezvous.pair_entries` (:class:`SlotPairing`).
 Record objects are built only for what the :class:`VSAResult` reports:
-assignments and the root's unassigned entries.
+assignments and the root's unassigned entries.  The sweep runs in
+``LoadBalancer._sweep_vsa``; :class:`~repro.core.reference.VSASweep` is
+its node-by-node reference.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ import numpy as np
 
 from repro.core.records import Assignment, ShedCandidate, SpareCapacity
 from repro.core.rendezvous import pair_entries
-from repro.exceptions import BalancerError
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryBudget, RetryPolicy, deliver_with_retry
 from repro.faults.stats import FaultRoundStats
-from repro.ktree.tree import KnaryTree
 from repro.obs.trace import Tracer
-from repro.util.rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -60,35 +59,6 @@ class VSAEntries:
     values: np.ndarray
     nodes: np.ndarray
     vs_ids: np.ndarray
-
-    @classmethod
-    def from_pairs(
-        cls, published: list[tuple[int, ShedCandidate | SpareCapacity]]
-    ) -> "VSAEntries":
-        """The table of ``(key, entry)`` publications, in order."""
-        heavy: list[bool] = []
-        values: list[float] = []
-        nodes: list[int] = []
-        vs_ids: list[int] = []
-        for _, entry in published:
-            if isinstance(entry, ShedCandidate):
-                heavy.append(True)
-                values.append(entry.load)
-                vs_ids.append(entry.vs_id)
-            elif isinstance(entry, SpareCapacity):
-                heavy.append(False)
-                values.append(entry.delta)
-                vs_ids.append(-1)
-            else:
-                raise BalancerError(f"unknown VSA entry type {type(entry)!r}")
-            nodes.append(entry.node_index)
-        return cls(
-            keys=np.asarray([key for key, _ in published], dtype=np.int64),
-            heavy=np.asarray(heavy, dtype=bool),
-            values=np.asarray(values, dtype=np.float64),
-            nodes=np.asarray(nodes, dtype=np.int64),
-            vs_ids=np.asarray(vs_ids, dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -201,7 +171,7 @@ def vsa_sweep_event(tracer: Tracer, result: VSAResult) -> None:
 class SlotPairing:
     """Pairs one sweep's rendezvous slots over an entry table.
 
-    Both sweeps (the object walk below and
+    Both sweeps (the reference's object walk and
     :class:`~repro.core.balancer.LoadBalancer`'s frontier sweep) hand
     each pairing slot's id lists to :meth:`pair`, which runs
     :func:`~repro.core.rendezvous.pair_entries` over a per-sweep copy of
@@ -268,166 +238,3 @@ class SlotPairing:
                 for i in up_light
             )
         return up_heavy, up_light
-
-
-class VSASweep:
-    """Executes the bottom-up VSA over a (lazily materialised) K-nary tree.
-
-    Parameters
-    ----------
-    tree:
-        The K-nary tree; leaves for published keys are materialised on
-        demand.
-    threshold:
-        Rendezvous threshold: a non-root KT node only pairs once its
-        combined heavy+light list length reaches this value (paper
-        default 30).
-    min_vs_load:
-        System-wide ``L_min`` from the LBI phase (remainder rule).
-    strict_heaviest_first:
-        See :func:`repro.core.rendezvous.pair_rendezvous`.
-    tracer:
-        Optional structured tracer; with an enabled one the sweep emits
-        a ``vsa.publish`` event per delivered entry batch, one
-        ``vsa.rendezvous`` event per pairing attempt (KT level, pairs
-        made, leftovers) and a ``vsa.sweep`` summary matching the
-        returned :class:`VSAResult`.
-    faults:
-        Optional fault injector: each publication is a message that may
-        be delayed, duplicated (suppressed at the leaf) or dropped —
-        drops are retried under ``retry`` and count as
-        ``entries_lost`` once the bounds bite.
-    retry:
-        Recovery policy for dropped publications (defaults apply when
-        ``faults`` is set without one).
-    rng:
-        Seed/generator for the retry backoff jitter (only consumed when
-        faults are injected, so fault-free sweeps stay byte-identical
-        to the pre-fault implementation).
-    fault_stats:
-        Per-round accumulator for retry/loss accounting.
-    """
-
-    def __init__(
-        self,
-        tree: KnaryTree,
-        threshold: int,
-        min_vs_load: float,
-        strict_heaviest_first: bool = False,
-        tracer: Tracer | None = None,
-        faults: FaultInjector | None = None,
-        retry: RetryPolicy | None = None,
-        rng: int | None | np.random.Generator = None,
-        fault_stats: FaultRoundStats | None = None,
-    ):
-        if threshold < 0:
-            raise BalancerError(f"threshold must be >= 0, got {threshold}")
-        self.tree = tree
-        self.threshold = threshold
-        self.min_vs_load = min_vs_load
-        self.strict_heaviest_first = strict_heaviest_first
-        self.tracer = tracer
-        self.faults = faults
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.rng = ensure_rng(rng)
-        self.fault_stats = fault_stats
-
-    def run(
-        self,
-        published: VSAEntries | list[tuple[int, ShedCandidate | SpareCapacity]],
-    ) -> VSAResult:
-        """Run the sweep over an entry table or ``(key, entry)`` pairs.
-
-        Delivery (faults/rng) and the pure bottom-up sweep run in
-        sequence; with an enabled tracer a final ``vsa.sweep`` summary
-        event matching the returned result is emitted.
-        """
-        tracer = self.tracer
-        entries = (
-            published
-            if isinstance(published, VSAEntries)
-            else VSAEntries.from_pairs(published)
-        )
-        result = VSAResult(entries_published=len(entries))
-        delivered = deliver_publications(
-            entries,
-            result,
-            self.rng,
-            faults=self.faults,
-            retry=self.retry,
-            fault_stats=self.fault_stats,
-        )
-        self.sweep(entries, self.bucket(entries, delivered), result)
-        if tracer is not None and tracer.enabled:
-            vsa_sweep_event(tracer, result)
-        return result
-
-    def bucket(
-        self, entries: VSAEntries, delivered: np.ndarray
-    ) -> dict[int, tuple[list[int], list[int]]]:
-        """Resolve delivered entry ids to their KT leaves, bucketed.
-
-        One :meth:`~repro.ktree.tree.KnaryTree.descend_batch` resolves
-        every key; the per-leaf pending (shed ids, spare ids) buckets,
-        keyed by leaf slot, fill in delivery order.
-        """
-        pending: dict[int, tuple[list[int], list[int]]] = {}
-        index = self.tree.index
-        slots = self.tree.descend_batch(entries.keys[delivered])
-        is_heavy = entries.heavy[delivered].tolist()
-        for i, shed, slot in zip(delivered.tolist(), is_heavy, slots.tolist()):
-            heavy, light = pending.setdefault(slot, ([], []))
-            (heavy if shed else light).append(i)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            vsa_publish_events(
-                tracer, entries, delivered, index.level[slots].tolist()
-            )
-        return pending
-
-    def sweep(
-        self,
-        entries: VSAEntries,
-        pending: dict[int, tuple[list[int], list[int]]],
-        result: VSAResult,
-    ) -> None:
-        """Run the bottom-up rendezvous sweep over delivered buckets.
-
-        ``pending`` maps a leaf slot to the leaf's delivered (shed ids,
-        spare ids) lists, as produced by :meth:`bucket`; assignments,
-        leftovers and cost accounting accumulate on ``result``.
-        """
-        pairing = SlotPairing(
-            entries, result, self.min_vs_load, self.strict_heaviest_first,
-            tracer=self.tracer,
-        )
-
-        # Bottom-up sweep over every materialised slot.  Materialisation
-        # is frozen now: iterate a snapshot sorted deepest-first.
-        index = self.tree.index
-        slots = self.tree.nodes_by_level_desc()
-        levels = index.level[slots].tolist()
-        result.rounds = levels[0]
-        for slot, level, parent in zip(
-            slots.tolist(), levels, index.parent[slots].tolist()
-        ):
-            buck = pending.pop(slot, None)
-            if buck is None:
-                continue
-            heavy, light = buck
-            is_root = slot == 0
-            if is_root or (len(heavy) + len(light)) >= self.threshold:
-                up_heavy, up_light = pairing.pair(heavy, light, level, is_root)
-            else:
-                up_heavy, up_light = heavy, light
-
-            if is_root:
-                continue
-            if up_heavy or up_light:
-                parent_heavy, parent_light = pending.setdefault(parent, ([], []))
-                parent_heavy.extend(up_heavy)
-                parent_light.extend(up_light)
-                result.upward_messages += 1
-
-        if pending:  # pragma: no cover - sweep covers all materialised nodes
-            raise BalancerError("VSA sweep left undelivered entries")

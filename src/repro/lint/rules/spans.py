@@ -27,14 +27,14 @@ from repro.lint.engine import FileContext, Finding, Severity
 from repro.lint.rules.base import Rule, iter_function_defs, walk_body
 
 #: module basename -> function/method names forming the phase surface.
-#: The ``lbi``/``vsa`` entries are the object-walk reference kernels;
-#: ``LoadBalancer._fold_lbi`` and ``_sweep_vsa`` are the array kernels
-#: every balancing round actually runs.
+#: The ``lbi`` entries and ``reference``'s ``VSASweep.run`` are the
+#: object-walk reference kernels; ``LoadBalancer._fold_lbi`` and
+#: ``_sweep_vsa`` are the array kernels every balancing round runs.
 PHASE_ENTRY_POINTS: dict[str, frozenset[str]] = {
     "balancer": frozenset({"run_round", "_fold_lbi", "_sweep_vsa"}),
     "lbi": frozenset({"collect_lbi_reports", "aggregate_lbi"}),
     "classification": frozenset({"classify_all"}),
-    "vsa": frozenset({"run"}),
+    "reference": frozenset({"run"}),
     "vst": frozenset({"execute_transfers"}),
 }
 

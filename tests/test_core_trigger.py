@@ -10,7 +10,8 @@ from repro.core.trigger import (
     PeriodicPolicy,
     run_with_policy,
 )
-from repro.exceptions import ConfigError
+from repro.exceptions import BalancerError, ConfigError
+from repro.ktree import KnaryTree
 from repro.sim import LoadDynamics
 from repro.workloads import GaussianLoadModel, build_scenario
 
@@ -96,6 +97,35 @@ class TestRunWithPolicy:
             balancer, dynamics, ImbalanceTriggeredPolicy(threshold=0.99), epochs=3
         )
         assert all(e.control_messages > 0 for e in trace.epochs)
+
+    def test_measurement_reuses_the_persistent_tree(self, monkeypatch):
+        # The measurement folds over the balancer's own tree: eight
+        # epochs build one KnaryTree (the first fold's), not one per
+        # epoch on top of it.
+        builds = []
+        tree_init = KnaryTree.__init__
+
+        def counted_init(self, *args, **kwargs):
+            builds.append(self)
+            tree_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(KnaryTree, "__init__", counted_init)
+        run_with_policy(
+            make_balancer(), LoadDynamics(drift_sigma=0.05, rng=9),
+            ImbalanceTriggeredPolicy(0.10), epochs=8,
+        )
+        assert len(builds) == 1
+
+    def test_no_admitted_report_raises(self):
+        # Every node down, its virtual servers still on the ring: the
+        # tree builds, but no report reaches it.
+        balancer = make_balancer()
+        for node in balancer.ring.nodes:
+            node.alive = False
+        with pytest.raises(BalancerError, match="no LBI reports to aggregate"):
+            run_with_policy(
+                balancer, LoadDynamics(rng=0), PeriodicPolicy(), epochs=1
+            )
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ShedCandidate, SpareCapacity, VSASweep
+from repro.core import ShedCandidate, SpareCapacity
+from repro.core.reference import VSASweep
 from repro.dht import ChordRing
 from repro.exceptions import BalancerError
 from repro.idspace import IdentifierSpace

@@ -80,8 +80,8 @@ class TestPlacementInjection:
         """A constant-key placement sends every entry to one leaf."""
 
         class ConstantPlacement:
-            def key_for(self, node):
-                return 12345
+            def keys_for(self, nodes):
+                return [12345] * len(nodes)
 
         sc = build_scenario(
             GaussianLoadModel(mu=1e5, sigma=300.0), num_nodes=64, vs_per_node=4, rng=35
