@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -38,28 +38,23 @@ from repro.dht.churn import crash_node, join_node, leave_node
 from repro.dht.node import PhysicalNode
 from repro.dht.replication import ReplicationManager
 from repro.dht.storage import ObjectStore, StoredObject
-from repro.exceptions import (
-    DHTError,
-    ProcessCrashError,
-    RecoveryError,
-    ReproError,
-)
+from repro.exceptions import DHTError, ReproError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import CRASH_SITES, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.idspace import IdentifierSpace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_metrics, current_tracer
 from repro.obs.trace import Tracer
-from repro.recovery.durable import resolve_state_dir
-from repro.recovery.journal import TransferJournal
-from repro.recovery.manager import JOURNAL_NAME, SNAPSHOT_NAME
-from repro.recovery.snapshot import SystemSnapshot
+from repro.recovery.manager import RecoveryManager
 from repro.topology.graph import Topology
 from repro.topology.routing import DistanceOracle
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.util.stats import gini_coefficient
 from repro.workloads.capacity import GnutellaCapacityProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.recovery.journal import TransferJournal
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,14 +108,19 @@ class P2PSystem:
     and the recovery work land in each report's ``fault_stats``.
 
     Pass ``durable=True`` (or an explicit ``state_dir``) to run every
-    round under the crash-recovery subsystem: transfer intents are
-    write-aheaded to a :class:`~repro.recovery.TransferJournal`, each
-    round opens with an atomic :class:`~repro.recovery.SystemSnapshot`
-    checkpoint (ring, store, RNG streams, fault-log position), and a
-    plan-scheduled :class:`~repro.faults.CrashPoint` is recovered *in
-    place* — restore + journal replay — so ``rebalance()`` returns the
-    same digest-identical report an uncrashed run would.  The state
-    directory defaults to ``$REPRO_STATE_DIR`` or ``.repro-state``.
+    round through a :class:`~repro.recovery.RecoveryManager` over the
+    live balancer, the object store and the system's five RNG streams:
+    transfer intents are write-aheaded to its
+    :class:`~repro.recovery.TransferJournal`, each round opens with an
+    atomic whole-system checkpoint, and a plan-scheduled
+    :class:`~repro.faults.CrashPoint` is recovered *in place* —
+    restore + journal replay — so ``rebalance()`` returns the
+    same digest-identical report an uncrashed run would.  A system
+    opened on a state directory whose last round never finished (the
+    previous process died inside it) restores that round's checkpoint
+    at construction, so its next ``rebalance()`` completes that round.
+    The state directory defaults to ``$REPRO_STATE_DIR`` or
+    ``.repro-state``.
     """
 
     def __init__(
@@ -200,22 +200,33 @@ class P2PSystem:
             retry=retry,
         )
         self.reports: list[BalanceReport] = []
-        self.state_dir: Path | None = None
-        self.journal: TransferJournal | None = None
-        self._in_recovery = False
+        self._recovery: RecoveryManager | None = None
         if durable or state_dir is not None:
-            self.state_dir = resolve_state_dir(state_dir)
-            self.journal = TransferJournal(
-                self.state_dir / JOURNAL_NAME,
+            balancer = self._balancer
+            self._recovery = RecoveryManager(
+                lambda: balancer,
+                state_dir=state_dir,
                 tracer=self.tracer,
                 metrics=self.metrics,
+                store=self.store,
+                extra_rngs={
+                    "balancer_root": self._balancer_rng,
+                    "capacity": self._cap_rng,
+                    "churn": self._churn_rng,
+                    "ring": self._ring_rng,
+                    "site": self._site_rng,
+                },
             )
-            self._balancer.attach_journal(self.journal)
+
+    @property
+    def journal(self) -> TransferJournal | None:
+        """The write-ahead journal in durable mode, else ``None``."""
+        return None if self._recovery is None else self._recovery.journal
 
     def close(self) -> None:
         """Release the journal file handle (durable mode only)."""
-        if self.journal is not None:
-            self.journal.close()
+        if self._recovery is not None:
+            self._recovery.close()
 
     # ------------------------------------------------------------------
     # storage API
@@ -295,12 +306,15 @@ class P2PSystem:
         :class:`~repro.exceptions.ConservationError` rather than letting
         a corrupted round feed the analysis layer.
 
-        In durable mode the round runs checkpoint-first and any
-        injected whole-process crash is recovered in place (see the
-        class docstring); the caller always receives the round's final
-        report.
+        In durable mode the round runs through the recovery manager's
+        checkpoint-first loop and any injected whole-process crash is
+        recovered in place (see the class docstring); the caller always
+        receives the round's final report.
         """
-        report = self._run_round_durably()
+        if self._recovery is None:
+            report = self._balancer.run_round()
+        else:
+            report = self._recovery.run_round()
         check_conservation(report)
         if report.fault_stats.crashed_nodes:
             # An injected mid-round crash changed membership: objects on
@@ -313,83 +327,6 @@ class P2PSystem:
         self.replication.refresh()
         self.reports.append(report)
         return report
-
-    # ------------------------------------------------------------------
-    # durability (journal + checkpoint/restore)
-    # ------------------------------------------------------------------
-    def _run_round_durably(self) -> BalanceReport:
-        """Checkpoint-first round execution, recovering injected crashes.
-
-        Without a journal this is a plain ``run_round``.  With one, the
-        loop is bounded by the number of crash sites: every
-        :class:`~repro.faults.CrashPoint` fires at most once per round
-        (fired sites are disarmed from the journal's crash markers), so
-        needing more re-runs than sites means recovery is diverging.
-        """
-        if self.journal is None:
-            return self._balancer.run_round()
-        for _attempt in range(len(CRASH_SITES) + 1):
-            if not self._in_recovery:
-                self._checkpoint()
-            try:
-                report = self._balancer.run_round()
-            except ProcessCrashError as crash:
-                self.journal.record_crash(crash.round_index, crash.site)
-                self.metrics.counter("recovery.crashes_caught").inc()
-                self._restore()
-                continue
-            self._in_recovery = False
-            return report
-        raise RecoveryError(
-            "crash recovery did not converge: more restarts than crash "
-            "sites in one round (journal or snapshot corruption?)"
-        )
-
-    def _extra_rngs(self) -> dict[str, np.random.Generator]:
-        """The system-level RNG streams a snapshot must cover."""
-        return {
-            "balancer_root": self._balancer_rng,
-            "capacity": self._cap_rng,
-            "churn": self._churn_rng,
-            "ring": self._ring_rng,
-            "site": self._site_rng,
-        }
-
-    def _checkpoint(self) -> None:
-        """Atomically snapshot the whole system and journal the marker."""
-        assert self.journal is not None and self.state_dir is not None
-        snapshot = SystemSnapshot.capture(
-            self._balancer, store=self.store, extra_rngs=self._extra_rngs()
-        )
-        snapshot.save(self.state_dir / SNAPSHOT_NAME)
-        self.journal.record(
-            "checkpoint",
-            round=snapshot.round_index,
-            digest=snapshot.canonical_digest(),
-        )
-        self.metrics.counter("recovery.checkpoints").inc()
-
-    def _restore(self) -> None:
-        """Restore the latest checkpoint in place and arm journal replay."""
-        assert self.journal is not None and self.state_dir is not None
-        snapshot = SystemSnapshot.load(self.state_dir / SNAPSHOT_NAME)
-        snapshot.restore(
-            self._balancer, store=self.store, extra_rngs=self._extra_rngs()
-        )
-        tail = self.journal.tail_after_last_checkpoint()
-        injector = self._balancer.faults
-        if injector is not None:
-            for round_index, site in self.journal.crash_markers(tail):
-                injector.disarm_crash(round_index, site)
-        self.journal.begin_replay(tail)
-        self._in_recovery = True
-        self.metrics.counter("recovery.restores").inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                "recovery.restore",
-                round=snapshot.round_index,
-                replay_records=len(tail),
-            )
 
     def rebalance_until_stable(self, max_rounds: int = 5) -> list[BalanceReport]:
         """Rebalance until no node is heavy (or ``max_rounds``)."""

@@ -1,9 +1,10 @@
 """Baseline load-balancing schemes the paper compares against or builds on.
 
-* :mod:`repro.baselines.proximity_ignorant` — the paper's own baseline:
-  identical machinery with random identifier-space placement of VSA
-  information (convenience wrapper; the mode flag on
-  :class:`~repro.core.config.BalancerConfig` does the same).
+The paper's own baseline, the identical machinery with random
+identifier-space placement of VSA information, is not a module here:
+it is ``BalancerConfig(proximity_mode="ignorant")`` on the same
+:class:`~repro.core.balancer.LoadBalancer`.
+
 * :mod:`repro.baselines.rao` — the three virtual-server schemes of Rao
   et al. (one-to-one, one-to-many, many-to-many), which transfer load
   without any proximity information.
@@ -13,7 +14,6 @@
   the "load thrashing" failure mode the paper cites.
 """
 
-from repro.baselines.proximity_ignorant import run_proximity_ignorant
 from repro.baselines.rao import (
     RaoResult,
     run_many_to_many,
@@ -23,7 +23,6 @@ from repro.baselines.rao import (
 from repro.baselines.cfs import CFSResult, run_cfs_shedding
 
 __all__ = [
-    "run_proximity_ignorant",
     "RaoResult",
     "run_one_to_one",
     "run_one_to_many",

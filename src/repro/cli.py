@@ -126,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the accumulated metrics snapshot to FILE as JSON",
     )
-    run.add_argument(
-        "--state-dir",
-        metavar="DIR",
-        default=None,
-        help="durable-state directory for crash recovery (journal + "
-        "checkpoints); sets REPRO_STATE_DIR for everything this run "
-        "constructs (default: $REPRO_STATE_DIR or .repro-state)",
-    )
 
     report = sub.add_parser(
         "report", help="run every experiment and write one markdown report"
@@ -284,14 +276,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["workers"] = args.workers
     if overrides:
         settings = replace(settings, **overrides)
-
-    if args.state_dir is not None:
-        # One knob controls every journal/snapshot path: anything this
-        # run constructs resolves its state directory through
-        # repro.recovery.resolve_state_dir, which reads this variable.
-        import os
-
-        os.environ["REPRO_STATE_DIR"] = args.state_dir
 
     runner = get_experiment(args.experiment)
 

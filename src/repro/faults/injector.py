@@ -262,9 +262,11 @@ class FaultInjector:
         )
 
     def set_partition(self, assignment: dict[int, int] | None) -> None:
-        """Install (or clear) the node-index → component map used by
-        :meth:`blocked`.  Consumes no randomness and writes no log
-        entries — only activation/heal events are signed.
+        """Install (or clear) the active node-index → component map.
+
+        Consumes no randomness and writes no log entries — only
+        activation/heal events are signed; recovery snapshots carry the
+        map so a restored round sees the same partition.
         """
         self._component_of = dict(assignment) if assignment is not None else None
 
@@ -272,27 +274,6 @@ class FaultInjector:
     def partition_active(self) -> bool:
         """Whether a component map is currently installed."""
         return self._component_of is not None
-
-    def component_of(self, node_index: int) -> int:
-        """Component id of a node under the active partition (0 if none)."""
-        if self._component_of is None:
-            return 0
-        return self._component_of.get(node_index, 0)
-
-    def blocked(self, phase: str, src_index: int, dst_index: int) -> bool:
-        """Whether a message between two nodes crosses the partition.
-
-        A pure membership lookup: consumes no randomness and logs
-        nothing (the partition itself is already in the signed log),
-        but counts blocked deliveries for observability.
-        """
-        if self._component_of is None:
-            return False
-        if self.component_of(src_index) == self.component_of(dst_index):
-            return False
-        if self.metrics is not None:
-            self.metrics.counter("faults.partition_blocked").inc()
-        return True
 
     # -- crash channel ---------------------------------------------------
     def plan_crash_slots(self, num_slots: int) -> list[int]:

@@ -19,8 +19,8 @@ Two disciplines cover everything:
 
 State lives under a single directory resolved by
 :func:`resolve_state_dir`: an explicit argument wins, then the
-``REPRO_STATE_DIR`` environment variable (the CLI's ``--state-dir``
-flag sets it), then ``.repro-state/`` in the working directory.
+``REPRO_STATE_DIR`` environment variable, then ``.repro-state/`` in
+the working directory.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import os
 from pathlib import Path
 from typing import Any
 
-#: Environment variable naming the state directory (set by the CLI's
-#: ``--state-dir`` flag; see :func:`resolve_state_dir`).
+#: Environment variable naming the state directory (see
+#: :func:`resolve_state_dir`).
 STATE_DIR_ENV = "REPRO_STATE_DIR"
 
 #: Fallback state directory when neither an explicit path nor the

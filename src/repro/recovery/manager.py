@@ -12,9 +12,9 @@ The manager wraps a balancer stack behind the smallest possible loop:
 3. **Recover** — a plan-scheduled
    :class:`~repro.faults.CrashPoint` surfaces as
    :class:`~repro.exceptions.ProcessCrashError`; the manager journals a
-   ``crash`` marker, rebuilds a *fresh* balancer from its factory
-   (modelling a real process restart), restores the latest snapshot in
-   place, disarms every crash site the journal tail proves already
+   ``crash`` marker, takes the balancer its factory returns (a fresh
+   one models a real process restart), restores the latest snapshot
+   onto it in place, disarms every crash site the journal tail proves already
    fired, arms the tail for replay validation, and re-runs the round.
 
 Because restore reinstates every RNG stream and the fault-log
@@ -36,7 +36,9 @@ recovery likewise just adds one more marker and one more restore.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Mapping
+
+import numpy as np
 
 from repro.core.balancer import LoadBalancer
 from repro.core.report import BalanceReport
@@ -48,6 +50,9 @@ from repro.obs.trace import Tracer
 from repro.recovery.durable import resolve_state_dir
 from repro.recovery.journal import REPLAYABLE_KINDS, TransferJournal
 from repro.recovery.snapshot import SystemSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dht.storage import ObjectStore
 
 #: File name of the latest checkpoint inside the state directory.
 SNAPSHOT_NAME = "snapshot-latest.json"
@@ -62,12 +67,20 @@ class RecoveryManager:
     Parameters
     ----------
     factory:
-        Zero-argument callable building a fresh, fully-configured
-        balancer from scratch — same ring size, config, fault plan and
-        seeds every call.  Determinism of recovery rests on the factory
-        being a pure constructor: everything that varies at runtime is
-        restored from the snapshot, everything else must come out of
-        the factory identical.
+        Zero-argument callable returning the balancer to run — same
+        ring size, config, fault plan and seeds every call.  It may
+        build a fresh stack (a real process restart) or return the live
+        balancer (recovery inside the process, as
+        :class:`~repro.app.P2PSystem` does); restore is in place either
+        way.  Determinism of recovery rests on that: everything that
+        varies at runtime is restored from the snapshot, everything
+        else must come out of the factory identical.
+    store / extra_rngs:
+        State outside the balancer that every snapshot must also cover:
+        the DHT object store and named RNG streams the caller draws
+        from between rounds.  Both are restored in place, so the
+        objects passed here stay the live ones.  A bare balancer stack
+        passes neither.
     state_dir:
         Durable state directory; defaults to ``$REPRO_STATE_DIR`` or
         ``.repro-state`` (see :func:`repro.recovery.resolve_state_dir`).
@@ -82,11 +95,15 @@ class RecoveryManager:
         state_dir: str | Path | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
+        store: ObjectStore | None = None,
+        extra_rngs: Mapping[str, np.random.Generator] | None = None,
     ) -> None:
         """Open the journal, build the balancer, resume if mid-round."""
         self.tracer = tracer if tracer is not None else current_tracer()
         self.metrics = metrics if metrics is not None else current_metrics()
         self._factory = factory
+        self._store = store
+        self._extra_rngs = extra_rngs
         self.state_dir = resolve_state_dir(state_dir)
         self.journal = TransferJournal(
             self.state_dir / JOURNAL_NAME,
@@ -150,7 +167,9 @@ class RecoveryManager:
 
     def _checkpoint(self) -> None:
         """Snapshot the stack and journal the matching marker."""
-        snapshot = SystemSnapshot.capture(self.balancer)
+        snapshot = SystemSnapshot.capture(
+            self.balancer, store=self._store, extra_rngs=self._extra_rngs
+        )
         snapshot.save(self.snapshot_path)
         self.journal.record(
             "checkpoint",
@@ -168,7 +187,7 @@ class RecoveryManager:
             )
 
     def _restart(self) -> None:
-        """Model a process restart: fresh balancer, restore, arm replay."""
+        """Model a process restart: factory balancer, restore, arm replay."""
         if not self.snapshot_path.exists():
             raise RecoveryError(
                 f"journal at {self.journal.path} shows work in progress "
@@ -177,7 +196,9 @@ class RecoveryManager:
         self.balancer = self._factory()
         self.balancer.attach_journal(self.journal)
         snapshot = SystemSnapshot.load(self.snapshot_path)
-        snapshot.restore(self.balancer)
+        snapshot.restore(
+            self.balancer, store=self._store, extra_rngs=self._extra_rngs
+        )
         tail = self.journal.tail_after_last_checkpoint()
         markers = self.journal.crash_markers(tail)
         injector = self.balancer.faults

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.app import P2PSystem, SystemConfig
-from repro.exceptions import DHTError, ReproError
+from repro.exceptions import DHTError, ProcessCrashError, ReproError
 from repro.topology import generate_transit_stub
 from tests.conftest import MINI_TS
 
@@ -182,6 +182,53 @@ class TestDurableMode:
         durable.close()
         counters = durable.stats().metrics["counters"]
         assert counters.get("recovery.restores") == 2
+
+    def test_reopened_system_resumes_open_round(self, tmp_path, monkeypatch):
+        """A process that dies inside a round resumes it when reopened.
+
+        Round 2 checkpoints, then its seeded crash fires and the process
+        dies before the crash marker reaches the journal.  A new system
+        with the same config on the same state dir must restore round
+        2's checkpoint at construction and continue digest-identically
+        to the uncrashed run.
+        """
+        from repro.faults import CrashPoint, FaultPlan
+
+        base = dict(seed=9, drop=0.05, transfer_abort=0.1)
+        crash_plan = FaultPlan(
+            **base,
+            crash_points=(CrashPoint(at_round=2, site="mid-vst-batch"),),
+        )
+        plain = self._system(None, faults=FaultPlan(**base), durable=False)
+        expected = [plain.rebalance().canonical_digest() for _ in range(4)]
+
+        first = self._system(tmp_path, faults=crash_plan)
+        assert [first.rebalance().canonical_digest() for _ in range(2)] == (
+            expected[:2]
+        )
+
+        def die_before_marker(round_index, site):
+            raise ProcessCrashError(round_index, site)
+
+        monkeypatch.setattr(first.journal, "record_crash", die_before_marker)
+        with pytest.raises(ProcessCrashError):
+            first.rebalance()
+        first.close()  # the "process" dies here
+
+        reopened = P2PSystem(
+            SystemConfig(initial_nodes=12, vs_per_node=3, seed=5),
+            faults=crash_plan,
+            state_dir=tmp_path,
+            durable=True,
+        )
+        try:
+            counters = reopened.stats().metrics["counters"]
+            assert counters.get("recovery.restores") == 1  # at construction
+            resumed = [reopened.rebalance().canonical_digest() for _ in range(2)]
+            assert resumed == expected[2:]
+            reopened.verify()
+        finally:
+            reopened.close()
 
     def test_state_dir_populated(self, tmp_path):
         sys_ = self._system(tmp_path)
