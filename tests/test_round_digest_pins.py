@@ -13,7 +13,10 @@ transit-stub graph and on one with ~20-vertex domains), message faults
 with mid-round crashes, partitions (a mid-round cut, a component
 left without reports, and a proximity-aware split with crashes in both
 components), stale-LBI reuse, a defended adversary that
-quarantines, an attached journal and a crash-and-restore run.  Each
+quarantines, every message channel at once under a retry policy whose
+attempt cap and phase budget both bite (with a defended and an
+undefended adversary), an attached journal and a crash-and-restore
+run.  Each
 regime also asserts that its code path really ran, and on
 ``LoadBalancer`` the robustness regimes assert that they ran over the
 one persistent tree: a ``KnaryTree`` is built only when that tree is
@@ -21,16 +24,23 @@ one persistent tree: a ``KnaryTree`` is built only when that tree is
 both kernel sets must emit the same event stream, and tracing must
 leave every pinned digest unchanged.
 
+The ``all-channels`` regimes also pin the state a round leaves behind:
+both signed logs, the sanity gate's per-node memory and the final state
+of every decision stream, so a stream drawn once too often (or too
+rarely) fails even when no digest moves.
+
 To recompute the pins (only after a deliberate behaviour change), run::
 
     PYTHONPATH=src python tests/test_round_digest_pins.py
 
-and paste the printed ``PINS`` literal over the one below.  A changed
+and paste the printed ``PINS`` and ``STATE_PINS`` literals over the
+ones below.  A changed
 pin is a digest-version change: say so, with the reason, in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -44,7 +54,13 @@ from repro.core.records import NodeClass
 from repro.core.reference import SerialLoadBalancer
 from repro.core.report import BalanceReport
 from repro.dht import crash_node, join_node, leave_node
-from repro.faults import CrashPoint, FaultInjector, FaultPlan, PartitionSpec
+from repro.faults import (
+    CrashPoint,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    PartitionSpec,
+)
 from repro.faults.retry import RetryPolicy
 from repro.ktree import KnaryTree
 from repro.obs import observe
@@ -397,6 +413,114 @@ def regime_recovery(engine: type[LoadBalancer]) -> list[BalanceReport]:
     return reports
 
 
+#: Every message channel at once: drops under a two-attempt cap, delays
+#: long enough to exhaust a small phase budget, duplicates, corrupted
+#: reports and aborted transfers.
+ALL_CHANNELS = FaultPlan(
+    seed=29, drop=0.25, delay=0.05, duplicate=0.1, corrupt=0.05,
+    transfer_abort=0.1,
+)
+ALL_CHANNELS_RETRY = RetryPolicy(max_attempts=2, phase_budget=1.5)
+
+
+def _all_channels_run(
+    engine: type[LoadBalancer], defense: bool
+) -> tuple[list[BalanceReport], LoadBalancer]:
+    ring = build_scenario(GAUSS, num_nodes=96, vs_per_node=4, rng=37).ring
+    balancer = engine(
+        ring, _config(), rng=41, faults=ALL_CHANNELS, retry=ALL_CHANNELS_RETRY,
+        adversary=AdversaryPlan(seed=43, fraction=0.15, defense=defense),
+    )
+    faults = balancer.faults
+    assert faults is not None
+    gen = np.random.default_rng(47)
+    reports = []
+    cap = ALL_CHANNELS_RETRY.max_attempts
+    capped = budget = 0
+    for _ in range(5):
+        before = faults.injected
+        report = balancer.run_round()
+        for phase in ("lbi", "vsa"):
+            drops = [
+                f.subject
+                for f in faults.log[before:]
+                if f.kind is FaultKind.DROP and f.phase == phase
+            ]
+            at_cap = sum(s.endswith(f"#{cap}") for s in drops)
+            # A message delivered after k drops retried k times, one lost
+            # at the cap retried cap - 1 times after cap drops, and one
+            # the budget stopped retried k - 1 times after k drops.
+            capped += at_cap
+            budget += (
+                len(drops) - getattr(report.fault_stats, f"{phase}_retries") - at_cap
+            )
+        reports.append(report)
+        _churn(ring, gen)
+    kinds = {f.kind.value for f in faults.log}
+    assert {"drop", "delay", "duplicate", "corrupt", "transfer_abort"} <= kinds
+    assert capped and budget, "the attempt cap or the phase budget never bit"
+    stats = [r.fault_stats for r in reports]
+    assert any(s.lbi_duplicates for s in stats) and any(s.vsa_duplicates for s in stats)
+    assert any(s.quarantined_nodes for s in stats)
+    adv = [r.adversary_stats for r in reports]
+    if defense:
+        assert any(a.audits_failed for a in adv)
+        assert any(a.accusations_refuted for a in adv)
+    else:
+        assert any(a.reports_suppressed for a in adv)
+    assert any(a.lies_load for a in adv)
+    return reports, balancer
+
+
+def _state_pins(balancer: LoadBalancer) -> dict[str, str]:
+    """What a run leaves behind: both signed logs, the gate's per-node
+    memory and the final state of every decision stream, hashed."""
+
+    def digest(value: object) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    faults, adversary, gate = balancer.faults, balancer.adversary, balancer._sanity
+    assert faults is not None and adversary is not None and gate is not None
+    memory = {
+        name: sorted(getattr(gate, name, {}).items())
+        for name in ("_trust", "_ewma", "_probation", "_last_good")
+    }
+    streams = {
+        "lbi_rng": balancer._lbi_rng,
+        "retry_rng": balancer._retry_rng,
+        "audit_rng": adversary._audit_rng,
+        **{
+            name: getattr(faults, name)
+            for name in (
+                "_drop_rng", "_delay_rng", "_dup_rng", "_crash_rng",
+                "_abort_rng", "_corrupt_rng", "_partition_rng",
+                "_process_crash_rng",
+            )
+        },
+    }
+    return {
+        "faults": faults.signature(),
+        "adversary": adversary.signature(),
+        "gate": digest(memory),
+        **{
+            name.strip("_"): digest(gen.bit_generator.state)
+            for name, gen in streams.items()
+        },
+    }
+
+
+#: ``all-channels`` regime name -> whether its adversary plan defends.
+ALL_CHANNELS_REGIMES = {"all-channels": True, "all-channels-undefended": False}
+
+
+def regime_all_channels(engine: type[LoadBalancer]) -> list[BalanceReport]:
+    return _all_channels_run(engine, defense=True)[0]
+
+
+def regime_all_channels_undefended(engine: type[LoadBalancer]) -> list[BalanceReport]:
+    return _all_channels_run(engine, defense=False)[0]
+
+
 REGIMES: dict[str, Callable[[type[LoadBalancer]], list[BalanceReport]]] = {
     "ignorant_k2": regime_ignorant_k2,
     "ignorant_k4": regime_ignorant_k4,
@@ -409,6 +533,8 @@ REGIMES: dict[str, Callable[[type[LoadBalancer]], list[BalanceReport]]] = {
     "adversary": regime_adversary,
     "journal": regime_journal,
     "recovery": regime_recovery,
+    "all-channels": regime_all_channels,
+    "all-channels-undefended": regime_all_channels_undefended,
 }
 
 PINS: dict[str, list[str]] = {
@@ -481,6 +607,56 @@ PINS: dict[str, list[str]] = {
         '5aa540c600e4376a3791b40a65f62ef021ec6e39a846b09cb1b79817f09589aa',
         '9dde3fe7755e028b66b76e7ac256becb5d8e75e8fd6c8e4b2bd5aaf17793ecd9',
     ],
+    'all-channels': [
+        '2bac7b376a63e1f19f2096453199ae0f8cf28c333c2fa3a61b846be0ea88046e',
+        'ea5f3332fae8eed139958f3064f936cff621657c8fb4bedc9513e28dde7fe0b6',
+        '57c65ab68a016844fb4e8d37148061f12f5ae23d936b1bcec728c7bfa76626c0',
+        'ebe6b2b80bc50ba5a280c58d1f50a9a99c956415adf4c74c7fe60e7a18716482',
+        'b91d083d201228f60d3173ec4b1790f9915f26fc55606ef558cc081c1ed85b1e',
+    ],
+    'all-channels-undefended': [
+        '3b913f85131492febd55fd730547b5d45cb004c01e20a69217209bdb77043cb1',
+        'dccd6952952b1a206810b76d9ea0c0fc3583e508461e181926762c6f7eeccd5f',
+        '2f2dc0d216c1b4458066217b5b4333676cd60896bf4da1904a1c17f3ffcd3b39',
+        '51508a8673912a769ecb5fb11cc59990c77ec2762a647e2c0a9c95ebfe9f9ca5',
+        'ceaadf56eadc7fccf431153e5724cefea4d6cc2946225d063b3a846140a54967',
+    ],
+}
+
+#: The state each ``all-channels`` run leaves behind (see ``_state_pins``).
+STATE_PINS: dict[str, dict[str, str]] = {
+    'all-channels': {
+        'faults': '34cf6fcd4ddd9336fc32a76afc40dc94923c48abfa91fb7e6c1861fec8a74d30',
+        'adversary': '2d588078646a3c84e3f279ffb8159a1cbc51cdb326e006b140aabce4ebc59a72',
+        'gate': '5444d79dc94e0ca87796267a8e09780211c5091858c0a3fe2fb6f92805a0e1de',
+        'lbi_rng': '0630110a5370a17e9e2ecdad81eaee0a0b9ff46e73275cb7d753cb031bfc7b3d',
+        'retry_rng': 'b5e6fe75a877699a54e59a3c3909ecd67e2157b7194412b496d5dd68a9fadf2b',
+        'audit_rng': '1d7fa7db68f78d1c135f44d9b1c7ea9d769ecdeb960dab9665c9611294837a30',
+        'drop_rng': '22e2067a9ca87bfb2b476a5fb8b72297353dd247bd30e015b1f449f94e87ba46',
+        'delay_rng': '5bac5c9b3c7e080e068cdd04e520a0d24184ebdd87996e5f3deebfc3ccfa37ba',
+        'dup_rng': '9aceede8d0d60a9a9e5d9956424ffa0366be4c8ac8b2d884f44360cf643c08ec',
+        'crash_rng': 'c6fdbfc289cc1b66f93ec4b54eb844920f430ff0ea19b1695c82fab213dd745d',
+        'abort_rng': '1b8cd84cd640d13d35ce69e8e5afae979bf177b6c1641e590a447f45dc385d51',
+        'corrupt_rng': '0d02b5c7496c8e73a9f40ee9b856256218067a68949a746fc43291655d4180e0',
+        'partition_rng': 'a337ac6ddeb9ce3f8e34d063fdb413a2661e8eff9af1063f4e6ae8db7c918cf4',
+        'process_crash_rng': 'd6c0670a7ab6adae4d67d77b2172e2621632174a01a4e85231dce3a06e596f92',
+    },
+    'all-channels-undefended': {
+        'faults': '898c0bdbea7e8dfa83976a5743fb58adc2ce3bc1789be90ccf735d46749569bc',
+        'adversary': '0351796fd3c5e5be66666192209909d2f7dd2dc55941ba853eaa29a87a193eab',
+        'gate': 'e11bf37e619ee0d9292e4557dfff58327f02a87671f8861c96296567596d538d',
+        'lbi_rng': '7e1c4d31f0baa44ba28278ed9c68c9855d51aa8d28d91cc95193f646ee03d344',
+        'retry_rng': 'ab6e705176b5129e22426edae641464a1383a1ad940b97b7aaed29662baab6e8',
+        'audit_rng': 'a4b448af5b44202f64c47091b22b613122e509dbb545d8d76c5ff5280ada1273',
+        'drop_rng': 'db9f3717220686465a18a1180dbc46a0ff5dba5f57a664ead36f16bca643073b',
+        'delay_rng': 'c2c50b66f8e75569db53c208aa4d706ce2c62f6e902a93792891ce980605b382',
+        'dup_rng': '5d6add2da648398e90349d90c37428fbeb36380d3236a8322acc3e4d2408681b',
+        'crash_rng': 'c6fdbfc289cc1b66f93ec4b54eb844920f430ff0ea19b1695c82fab213dd745d',
+        'abort_rng': '6108b570748c22d7da2d24cc21713cfbc87bb206e3614c5dbb10ad7383834082',
+        'corrupt_rng': 'e9928b690674b6adbfd340d5fd4694c8881c9a1ba56ed098400c9514024f2e4d',
+        'partition_rng': 'a337ac6ddeb9ce3f8e34d063fdb413a2661e8eff9af1063f4e6ae8db7c918cf4',
+        'process_crash_rng': 'd6c0670a7ab6adae4d67d77b2172e2621632174a01a4e85231dce3a06e596f92',
+    },
 }
 
 
@@ -494,6 +670,8 @@ ROBUST_REGIMES = frozenset(
         "stale_lbi",
         "adversary",
         "recovery",
+        "all-channels",
+        "all-channels-undefended",
     }
 )
 
@@ -530,6 +708,13 @@ def test_round_digests_match_pins(
         # persistent tree; every later round and part reuses it.
         assert builds and all(builds), "a round built a fresh KnaryTree"
         assert len(builds) < len(reports)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("regime", sorted(ALL_CHANNELS_REGIMES))
+def test_all_channels_state_matches_pins(regime: str, engine: str) -> None:
+    _, balancer = _all_channels_run(ENGINES[engine], ALL_CHANNELS_REGIMES[regime])
+    assert _state_pins(balancer) == STATE_PINS[regime]
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -569,4 +754,13 @@ if __name__ == "__main__":
         for digest in chain:
             print(f"        {digest!r},")
         print("    ],")
+    print("}")
+    print("STATE_PINS: dict[str, dict[str, str]] = {")
+    for name, defense in ALL_CHANNELS_REGIMES.items():
+        state = _state_pins(_all_channels_run(SerialLoadBalancer, defense)[1])
+        assert state == _state_pins(_all_channels_run(LoadBalancer, defense)[1])
+        print(f"    {name!r}: {{")
+        for key, value in state.items():
+            print(f"        {key!r}: {value!r},")
+        print("    },")
     print("}")
