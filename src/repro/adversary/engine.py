@@ -38,6 +38,7 @@ from repro.adversary.plan import (
     UNDER_REPORT,
     AdversaryPlan,
 )
+from repro.faults.blocks import LIE, FiredEvents
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_metrics, current_tracer
 from repro.obs.trace import Tracer
@@ -260,38 +261,89 @@ class AdversaryEngine:
     ) -> tuple[float, float, float]:
         """The node's claimed ``<L, C, L_min>`` triple for this round.
 
+        One row of :meth:`lies`, logged at once.
+        """
+        events = FiredEvents()
+        claimed = self.lies(
+            [node_index], np.array([load]), np.array([capacity]),
+            np.array([min_vs]), [0], events, stats,
+        )
+        events.run()
+        load, capacity, min_vs = (float(column[0]) for column in claimed)
+        return load, capacity, min_vs
+
+    def lies(
+        self,
+        nodes: Sequence[int],
+        loads: np.ndarray,
+        capacities: np.ndarray,
+        min_vs: np.ndarray,
+        rows: Sequence[int],
+        events: FiredEvents,
+        stats: "AdversaryRoundStats | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The claimed ``<L, C, L_min>`` columns of reporters ``nodes``.
+
         Honest nodes, dormant rounds, and behaviors that do not lie in
         reports (:data:`~repro.adversary.plan.RENEGE`,
-        :data:`~repro.adversary.plan.ACCUSE`) return the truth.  Load
+        :data:`~repro.adversary.plan.ACCUSE`) keep the truth.  Load
         lies clamp ``L_min`` to the claimed load so the triple stays
         internally consistent (plausible to the baseline sanity
-        defense).  ``stats`` receives per-family lie counts.
+        defense).  Each lie is queued on ``events`` under its reporter's
+        entry of ``rows``; ``stats`` receives per-family lie counts.
+        The input columns are not modified.
         """
-        behavior = self.behavior_of(node_index)
-        if behavior is None or behavior in (RENEGE, ACCUSE):
-            return load, capacity, min_vs
-        self._record(behavior, node_index, f"round={self._current_round}")
-        if behavior == INFLATE_CAPACITY:  # lint: disable=no-float-equality
+        loads = loads.copy()
+        capacities = capacities.copy()
+        min_vs = min_vs.copy()
+        if not self.active or not len(nodes):
+            return loads, capacities, min_vs
+        assert self._behavior_of is not None
+        behavior_of = self._behavior_of
+        node_arr = np.asarray(nodes, dtype=np.int64)
+        liars = np.flatnonzero(
+            np.isin(node_arr, np.fromiter(behavior_of, dtype=np.int64))
+        ).tolist()
+        factors: list[float] = []
+        load_rows: list[int] = []
+        cap_rows: list[int] = []
+        subject = f"round={self._current_round}"
+        oscillate = (
+            self.plan.over_factor
+            if self._current_round % 2 == 0
+            else self.plan.under_factor
+        )
+        for i in liars:
+            node = int(node_arr[i])
+            behavior = behavior_of[node]
+            if behavior in (RENEGE, ACCUSE):
+                continue
+            events.add(rows[i], LIE, self._record, behavior, node, subject)
+            if behavior == INFLATE_CAPACITY:  # lint: disable=no-float-equality
+                cap_rows.append(i)
+                if stats is not None:
+                    stats.lies_capacity += 1
+                continue
+            load_rows.append(i)
+            if behavior == UNDER_REPORT:
+                factors.append(self.plan.under_factor)
+            elif behavior == OVER_REPORT:
+                factors.append(self.plan.over_factor)
+            else:  # OSCILLATE: thrash between the two extremes
+                factors.append(oscillate)
             if stats is not None:
-                stats.lies_capacity += 1
-            return load, capacity * self.plan.inflate_factor, min_vs
-        if behavior == UNDER_REPORT:
-            claimed_load = load * self.plan.under_factor
-        elif behavior == OVER_REPORT:
-            claimed_load = load * self.plan.over_factor
-        else:  # OSCILLATE: thrash between the two extremes
-            factor = (
-                self.plan.over_factor
-                if self._current_round % 2 == 0
-                else self.plan.under_factor
-            )
-            claimed_load = load * factor
-        if stats is not None:
-            if behavior == OSCILLATE:
-                stats.lies_oscillate += 1
-            else:
-                stats.lies_load += 1
-        return claimed_load, capacity, min(min_vs, claimed_load)
+                if behavior == OSCILLATE:
+                    stats.lies_oscillate += 1
+                else:
+                    stats.lies_load += 1
+        if cap_rows:
+            capacities[cap_rows] *= self.plan.inflate_factor
+        if load_rows:
+            claimed = loads[load_rows] * np.asarray(factors)
+            loads[load_rows] = claimed
+            lightest = min_vs[load_rows]
+            min_vs[load_rows] = np.where(claimed < lightest, claimed, lightest)
+        return loads, capacities, min_vs
 
     # -- transfer channel ------------------------------------------------
     def renege(self, source_index: int, vs_id: int) -> bool:
@@ -316,6 +368,18 @@ class AdversaryEngine:
     def accuser_of(self, node_index: int) -> int | None:
         """The attacker accusing this node of being dead, or ``None``."""
         return self._accused.get(node_index)
+
+    def accusers_of(self, nodes: Sequence[int]) -> list[tuple[int, int]]:
+        """``(position, accuser)`` for each accused node of ``nodes``,
+        in position order."""
+        if not self._accused or not len(nodes):
+            return []
+        victims = np.fromiter(self._accused, dtype=np.int64)
+        node_arr = np.asarray(nodes, dtype=np.int64)
+        return [
+            (i, self._accused[int(node_arr[i])])
+            for i in np.flatnonzero(np.isin(node_arr, victims)).tolist()
+        ]
 
     @property
     def accusations(self) -> int:

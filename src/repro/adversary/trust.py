@@ -51,15 +51,23 @@ from typing import Sequence
 import numpy as np
 
 from repro.adversary.stats import AdversaryRoundStats
-from repro.core.lbi import AggregateSanity
+from repro.core.lbi import AggregateSanity, Columns
+from repro.faults.blocks import AUDIT, GATE, FiredEvents
 from repro.faults.stats import FaultRoundStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
-def _relative_deviation(claimed: float, truth: float) -> float:
-    """Deviation of a claim from the truth, scaled by the truth's size."""
-    return abs(claimed - truth) / max(abs(truth), 1.0)
+def _relative_deviation(claimed: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Deviation of claims from the truth, scaled by the truth's size."""
+    return np.abs(claimed - truth) / np.maximum(np.abs(truth), 1.0)
+
+
+def _member(nodes: np.ndarray, members: list[int]) -> np.ndarray:
+    """Mask of the entries of ``nodes`` that are in ``members``."""
+    if not members:
+        return np.zeros(nodes.size, dtype=bool)
+    return np.isin(nodes, np.asarray(members, dtype=np.int64))
 
 
 class TrustedAggregation(AggregateSanity):
@@ -209,50 +217,92 @@ class TrustedAggregation(AggregateSanity):
                 "trust.penalty", node=node_index, reason=reason
             )
 
+    # The scalar gate calls are one-row batches (see the base gate); they
+    # are restated here so this class's own namespace holds them, where
+    # the round benchmark's span table wraps them.
     def witness_check(
         self,
         node_index: int,
         claimed: tuple[float, float, float],
         truth: tuple[float, float, float],
     ) -> tuple[float, float, float]:
-        """Seeded spot-check of a claimed report against ground truth.
+        """One row of :meth:`witness_batch`, its penalty charged at once."""
+        return super().witness_check(node_index, claimed, truth)
 
-        Draws exactly one uniform from the audit stream per call; the
-        report is audited when the draw lands under ``AUDIT_RATE`` or
-        the node is on probation.  A failed audit substitutes the
-        witnessed truth into the aggregate and charges the reporter;
-        a clean audited report advances the node's probation countdown.
-        Quarantined reporters are not audited (their report is rejected
-        at the gate anyway) and consume no draw, which is safe because
-        the quarantine set is itself a pure function of the run.
+    def admit(
+        self,
+        node_index: int,
+        load: float,
+        capacity: float,
+        min_vs: float,
+        epoch: int,
+    ) -> tuple[float, float, float] | None:
+        """One row of :meth:`admit_batch`, its events run at once."""
+        return super().admit(node_index, load, capacity, min_vs, epoch)
+
+    def witness_batch(
+        self,
+        nodes: Sequence[int],
+        claimed: Columns,
+        truth: Columns,
+        rows: Sequence[int],
+        events: FiredEvents,
+    ) -> Columns:
+        """Seeded spot-checks of claimed reports against ground truth.
+
+        Draws exactly one uniform from the audit stream per reporter
+        that is not quarantined, in order; a report is audited when its
+        draw lands under ``AUDIT_RATE`` or its node is on probation.  A
+        failed audit substitutes the witnessed truth into the aggregate
+        and charges the reporter (queued on ``events``); a clean audited
+        report advances the node's probation countdown.  Quarantined
+        reporters are not audited (their report is rejected at the gate
+        anyway) and consume no draw, which is safe because the
+        quarantine set is itself a pure function of the run.
         """
-        if node_index in self._quarantined:
+        node_arr = np.asarray(nodes, dtype=np.int64)
+        eligible = np.flatnonzero(~_member(node_arr, sorted(self._quarantined)))
+        if not eligible.size:
             return claimed
-        draw = float(self._audit_rng.random())
-        audited = draw < self.AUDIT_RATE or node_index in self._probation
-        if not audited:
-            return claimed
-        if self._adv_stats is not None:
-            self._adv_stats.audits_run += 1
+        draws = self._audit_rng.random(eligible.size)
+        on_probation = _member(node_arr[eligible], list(self._probation))
+        audited = eligible[(draws < self.AUDIT_RATE) | on_probation]
+        stats = self._adv_stats
+        if stats is not None:
+            stats.audits_run += int(audited.size)
         deviates = (
-            _relative_deviation(claimed[0], truth[0]) > self.AUDIT_TOLERANCE
-            or _relative_deviation(claimed[1], truth[1]) > self.AUDIT_TOLERANCE
+            _relative_deviation(claimed[0][audited], truth[0][audited])
+            > self.AUDIT_TOLERANCE
+        ) | (
+            _relative_deviation(claimed[1][audited], truth[1][audited])
+            > self.AUDIT_TOLERANCE
         )
-        if not deviates:
-            remaining = self._probation.get(node_index)
+        probation = self._probation
+        for i in audited[~deviates].tolist():
+            node = int(node_arr[i])
+            remaining = probation.get(node)
             if remaining is not None:
                 if remaining <= 1:
-                    del self._probation[node_index]
+                    del probation[node]
                 else:
-                    self._probation[node_index] = remaining - 1
+                    probation[node] = remaining - 1
+        failed = audited[deviates]
+        if not failed.size:
             return claimed
-        if self._adv_stats is not None:
-            self._adv_stats.audits_failed += 1
-            self._adv_stats.values_restored += 1
+        if stats is not None:
+            stats.audits_failed += int(failed.size)
+            stats.values_restored += int(failed.size)
         if self.metrics is not None:
-            self.metrics.counter("trust.audit_failures").inc()
-        self._penalize(node_index, self.PENALTY_AUDIT, "witness_audit")
-        return truth
+            self.metrics.counter("trust.audit_failures").inc(int(failed.size))
+        for i in failed.tolist():
+            events.add(
+                rows[i], AUDIT, self._penalize, int(node_arr[i]),
+                self.PENALTY_AUDIT, "witness_audit",
+            )
+        checked = tuple(column.copy() for column in claimed)
+        for column, witnessed in zip(checked, truth):
+            column[failed] = witnessed[failed]
+        return checked
 
     def refute_accusation(self, accuser: int) -> None:
         """Charge a false accuser whose victim's report proved liveness.
@@ -292,9 +342,9 @@ class TrustedAggregation(AggregateSanity):
             self._ewma[target_index] = (prev[0] + load, prev[1])
 
     # -- the gate --------------------------------------------------------
-    def _delta_implausible(
-        self, node_index: int, load: float, capacity: float
-    ) -> bool:
+    def _deltas_implausible(
+        self, nodes: Sequence[int], loads: np.ndarray, capacities: np.ndarray
+    ) -> np.ndarray:
         """Supersede the blind load-swing heuristic with the envelope.
 
         The base rule bounds per-report swings by a capacity multiple
@@ -304,61 +354,85 @@ class TrustedAggregation(AggregateSanity):
         executed transfer), so once a node has an envelope the blind
         heuristic is retired: verified movement passes, and a claim far
         off the transfer-accounted expectation is charged through the
-        envelope breach in :meth:`admit` instead of being silently
+        envelope breach in :meth:`admit_batch` instead of being silently
         swapped for a stale value.  First-sight nodes (no envelope yet)
         keep the base rule.
         """
-        if node_index in self._ewma:
-            return False
-        return super()._delta_implausible(node_index, load, capacity)
+        implausible = super()._deltas_implausible(nodes, loads, capacities)
+        enveloped = np.array([node in self._ewma for node in nodes], dtype=bool)
+        return implausible & ~enveloped
 
-    def admit(
+    def admit_batch(
         self,
-        node_index: int,
-        load: float,
-        capacity: float,
-        min_vs: float,
-        epoch: int,
-    ) -> tuple[float, float, float] | None:
-        """Gate one report: quarantine rejection, base rules, envelope.
+        nodes: Sequence[int],
+        loads: np.ndarray,
+        capacities: np.ndarray,
+        min_vs: np.ndarray,
+        epochs: np.ndarray,
+        rows: Sequence[int],
+        events: FiredEvents,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Gate reports: quarantine rejection, base rules, envelope.
 
         A quarantined node's report is rejected outright (counted via
         the base gate's quarantine accounting).  Otherwise the base
         plausibility rules run first; an admitted report is then
         checked against the node's EWMA envelope — a breach charges a
-        small trust penalty but the report is still admitted (the
-        envelope is a suspicion signal, not a correctness rule) — and
-        folded into the envelope.
+        small trust penalty (queued on ``events``) but the report is
+        still admitted (the envelope is a suspicion signal, not a
+        correctness rule) — and folded into the envelope.
         """
-        if node_index in self._quarantined:
-            self._quarantine(node_index, "trust_quarantined")
-            return None
-        admitted = super().admit(node_index, load, capacity, min_vs, epoch)
-        if admitted is None:
-            return None
-        adm_load, adm_capacity, _ = admitted
-        self._trust.setdefault(node_index, self.INITIAL_TRUST)
-        prev = self._ewma.get(node_index)
-        if prev is None:
-            self._ewma[node_index] = (
-                adm_load,
-                self.ENVELOPE_FLOOR * max(adm_capacity, 1.0),
+        node_arr = np.asarray(nodes, dtype=np.int64)
+        barred = _member(node_arr, sorted(self._quarantined))
+        for i in np.flatnonzero(barred).tolist():
+            events.add(
+                rows[i], GATE, self._quarantine, int(node_arr[i]),
+                "trust_quarantined",
             )
-            return admitted
-        mean, dev = prev
-        bound = self.ENVELOPE_FACTOR * max(
-            dev, self.ENVELOPE_FLOOR * max(adm_capacity, 1.0)
+        rest = np.flatnonzero(~barred)
+        keep = np.zeros(len(nodes), dtype=bool)
+        out = (loads.copy(), capacities.copy(), min_vs.copy())
+        if not rest.size:
+            return keep, *out
+        rest_list = rest.tolist()
+        kept, *admitted = super().admit_batch(
+            [int(node_arr[i]) for i in rest_list], loads[rest], capacities[rest],
+            min_vs[rest], epochs[rest], [rows[i] for i in rest_list], events,
         )
-        if abs(adm_load - mean) > bound:
-            if self._adv_stats is not None:
-                self._adv_stats.envelope_breaches += 1
-            if self.metrics is not None:
-                self.metrics.counter("trust.envelope_breaches").inc()
-            self._penalize(node_index, self.PENALTY_ENVELOPE, "envelope")
+        keep[rest] = kept
+        for column, values in zip(out, admitted):
+            column[rest] = values
+        passed = rest[kept]
+        adm_nodes = node_arr[passed].tolist()
+        adm_load = out[0][passed]
+        floor = self.ENVELOPE_FLOOR * np.maximum(out[1][passed], 1.0)
+        trust = self._trust
+        ewma = self._ewma
+        prev = []
+        for node in adm_nodes:
+            trust.setdefault(node, self.INITIAL_TRUST)
+            prev.append(ewma.get(node))
+        seen = np.array([entry is not None for entry in prev], dtype=bool)
+        mean = np.array([e[0] if e is not None else 0.0 for e in prev])
+        dev = np.array([e[1] if e is not None else 0.0 for e in prev])
+        bound = self.ENVELOPE_FACTOR * np.maximum(dev, floor)
         error = adm_load - mean
-        new_mean = mean + self.EWMA_ALPHA * error
-        new_dev = (
-            1.0 - self.EWMA_ALPHA
-        ) * dev + self.EWMA_ALPHA * abs(error)
-        self._ewma[node_index] = (new_mean, new_dev)
-        return admitted
+        breach = np.flatnonzero(seen & (np.abs(error) > bound))
+        if breach.size:
+            if self._adv_stats is not None:
+                self._adv_stats.envelope_breaches += int(breach.size)
+            if self.metrics is not None:
+                self.metrics.counter("trust.envelope_breaches").inc(int(breach.size))
+            for j in breach.tolist():
+                events.add(
+                    rows[int(passed[j])], GATE, self._penalize, adm_nodes[j],
+                    self.PENALTY_ENVELOPE, "envelope",
+                )
+        new_mean = np.where(seen, mean + self.EWMA_ALPHA * error, adm_load)
+        new_dev = np.where(
+            seen,
+            (1.0 - self.EWMA_ALPHA) * dev + self.EWMA_ALPHA * np.abs(error),
+            floor,
+        )
+        ewma.update(zip(adm_nodes, zip(new_mean.tolist(), new_dev.tolist())))
+        return keep, *out

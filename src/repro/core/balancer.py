@@ -149,6 +149,31 @@ def _buckets(
     return out
 
 
+def _loads_after(
+    alive: list[PhysicalNode],
+    arrays: NodeStateArrays,
+    assignments: list[Assignment],
+    stats: FaultRoundStats,
+) -> np.ndarray:
+    """The round's node loads after the VST, from the snapshot's column.
+
+    Inside a round only the VST moves load, so only the rows it touched
+    are re-summed (left to right, as ``PhysicalNode.load`` sums): the
+    source and target of every assignment it was handed, which covers
+    each commit, rollback and in-flight suspension.  A crash victim's
+    servers land on whichever nodes own their ring successors, so a
+    round with crash victims re-sums every row.
+    """
+    if stats.crashed_nodes:
+        return np.asarray([n.load for n in alive], dtype=np.float64)
+    loads = arrays.loads.copy()
+    ends = [a.candidate.node_index for a in assignments]
+    ends += [a.target_node for a in assignments]
+    rows = np.flatnonzero(np.isin(arrays.indices, ends)).tolist()
+    loads[rows] = [alive[row].load for row in rows]
+    return loads
+
+
 class LoadBalancer:
     """Runs the four-phase load-balancing protocol over a Chord ring.
 
@@ -614,7 +639,7 @@ class LoadBalancer:
         # classification (their rows stay in ``loads_after``); in a
         # quarantine re-tiled round they sit out neutral instead, like
         # the excluded nodes.  Only faulted rounds have crash victims.
-        loads_after = np.asarray([n.load for n in alive], dtype=np.float64)
+        loads_after = _loads_after(alive, arrays, vsa.assignments, stats)
         crashed = np.isin(arrays.indices, stats.crashed_nodes)
         after = [
             classify(part.rows & ~crashed, loads_after, part_system, "after")

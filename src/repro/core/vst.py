@@ -143,6 +143,15 @@ class TransferTransaction:
         self.state = "rolled_back"
 
 
+def _hosted_load(ring: ChordRing) -> float:
+    """Total load hosted by the ring's nodes: every server, one pass.
+
+    The conservation guard's own sum, read from the servers rather than
+    from any per-node total it checks.
+    """
+    return sum([vs.load for node in ring.nodes for vs in node.virtual_servers])
+
+
 def _crash_candidates(ring: ChordRing) -> list[int]:
     """Node indices eligible for an injected crash (never the last node)."""
     return [
@@ -214,7 +223,7 @@ def execute_transfers(
     drawn regardless, so fault decision sequences are unaffected by the
     adversary's presence.
     """
-    total_before = sum(n.load for n in ring.nodes)
+    total_before = _hosted_load(ring)
     node_by_index = {n.index: n for n in ring.nodes}
     records: list[TransferRecord] = []
     pairs: list[tuple[int, int]] = []
@@ -368,7 +377,7 @@ def execute_transfers(
                 distance=r.distance,
                 level=r.level,
             )
-    total_after = sum(n.load for n in ring.nodes)
+    total_after = _hosted_load(ring)
     assert_loads_conserved(
         total_before, total_after, context="vst.execute_transfers"
     )

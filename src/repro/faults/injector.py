@@ -24,11 +24,20 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ProcessCrashError
+from repro.faults.blocks import (
+    CORRUPT,
+    DELAY,
+    DUPLICATE,
+    FiredEvents,
+    fired_once,
+    fired_with_pick,
+    fired_with_value,
+)
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_metrics, current_tracer
@@ -182,6 +191,75 @@ class FaultInjector:
             return False
         self._record(FaultKind.DUPLICATE, phase, subject)
         return True
+
+    # -- message channels, a block at a time -----------------------------
+    # Batch forms of the channels above for a columnar phase: each draws
+    # exactly what the scalar calls would draw for the same messages, in
+    # the same order (see :mod:`repro.faults.blocks`), and queues each
+    # fired entry on ``events`` under the message's row instead of
+    # logging it at once.  ``subject(row)`` names a fired message.
+    def delays(
+        self,
+        phase: str,
+        n: int,
+        subject: Callable[[int], str],
+        events: FiredEvents,
+    ) -> tuple[list[int], list[float]]:
+        """Delay decisions for messages ``0..n-1``: fired rows, lengths."""
+        rows, draws = fired_with_value(self._delay_rng, self.plan.delay, n)
+        for row in rows:
+            events.add(
+                row, DELAY, self._record, FaultKind.DELAY, phase, subject(row)
+            )
+        return rows, [draw * self.plan.delay_max for draw in draws]
+
+    def drop_draws(self, n: int) -> np.ndarray:
+        """The next ``n`` drop-stream doubles (a send is lost under
+        ``plan.drop``); the retry walk serves them to attempts in order."""
+        return self._drop_rng.random(n)
+
+    def record_drop(self, phase: str, subject: str) -> None:
+        """Log one lost send decided from :meth:`drop_draws`."""
+        self._record(FaultKind.DROP, phase, subject)
+
+    def duplicates(
+        self,
+        phase: str,
+        rows: list[int],
+        subject: Callable[[int], str],
+        events: FiredEvents,
+    ) -> list[int]:
+        """Duplicate decisions for the delivered messages ``rows``."""
+        fired = [
+            rows[i]
+            for i in fired_once(self._dup_rng, self.plan.duplicate, len(rows))
+        ]
+        for row in fired:
+            events.add(
+                row, DUPLICATE, self._record, FaultKind.DUPLICATE, phase,
+                subject(row),
+            )
+        return fired
+
+    def corruptions(
+        self,
+        phase: str,
+        rows: list[int],
+        subject: Callable[[int], str],
+        events: FiredEvents,
+    ) -> list[tuple[int, int]]:
+        """Corruption decisions for the reports ``rows``: ``(row, mode)``."""
+        positions, modes = fired_with_pick(
+            self._corrupt_rng, self.plan.corrupt, len(rows),
+            self.NUM_CORRUPT_MODES,
+        )
+        fired = [(rows[i], mode) for i, mode in zip(positions, modes)]
+        for row, mode in fired:
+            events.add(
+                row, CORRUPT, self._record, FaultKind.CORRUPT, phase,
+                f"{subject(row)}:mode={mode}",
+            )
+        return fired
 
     # -- transfer channel ------------------------------------------------
     def abort_transfer(self, vs_id: int) -> bool:

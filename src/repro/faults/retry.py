@@ -22,11 +22,15 @@ staleness bound instead of an open-ended cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.exceptions import FaultPlanError
+from repro.faults.blocks import DROP, FiredEvents
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import FaultInjector
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,8 +151,10 @@ def deliver_with_retry(
     1-based attempt number.  Retries stop at ``policy.max_attempts`` or
     when the backoff no longer fits in ``budget`` — an explicitly
     bounded loop, never ``while True``.  ``extra_delay`` models an
-    injected in-flight delay on the first attempt; it is charged to the
-    budget but never blocks delivery.
+    injected in-flight delay on the first attempt: it is always added to
+    the outcome's ``simulated_delay`` and never blocks delivery, but it
+    is charged to the budget only when it fits there (a delay the budget
+    cannot hold is not charged at all).
     """
     delay = 0.0
     if extra_delay > 0:
@@ -168,3 +174,110 @@ def deliver_with_retry(
             break  # budget exhausted: give up early, degrade gracefully
         delay += backoff
     return DeliveryOutcome(delivered=False, attempts=attempts, simulated_delay=delay)
+
+
+@dataclass(frozen=True, slots=True)
+class BlockDelivery:
+    """Result of pushing a batch of messages through drops with retries.
+
+    ``delivered`` marks each message that got through; ``retries``
+    counts the extra sends beyond each first attempt; ``delays`` holds
+    the nonzero simulated delays (injected latency plus charged
+    backoff), in message order.
+    """
+
+    delivered: np.ndarray
+    retries: int
+    delays: list[float]
+
+
+def deliver_block(
+    policy: RetryPolicy,
+    faults: "FaultInjector",
+    phase: str,
+    n: int,
+    rng: np.random.Generator,
+    budget: RetryBudget,
+    events: FiredEvents,
+    subject: Callable[[int], str],
+    before_backoff: Callable[[int], None] | None = None,
+) -> BlockDelivery:
+    """:func:`deliver_with_retry` for messages ``0..n-1``, in order.
+
+    Decisions, stream use, budget charges and delays equal ``n``
+    :func:`deliver_with_retry` calls, each given the message's
+    ``faults.delay`` as its ``extra_delay`` and ``faults.drop`` as its
+    loss decision (``subject(row)`` names the message).  The delay and
+    drop streams are drawn in blocks (:mod:`repro.faults.blocks`): a
+    send that goes through costs no Python step, and the walk stops
+    only at the drops.  There the budget is first charged the delays of
+    the messages up to the dropped one, then ``before_backoff(row)``
+    runs (a caller that shares ``rng`` draws what precedes the jitter
+    there), then the backoff is drawn and charged.  Fired delays and
+    drops are queued on ``events``.
+    """
+    delivered = np.ones(n, dtype=bool)
+    delay_rows, delay_lengths = faults.delays(phase, n, subject, events)
+    # Simulated delay per message, keyed in message order.
+    spent: dict[int, float] = {}
+    charged = 0
+
+    def charge_delays(through: int) -> None:
+        nonlocal charged
+        while charged < len(delay_rows) and delay_rows[charged] <= through:
+            extra = delay_lengths[charged]
+            if extra > 0:
+                budget.charge(extra)
+                spent[delay_rows[charged]] = extra
+            charged += 1
+
+    retries = 0
+    p = faults.plan.drop
+    cap = policy.max_attempts
+    m = 0  # the message whose attempt the next draw decides
+    owed = 0  # that attempt's number when it is a retry, else 0
+    while p > 0 and m < n:
+        # Message ``m`` and every later one take at least one draw.
+        block = faults.drop_draws(n - m)
+        size = len(block)
+        hits = np.flatnonzero(block < p).tolist()
+        h = 0
+        pos = 0
+        while pos < size:
+            if owed:
+                attempt = owed
+                owed = 0
+                pos += 1
+                if block[pos - 1] >= p:
+                    m += 1
+                    continue
+            else:
+                while h < len(hits) and hits[h] < pos:
+                    h += 1
+                if h == len(hits):
+                    m += size - pos
+                    break
+                m += hits[h] - pos
+                pos = hits[h] + 1
+                attempt = 1
+            events.add(
+                m, DROP, faults.record_drop, phase, f"{subject(m)}#{attempt}",
+                sub=attempt,
+            )
+            if attempt == cap:
+                delivered[m] = False
+                m += 1
+                continue
+            charge_delays(m)
+            if before_backoff is not None:
+                before_backoff(m)
+            backoff = policy.backoff_delay(attempt, rng)
+            if not budget.charge(backoff):
+                delivered[m] = False
+                m += 1
+                continue
+            spent[m] = spent.get(m, 0.0) + backoff
+            retries += 1
+            owed = attempt + 1
+    charge_delays(n - 1)
+    return BlockDelivery(delivered, retries, list(spent.values()))
