@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.classification import classify_all
 from repro.core.lbi import direct_system_lbi
-from repro.core.records import NodeClass
 from repro.core.selection import select_shed_subset
 from repro.dht.chord import ChordRing
 from repro.util.rng import ensure_rng
@@ -95,18 +94,11 @@ def run_cfs_shedding(
                 result.removals += 1
                 result.shed_load += load
         # Reclassify: which non-heavy nodes were pushed over target?
-        cls_now = classify_all(ring.alive_nodes, lbi, epsilon)
-        new_heavy = {
-            i
-            for i, c in cls_now.classes.items()
-            if c is NodeClass.HEAVY and i not in ever_heavy
-        }
+        heavy_now = set(classify_all(ring.alive_nodes, lbi, epsilon).heavy)
+        new_heavy = heavy_now - ever_heavy
         result.newly_heavy_per_round.append(len(new_heavy))
         ever_heavy |= new_heavy
-        heavy_now = {i for i, c in cls_now.classes.items() if c is NodeClass.HEAVY}
 
     cls_final = classify_all(ring.alive_nodes, lbi, epsilon)
-    result.heavy_after = sum(
-        1 for c in cls_final.classes.values() if c is NodeClass.HEAVY
-    )
+    result.heavy_after = len(cls_final.heavy)
     return result

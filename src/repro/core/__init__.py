@@ -29,7 +29,6 @@ from repro.core.records import (
     assert_loads_conserved,
 )
 from repro.core.classification import (
-    classification_masks,
     classify_arrays,
     classify_node,
     classify_all,
@@ -56,7 +55,6 @@ __all__ = [
     "ShedCandidate",
     "SpareCapacity",
     "SystemLBI",
-    "classification_masks",
     "classify_arrays",
     "classify_node",
     "classify_all",

@@ -38,11 +38,7 @@ from repro.adversary.engine import AdversaryEngine, ensure_engine
 from repro.adversary.plan import AdversaryPlan
 from repro.adversary.stats import AdversaryRoundStats
 from repro.adversary.trust import TrustedAggregation
-from repro.core.classification import (
-    ClassificationResult,
-    classification_masks,
-    classify_arrays,
-)
+from repro.core.classification import ClassificationResult, classify_arrays
 from repro.core.config import BalancerConfig
 from repro.core.lbi import (
     AdmittedReports,
@@ -57,7 +53,7 @@ from repro.core.placement import (
     ProximityPlacement,
     RandomVSPlacement,
 )
-from repro.core.records import Assignment, NodeClass, SystemLBI
+from repro.core.records import Assignment, SystemLBI
 from repro.core.report import BalanceReport
 from repro.core.selection import select_shed_subsets
 from repro.core.soa import NodeStateArrays
@@ -110,30 +106,6 @@ class RoundPart:
     nodes: list[PhysicalNode]
     rows: np.ndarray
     component: int | None = None
-
-
-def _merge_classes(
-    results: list[ClassificationResult],
-    indices: np.ndarray,
-    loads: np.ndarray,
-    idle: np.ndarray,
-) -> ClassificationResult:
-    """Union of the parts' classifications, idle rows neutral.
-
-    An idle node has no admissible aggregate to classify against, so it
-    keeps its load (``loads``, same rows as ``indices``) for the round.
-    """
-    if len(results) == 1 and not idle.any():
-        return results[0]
-    classes: dict[int, NodeClass] = {}
-    targets: dict[int, float] = {}
-    for result in results:
-        classes.update(result.classes)
-        targets.update(result.targets)
-    for index, load in zip(indices[idle].tolist(), loads[idle].tolist()):
-        classes[index] = NodeClass.NEUTRAL
-        targets[index] = load
-    return ClassificationResult(classes=classes, targets=targets)
 
 
 def _buckets(
@@ -467,13 +439,14 @@ class LoadBalancer:
                     idle |= rows
             return parts, idle
         trust = self._sanity if isinstance(self._sanity, TrustedAggregation) else None
-        if trust is not None and trust.excluded:
-            trusted = tuple(n.index for n in alive if n.index not in trust.excluded)
+        excluded = trust.excluded if trust is not None else frozenset()
+        if excluded:
+            trusted = tuple(n.index for n in alive if n.index not in excluded)
             if trusted and len(trusted) < len(alive):
                 retiled = ComponentRingView(ring, trusted)
                 nodes = retiled.alive_nodes
                 if any(n.virtual_servers for n in nodes):
-                    idle[:] = [n.index in trust.excluded for n in alive]
+                    idle[:] = [n.index in excluded for n in alive]
                     return [RoundPart(retiled, nodes, ~idle)], idle
         return [RoundPart(ring, alive, ~idle)], idle
 
@@ -521,15 +494,11 @@ class LoadBalancer:
         )
 
         def classify(
-            rows: np.ndarray,
-            loads: np.ndarray,
-            system: SystemLBI,
-            stage: str,
-            masks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+            rows: np.ndarray, loads: np.ndarray, system: SystemLBI, stage: str
         ) -> ClassificationResult:
             return classify_arrays(
                 arrays.indices[rows], arrays.capacities[rows], loads[rows],
-                system, cfg.epsilon, tracer=tracer, stage=stage, masks=masks,
+                system, cfg.epsilon, tracer=tracer, stage=stage,
             )
 
         balanced: list[tuple[RoundPart, SystemLBI, ClassificationResult]] = []
@@ -555,21 +524,15 @@ class LoadBalancer:
             self._crash_point("post-lbi-fold")
             system, trace = folded
 
-            # Phase 2: classification over the part's snapshot rows; the
-            # masks also drive publication.
+            # Phase 2: classification over the part's snapshot rows; its
+            # columns also drive publication.
             with clock.phase("classification"), tracer.span("classification"):
-                masks = classification_masks(
-                    arrays.capacities[part.rows],
-                    arrays.loads[part.rows],
-                    system,
-                    cfg.epsilon,
-                )
-                before = classify(part.rows, arrays.loads, system, "before", masks)
+                before = classify(part.rows, arrays.loads, system, "before")
 
             # Phase 3: publication, then the bottom-up VSA sweep.
             with clock.phase("vsa"):
                 vsa_span = tracer.span("vsa")
-                published = self._publish_vsa_entries(part, arrays, masks)
+                published = self._publish_vsa_entries(part, arrays, before)
                 part_vsa, height, node_count = self._sweep_vsa(
                     part, published, system.min_vs_load, stats
                 )
@@ -646,14 +609,14 @@ class LoadBalancer:
             for part, part_system, _ in balanced
         ]
         retiled = view is None and parts[0].ring is not ring
-        classification_before = _merge_classes(
-            [before for _, _, before in balanced], arrays.indices, arrays.loads, idle
+        idle_after = idle | crashed if retiled else idle
+        classification_before = ClassificationResult.merge(
+            [before for _, _, before in balanced],
+            arrays.indices[idle],
+            arrays.loads[idle],
         )
-        classification_after = _merge_classes(
-            after,
-            arrays.indices,
-            loads_after,
-            idle | crashed if retiled else idle,
+        classification_after = ClassificationResult.merge(
+            after, arrays.indices[idle_after], loads_after[idle_after]
         )
         if faults is not None:
             stats.injected_total = faults.injected
@@ -662,7 +625,7 @@ class LoadBalancer:
         round_span.end(
             transfers=len(transfers),
             moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=len(classification_after.heavy),
+            heavy_after=classification_after.counts()["heavy"],
             failed_transfers=len(failed),
             faults_injected=stats.injected_total,
         )
@@ -1084,18 +1047,18 @@ class LoadBalancer:
         self,
         part: RoundPart,
         arrays: NodeStateArrays,
-        masks: tuple[np.ndarray, np.ndarray, np.ndarray],
+        before: ClassificationResult,
     ) -> VSAEntries:
         """Phase 3a: heavy nodes publish shed candidates, light ones spare
         capacity, each under its placement key, in node order.
 
-        ``masks`` is the part's "before" :func:`classification_masks`
-        ``(targets, heavy, light)`` over its snapshot rows, and those
-        rows' loads are the loads every part publishes against: a part's
-        VST moves load only among its own nodes (its transfers pair its
-        own publications, and a node crashed mid-batch hands its load to
-        a successor in the same view), so a later part of a partitioned
-        round finds its nodes as the snapshot left them.  Light rows
+        ``before`` is the part's "before" classification, one row per
+        snapshot row of the part, and those rows' loads are the loads
+        every part publishes against: a part's VST moves load only among
+        its own nodes (its transfers pair its own publications, and a
+        node crashed mid-batch hands its load to a successor in the same
+        view), so a later part of a partitioned round finds its nodes as
+        the snapshot left them.  Light rows
         become spare entries by column arithmetic; heavy rows pick their
         shed sets in one :func:`select_shed_subsets` batch (it consumes
         no randomness).  All keys are then drawn in one ``keys_for`` call
@@ -1107,7 +1070,9 @@ class LoadBalancer:
         placement = self._placement
         assert placement is not None
         nodes = part.nodes
-        targets, heavy, light = masks
+        targets = before.row_targets
+        heavy = before.heavy_rows
+        light = before.light_rows
         loads = arrays.loads[part.rows]
         spare = light & (targets - loads > 0)
         heavy_rows = np.flatnonzero(heavy).tolist()

@@ -18,6 +18,7 @@ above, which is what this module implements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,52 +46,85 @@ def classify_node(node: PhysicalNode, lbi: SystemLBI, epsilon: float = 0.0) -> N
     return NodeClass.NEUTRAL
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationResult:
-    """Classification of a whole node population."""
+#: Row class per code: ``0`` heavy, ``1`` light, ``2`` neutral.
+_CLASSES = np.asarray(
+    [NodeClass.HEAVY, NodeClass.LIGHT, NodeClass.NEUTRAL], dtype=object
+)
 
-    classes: dict[int, NodeClass]  # node index -> class
-    targets: dict[int, float]  # node index -> T_i
+
+@dataclass(frozen=True, eq=False)
+class ClassificationResult:
+    """Classification of a node population, one row per classified node.
+
+    The result is four row columns: ``indices`` (``node.index``),
+    ``row_targets`` (``T_i``) and the ``heavy_rows``/``light_rows``
+    masks; a row in neither mask is neutral.  Rows are *not* node
+    indices: after churn row ``r`` and node index ``r`` differ.  The
+    index-keyed :attr:`classes` and :attr:`targets` mappings serve
+    callers outside the round and are built on first read.
+    """
+
+    indices: np.ndarray
+    row_targets: np.ndarray
+    heavy_rows: np.ndarray
+    light_rows: np.ndarray
+
+    @classmethod
+    def merge(
+        cls,
+        parts: list[ClassificationResult],
+        idle_indices: np.ndarray,
+        idle_loads: np.ndarray,
+    ) -> ClassificationResult:
+        """The parts' rows one after another, then the idle rows.
+
+        An idle node had no admissible aggregate to classify against: it
+        sits the round out neutral, its target its own load.
+        """
+        none = np.zeros(len(idle_indices), dtype=bool)
+        return cls(
+            np.concatenate([*(p.indices for p in parts), idle_indices]),
+            np.concatenate([*(p.row_targets for p in parts), idle_loads]),
+            np.concatenate([*(p.heavy_rows for p in parts), none]),
+            np.concatenate([*(p.light_rows for p in parts), none]),
+        )
+
+    @property
+    def neutral_rows(self) -> np.ndarray:
+        return ~(self.heavy_rows | self.light_rows)
 
     @property
     def heavy(self) -> list[int]:
-        return [i for i, c in self.classes.items() if c is NodeClass.HEAVY]
+        return self.indices[self.heavy_rows].tolist()
 
     @property
     def light(self) -> list[int]:
-        return [i for i, c in self.classes.items() if c is NodeClass.LIGHT]
+        return self.indices[self.light_rows].tolist()
 
     @property
     def neutral(self) -> list[int]:
-        return [i for i, c in self.classes.items() if c is NodeClass.NEUTRAL]
+        return self.indices[self.neutral_rows].tolist()
 
     def counts(self) -> dict[str, int]:
-        return {
-            "heavy": len(self.heavy),
-            "light": len(self.light),
-            "neutral": len(self.neutral),
-        }
+        heavy = int(np.count_nonzero(self.heavy_rows))
+        light = int(np.count_nonzero(self.light_rows))
+        neutral = len(self.indices) - heavy - light
+        return {"heavy": heavy, "light": light, "neutral": neutral}
 
+    def row_classes(self) -> list[NodeClass]:
+        """Each row's class, in row order."""
+        codes = np.where(self.heavy_rows, 0, np.where(self.light_rows, 1, 2))
+        return _CLASSES[codes].tolist()
 
-def classification_masks(
-    capacities: np.ndarray,
-    loads: np.ndarray,
-    lbi: SystemLBI,
-    epsilon: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised Section 3.3 rules over capacity/load columns.
+    @cached_property
+    def classes(self) -> dict[int, NodeClass]:
+        """Node index -> class."""
+        return dict(zip(self.indices.tolist(), self.row_classes()))
 
-    Returns ``(targets, heavy_mask, light_mask)``; neutral is the
-    complement of the two masks.  Targets are evaluated before the
-    epsilon guard fires, matching the historical scalar path (the
-    product is cheap and the guard is a config error either way).
-    """
-    targets = (1.0 + epsilon) * lbi.load_per_capacity * capacities
-    if epsilon < 0:
-        raise ConfigError(f"epsilon must be non-negative, got {epsilon}")
-    heavy_mask = loads > targets
-    light_mask = (~heavy_mask) & ((targets - loads) >= lbi.min_vs_load)
-    return targets, heavy_mask, light_mask
+    @cached_property
+    def targets(self) -> dict[int, float]:
+        """Node index -> ``T_i``."""
+        return dict(zip(self.indices.tolist(), self.row_targets.tolist()))
 
 
 def classify_arrays(
@@ -101,35 +135,20 @@ def classify_arrays(
     epsilon: float = 0.0,
     tracer: Tracer | None = None,
     stage: str = "",
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> ClassificationResult:
-    """Classify a population given as struct-of-arrays columns.
+    """Section 3.3 rules over struct-of-arrays columns, one row per node.
 
-    ``indices`` carries ``node.index`` per row; rows must already be in
-    alive order so the result dicts iterate identically to the
-    object-walking path.  A caller that already holds the
-    :func:`classification_masks` of these columns passes them as
-    ``masks`` instead of having them evaluated again.
+    ``indices`` carries ``node.index`` per row.  Targets are evaluated
+    before the epsilon guard fires (the product is cheap and the guard
+    is a config error either way).  With an enabled ``tracer``, emits
+    one ``classification.counts`` event labelled ``stage``.
     """
-    targets, heavy_mask, light_mask = (
-        classification_masks(capacities, loads, lbi, epsilon)
-        if masks is None
-        else masks
-    )
-    classes: dict[int, NodeClass] = {}
-    target_map: dict[int, float] = {}
-    for index, is_heavy, is_light, target in zip(
-        indices.tolist(), heavy_mask.tolist(), light_mask.tolist(), targets.tolist()
-    ):
-        if is_heavy:
-            cls = NodeClass.HEAVY
-        elif is_light:
-            cls = NodeClass.LIGHT
-        else:
-            cls = NodeClass.NEUTRAL
-        classes[index] = cls
-        target_map[index] = target
-    result = ClassificationResult(classes=classes, targets=target_map)
+    targets = (1.0 + epsilon) * lbi.load_per_capacity * capacities
+    if epsilon < 0:
+        raise ConfigError(f"epsilon must be non-negative, got {epsilon}")
+    heavy = loads > targets
+    light = ~heavy & ((targets - loads) >= lbi.min_vs_load)
+    result = ClassificationResult(indices, targets, heavy, light)
     if tracer is not None and tracer.enabled:
         tracer.event(
             "classification.counts",

@@ -126,11 +126,11 @@ class BalanceReport:
 
     @property
     def heavy_before(self) -> int:
-        return len(self.classification_before.heavy)
+        return self.classification_before.counts()["heavy"]
 
     @property
     def heavy_after(self) -> int:
-        return len(self.classification_after.heavy)
+        return self.classification_after.counts()["heavy"]
 
     @property
     def heavy_fraction_before(self) -> float:
@@ -191,13 +191,11 @@ class BalanceReport:
             ]
 
         def classification(c: ClassificationResult) -> dict[str, Any]:
+            # Keyed by node index as a string; the dump sorts the keys.
+            keys = [str(i) for i in c.indices.tolist()]
             return {
-                "classes": {
-                    str(i): cls.value for i, cls in sorted(c.classes.items())
-                },
-                "targets": {
-                    str(i): float(t).hex() for i, t in sorted(c.targets.items())
-                },
+                "classes": dict(zip(keys, [cls.value for cls in c.row_classes()])),
+                "targets": dict(zip(keys, floats(c.row_targets.tolist()))),
             }
 
         payload: dict[str, Any] = {

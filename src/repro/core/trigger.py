@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-import numpy as np
-
 from repro.core.balancer import LoadBalancer
-from repro.core.classification import classification_masks
+from repro.core.classification import classify_arrays
 from repro.exceptions import ConfigError
 from repro.sim.dynamics import LoadDynamics
 
@@ -113,10 +111,11 @@ def run_with_policy(
 
         # Measurement pass: LBI + classification only.
         arrays, system, agg_trace = balancer.measure_lbi(epoch)
-        _, heavy, _ = classification_masks(
-            arrays.capacities, arrays.loads, system, balancer.config.epsilon
-        )
-        heavy_fraction = int(np.count_nonzero(heavy)) / len(arrays)
+        heavy = classify_arrays(
+            arrays.indices, arrays.capacities, arrays.loads, system,
+            balancer.config.epsilon,
+        ).counts()["heavy"]
+        heavy_fraction = heavy / len(arrays)
 
         row = PolicyEpoch(
             epoch=epoch,

@@ -28,12 +28,13 @@ from repro.lint.rules.base import Rule, iter_function_defs, walk_body
 
 #: module basename -> function/method names forming the phase surface.
 #: The ``lbi`` entries and ``reference``'s ``VSASweep.run`` are the
-#: object-walk reference kernels; ``LoadBalancer._fold_lbi`` and
-#: ``_sweep_vsa`` are the array kernels every balancing round runs.
+#: object-walk reference kernels; ``LoadBalancer._fold_lbi``,
+#: ``_sweep_vsa`` and ``classify_arrays`` are the array kernels every
+#: balancing round runs.
 PHASE_ENTRY_POINTS: dict[str, frozenset[str]] = {
     "balancer": frozenset({"run_round", "_fold_lbi", "_sweep_vsa"}),
     "lbi": frozenset({"collect_lbi_reports", "aggregate_lbi"}),
-    "classification": frozenset({"classify_all"}),
+    "classification": frozenset({"classify_all", "classify_arrays"}),
     "reference": frozenset({"run"}),
     "vst": frozenset({"execute_transfers"}),
 }

@@ -313,6 +313,10 @@ class TestObsSpanCoverage:
             """
             def classify_all(reports):
                 return [r.kind for r in reports]
+
+            def classify_arrays(columns, tracer=None):
+                tracer.event("classification.counts")
+                return columns
             """,
             ObsSpanCoverageRule(),
         )
@@ -345,6 +349,22 @@ class TestObsSpanCoverage:
         assert len(findings) == 1
         assert "execute_transfers" in findings[0].message
 
+    def test_flags_missing_classification_kernel(self, tmp_path):
+        # The round classifies through ``classify_arrays``, so the
+        # registry requires it next to ``classify_all``.
+        findings = lint(
+            tmp_path,
+            "repro/core/classification.py",
+            """
+            def classify_all(reports, tracer=None):
+                with tracer.span("classification"):
+                    return [r.kind for r in reports]
+            """,
+            ObsSpanCoverageRule(),
+        )
+        assert len(findings) == 1
+        assert "classify_arrays" in findings[0].message
+
     def test_allows_instrumented_entry_point(self, tmp_path):
         findings = lint(
             tmp_path,
@@ -353,6 +373,10 @@ class TestObsSpanCoverage:
             def classify_all(reports, tracer=None):
                 with tracer.span("classification"):
                     return [r.kind for r in reports]
+
+            def classify_arrays(columns, tracer=None):
+                tracer.event("classification.counts")
+                return columns
             """,
             ObsSpanCoverageRule(),
         )
