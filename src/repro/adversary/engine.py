@@ -221,11 +221,6 @@ class AdversaryEngine:
             and self._current_round >= self.plan.start_round
         )
 
-    @property
-    def current_round(self) -> int:
-        """The round index the engine is currently armed for."""
-        return self._current_round
-
     # -- attacker identity -----------------------------------------------
     def behavior_of(self, node_index: int) -> str | None:
         """The node's active behavior model, or ``None`` for honest/dormant."""

@@ -3,8 +3,6 @@
 from repro.analysis.metrics import (
     capacity_category_breakdown,
     imbalance_metrics,
-    moved_load_histogram,
-    moved_load_cdf,
 )
 from repro.analysis.figures import (
     Figure4Data,
@@ -25,8 +23,6 @@ __all__ = [
     "side_by_side",
     "capacity_category_breakdown",
     "imbalance_metrics",
-    "moved_load_histogram",
-    "moved_load_cdf",
     "Figure4Data",
     "Figure56Data",
     "Figure78Data",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.report import BalanceReport
-from repro.util.stats import cdf_points, gini_coefficient, histogram_by_bins
+from repro.util.stats import gini_coefficient
 
 
 def imbalance_metrics(report: BalanceReport) -> dict[str, float]:
@@ -60,18 +60,3 @@ def capacity_category_breakdown(
         }
     return out
 
-
-def moved_load_histogram(
-    report: BalanceReport, bin_edges: list[float] | np.ndarray
-) -> np.ndarray:
-    """Fraction of moved load per transfer-distance bin (figure 7(a))."""
-    return histogram_by_bins(
-        report.transfer_distances, report.transfer_loads_with_distance, bin_edges
-    )
-
-
-def moved_load_cdf(report: BalanceReport) -> tuple[np.ndarray, np.ndarray]:
-    """CDF of moved load over transfer distance (figure 7(b))."""
-    return cdf_points(
-        report.transfer_distances, report.transfer_loads_with_distance
-    )

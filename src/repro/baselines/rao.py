@@ -56,14 +56,6 @@ class RaoResult:
     distances: list[float] = field(default_factory=list)
     loads_moved: list[float] = field(default_factory=list)
 
-    def moved_load_within(self, hops: float) -> float:
-        if not self.distances:
-            return 0.0
-        d = np.asarray(self.distances)
-        w = np.asarray(self.loads_moved)
-        total = w.sum()
-        return float(w[d <= hops].sum() / total) if total else 0.0
-
 
 def _distance(oracle: DistanceOracle | None, a: PhysicalNode, b: PhysicalNode) -> float:
     if oracle is None or a.site is None or b.site is None:

@@ -1242,18 +1242,6 @@ class LoadBalancer:
             if t.has_distance:
                 m.histogram("vst.distance").observe(t.distance)
 
-    def run(self, max_rounds: int = 1, stop_when_balanced: bool = True) -> list[BalanceReport]:
-        """Run up to ``max_rounds`` rounds, stopping once no node is heavy."""
-        if max_rounds < 1:
-            raise ConfigError(f"max_rounds must be >= 1, got {max_rounds}")
-        out: list[BalanceReport] = []
-        for _ in range(max_rounds):
-            report = self.run_round()
-            out.append(report)
-            if stop_when_balanced and report.heavy_after == 0:
-                break
-        return out
-
     def measure_lbi(
         self, rng: int | np.random.Generator
     ) -> tuple[NodeStateArrays, SystemLBI, AggregationTrace]:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Any
+from dataclasses import dataclass
 
 from repro.constants import (
     DEFAULT_EPSILON,
@@ -90,7 +89,3 @@ class BalancerConfig:
             raise ConfigError(f"unknown landmark strategy {self.landmark_strategy!r}")
         if self.keep_at_least < 0:
             raise ConfigError("keep_at_least must be >= 0")
-
-    def as_dict(self) -> dict[str, Any]:
-        """The config as a plain dict (JSON-friendly; dataclass order)."""
-        return asdict(self)

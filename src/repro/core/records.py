@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import ConservationError
 
@@ -138,10 +138,6 @@ class SpareCapacity:
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise ValueError("spare capacity must be non-negative")
-
-    def reduced_by(self, amount: float) -> "SpareCapacity":
-        """The advertisement left after accepting ``amount`` of load."""
-        return replace(self, delta=self.delta - amount)
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,10 +48,6 @@ class PairingOutcome:
     leftover_heavy: list[ShedCandidate] = field(default_factory=list)
     leftover_light: list[SpareCapacity] = field(default_factory=list)
 
-    @property
-    def paired_load(self) -> float:
-        return sum(a.candidate.load for a in self.assignments)
-
 
 def pair_entries(
     heavy: list[int],

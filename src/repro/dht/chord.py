@@ -15,7 +15,7 @@ lazily on the next query, so bursts of churn cost one rebuild.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -452,13 +452,3 @@ class ChordRing:
             f"ChordRing(bits={self.space.bits}, nodes={len(self.nodes)}, "
             f"vs={len(self._vs_by_id)})"
         )
-
-
-def total_load(nodes: Iterable[PhysicalNode]) -> float:
-    """Total load ``L`` over ``nodes``."""
-    return sum(n.load for n in nodes)
-
-
-def total_capacity(nodes: Iterable[PhysicalNode]) -> float:
-    """Total capacity ``C`` over ``nodes``."""
-    return sum(n.capacity for n in nodes)

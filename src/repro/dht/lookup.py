@@ -78,13 +78,3 @@ def _closest_preceding_finger(
 def lookup_hops(ring: ChordRing, start: VirtualServer | int, key: int) -> int:
     """Number of overlay hops to resolve ``key`` from ``start``."""
     return len(lookup_path(ring, start, key)) - 1
-
-
-def finger_targets(ring: ChordRing, vs: VirtualServer | int) -> list[int]:
-    """The ``bits`` finger entries of ``vs`` (successor of ``id + 2^i``)."""
-    vs_obj = vs if isinstance(vs, VirtualServer) else ring.vs(int(vs))
-    space = ring.space
-    return [
-        ring.successor(space.wrap(vs_obj.vs_id + (1 << i))).vs_id
-        for i in range(space.bits)
-    ]

@@ -68,11 +68,6 @@ class PhysicalNode:
             raise DHTError(f"node {self.index} hosts no virtual servers")
         return min(vs.load for vs in self.virtual_servers)
 
-    @property
-    def unit_load(self) -> float:
-        """Load per unit capacity ``L_i / C_i`` — the y-axis of figure 4."""
-        return self.load / self.capacity
-
     def host(self, vs: VirtualServer) -> None:
         """Attach a virtual server to this node (bookkeeping helper)."""
         if vs.owner is not self and vs in self.virtual_servers:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dht.chord import ChordRing
-from repro.dht.storage import ObjectStore
-from repro.dht.virtual_server import VirtualServer
 from repro.exceptions import DHTError
 
 
@@ -79,13 +77,6 @@ class ReplicationManager:
                 replica_nodes=tuple(holders),
             )
 
-    def replica_set(self, vs: VirtualServer | int) -> ReplicaSet:
-        vs_id = vs.vs_id if isinstance(vs, VirtualServer) else int(vs)
-        try:
-            return self._replicas[vs_id]
-        except KeyError:
-            raise DHTError(f"no replica set for virtual server {vs_id}") from None
-
     # ------------------------------------------------------------------
     def available_after_crash(self, crashed_nodes: set[int]) -> dict[int, bool]:
         """Which regions' objects survive if ``crashed_nodes`` all fail at once.
@@ -99,24 +90,3 @@ class ReplicationManager:
             vs_id: any(h not in crashed_nodes for h in rs.all_holders)
             for vs_id, rs in self._replicas.items()
         }
-
-    def survives_any_crash_of(self, k: int) -> bool:
-        """Whether every region tolerates *any* simultaneous k-node crash.
-
-        True iff every replica set spans more than ``k`` distinct nodes.
-        """
-        return all(
-            len(set(rs.all_holders)) > k for rs in self._replicas.values()
-        )
-
-    def storage_blowup(self, store: ObjectStore) -> float:
-        """Total replicated bytes divided by primary bytes (cost of ``r``)."""
-        primary = 0.0
-        replicated = 0.0
-        for vs in self.ring.virtual_servers:
-            size = store.transfer_bytes(vs)
-            primary += size
-            replicated += size * (1 + len(self._replicas[vs.vs_id].replica_nodes))
-        if primary == 0:
-            return 1.0
-        return replicated / primary

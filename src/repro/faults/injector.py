@@ -404,11 +404,6 @@ class FaultInjector:
             self._current_round += 1
 
     # -- process-crash channel --------------------------------------------
-    @property
-    def current_round(self) -> int:
-        """The round index the injector is currently armed for."""
-        return self._current_round
-
     def crash_due(self, site: str) -> bool:
         """Whether a :class:`~repro.faults.CrashPoint` is armed here.
 

@@ -84,16 +84,6 @@ class Region:
         object.__setattr__(region, "length", length)
         return region
 
-    @classmethod
-    def from_endpoints(cls, space: IdentifierSpace, start: int, end_exclusive: int) -> "Region":
-        """Build ``[start, end_exclusive)``; ``start == end`` means the full ring."""
-        space.validate(start)
-        space.validate(end_exclusive)
-        length = space.distance_cw(start, end_exclusive)
-        if length == 0:
-            length = space.size
-        return cls(space, start, length)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -133,14 +123,6 @@ class Region:
             return False
         offset = self.space.distance_cw(self.start, other.start)
         return offset + other.length <= self.length
-
-    def overlaps(self, other: "Region") -> bool:
-        """Whether the two arcs share at least one identifier."""
-        if other.space != self.space:
-            raise RegionError("regions live on different identifier spaces")
-        if self.is_full_ring or other.is_full_ring:
-            return True
-        return self.contains(other.start) or other.contains(self.start)
 
     @property
     def center(self) -> int:

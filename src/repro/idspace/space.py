@@ -45,11 +45,6 @@ class IdentifierSpace:
         """Number of identifiers on the ring (``2**bits``)."""
         return 1 << self.bits
 
-    @property
-    def max_id(self) -> int:
-        """Largest valid identifier (``2**bits - 1``)."""
-        return (1 << self.bits) - 1
-
     def contains(self, ident: int) -> bool:
         """Return whether ``ident`` is a valid identifier on this ring."""
         return isinstance(ident, int) and 0 <= ident < self.size
@@ -74,11 +69,6 @@ class IdentifierSpace:
         self.validate(start)
         self.validate(end)
         return (end - start) % self.size
-
-    def distance(self, a: int, b: int) -> int:
-        """Shortest circular distance between two identifiers."""
-        d = self.distance_cw(a, b)
-        return min(d, self.size - d)
 
     def in_arc(self, ident: int, start: int, length: int) -> bool:
         """Return whether ``ident`` lies in the half-open arc ``[start, start+length)``.

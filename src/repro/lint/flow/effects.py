@@ -118,6 +118,7 @@ DRAW_METHODS = frozenset(
 #: objects legitimately define them); ``pathlib`` verbs are specific.
 _IO_METHODS = frozenset(
     {
+        "fsync",
         "mkdir",
         "open",
         "read_bytes",

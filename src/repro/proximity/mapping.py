@@ -91,10 +91,5 @@ class ProximityMapper:
             keys = [n << (-shift) for n in numbers]
         return np.asarray(keys, dtype=np.int64)
 
-    def dht_key(self, vector: np.ndarray, space: IdentifierSpace) -> int:
-        """Single-vector convenience wrapper around :meth:`dht_keys`."""
-        arr = np.asarray(vector, dtype=np.float64)
-        return int(self.dht_keys(arr[None, :], space)[0])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProximityMapper(dims={self.dims}, grid_bits={self.grid_bits})"

@@ -16,12 +16,10 @@ from repro.topology.transit_stub import (
     TS5K_SMALL,
     generate_transit_stub,
 )
-from repro.topology.powerlaw import generate_power_law
 from repro.topology.routing import DistanceOracle
 from repro.topology.landmarks import select_landmarks, landmark_vectors
 
 __all__ = [
-    "generate_power_law",
     "Topology",
     "TransitStubParams",
     "TS5K_LARGE",

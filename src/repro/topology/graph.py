@@ -70,13 +70,6 @@ class Topology:
             dtype=np.int64,
         )
 
-    @property
-    def transit_vertices(self) -> np.ndarray:
-        return np.asarray(
-            [v for v in range(self.num_vertices) if self.info[v].kind == "transit"],
-            dtype=np.int64,
-        )
-
     def stub_domain_of(self, vertex: int) -> tuple[int, int | None]:
         """``(transit_domain, stub_domain)`` of ``vertex``."""
         inf = self.info[vertex]
@@ -89,8 +82,3 @@ class Topology:
                 self.graph, nodelist=range(self.num_vertices), weight="weight", format="csr"
             )
         return self._csr
-
-    def degree_stats(self) -> dict[str, float]:
-        """Mean/min/max vertex degree — used by generator sanity tests."""
-        degs = np.asarray([d for _, d in self.graph.degree()], dtype=np.float64)
-        return {"mean": float(degs.mean()), "min": float(degs.min()), "max": float(degs.max())}

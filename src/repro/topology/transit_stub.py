@@ -98,13 +98,6 @@ class TransitStubParams:
         if not 0.0 <= self.stub_stub_edge_prob <= 1.0:
             raise TopologyError("stub_stub_edge_prob must be in [0, 1]")
 
-    @property
-    def expected_vertices(self) -> int:
-        """Expected total vertex count."""
-        transit = self.transit_domains * self.transit_nodes_per_domain
-        stubs = transit * self.stub_domains_per_transit * self.stub_nodes_mean
-        return transit + stubs
-
 
 #: Paper's "ts5k-large": few large stub domains (campus-like clustering).
 TS5K_LARGE = TransitStubParams(

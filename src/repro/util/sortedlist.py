@@ -19,7 +19,7 @@ serves the Rao et al. baseline and the pairing kernel's reference tests.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -115,11 +115,3 @@ class SortedKeyList(Generic[T]):
         """A copy of the items in sorted order."""
         return list(self._items)
 
-
-def insort_unique(values: list[int], value: int) -> bool:
-    """Insert ``value`` into sorted ``values`` unless present; return whether inserted."""
-    idx = bisect_left(values, value)
-    if idx < len(values) and values[idx] == value:
-        return False
-    insort_right(values, value)
-    return True

@@ -28,20 +28,6 @@ class SummaryStats:
     p99: float
     maximum: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.minimum,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
-
 
 def summary(values: np.ndarray | list[float]) -> SummaryStats:
     """Compute a :class:`SummaryStats` for ``values`` (must be non-empty)."""

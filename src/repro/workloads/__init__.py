@@ -12,7 +12,7 @@ from repro.workloads.loads import (
     ParetoLoadModel,
     assign_loads,
 )
-from repro.workloads.capacity import GnutellaCapacityProfile, sample_capacities
+from repro.workloads.capacity import GnutellaCapacityProfile
 from repro.workloads.drift import apply_load_drift, window_virtual_servers
 from repro.workloads.queries import QueryTrace, QueryWorkload
 from repro.workloads.scenario import (
@@ -32,7 +32,6 @@ __all__ = [
     "apply_load_drift",
     "window_virtual_servers",
     "GnutellaCapacityProfile",
-    "sample_capacities",
     "Scenario",
     "build_scenario",
 ]

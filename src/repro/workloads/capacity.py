@@ -43,33 +43,9 @@ class GnutellaCapacityProfile:
     def probabilities(self) -> np.ndarray:
         return np.asarray([self.table[v] for v in sorted(self.table)], dtype=np.float64)
 
-    @property
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probabilities))
-
     def sample(self, n: int, rng: int | None | np.random.Generator = None) -> np.ndarray:
         """Draw ``n`` capacities."""
         if n < 0:
             raise WorkloadError(f"cannot sample {n} capacities")
         gen = ensure_rng(rng)
         return gen.choice(self.values, size=n, p=self.probabilities)
-
-    def category_of(self, capacity: float) -> int:
-        """Index of the capacity category (0 = smallest) — figure 5/6 x-axis."""
-        vals = self.values
-        idx = int(np.searchsorted(vals, capacity))
-        # Exact match intended: capacities are drawn verbatim from the
-        # discrete profile table, never computed.
-        if idx >= len(vals) or vals[idx] != capacity:  # lint: disable=no-float-equality
-            raise WorkloadError(f"capacity {capacity} is not in the profile")
-        return idx
-
-
-def sample_capacities(
-    n: int,
-    rng: int | None | np.random.Generator = None,
-    profile: GnutellaCapacityProfile | None = None,
-) -> np.ndarray:
-    """Convenience wrapper: draw ``n`` capacities from ``profile``."""
-    prof = profile if profile is not None else GnutellaCapacityProfile()
-    return prof.sample(n, rng)

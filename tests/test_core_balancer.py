@@ -131,22 +131,6 @@ class TestRound:
 
 
 class TestMultiRound:
-    def test_run_stops_when_balanced(self, scenario):
-        lb = LoadBalancer(
-            scenario.ring, BalancerConfig(proximity_mode="ignorant", epsilon=0.05), rng=1
-        )
-        reports = lb.run(max_rounds=5)
-        assert len(reports) <= 5
-        if reports[-1].heavy_after == 0:
-            assert all(r.heavy_after > 0 for r in reports[:-1])
-
-    def test_invalid_max_rounds(self, scenario):
-        lb = LoadBalancer(
-            scenario.ring, BalancerConfig(proximity_mode="ignorant"), rng=1
-        )
-        with pytest.raises(ConfigError):
-            lb.run(max_rounds=0)
-
     def test_pareto_round_executes(self):
         sc = build_scenario(
             ParetoLoadModel(mu=1e5), num_nodes=64, vs_per_node=4, rng=17

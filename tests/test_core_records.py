@@ -66,13 +66,6 @@ class TestVSARecords:
         with pytest.raises(ValueError):
             ShedCandidate(load=-1.0, vs_id=1, node_index=0)
 
-    def test_spare_capacity_reduction(self):
-        s = SpareCapacity(delta=10.0, node_index=4)
-        r = s.reduced_by(3.0)
-        assert r.delta == 7.0
-        assert r.node_index == 4
-        assert s.delta == 10.0  # immutable original
-
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             SpareCapacity(delta=-0.1, node_index=0)

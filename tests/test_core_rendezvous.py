@@ -113,7 +113,7 @@ class TestPairingRules:
         out = pair_rendezvous(
             [heavy(3.0, 1), heavy(2.0, 2)], [light(10.0)], 0.0, level=0
         )
-        assert out.paired_load == pytest.approx(5.0)
+        assert sum(a.candidate.load for a in out.assignments) == pytest.approx(5.0)
 
 
 class TestConservation:
@@ -182,7 +182,7 @@ def sorted_list_reference(hs, ls, min_vs_load, level, strict=False):
         )
         remainder = spare.delta - candidate.load
         if remainder >= min_vs_load and remainder > 0:
-            light_list.add(spare.reduced_by(candidate.load))
+            light_list.add(SpareCapacity(remainder, spare.node_index))
     outcome.leftover_heavy.extend(heavy_list)
     outcome.leftover_light.extend(light_list)
     return outcome

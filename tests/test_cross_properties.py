@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import BalancerConfig, LoadBalancer
 from repro.dht import ChordRing, lookup_path
-from repro.dht.pastry import PastryRouter
 from repro.idspace import IdentifierSpace, Region
 from repro.ktree import KnaryTree
 from repro.workloads import GaussianLoadModel, assign_loads
@@ -40,19 +39,6 @@ class TestOwnershipContracts:
         ring = make_ring(seed, 8)
         start = ring.virtual_servers[0]
         assert lookup_path(ring, start, key)[-1] == ring.successor(key).vs_id
-
-    @given(seed=st.integers(0, 30), key=st.integers(0, 2**16 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_pastry_owner_adjacent_to_chord_owner(self, seed, key):
-        """Pastry (numerically closest) and Chord (clockwise successor)
-        may disagree, but only ever between the two ring neighbours of
-        the key."""
-        ring = make_ring(seed, 8)
-        router = PastryRouter(ring, digit_bits=4)
-        chord_owner = ring.successor(key).vs_id
-        pastry_owner = router.owner(key).vs_id
-        pred = ring.predecessor_id(chord_owner)
-        assert pastry_owner in (chord_owner, pred)
 
     @given(seed=st.integers(0, 30), key=st.integers(0, 2**16 - 1))
     @settings(max_examples=50, deadline=None)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dht import ChordRing, PhysicalNode, VirtualServer
-from repro.dht.chord import total_capacity, total_load
 from repro.exceptions import DHTError, DuplicateIdError, EmptyRingError
 from repro.idspace import IdentifierSpace, Region
 
@@ -210,15 +209,6 @@ class TestInvariants:
             ring.check_invariants()
 
 
-class TestAggregates:
-    def test_total_load_and_capacity(self):
-        ring = tiny_ring([10, 100])
-        ring.vs(10).load = 3.0
-        ring.vs(100).load = 4.0
-        assert total_load(ring.nodes) == pytest.approx(7.0)
-        assert total_capacity(ring.nodes) == pytest.approx(2.0)
-
-
 class TestVirtualServerAndNode:
     def test_negative_load_rejected(self):
         node = PhysicalNode(0, 1.0)
@@ -237,11 +227,6 @@ class TestVirtualServerAndNode:
     def test_min_vs_load_empty_raises(self):
         with pytest.raises(DHTError):
             PhysicalNode(0, 1.0).min_vs_load
-
-    def test_unit_load(self):
-        node = PhysicalNode(0, 4.0)
-        node.virtual_servers = [VirtualServer(1, node, 8.0)]
-        assert node.unit_load == 2.0
 
     def test_unhost_missing_raises(self):
         a, b = PhysicalNode(0, 1.0), PhysicalNode(1, 1.0)

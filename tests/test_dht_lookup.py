@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.dht import ChordRing, lookup_hops, lookup_path
-from repro.dht.lookup import finger_targets
 from repro.idspace import IdentifierSpace
 
 
@@ -69,21 +68,3 @@ class TestLookupPath:
         vs = ring.virtual_servers[0]
         assert lookup_hops(ring, vs, 17) == 0
 
-
-class TestFingers:
-    def test_finger_count(self, ring64):
-        fingers = finger_targets(ring64, ring64.virtual_servers[0])
-        assert len(fingers) == ring64.space.bits
-
-    def test_fingers_are_successors_of_spans(self, ring64):
-        vs = ring64.virtual_servers[7]
-        fingers = finger_targets(ring64, vs)
-        space = ring64.space
-        for i, f in enumerate(fingers):
-            expected = ring64.successor(space.wrap(vs.vs_id + (1 << i))).vs_id
-            assert f == expected
-
-    def test_first_finger_is_ring_successor(self, ring64):
-        vs = ring64.virtual_servers[0]
-        ring_succ = ring64.virtual_servers[1]
-        assert finger_targets(ring64, vs)[0] == ring_succ.vs_id

@@ -7,6 +7,7 @@ test, and every example the README advertises is a runnable file.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -72,6 +73,42 @@ class TestReadme:
     def test_docs_links_exist(self, text):
         for name in referenced_files(text, r"docs/[a-z-]+\.md"):
             assert (REPO / name).exists(), f"missing {name}"
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is a module or an attribute chain under one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+#: Hand-written documents; ``docs/api.md`` is generated from the code.
+REFERENCE_DOCS = sorted(
+    {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+    | {
+        f"docs/{p.name}"
+        for p in (REPO / "docs").glob("*.md")
+        if p.name != "api.md"
+    }
+)
+
+
+@pytest.mark.parametrize("doc", REFERENCE_DOCS)
+def test_backticked_repro_names_resolve(doc):
+    """Every backticked ``repro.…`` name is a module or a module attribute."""
+    text = (REPO / doc).read_text()
+    names = referenced_files(text, r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, f"{doc} names what the code lacks: {missing}"
 
 
 class TestRegistryCoverage:

@@ -19,17 +19,6 @@ class TestConstruction:
         assert r.length == 256
         assert r.is_full_ring
 
-    def test_from_endpoints(self):
-        r = Region.from_endpoints(SPACE, 10, 20)
-        assert (r.start, r.length) == (10, 10)
-
-    def test_from_endpoints_wrapping(self):
-        r = Region.from_endpoints(SPACE, 250, 6)
-        assert (r.start, r.length) == (250, 12)
-
-    def test_from_endpoints_equal_means_full(self):
-        assert Region.from_endpoints(SPACE, 5, 5).is_full_ring
-
     @pytest.mark.parametrize("length", [0, -1, 257])
     def test_invalid_length(self, length):
         with pytest.raises(RegionError):
@@ -89,24 +78,6 @@ class TestCovers:
         other = Region(IdentifierSpace(bits=4), 0, 4)
         with pytest.raises(RegionError):
             region(0, 10).covers(other)
-
-
-class TestOverlaps:
-    def test_disjoint(self):
-        assert not region(0, 10).overlaps(region(20, 10))
-
-    def test_touching_half_open(self):
-        # [0,10) and [10,20) share no identifier.
-        assert not region(0, 10).overlaps(region(10, 10))
-
-    def test_overlapping(self):
-        assert region(0, 15).overlaps(region(10, 10))
-
-    def test_contained(self):
-        assert region(0, 20).overlaps(region(5, 5))
-
-    def test_full_overlaps_all(self):
-        assert Region.full(SPACE).overlaps(region(7, 1))
 
 
 class TestSplit:

@@ -14,9 +14,6 @@ class TestConstruction:
     def test_size(self):
         assert IdentifierSpace(bits=4).size == 16
 
-    def test_max_id(self):
-        assert IdentifierSpace(bits=4).max_id == 15
-
     @pytest.mark.parametrize("bits", [0, -1, 257])
     def test_invalid_bits_rejected(self, bits):
         with pytest.raises(IdentifierSpaceError):
@@ -60,12 +57,6 @@ class TestDistances:
 
     def test_cw_distance_self_is_zero(self, space8):
         assert space8.distance_cw(42, 42) == 0
-
-    def test_shortest_distance_picks_min(self, space8):
-        assert space8.distance(0, 200) == 56
-
-    def test_shortest_distance_symmetric(self, space8):
-        assert space8.distance(3, 77) == space8.distance(77, 3)
 
     @given(a=st.integers(0, 255), b=st.integers(0, 255))
     def test_cw_distances_are_antisymmetric_mod_size(self, a, b):

@@ -100,13 +100,6 @@ class TestMapper:
         keys = mapper.dht_keys(vecs, space)
         assert abs(keys[0] - keys[1]) <= abs(keys[0] - keys[2])
 
-    def test_dht_key_single(self):
-        mapper, vecs = self.make_mapper()
-        space = IdentifierSpace(bits=16)
-        single = mapper.dht_key(vecs[0], space)
-        batch = mapper.dht_keys(vecs[:1], space)
-        assert single == batch[0]
-
     def test_wrong_dims_rejected(self):
         mapper, _ = self.make_mapper(dims=3)
         with pytest.raises(ProximityError):

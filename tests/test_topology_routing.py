@@ -14,7 +14,6 @@ from repro.topology import (
     DistanceOracle,
     Topology,
     TransitStubParams,
-    generate_power_law,
     generate_transit_stub,
 )
 from repro.topology.graph import VertexInfo
@@ -327,11 +326,6 @@ class TestSeparatorDisengaged:
 
     def test_ts5k_small(self):
         topology = generate_transit_stub(TS5K_SMALL, rng=0)
-        assert 4 * _boundary(topology) > topology.num_vertices
-        self._assert_rows(topology)
-
-    def test_power_law(self):
-        topology = generate_power_law(2000, rng=0)
         assert 4 * _boundary(topology) > topology.num_vertices
         self._assert_rows(topology)
 

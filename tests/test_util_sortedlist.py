@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.sortedlist import SortedKeyList, insort_unique
+from repro.util.sortedlist import SortedKeyList
 
 
 def skl(values):
@@ -118,14 +118,3 @@ def test_first_at_least_matches_linear_scan(values, threshold):
     else:
         assert s[idx] == min(feasible)
 
-
-class TestInsortUnique:
-    def test_inserts(self):
-        vals = [1, 3]
-        assert insort_unique(vals, 2)
-        assert vals == [1, 2, 3]
-
-    def test_skips_duplicate(self):
-        vals = [1, 2, 3]
-        assert not insort_unique(vals, 2)
-        assert vals == [1, 2, 3]

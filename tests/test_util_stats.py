@@ -26,12 +26,6 @@ class TestSummary:
         with pytest.raises(ValueError):
             summary([])
 
-    def test_as_dict_keys(self):
-        d = summary([1.0]).as_dict()
-        assert set(d) == {
-            "count", "mean", "std", "min", "p25", "median", "p75", "p95", "p99", "max"
-        }
-
 
 class TestGini:
     def test_equal_distribution_is_zero(self):

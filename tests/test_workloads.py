@@ -10,7 +10,6 @@ from repro.workloads import (
     ParetoLoadModel,
     assign_loads,
     build_scenario,
-    sample_capacities,
 )
 from repro.util.rng import ensure_rng
 from tests.conftest import MINI_TS
@@ -101,23 +100,11 @@ class TestCapacityProfile:
         assert GnutellaCapacityProfile().probabilities.sum() == pytest.approx(1.0)
 
     def test_sampling_distribution(self):
-        caps = sample_capacities(50_000, rng=7)
+        caps = GnutellaCapacityProfile().sample(50_000, rng=7)
         frac_10 = float(np.mean(caps == 10.0))
         assert frac_10 == pytest.approx(0.45, abs=0.02)
         frac_10k = float(np.mean(caps == 10_000.0))
         assert frac_10k == pytest.approx(0.001, abs=0.002)
-
-    def test_mean(self):
-        prof = GnutellaCapacityProfile()
-        expected = 1 * 0.2 + 10 * 0.45 + 100 * 0.3 + 1000 * 0.049 + 10000 * 0.001
-        assert prof.mean == pytest.approx(expected)
-
-    def test_category_of(self):
-        prof = GnutellaCapacityProfile()
-        assert prof.category_of(1.0) == 0
-        assert prof.category_of(10_000.0) == 4
-        with pytest.raises(WorkloadError):
-            prof.category_of(55.0)
 
     def test_invalid_profiles(self):
         with pytest.raises(WorkloadError):
@@ -129,7 +116,7 @@ class TestCapacityProfile:
 
     def test_negative_sample_count(self):
         with pytest.raises(WorkloadError):
-            sample_capacities(-1)
+            GnutellaCapacityProfile().sample(-1)
 
 
 class TestScenario:
