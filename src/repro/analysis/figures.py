@@ -60,16 +60,6 @@ class Figure56Data:
     loads_after_by_category: dict[float, np.ndarray]
     summary: dict[float, dict[str, float]]
 
-    def mean_loads_after(self) -> np.ndarray:
-        return np.asarray(
-            [self.summary[c]["mean_load_after"] for c in self.categories]
-        )
-
-    def mean_loads_before(self) -> np.ndarray:
-        return np.asarray(
-            [self.summary[c]["mean_load_before"] for c in self.categories]
-        )
-
 
 def figure56_data(report: BalanceReport, distribution: str) -> Figure56Data:
     caps = report.capacities

@@ -328,12 +328,6 @@ class KnaryTree:
         index = self.index
         return np.flatnonzero(index.alive[: len(index)])
 
-    def leaves(self) -> np.ndarray:
-        """Slots of all materialised leaves, ascending."""
-        index = self.index
-        size = len(index)
-        return np.flatnonzero(index.alive[:size] & index.is_leaf[:size])
-
     def height(self) -> int:
         """Maximum level among materialised nodes (root = 0)."""
         return int(self.index.level[self._live()].max())

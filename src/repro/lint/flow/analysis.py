@@ -221,15 +221,6 @@ class FlowAnalysis:
         """Every WorkerPool submission site, in deterministic order."""
         return list(self.project.submissions())
 
-    def module_generators(self) -> Iterator[tuple[FileContext, str, int]]:
-        """Module-level Generator bindings: ``(ctx, name, line)`` tuples."""
-        for module in sorted(self.project.binders):
-            binder = self.project.binders[module]
-            if is_barrier_module(module):
-                continue
-            for name in sorted(binder.module_generators):
-                yield binder.ctx, name, binder.module_generators[name]
-
     def context_for(self, rel_path: str) -> FileContext | None:
         """The parsed file context for a repo-relative path, if linted."""
         return self.contexts.get(rel_path)

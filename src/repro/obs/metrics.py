@@ -15,10 +15,12 @@ snapshot sorts into per-phase blocks.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -210,6 +212,18 @@ class MetricsRegistry:
             mine = self.histogram(name)
             for value in hist._samples:
                 mine.observe(value)
+
+    @contextmanager
+    def discarding(self) -> Iterator[None]:
+        """Undo every update made inside the block (re-running counted work).
+
+        An instrument fetched before the block is stale after it.
+        """
+        saved = copy.deepcopy((self._counters, self._gauges, self._histograms))
+        try:
+            yield
+        finally:
+            self._counters, self._gauges, self._histograms = saved
 
     # -- export ----------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, Any]]:

@@ -63,10 +63,6 @@ class PhaseClock:
         """A context manager timing one ``with`` block under ``name``."""
         return _PhaseTimer(self, name)
 
-    def total(self) -> float:
-        """Seconds summed over all recorded phases."""
-        return sum(self.seconds.values())
-
 
 class _PhaseTimer:
     """Context manager accumulating one block's duration into a clock."""

@@ -69,10 +69,6 @@ class InMemorySink:
         """Mark the sink closed (records stay readable)."""
         self.closed = True
 
-    def by_name(self, name: str) -> list["TraceRecord"]:
-        """All records whose name matches (spans and events alike)."""
-        return [r for r in self.records if r.name == name]
-
     def events(self, name: str | None = None) -> list["TraceRecord"]:
         """All ``event`` records, optionally filtered by name."""
         return [

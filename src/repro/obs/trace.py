@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.obs.sinks import InMemorySink, JSONLSink, NullSink, Sink
 
@@ -213,6 +214,15 @@ class Tracer:
             self._emit("event", name, top.span_id, top.parent_id, fields)
         else:
             self._emit("event", name, 0, None, fields)
+
+    @contextmanager
+    def muted(self) -> Iterator[None]:
+        """Emit nothing inside the block (re-running work already traced)."""
+        enabled, self.enabled = self.enabled, False
+        try:
+            yield
+        finally:
+            self.enabled = enabled
 
     def close(self) -> None:
         """Close any dangling spans and flush/close the sink."""

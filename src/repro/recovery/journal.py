@@ -172,6 +172,8 @@ class TransferJournal:
         #: ``(byte offset, seq)`` just past the last checkpoint marker
         #: (``(0, 0)`` with none): where the replay tail starts.
         self._tail_start = (0, 0)
+        #: The last ``checkpoint`` marker on file (``None`` with none).
+        self.last_checkpoint: JournalRecord | None = None
         #: Byte length of the valid content.
         self._size = 0
         self.truncated_bytes = 0
@@ -201,6 +203,7 @@ class TransferJournal:
             self._count += 1
             if record.kind == "checkpoint":
                 self._tail_start = (line_end, self._count)
+                self.last_checkpoint = record
             offset = line_end
             good_end = line_end
         self._size = good_end
@@ -231,6 +234,7 @@ class TransferJournal:
         self._size += len(line) + 1  # ASCII line plus its newline
         if kind == "checkpoint":
             self._tail_start = (self._size, self._count)
+            self.last_checkpoint = record
         if self.metrics is not None:
             self.metrics.counter("recovery.journal_records").inc()
         return record
@@ -281,7 +285,7 @@ class TransferJournal:
     @property
     def checkpointed(self) -> bool:
         """Whether the file holds at least one ``checkpoint`` marker."""
-        return self._tail_start != (0, 0)
+        return self.last_checkpoint is not None
 
     @property
     def replaying(self) -> bool:

@@ -42,16 +42,6 @@ class DynamicsTrace:
     epochs: list[EpochStats] = field(default_factory=list)
     reports: list[BalanceReport] = field(default_factory=list)
 
-    @property
-    def mean_heavy_after(self) -> float:
-        if not self.epochs:
-            return 0.0
-        return float(np.mean([e.heavy_after for e in self.epochs]))
-
-    @property
-    def total_moved_load(self) -> float:
-        return sum(e.moved_load for e in self.epochs)
-
 
 class LoadDynamics:
     """Evolves virtual-server loads between balancing rounds.

@@ -78,10 +78,6 @@ class HeartbeatTrace:
     #: Partitions that healed during the simulated horizon.
     partitions_healed: int = 0
 
-    @property
-    def max_repair_passes(self) -> int:
-        return max((f.refresh_passes for f in self.failures), default=0)
-
 
 class HeartbeatMonitor:
     """Runs the tree's heartbeat protocol over a simulated clock.
@@ -146,11 +142,6 @@ class HeartbeatMonitor:
         self._orphaned: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
-    @property
-    def detection_bound(self) -> float:
-        """Worst-case detection latency: threshold x interval (+1 period)."""
-        return (self.miss_threshold + 1) * self.heartbeat_interval
-
     def schedule_crash(self, node_index: int, at_time: float) -> None:
         """Crash a physical node at a simulated instant."""
         node = self.ring.nodes[node_index]

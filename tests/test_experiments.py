@@ -95,10 +95,15 @@ class TestFig4:
         assert d.heavy_after == 0
 
 
+def mean_loads(data, when):
+    """Mean node load per capacity category, ``when`` before/after."""
+    return np.asarray([data.summary[c][f"mean_load_{when}"] for c in data.categories])
+
+
 class TestFig56:
     def test_fig5_alignment(self):
         result = fig5.run(SMALL)
-        means = result.data.mean_loads_after()
+        means = mean_loads(result.data, "after")
         assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
         assert "capacity" in result.format_rows()
 
@@ -106,24 +111,24 @@ class TestFig56:
         result = fig6.run(SMALL)
         d = result.data
         # Highest-capacity category must end with the largest mean load.
-        means = d.mean_loads_after()
+        means = mean_loads(d, "after")
         assert means[-1] == max(means)
         assert result.report.heavy_after <= max(2, result.report.heavy_before // 20)
 
     def test_fig5_alignment_at_quick_scale(self):
         data = fig5.run(QUICK).data
-        means_after = data.mean_loads_after()
+        means_after = mean_loads(data, "after")
         assert np.all(np.diff(means_after) >= -1e-9), "alignment must be monotone"
         # Before balancing, placement is capacity-blind: the lowest and
         # highest capacity categories carry loads of the same order.
-        means_before = data.mean_loads_before()
+        means_before = mean_loads(data, "before")
         assert means_before[-1] < 10 * means_before[0]
         # After, the top category carries orders of magnitude more.
         assert means_after[-1] > 50 * max(means_after[0], 1e-12)
 
     def test_fig6_alignment_at_quick_scale(self):
         result = fig6.run(QUICK)
-        means = result.data.mean_loads_after()
+        means = mean_loads(result.data, "after")
         # Rare unmovable tail virtual servers may stay heavy.
         assert means[-1] == max(means)
         assert result.report.heavy_after <= max(2, result.report.heavy_before // 20)

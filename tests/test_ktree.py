@@ -17,6 +17,13 @@ def region(tree, slot):
     return Region(tree.ring.space, int(index.start[slot]), int(index.length[slot]))
 
 
+def leaves(tree):
+    """Slots of all materialised leaves, ascending."""
+    index = tree.index
+    size = len(index)
+    return np.flatnonzero(index.alive[:size] & index.is_leaf[:size])
+
+
 @pytest.fixture
 def ring():
     r = ChordRing(IdentifierSpace(bits=10))
@@ -44,7 +51,7 @@ class TestConstruction:
         r.populate(1, 1, [1.0], rng=0)
         tree = KnaryTree(r, 2)
         assert tree.index.is_leaf[0]
-        assert tree.leaves().tolist() == [0]
+        assert leaves(tree).tolist() == [0]
 
 
 class TestFullBuild:
@@ -52,20 +59,20 @@ class TestFullBuild:
     def test_leaves_tile_ring(self, ring, k):
         tree = KnaryTree(ring, k)
         tree.build_full()
-        total = sum(region(tree, leaf).length for leaf in tree.leaves())
+        total = sum(region(tree, leaf).length for leaf in leaves(tree))
         assert total == ring.space.size
 
     def test_every_vs_hosts_a_leaf(self, ring):
         """Paper guarantee: a KT leaf node is planted in each virtual server."""
         tree = KnaryTree(ring, 2)
         tree.build_full()
-        hosting = {tree.index.host[leaf].vs_id for leaf in tree.leaves()}
+        hosting = {tree.index.host[leaf].vs_id for leaf in leaves(tree)}
         assert hosting == {vs.vs_id for vs in ring.virtual_servers}
 
     def test_leaf_regions_covered_by_host(self, ring):
         tree = KnaryTree(ring, 2)
         tree.build_full()
-        for leaf in tree.leaves():
+        for leaf in leaves(tree):
             host_region = ring.region_of(tree.index.host[leaf])
             leaf_region = region(tree, leaf)
             assert host_region.covers(leaf_region) or leaf_region.length < tree.k
@@ -109,7 +116,7 @@ class TestLazyPaths:
         full = KnaryTree(ring, 2)
         full.build_full()
         full_leaves = {
-            (full.index.start[l], full.index.length[l]) for l in full.leaves()
+            (full.index.start[l], full.index.length[l]) for l in leaves(full)
         }
         gen = np.random.default_rng(0)
         for key in gen.integers(0, ring.space.size, size=40):
@@ -204,7 +211,7 @@ class TestRepair:
         # every remaining VS still hosts a leaf after repair + growth
         full = KnaryTree(ring, 2)
         full.build_full()
-        assert {full.index.host[l].vs_id for l in full.leaves()} == {
+        assert {full.index.host[l].vs_id for l in leaves(full)} == {
             vs.vs_id for vs in ring.virtual_servers
         }
 

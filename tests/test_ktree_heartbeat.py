@@ -61,7 +61,10 @@ class TestFailureHandling:
         assert len(trace.failures) == 1
         event = trace.failures[0]
         assert event.crashed_node == 0
-        assert event.detection_latency <= monitor.detection_bound
+        # Worst case: threshold x interval, plus one period.
+        assert event.detection_latency <= (
+            (monitor.miss_threshold + 1) * monitor.heartbeat_interval
+        )
         assert event.detection_latency >= 3.0  # at least threshold x interval
 
     def test_tree_valid_after_timed_repair(self, system):
@@ -77,7 +80,7 @@ class TestFailureHandling:
         monitor = HeartbeatMonitor(ring, tree, heartbeat_interval=1.0)
         monitor.schedule_crash(5, at_time=1.0)
         trace = monitor.run(until=15.0)
-        assert trace.max_repair_passes <= tree.height() + 2
+        assert max(f.refresh_passes for f in trace.failures) <= tree.height() + 2
 
     def test_multiple_crashes(self, system):
         ring, tree = system

@@ -86,6 +86,22 @@ class TestMetricsRegistry:
         with pytest.raises(ReproError):
             reg.histogram("x")
 
+    def test_discarding_undoes_every_update_in_the_block(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(2)
+        reg.gauge("g").set(5)
+        reg.histogram("h").observe(1.0)
+        before = reg.snapshot()
+        with reg.discarding():
+            reg.counter("c").inc(7)
+            reg.gauge("g").set(9)
+            reg.histogram("h").observe(40.0)
+            reg.counter("new").inc()
+        assert reg.snapshot() == before
+        with pytest.raises(ReproError), reg.discarding():
+            reg.counter("c").inc(-1)
+        assert reg.snapshot() == before
+
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("vst.transfers").inc(3)

@@ -80,6 +80,22 @@ class TestTracer:
     def test_tracer_with_null_sink_is_disabled(self):
         assert Tracer(NullSink()).enabled is False
 
+    def test_muted_block_emits_nothing_and_seq_continues(self):
+        tracer = Tracer.in_memory()
+        tracer.event("before")
+        with tracer.muted():
+            with tracer.span("round") as span:
+                span.event("inside")
+            tracer.event("inside")
+        tracer.event("after")
+        records = tracer.sink.records
+        assert [r.name for r in records] == ["before", "after"]
+        assert [r.seq for r in records] == [0, 1]
+        assert tracer.enabled
+        with NULL_TRACER.muted():
+            pass
+        assert NULL_TRACER.enabled is False
+
 
 class TestInMemorySink:
     def test_filters(self):
@@ -91,7 +107,9 @@ class TestInMemorySink:
         assert len(sink.events()) == 2
         assert len(sink.events("vst.transfer")) == 1
         assert len(sink.spans("round")) == 1
-        assert len(sink.by_name("round")) == 2  # start + end
+        assert [r.kind for r in sink.records if r.name == "round"] == [
+            "span_start", "span_end",
+        ]
         assert len(sink) == 4
 
 

@@ -1,5 +1,6 @@
 """Tests for churn simulation and tree self-repair."""
 
+import numpy as np
 import pytest
 
 from repro.dht import ChordRing
@@ -42,7 +43,10 @@ class TestChurnProcess:
         ChurnProcess(ring, tree, rng=5).run(num_events=12)
         fresh = KnaryTree(ring, 2)
         fresh.build_full()
-        hosting = {fresh.index.host[leaf].vs_id for leaf in fresh.leaves()}
+        index = fresh.index
+        size = len(index)
+        leaf_slots = np.flatnonzero(index.alive[:size] & index.is_leaf[:size])
+        hosting = {index.host[leaf].vs_id for leaf in leaf_slots}
         assert hosting == {vs.vs_id for vs in ring.virtual_servers}
 
     def test_join_only_churn(self, system):
