@@ -78,9 +78,8 @@ from repro.ktree.tree import KnaryTree
 from repro.membership import MembershipManager, MembershipView
 from repro.membership.views import ComponentRingView
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PhaseClock, profile_from_report
 from repro.obs.runtime import current_metrics, current_tracer
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 from repro.proximity.mapping import ProximityMapper
 from repro.topology.graph import Topology
 from repro.topology.landmarks import landmark_vectors, select_landmarks
@@ -465,7 +464,10 @@ class LoadBalancer:
         goes idle like one without virtual servers.  Stale-LBI reuse
         and the mid-round partition cut are whole-ring only; a
         partitioned round invalidates the cached aggregate, since an
-        epoch change makes cross-epoch state inadmissible.
+        epoch change makes cross-epoch state inadmissible.  Each phase
+        runs in its tracer span, and ``phase_seconds`` sums those spans'
+        ``seconds`` per phase, so the trace and the report share one
+        clock.
         """
         cfg = self.config
         ring = self.ring
@@ -483,15 +485,11 @@ class LoadBalancer:
             self._stale_lbi_age = 0
             in_flight = membership.in_flight_load
             span_fields = {"epoch": view.epoch, "components": len(view.components)}
-        clock = PhaseClock()
-        round_span = tracer.span(
-            "round",
-            mode=cfg.proximity_mode,
-            nodes=len(alive),
-            virtual_servers=ring.num_virtual_servers,
-            tree_degree=cfg.tree_degree,
-            **span_fields,
-        )
+        phase_seconds: dict[str, float] = {}
+
+        def clocked(span: Span) -> None:
+            name = span.name
+            phase_seconds[name] = phase_seconds.get(name, 0.0) + span.seconds
 
         def classify(
             rows: np.ndarray, loads: np.ndarray, system: SystemLBI, stage: str
@@ -501,162 +499,170 @@ class LoadBalancer:
                 system, cfg.epsilon, tracer=tracer, stage=stage,
             )
 
-        balanced: list[tuple[RoundPart, SystemLBI, ClassificationResult]] = []
-        traces: list[AggregationTrace] = []
-        vsa = VSAResult()
-        transfers: list[TransferRecord] = []
-        skipped: list[Assignment] = []
-        failed: list[Assignment] = []
-        tree_height = 0
-        tree_nodes = 0
-        for part in parts:
-            # Phase 1: tree + LBI aggregation/dissemination.
-            component = part.component
-            with clock.phase("lbi"), tracer.span(
-                "lbi", **({} if component is None else {"component": component})
-            ):
-                folded = self._lbi_phase(part, arrays, stats, adv_stats)
-                if component is None:
-                    folded = self._whole_ring_lbi(folded, stats)
-                elif folded is None:
+        with tracer.span(
+            "round",
+            mode=cfg.proximity_mode,
+            nodes=len(alive),
+            virtual_servers=ring.num_virtual_servers,
+            tree_degree=cfg.tree_degree,
+            **span_fields,
+        ) as round_span:
+            balanced: list[tuple[RoundPart, SystemLBI, ClassificationResult]] = []
+            traces: list[AggregationTrace] = []
+            vsa = VSAResult()
+            transfers: list[TransferRecord] = []
+            skipped: list[Assignment] = []
+            failed: list[Assignment] = []
+            tree_height = 0
+            tree_nodes = 0
+            for part in parts:
+                # Phase 1: tree + LBI aggregation/dissemination.
+                component = part.component
+                with tracer.span(
+                    "lbi", **({} if component is None else {"component": component})
+                ) as span:
+                    folded = self._lbi_phase(part, arrays, stats, adv_stats)
+                    if component is None:
+                        folded = self._whole_ring_lbi(folded, stats)
+                clocked(span)
+                if folded is None:
                     idle |= part.rows
                     continue
-            self._crash_point("post-lbi-fold")
-            system, trace = folded
+                self._crash_point("post-lbi-fold")
+                system, trace = folded
 
-            # Phase 2: classification over the part's snapshot rows; its
-            # columns also drive publication.
-            with clock.phase("classification"), tracer.span("classification"):
-                before = classify(part.rows, arrays.loads, system, "before")
+                # Phase 2: classification over the part's snapshot rows; its
+                # columns also drive publication.
+                with tracer.span("classification") as span:
+                    before = classify(part.rows, arrays.loads, system, "before")
+                clocked(span)
 
-            # Phase 3: publication, then the bottom-up VSA sweep.
-            with clock.phase("vsa"):
-                vsa_span = tracer.span("vsa")
-                published = self._publish_vsa_entries(part, arrays, before)
-                part_vsa, height, node_count = self._sweep_vsa(
-                    part, published, system.min_vs_load, stats
-                )
-                vsa_span.end()
-
-            # Phase 4: execute transfers.  Assignments that went stale
-            # because churn interleaved between VSA and VST are dropped,
-            # not fatal; transfers that abort mid-flight roll back and
-            # land in ``failed``.
-            with clock.phase("vst"), tracer.span("vst"):
-                if pending is not None and membership is not None:
-                    transfers += self._execute_transfers_with_partition(
-                        part_vsa.assignments, pending, skipped, failed, stats
+                # Phase 3: publication, then the bottom-up VSA sweep.
+                with tracer.span("vsa") as span:
+                    published = self._publish_vsa_entries(part, arrays, before)
+                    part_vsa, height, node_count = self._sweep_vsa(
+                        part, published, system.min_vs_load, stats
                     )
-                else:
-                    transfers += execute_transfers(
-                        part.ring, part_vsa.assignments, self.oracle,
-                        skipped=skipped, tracer=tracer, faults=faults,
-                        failed=failed, fault_stats=stats, journal=self.journal,
-                        adversary=self.adversary,
-                    )
+                clocked(span)
 
-            balanced.append((part, system, before))
-            traces.append(trace)
-            vsa.assignments += part_vsa.assignments
-            vsa.unassigned_heavy += part_vsa.unassigned_heavy
-            vsa.unassigned_light += part_vsa.unassigned_light
-            vsa.rounds = max(vsa.rounds, part_vsa.rounds)
-            vsa.upward_messages += part_vsa.upward_messages
-            vsa.entries_published += part_vsa.entries_published
-            vsa.entries_lost += part_vsa.entries_lost
-            vsa.pairings_by_level.update(part_vsa.pairings_by_level)
-            tree_height = max(tree_height, height)
-            tree_nodes += node_count
+                # Phase 4: execute transfers.  Assignments that went stale
+                # because churn interleaved between VSA and VST are dropped,
+                # not fatal; transfers that abort mid-flight roll back and
+                # land in ``failed``.
+                with tracer.span("vst") as span:
+                    if pending is not None and membership is not None:
+                        transfers += self._execute_transfers_with_partition(
+                            part_vsa.assignments, pending, skipped, failed, stats
+                        )
+                    else:
+                        transfers += execute_transfers(
+                            part.ring, part_vsa.assignments, self.oracle,
+                            skipped=skipped, tracer=tracer, faults=faults,
+                            failed=failed, fault_stats=stats, journal=self.journal,
+                            adversary=self.adversary,
+                        )
+                clocked(span)
 
-        aggregation = AggregationTrace(
-            tree_height=max([t.tree_height for t in traces], default=0),
-            upward_rounds=max([t.upward_rounds for t in traces], default=0),
-            downward_rounds=max([t.downward_rounds for t in traces], default=0),
-            upward_messages=sum(t.upward_messages for t in traces),
-            downward_messages=sum(t.downward_messages for t in traces),
-            reports=sum(t.reports for t in traces),
-        )
-        if view is None:
-            system = balanced[0][1]
-        else:
-            total_load = 0.0
-            total_capacity = 0.0
-            min_vs_load = float("inf")
-            for _, part_system, _ in balanced:
-                total_load += part_system.total_load
-                total_capacity += part_system.total_capacity
-                min_vs_load = min(min_vs_load, part_system.min_vs_load)
-            if total_capacity <= 0:
-                # Every component lost every report: degrade to the sum
-                # of the advertised node capacities so the round still
-                # reports a well-formed (if uninformative) aggregate.
-                total_capacity = sum(arrays.capacities.tolist())
-                total_load = float(np.sum(arrays.loads))
-            system = SystemLBI(
-                total_load=total_load,
-                total_capacity=total_capacity,
-                min_vs_load=min_vs_load,
+                balanced.append((part, system, before))
+                traces.append(trace)
+                vsa.assignments += part_vsa.assignments
+                vsa.unassigned_heavy += part_vsa.unassigned_heavy
+                vsa.unassigned_light += part_vsa.unassigned_light
+                vsa.rounds = max(vsa.rounds, part_vsa.rounds)
+                vsa.upward_messages += part_vsa.upward_messages
+                vsa.entries_published += part_vsa.entries_published
+                vsa.entries_lost += part_vsa.entries_lost
+                vsa.pairings_by_level.update(part_vsa.pairings_by_level)
+                tree_height = max(tree_height, height)
+                tree_nodes += node_count
+
+            aggregation = AggregationTrace(
+                tree_height=max([t.tree_height for t in traces], default=0),
+                upward_rounds=max([t.upward_rounds for t in traces], default=0),
+                downward_rounds=max([t.downward_rounds for t in traces], default=0),
+                upward_messages=sum(t.upward_messages for t in traces),
+                downward_messages=sum(t.downward_messages for t in traces),
+                reports=sum(t.reports for t in traces),
             )
+            if view is None:
+                system = balanced[0][1]
+            else:
+                total_load = 0.0
+                total_capacity = 0.0
+                min_vs_load = float("inf")
+                for _, part_system, _ in balanced:
+                    total_load += part_system.total_load
+                    total_capacity += part_system.total_capacity
+                    min_vs_load = min(min_vs_load, part_system.min_vs_load)
+                if total_capacity <= 0:
+                    # Every component lost every report: degrade to the sum
+                    # of the advertised node capacities so the round still
+                    # reports a well-formed (if uninformative) aggregate.
+                    total_capacity = sum(arrays.capacities.tolist())
+                    total_load = float(np.sum(arrays.loads))
+                system = SystemLBI(
+                    total_load=total_load,
+                    total_capacity=total_capacity,
+                    min_vs_load=min_vs_load,
+                )
 
-        # After the VST: nodes crashed mid-batch drop out of their part's
-        # classification (their rows stay in ``loads_after``); in a
-        # quarantine re-tiled round they sit out neutral instead, like
-        # the excluded nodes.  Only faulted rounds have crash victims.
-        loads_after = _loads_after(alive, arrays, vsa.assignments, stats)
-        crashed = np.isin(arrays.indices, stats.crashed_nodes)
-        after = [
-            classify(part.rows & ~crashed, loads_after, part_system, "after")
-            for part, part_system, _ in balanced
-        ]
-        retiled = view is None and parts[0].ring is not ring
-        idle_after = idle | crashed if retiled else idle
-        classification_before = ClassificationResult.merge(
-            [before for _, _, before in balanced],
-            arrays.indices[idle],
-            arrays.loads[idle],
-        )
-        classification_after = ClassificationResult.merge(
-            after, arrays.indices[idle_after], loads_after[idle_after]
-        )
-        if faults is not None:
-            stats.injected_total = faults.injected
-            stats.signature = faults.signature()
-        self._finalize_adversary_stats(adv_stats, transfers)
-        round_span.end(
-            transfers=len(transfers),
-            moved_load=float(sum(t.load for t in transfers)),
-            heavy_after=classification_after.counts()["heavy"],
-            failed_transfers=len(failed),
-            faults_injected=stats.injected_total,
-        )
-
-        report = BalanceReport(
-            config=cfg,
-            system_lbi=system,
-            num_nodes=len(alive),
-            num_virtual_servers=ring.num_virtual_servers,
-            node_indices=arrays.indices,
-            capacities=arrays.capacities,
-            loads_before=arrays.loads,
-            loads_after=loads_after,
-            classification_before=classification_before,
-            classification_after=classification_after,
-            aggregation=aggregation,
-            vsa=vsa,
-            transfers=transfers,
-            skipped_assignments=skipped,
-            failed_assignments=failed,
-            fault_stats=stats,
-            adversary_stats=adv_stats,
-            tree_height=tree_height,
-            tree_nodes_materialized=tree_nodes,
-            in_flight_before=in_flight,
-            in_flight_after=(
-                membership.in_flight_load if membership is not None else 0.0
-            ),
-            phase_seconds=clock.seconds,
-        )
-        report.profile = profile_from_report(report)
+            # After the VST: nodes crashed mid-batch drop out of their part's
+            # classification (their rows stay in ``loads_after``); in a
+            # quarantine re-tiled round they sit out neutral instead, like
+            # the excluded nodes.  Only faulted rounds have crash victims.
+            loads_after = _loads_after(alive, arrays, vsa.assignments, stats)
+            crashed = np.isin(arrays.indices, stats.crashed_nodes)
+            after = [
+                classify(part.rows & ~crashed, loads_after, part_system, "after")
+                for part, part_system, _ in balanced
+            ]
+            retiled = view is None and parts[0].ring is not ring
+            idle_after = idle | crashed if retiled else idle
+            classification_before = ClassificationResult.merge(
+                [before for _, _, before in balanced],
+                arrays.indices[idle],
+                arrays.loads[idle],
+            )
+            classification_after = ClassificationResult.merge(
+                after, arrays.indices[idle_after], loads_after[idle_after]
+            )
+            if faults is not None:
+                stats.injected_total = faults.injected
+                stats.signature = faults.signature()
+            self._finalize_adversary_stats(adv_stats, transfers)
+            report = BalanceReport(
+                config=cfg,
+                system_lbi=system,
+                num_nodes=len(alive),
+                num_virtual_servers=ring.num_virtual_servers,
+                node_indices=arrays.indices,
+                capacities=arrays.capacities,
+                loads_before=arrays.loads,
+                loads_after=loads_after,
+                classification_before=classification_before,
+                classification_after=classification_after,
+                aggregation=aggregation,
+                vsa=vsa,
+                transfers=transfers,
+                skipped_assignments=skipped,
+                failed_assignments=failed,
+                fault_stats=stats,
+                adversary_stats=adv_stats,
+                tree_height=tree_height,
+                tree_nodes_materialized=tree_nodes,
+                in_flight_before=in_flight,
+                in_flight_after=(
+                    membership.in_flight_load if membership is not None else 0.0
+                ),
+                phase_seconds=phase_seconds,
+            )
+            round_span.end(
+                transfers=len(report.transfers),
+                moved_load=float(report.moved_load),
+                heavy_after=report.heavy_after,
+                failed_transfers=len(report.failed_assignments),
+                faults_injected=report.fault_stats.injected_total,
+            )
         if self.metrics is not None:
             self._record_metrics(report)
         return report
@@ -1212,7 +1218,6 @@ class LoadBalancer:
         m = self.metrics
         assert m is not None
         m.counter("balancer.rounds").inc()
-        assert report.profile is not None
         for phase in report.profile.phases:
             m.counter(f"{phase.name}.messages").inc(phase.messages)
             m.histogram(f"{phase.name}.seconds").observe(phase.seconds)

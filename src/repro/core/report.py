@@ -27,7 +27,7 @@ from repro.core.records import (
 from repro.core.vsa import VSAResult
 from repro.core.vst import TransferRecord
 from repro.faults.stats import FaultRoundStats
-from repro.obs.profile import RoundProfile
+from repro.obs.profile import RoundProfile, profile_from_report
 from repro.util.stats import summary, weighted_fraction_within
 
 
@@ -76,11 +76,9 @@ class BalanceReport:
     in_flight_before: float = 0.0
     in_flight_after: float = 0.0
     #: Wall-clock seconds per phase ("lbi", "classification", "vsa", "vst") —
-    #: simulator execution time, not the protocol's simulated time.
+    #: simulator execution time, not the protocol's simulated time; each
+    #: is the phase span's ``seconds`` (summed over partition components).
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Per-phase cost profile (seconds, messages, phase detail); populated
-    #: by the balancer for every round, tracing enabled or not.
-    profile: RoundProfile | None = None
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -94,6 +92,11 @@ class BalanceReport:
     def unit_loads_after(self) -> np.ndarray:
         """Load per capacity after balancing (figure 4(b) y-axis)."""
         return self.loads_after / self.capacities
+
+    @property
+    def profile(self) -> RoundProfile:
+        """Per-phase cost profile (seconds, messages, phase detail)."""
+        return profile_from_report(self)
 
     @property
     def moved_load(self) -> float:
@@ -168,8 +171,9 @@ class BalanceReport:
         The digest covers the full round outcome bit-for-bit — config,
         aggregate, load arrays, classifications, every assignment,
         transfer and fault statistic — but deliberately excludes the
-        wall-clock measurements (``phase_seconds`` and ``profile``),
-        which vary run to run without the protocol behaving differently.
+        wall-clock measurements (``phase_seconds`` and the ``profile``
+        built on them), which vary run to run without the protocol
+        behaving differently.
         Two rounds are byte-identical iff their digests match; the
         engine-identity contract (serial == incremental, crashed and
         recovered == uncrashed) is asserted in exactly these terms.
@@ -303,7 +307,7 @@ class BalanceReport:
             "tree_height": self.tree_height,
             "moved_within_2": self.moved_load_within(2),
             "moved_within_10": self.moved_load_within(10),
-            "phases": self.profile.to_dict() if self.profile is not None else None,
+            "phases": self.profile.to_dict(),
             "faults": self.fault_stats.to_dict(),
             "adversary": self.adversary_stats.to_dict(),
         }

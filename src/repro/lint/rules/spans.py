@@ -30,9 +30,10 @@ from repro.lint.rules.base import Rule, iter_function_defs, walk_body
 #: The ``lbi`` entries and ``reference``'s ``VSASweep.run`` are the
 #: object-walk reference kernels; ``LoadBalancer._fold_lbi``,
 #: ``_sweep_vsa`` and ``classify_arrays`` are the array kernels every
-#: balancing round runs.
+#: balancing round runs, and ``LoadBalancer._balance`` opens the round
+#: and phase spans that time them.
 PHASE_ENTRY_POINTS: dict[str, frozenset[str]] = {
-    "balancer": frozenset({"run_round", "_fold_lbi", "_sweep_vsa"}),
+    "balancer": frozenset({"run_round", "_balance", "_fold_lbi", "_sweep_vsa"}),
     "lbi": frozenset({"collect_lbi_reports", "aggregate_lbi"}),
     "classification": frozenset({"classify_all", "classify_arrays"}),
     "reference": frozenset({"run"}),

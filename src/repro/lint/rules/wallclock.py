@@ -4,9 +4,10 @@ The balancing protocol's behaviour must be a pure function of the
 scenario seed; a wall-clock read in ``core``/``dht``/``ktree``/``sim``
 is either dead weight or — far worse — a hidden input that makes runs
 unrepeatable (e.g. a timing-dependent tie-break).  Measurement belongs
-to the observability layer: :class:`repro.obs.trace.Tracer` spans and
-:class:`repro.obs.profile.PhaseClock` own ``time.perf_counter`` and
-expose timings without letting them feed back into protocol decisions.
+to the observability layer: :class:`repro.obs.trace.Tracer` spans own
+``time.perf_counter`` (they time a block whether or not tracing is on)
+and expose timings without letting them feed back into protocol
+decisions.
 
 Flagged in protocol modules:
 
@@ -58,7 +59,7 @@ class NoWallclockRule(Rule):
     severity = Severity.ERROR
     description = (
         "time.time/perf_counter/monotonic are forbidden in core/dht/ktree/sim; "
-        "route timing through repro.obs (PhaseClock, Tracer spans)"
+        "route timing through repro.obs Tracer spans"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -81,14 +82,14 @@ class NoWallclockRule(Rule):
                     self,
                     node,
                     f"wall-clock read {'.'.join(chain)}() in protocol code; "
-                    "use repro.obs.profile.PhaseClock or a Tracer span",
+                    "time the block with a repro.obs Tracer span",
                 )
             elif len(chain) == 1 and chain[0] in from_time:
                 yield ctx.finding(
                     self,
                     node,
                     f"wall-clock read {chain[0]}() (imported from time) in "
-                    "protocol code; use repro.obs.profile.PhaseClock",
+                    "protocol code; time the block with a repro.obs Tracer span",
                 )
             elif chain[-1] in _DATETIME_FUNCS and "datetime" in chain:
                 yield ctx.finding(
@@ -108,7 +109,7 @@ class NoWallclockRule(Rule):
                 fn.node,
                 f"protocol function '{fn.qname}' transitively reaches a "
                 f"wall-clock read: {chain.render(analysis.site_path(chain.site))}; "
-                "route timing through repro.obs (PhaseClock, Tracer spans)",
+                "route timing through repro.obs Tracer spans",
             )
 
     @staticmethod

@@ -24,7 +24,7 @@ flags work.  See ``docs/observability.md`` for the operator's guide.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import PhaseClock, PhaseProfile, RoundProfile, profile_from_report
+from repro.obs.profile import PhaseProfile, RoundProfile, profile_from_report
 from repro.obs.runtime import current_metrics, current_tracer, observe, set_metrics, set_tracer
 from repro.obs.sinks import ConsoleSink, InMemorySink, JSONLSink, NullSink, Sink
 from repro.obs.trace import NULL_TRACER, Span, TraceRecord, Tracer
@@ -34,7 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseClock",
     "PhaseProfile",
     "RoundProfile",
     "profile_from_report",

@@ -6,8 +6,8 @@ VST — each carrying wall-clock seconds, the message count the phase put
 on the wire, and phase-specific detail (reports merged, pairings per KT
 level, load moved over what distance).  It is cheap to build (pure
 arithmetic over traces the round already collected, no tracing
-required), so :class:`~repro.core.report.BalanceReport` carries one
-unconditionally.
+required), so :attr:`~repro.core.report.BalanceReport.profile` builds
+one for every round.
 
 The message accounting matches the paper's cost model: LBI counts both
 tree sweeps, classification is a purely local computation (zero
@@ -18,9 +18,7 @@ one transfer message per executed virtual-server move.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from types import TracebackType
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (report imports profile)
@@ -28,66 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (report imports profile)
 
 #: Canonical phase order of the protocol.
 PHASE_ORDER = ("lbi", "classification", "vsa", "vst")
-
-
-class PhaseClock:
-    """Measures per-phase wall-clock durations on behalf of protocol code.
-
-    Protocol modules (``core``/``dht``/``ktree``/``sim``) are forbidden
-    from reading the clock directly — a wall-clock value that leaks into
-    a protocol decision silently breaks the runs-are-a-pure-function-of-
-    the-seed contract (enforced by the ``no-wallclock-in-protocol`` lint
-    rule).  ``PhaseClock`` is the sanctioned indirection: it owns
-    ``time.perf_counter`` inside the observability layer and hands the
-    protocol only *completed* durations, which are measurement outputs
-    to report, never inputs to branch on.
-
-    Usage::
-
-        clock = PhaseClock()
-        with clock.phase("lbi"):
-            ...  # phase 1 work
-        clock.seconds  # {"lbi": 0.0123}
-
-    Re-entering a phase name accumulates (useful for phases split across
-    several blocks).  The mapping in :attr:`seconds` is a plain dict and
-    can be stored on a report directly.
-    """
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds: dict[str, float] = {}
-
-    def phase(self, name: str) -> "_PhaseTimer":
-        """A context manager timing one ``with`` block under ``name``."""
-        return _PhaseTimer(self, name)
-
-
-class _PhaseTimer:
-    """Context manager accumulating one block's duration into a clock."""
-
-    __slots__ = ("_clock", "_name", "_t0")
-
-    def __init__(self, clock: PhaseClock, name: str) -> None:
-        self._clock = clock
-        self._name = name
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        elapsed = time.perf_counter() - self._t0
-        self._clock.seconds[self._name] = (
-            self._clock.seconds.get(self._name, 0.0) + elapsed
-        )
 
 
 @dataclass(frozen=True)

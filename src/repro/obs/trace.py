@@ -16,10 +16,17 @@ span id so consumers can rebuild the span tree.  All domain payload
 ``fields`` dict — the schema per event name is documented in
 ``docs/observability.md``.
 
+Every :class:`Span` is also the clock of the block it encloses: once
+ended, ``span.seconds`` holds its duration, and that one value is what
+``span_end`` records and what the balancer reports as
+``phase_seconds`` — the trace and the report share one clock.
+
 Zero-overhead contract: the module-level :data:`NULL_TRACER` is
-permanently disabled; its :meth:`Tracer.span` returns a shared inert
-span and :meth:`Tracer.event` returns immediately.  Hot paths guard
-bulk work (per-message loops, dict building) behind ``tracer.enabled``.
+permanently disabled.  A disabled (or muted) tracer still times its
+spans but writes no records: its spans take no id, go on no stack and
+advance no ``seq``, and :meth:`Tracer.event` returns immediately.  Hot
+paths guard bulk work (per-message loops, dict building) behind
+``tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -68,9 +75,14 @@ class TraceRecord:
 
 
 class Span:
-    """A live span; use as a context manager or call :meth:`end` directly."""
+    """A timed span; use as a context manager or call :meth:`end` directly.
 
-    __slots__ = ("tracer", "name", "span_id", "parent_id", "_t0", "_ended")
+    ``seconds`` is the span's duration once it has ended (0.0 while it
+    is open).  A span of a disabled tracer has ``span_id`` 0 and writes
+    no records, but is timed all the same.
+    """
+
+    __slots__ = ("tracer", "name", "span_id", "parent_id", "seconds", "_t0", "_ended")
 
     def __init__(
         self, tracer: "Tracer", name: str, span_id: int, parent_id: int | None
@@ -80,6 +92,7 @@ class Span:
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
+        self.seconds = 0.0
         self._t0 = time.perf_counter()
         self._ended = False
 
@@ -92,37 +105,18 @@ class Span:
         if self._ended:
             return
         self._ended = True
-        fields["seconds"] = time.perf_counter() - self._t0
-        tracer = self.tracer
-        tracer._emit("span_end", self.name, self.span_id, self.parent_id, fields)
-        tracer._stack.pop()
+        self.seconds = time.perf_counter() - self._t0
+        if self.span_id:
+            fields["seconds"] = self.seconds
+            tracer = self.tracer
+            tracer._emit("span_end", self.name, self.span_id, self.parent_id, fields)
+            tracer._stack.pop()
 
     def __enter__(self) -> "Span":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.end()
-
-
-class _NullSpan:
-    """The inert span handed out by a disabled tracer."""
-
-    __slots__ = ()
-
-    def event(self, name: str, **fields: Any) -> None:
-        """No-op."""
-
-    def end(self, **fields: Any) -> None:
-        """No-op."""
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class Tracer:
@@ -132,8 +126,8 @@ class Tracer:
     ----------
     sink:
         Destination for records.  ``None`` (or a :class:`NullSink`)
-        produces a *disabled* tracer: ``enabled`` is False and every
-        call is a near-free no-op.
+        produces a *disabled* tracer: ``enabled`` is False and no call
+        writes a record (spans are still timed).
 
     Examples
     --------
@@ -193,10 +187,13 @@ class Tracer:
         self._seq += 1
         self.sink.emit(record)
 
-    def span(self, name: str, **fields: Any) -> Span | _NullSpan:
-        """Open a child span of the current one (root span otherwise)."""
+    def span(self, name: str, **fields: Any) -> Span:
+        """Open a child span of the current one (root span otherwise).
+
+        A disabled tracer's span is timed but records nothing.
+        """
         if not self.enabled:
-            return _NULL_SPAN
+            return Span(self, name, 0, None)
         parent_id = self._stack[-1].span_id if self._stack else None
         span_id = self._next_span_id
         self._next_span_id += 1

@@ -2,7 +2,8 @@
 
 These keep DESIGN.md / EXPERIMENTS.md / README.md honest: every bench
 file they name exists, every registered experiment is run by a tier-1
-test, and every example the README advertises is a runnable file.
+test, every example the README advertises is a runnable file, and
+docs/observability.md's span table lists the fields a round emits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from tests.test_obs_integration import traced_partitioned_round
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -138,3 +141,26 @@ class TestRegistryCoverage:
         cfg = tomllib.loads((REPO / "pyproject.toml").read_text())
         patterns = cfg["tool"]["pytest"]["ini_options"]["python_files"]
         assert "bench_*.py" in patterns
+
+
+def test_span_table_lists_every_emitted_field():
+    """docs/observability.md's span table names exactly the fields a
+    traced, faulted, partitioned round writes on each span record."""
+    text = (REPO / "docs" / "observability.md").read_text()
+    table = text.split("| span | start fields | end fields |", 1)[1]
+    listed = set()
+    for row in table.split("\n\n", 1)[0].splitlines()[2:]:
+        spans, start, end = (
+            re.findall(r"`([a-z_]+)`", cell) for cell in row.split("|")[1:4]
+        )
+        for span in spans:
+            listed.add((span, "span_start", frozenset(start)))
+            listed.add((span, "span_end", frozenset(end)))
+
+    tracer, _ = traced_partitioned_round()
+    emitted = {
+        (r.name, r.kind, frozenset(r.fields))
+        for r in tracer.sink.records
+        if r.kind != "event"
+    }
+    assert emitted == listed

@@ -365,6 +365,32 @@ class TestObsSpanCoverage:
         assert len(findings) == 1
         assert "classify_arrays" in findings[0].message
 
+    def test_flags_uninstrumented_round_body(self, tmp_path):
+        # ``_balance`` opens the round and phase spans, so the registry
+        # requires it to reach the tracer like the kernels it times.
+        findings = lint(
+            tmp_path,
+            "repro/core/balancer.py",
+            """
+            class LoadBalancer:
+                def run_round(self):
+                    self.tracer.event("round.degraded")
+                    return self._balance()
+
+                def _balance(self):
+                    return self._sweep_vsa(self._fold_lbi())
+
+                def _fold_lbi(self):
+                    self.tracer.event("lbi.aggregate")
+
+                def _sweep_vsa(self, folded):
+                    self.tracer.event("vsa.sweep")
+            """,
+            ObsSpanCoverageRule(),
+        )
+        assert len(findings) == 1
+        assert "LoadBalancer._balance" in findings[0].message
+
     def test_allows_instrumented_entry_point(self, tmp_path):
         findings = lint(
             tmp_path,

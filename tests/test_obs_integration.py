@@ -10,7 +10,9 @@ import pytest
 
 from repro.app import P2PSystem, SystemConfig
 from repro.core import BalancerConfig, LoadBalancer
+from repro.faults import FaultPlan, PartitionSpec
 from repro.obs import MetricsRegistry, Tracer, observe
+from repro.obs.profile import PHASE_ORDER
 from repro.workloads import GaussianLoadModel, build_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -28,6 +30,28 @@ def traced_round():
         system.put(f"obj-{i}", load=float(1 + (i % 17) * 40))
     report = system.rebalance()
     return system, tracer, metrics, report
+
+
+def traced_partitioned_round():
+    """One traced round split into two components, with message drops."""
+    scenario = build_scenario(
+        GaussianLoadModel(mu=1e6, sigma=2e3),
+        num_nodes=48, vs_per_node=5, rng=5,
+    )
+    plan = FaultPlan(
+        seed=3,
+        drop=0.05,
+        partitions=(PartitionSpec(at_round=0, duration=1, num_components=2),),
+    )
+    tracer = Tracer.in_memory()
+    balancer = LoadBalancer(
+        scenario.ring,
+        BalancerConfig(proximity_mode="ignorant", epsilon=0.05),
+        rng=9,
+        faults=plan,
+        tracer=tracer,
+    )
+    return tracer, balancer.run_round()
 
 
 class TestSpanTree:
@@ -207,3 +231,22 @@ class TestZeroOverheadDefault:
         d = report.to_dict()
         assert set(d["phases"]) == {"lbi", "classification", "vsa", "vst"}
         assert d["phases"]["vst"]["messages"] == len(report.transfers)
+
+
+class TestOneClock:
+    """Each phase span is the clock its ``phase_seconds`` entry reads."""
+
+    def test_phase_span_seconds_are_phase_seconds(self, traced_round):
+        _, tracer, _, report = traced_round
+        for phase in PHASE_ORDER:
+            (end,) = tracer.sink.spans(phase)
+            assert end.fields["seconds"] == report.phase_seconds[phase]
+
+    def test_partitioned_round_sums_its_component_spans(self):
+        tracer, report = traced_partitioned_round()
+        for phase in PHASE_ORDER:
+            ends = tracer.sink.spans(phase)
+            assert len(ends) == 2
+            assert sum(e.fields["seconds"] for e in ends) == (
+                report.phase_seconds[phase]
+            )

@@ -300,6 +300,29 @@ class TestContinueAfterFinishedRound:
         finally:
             second.close()
 
+    def test_crashed_round_closes_its_spans(self, tmp_path):
+        """The round a crash cuts short still ends its spans, so the
+        rounds run after recovery are roots, not its children."""
+        plan = _plan(CrashPoint(at_round=1, site="post-lbi-fold"))
+        tracer = Tracer.in_memory()
+        manager = RecoveryManager(
+            _factory(plan, "incremental", tracer=tracer),
+            state_dir=tmp_path,
+            tracer=tracer,
+        )
+        try:
+            manager.run_rounds(3)
+        finally:
+            manager.close()
+        assert manager.restores == 1
+        records = [r for r in tracer.sink.records if r.name == "round"]
+        starts = [r for r in records if r.kind == "span_start"]
+        ends = [r for r in records if r.kind == "span_end"]
+        assert len(starts) == 4  # rounds 0-2 and the crashed attempt at 1
+        assert sorted(r.span_id for r in ends) == [r.span_id for r in starts]
+        assert all(r.parent_id is None for r in records)
+        assert tracer._stack == []
+
 
 class TestRestartAtEveryRecordBoundary:
     """A true restart after an OS crash at any point of a round in flight.
