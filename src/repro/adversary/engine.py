@@ -103,6 +103,8 @@ class AdversaryEngine:
             self._audit_rng,
         ) = spawn_rngs(ensure_rng(plan.seed), 3)
         self.log: list[AdversaryAction] = []
+        #: Running SHA-256 over the log's entry keys, fed at append.
+        self._signer = hashlib.sha256()
         self._behavior_of: dict[int, str] | None = None
         self._accused: dict[int, int] = {}
         self._reneged: list[tuple[int, int]] = []
@@ -114,6 +116,7 @@ class AdversaryEngine:
             seq=len(self.log), behavior=behavior, node=node, subject=subject
         )
         self.log.append(action)
+        self._signer.update(action.key().encode("utf-8") + b"\x00")
         if self.metrics is not None:
             self.metrics.counter("adversary.actions").inc()
             self.metrics.counter(f"adversary.{behavior}").inc()
@@ -146,16 +149,22 @@ class AdversaryEngine:
     def signature(self) -> str:
         """SHA-256 over the ordered action log (reproducibility witness).
 
-        Empty string while no action has fired, so an armed-but-dormant
-        plan leaves report digests identical to a plan-free run.
+        Each entry's ``key()`` plus a NUL byte, in log order; the hash
+        runs alongside the log, so a call costs the same at any history
+        length.  Empty string while no action has fired, so an
+        armed-but-dormant plan leaves report digests identical to a
+        plan-free run.
         """
         if not self.log:
             return ""
-        digest = hashlib.sha256()
-        for action in self.log:
-            digest.update(action.key().encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
+        return self._signer.copy().hexdigest()
+
+    def _restore_log(self, log: list[AdversaryAction]) -> None:
+        """Replace the log (a snapshot restore) and re-hash it once."""
+        self.log = log
+        self._signer = hashlib.sha256()
+        for action in log:
+            self._signer.update(action.key().encode("utf-8") + b"\x00")
 
     # -- round lifecycle -------------------------------------------------
     def _arm(self, alive_indices: Sequence[int]) -> None:

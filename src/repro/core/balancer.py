@@ -658,7 +658,7 @@ class LoadBalancer:
             )
             round_span.end(
                 transfers=len(report.transfers),
-                moved_load=float(report.moved_load),
+                moved_load=report.moved_load,
                 heavy_after=report.heavy_after,
                 failed_transfers=len(report.failed_assignments),
                 faults_injected=report.fault_stats.injected_total,

@@ -111,10 +111,13 @@ class ClassificationResult:
         neutral = len(self.indices) - heavy - light
         return {"heavy": heavy, "light": light, "neutral": neutral}
 
+    def row_codes(self) -> np.ndarray:
+        """Each row's class code (``0`` heavy, ``1`` light, ``2`` neutral)."""
+        return np.where(self.heavy_rows, 0, np.where(self.light_rows, 1, 2))
+
     def row_classes(self) -> list[NodeClass]:
         """Each row's class, in row order."""
-        codes = np.where(self.heavy_rows, 0, np.where(self.light_rows, 1, 2))
-        return _CLASSES[codes].tolist()
+        return _CLASSES[self.row_codes()].tolist()
 
     @cached_property
     def classes(self) -> dict[int, NodeClass]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.core.lbi import AggregationTrace
 from repro.core.records import (
     CONSERVATION_RTOL,
     Assignment,
+    NodeClass,
     SystemLBI,
     assert_loads_conserved,
 )
@@ -29,6 +30,78 @@ from repro.core.vst import TransferRecord
 from repro.faults.stats import FaultRoundStats
 from repro.obs.profile import RoundProfile, profile_from_report
 from repro.util.stats import summary, weighted_fraction_within
+
+
+# ----------------------------------------------------------------------
+# Canonical JSON text, member by member
+# ----------------------------------------------------------------------
+# Every helper returns a JSON text exactly as
+# ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` writes
+# the value it stands for.  The strings written by hand (node-index
+# keys, class names, ``float.hex`` forms) never need escaping, and the
+# integers in a record are plain ``int`` (``json`` writes its ``repr``).
+# ``float.hex`` is exact: two floats share a hex form iff they are the
+# same double, so digests never collide or split on formatting.
+
+#: A row class's JSON string, by row code (see
+#: :meth:`~repro.core.classification.ClassificationResult.row_codes`).
+_CLASS_JSON = tuple(
+    json.dumps(c.value)
+    for c in (NodeClass.HEAVY, NodeClass.LIGHT, NodeClass.NEUTRAL)
+)
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+#: the encoder built once.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_object(members: Mapping[str, str]) -> str:
+    """An object from already-encoded member texts, keys in sorted order."""
+    pairs = [f'"{key}":{members[key]}' for key in sorted(members)]
+    return "{" + ",".join(pairs) + "}"
+
+
+def _json_array(items: list[str]) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def _array_hash(values: np.ndarray) -> str:
+    """A column's SHA-256, as a JSON string."""
+    digest = hashlib.sha256(np.ascontiguousarray(values).tobytes())
+    return f'"{digest.hexdigest()}"'
+
+
+def _hex_floats(fields: Mapping[str, Any]) -> dict[str, Any]:
+    return {
+        k: (v.hex() if isinstance(v, float) else v) for k, v in fields.items()
+    }
+
+
+def _assignments_json(assignments: Sequence[Assignment]) -> str:
+    return _json_array(
+        [
+            f'["{float(a.candidate.load).hex()}",{a.candidate.vs_id},'
+            f"{a.candidate.node_index},{a.target_node},{a.level}]"
+            for a in assignments
+        ]
+    )
+
+
+def _classification_json(c: ClassificationResult) -> str:
+    """``{"classes": {...}, "targets": {...}}``, keyed by ``str(index)``.
+
+    A sorted dump orders the keys as strings (``"10"`` before ``"9"``),
+    so the rows are written in that order; node indices are unique.
+    """
+    keys = list(map(str, c.indices.tolist()))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    codes = c.row_codes().tolist()
+    column = np.asarray(c.row_targets, dtype=np.float64)
+    targets = list(map(float.hex, column.tolist()))
+    classes = ",".join([f'"{keys[r]}":{_CLASS_JSON[codes[r]]}' for r in order])
+    hexes = ",".join([f'"{keys[r]}":"{targets[r]}"' for r in order])
+    return f'{{"classes":{{{classes}}},"targets":{{{hexes}}}}}'
 
 
 @dataclass
@@ -100,8 +173,8 @@ class BalanceReport:
 
     @property
     def moved_load(self) -> float:
-        """Total load moved by executed transfers."""
-        return sum(t.load for t in self.transfers)
+        """Total load moved by executed transfers (``0.0`` with none)."""
+        return sum((t.load for t in self.transfers), 0.0)
 
     @property
     def transfer_distances(self) -> np.ndarray:
@@ -177,117 +250,99 @@ class BalanceReport:
         Two rounds are byte-identical iff their digests match; the
         engine-identity contract (serial == incremental, crashed and
         recovered == uncrashed) is asserted in exactly these terms.
+        The hashed bytes are :meth:`canonical_text`.
         """
+        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
-        def floats(values: Any) -> list[str]:
-            # float.hex() is exact: two floats share a hex form iff they
-            # are the same double, so digests can never collide or split
-            # on formatting.
-            return [float(v).hex() for v in values]
+    def canonical_text(self) -> str:
+        """The JSON text :meth:`canonical_digest` hashes.
 
-        def assignment(a: Assignment) -> list[Any]:
-            return [
-                float(a.candidate.load).hex(),
-                a.candidate.vs_id,
-                a.candidate.node_index,
-                a.target_node,
-                a.level,
-            ]
-
-        def classification(c: ClassificationResult) -> dict[str, Any]:
-            # Keyed by node index as a string; the dump sorts the keys.
-            keys = [str(i) for i in c.indices.tolist()]
-            return {
-                "classes": dict(zip(keys, [cls.value for cls in c.row_classes()])),
-                "targets": dict(zip(keys, floats(c.row_targets.tolist()))),
-            }
-
-        payload: dict[str, Any] = {
-            "config": {
-                k: (v.hex() if isinstance(v, float) else v)
-                for k, v in sorted(asdict(self.config).items())
-            },
-            "system_lbi": floats(
-                (
-                    self.system_lbi.total_load,
-                    self.system_lbi.total_capacity,
-                    self.system_lbi.min_vs_load,
-                )
-            ),
-            "num_nodes": self.num_nodes,
-            "num_virtual_servers": self.num_virtual_servers,
-            "node_indices": hashlib.sha256(
-                np.ascontiguousarray(self.node_indices).tobytes()
-            ).hexdigest(),
-            "capacities": hashlib.sha256(
-                np.ascontiguousarray(self.capacities).tobytes()
-            ).hexdigest(),
-            "loads_before": hashlib.sha256(
-                np.ascontiguousarray(self.loads_before).tobytes()
-            ).hexdigest(),
-            "loads_after": hashlib.sha256(
-                np.ascontiguousarray(self.loads_after).tobytes()
-            ).hexdigest(),
-            "classification_before": classification(self.classification_before),
-            "classification_after": classification(self.classification_after),
-            "aggregation": [
-                self.aggregation.tree_height,
-                self.aggregation.upward_rounds,
-                self.aggregation.downward_rounds,
-                self.aggregation.upward_messages,
-                self.aggregation.downward_messages,
-                self.aggregation.reports,
-            ],
-            "vsa": {
-                "assignments": [assignment(a) for a in self.vsa.assignments],
-                "unassigned_heavy": [
-                    [float(c.load).hex(), c.vs_id, c.node_index]
-                    for c in self.vsa.unassigned_heavy
-                ],
-                "unassigned_light": [
-                    [float(s.delta).hex(), s.node_index]
-                    for s in self.vsa.unassigned_light
-                ],
-                "rounds": self.vsa.rounds,
-                "upward_messages": self.vsa.upward_messages,
-                "entries_published": self.vsa.entries_published,
-                "entries_lost": self.vsa.entries_lost,
-                "pairings_by_level": sorted(self.vsa.pairings_by_level.items()),
-            },
-            "transfers": [
+        Sorted keys, no whitespace, floats as ``float.hex``, load and
+        index arrays as their SHA-256.  It is written member by member:
+        the per-node sections straight from their columns, the small
+        ones through ``json``.
+        """
+        vsa = self.vsa
+        aggregation = self.aggregation
+        members = {
+            "config": _dumps(_hex_floats(asdict(self.config))),
+            "system_lbi": _dumps(
                 [
-                    t.vs_id,
-                    float(t.load).hex(),
-                    t.source_node,
-                    t.target_node,
-                    float(t.distance).hex(),
-                    t.level,
+                    float(self.system_lbi.total_load).hex(),
+                    float(self.system_lbi.total_capacity).hex(),
+                    float(self.system_lbi.min_vs_load).hex(),
                 ]
-                for t in self.transfers
-            ],
-            "skipped_assignments": [
-                assignment(a) for a in self.skipped_assignments
-            ],
-            "failed_assignments": [assignment(a) for a in self.failed_assignments],
-            "fault_stats": {
-                k: (v.hex() if isinstance(v, float) else v)
-                for k, v in sorted(self.fault_stats.to_dict().items())
-            },
+            ),
+            "num_nodes": _dumps(self.num_nodes),
+            "num_virtual_servers": _dumps(self.num_virtual_servers),
+            "node_indices": _array_hash(self.node_indices),
+            "capacities": _array_hash(self.capacities),
+            "loads_before": _array_hash(self.loads_before),
+            "loads_after": _array_hash(self.loads_after),
+            "classification_before": _classification_json(
+                self.classification_before
+            ),
+            "classification_after": _classification_json(
+                self.classification_after
+            ),
+            "aggregation": _dumps(
+                [
+                    aggregation.tree_height,
+                    aggregation.upward_rounds,
+                    aggregation.downward_rounds,
+                    aggregation.upward_messages,
+                    aggregation.downward_messages,
+                    aggregation.reports,
+                ]
+            ),
+            "vsa": _json_object(
+                {
+                    "assignments": _assignments_json(vsa.assignments),
+                    "unassigned_heavy": _json_array(
+                        [
+                            f'["{float(c.load).hex()}",{c.vs_id},'
+                            f"{c.node_index}]"
+                            for c in vsa.unassigned_heavy
+                        ]
+                    ),
+                    "unassigned_light": _json_array(
+                        [
+                            f'["{float(s.delta).hex()}",{s.node_index}]'
+                            for s in vsa.unassigned_light
+                        ]
+                    ),
+                    "rounds": _dumps(vsa.rounds),
+                    "upward_messages": _dumps(vsa.upward_messages),
+                    "entries_published": _dumps(vsa.entries_published),
+                    "entries_lost": _dumps(vsa.entries_lost),
+                    "pairings_by_level": _dumps(
+                        sorted(vsa.pairings_by_level.items())
+                    ),
+                }
+            ),
+            "transfers": _json_array(
+                [
+                    f'[{t.vs_id},"{float(t.load).hex()}",{t.source_node},'
+                    f'{t.target_node},"{float(t.distance).hex()}",{t.level}]'
+                    for t in self.transfers
+                ]
+            ),
+            "skipped_assignments": _assignments_json(self.skipped_assignments),
+            "failed_assignments": _assignments_json(self.failed_assignments),
+            "fault_stats": _dumps(_hex_floats(self.fault_stats.to_dict())),
             # Only the adversary's *protocol outcomes* are pinned; the
             # observational counters (audits sampled, envelope notes)
             # are excluded so an armed-but-dormant defense digests
             # identically to a run with no adversary plan at all.
-            "adversary_stats": {
-                k: (v.hex() if isinstance(v, float) else v)
-                for k, v in sorted(self.adversary_stats.digest_fields().items())
-            },
-            "tree_height": self.tree_height,
-            "tree_nodes_materialized": self.tree_nodes_materialized,
-            "in_flight_before": float(self.in_flight_before).hex(),
-            "in_flight_after": float(self.in_flight_after).hex(),
+            "adversary_stats": _dumps(
+                _hex_floats(self.adversary_stats.digest_fields())
+            ),
+            "tree_height": _dumps(self.tree_height),
+            "tree_nodes_materialized": _dumps(self.tree_nodes_materialized),
+            "in_flight_before": f'"{float(self.in_flight_before).hex()}"',
+            "in_flight_after": f'"{float(self.in_flight_after).hex()}"',
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _json_object(members)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly digest (scalars only; arrays summarised)."""

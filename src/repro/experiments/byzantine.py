@@ -170,7 +170,7 @@ def byzantine_row(
         honest_heavy_end=honest_heavy,
         damage=excess,
         transfers=sum(len(r.transfers) for r in reports),
-        moved_load=float(sum(r.moved_load for r in reports)),
+        moved_load=sum(r.moved_load for r in reports),
         signature=advs[-1].signature,
         final_digest=reports[-1].canonical_digest(),
     )

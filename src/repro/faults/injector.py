@@ -117,6 +117,8 @@ class FaultInjector:
             self._process_crash_rng,
         ) = spawn_rngs(ensure_rng(plan.seed), 8)
         self.log: list[InjectedFault] = []
+        #: Running SHA-256 over the log's entry keys, fed at append.
+        self._signer = hashlib.sha256()
         self._crashes_left = plan.crash_mid_round
         self._component_of: dict[int, int] | None = None
         self._current_round = -1
@@ -135,6 +137,7 @@ class FaultInjector:
             seq=len(self.log), kind=kind, phase=phase, subject=subject
         )
         self.log.append(fault)
+        self._signer.update(fault.key().encode("utf-8") + b"\x00")
         if self.metrics is not None:
             self.metrics.counter("faults.injected").inc()
             self.metrics.counter(f"faults.{kind.value}").inc()
@@ -155,14 +158,20 @@ class FaultInjector:
     def signature(self) -> str:
         """SHA-256 over the ordered fault log (reproducibility witness).
 
-        Two runs of the same scenario under the same plan must produce
-        the same signature; the acceptance tests assert exactly that.
+        Each entry's ``key()`` plus a NUL byte, in log order.  The hash
+        runs alongside the log, so a call costs the same at any history
+        length.  Two runs of the same scenario under the same plan must
+        produce the same signature; the acceptance tests assert exactly
+        that.
         """
-        digest = hashlib.sha256()
-        for fault in self.log:
-            digest.update(fault.key().encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
+        return self._signer.copy().hexdigest()
+
+    def _restore_log(self, log: list[InjectedFault]) -> None:
+        """Replace the log (a snapshot restore) and re-hash it once."""
+        self.log = log
+        self._signer = hashlib.sha256()
+        for fault in log:
+            self._signer.update(fault.key().encode("utf-8") + b"\x00")
 
     # -- message channels ------------------------------------------------
     def drop(self, phase: str, subject: str) -> bool:

@@ -91,9 +91,12 @@ REPLAYABLE_KINDS = frozenset(
 SYNC_KINDS = frozenset({"round_end", "checkpoint", "crash"})
 
 
-def _checksum(payload: Mapping[str, Any]) -> str:
-    """First 16 hex digits of SHA-256 over the canonical payload JSON."""
-    canonical = json.dumps(dict(payload), sort_keys=True, separators=(",", ":"))
+#: The canonical encoder: sorted keys, no whitespace, ASCII only.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(canonical: str) -> str:
+    """First 16 hex digits of SHA-256 over a canonical JSON text."""
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -106,13 +109,23 @@ class JournalRecord:
     fields: dict[str, Any] = field(default_factory=dict)
 
     def to_line(self) -> str:
-        """Serialize to one checksummed ASCII JSON line (no newline)."""
-        payload: dict[str, Any] = {"seq": self.seq, "kind": self.kind}
-        payload.update(self.fields)
-        payload["check"] = _checksum(
-            {k: v for k, v in payload.items() if k != "check"}
-        )
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Serialize to one checksummed ASCII JSON line (no newline).
+
+        Each field is encoded once: the members that sort before
+        ``"check"`` and those after it are dumped apart, the checksum
+        hashes them joined, and the line splices ``check`` in between.
+        """
+        before: dict[str, Any] = {}
+        after: dict[str, Any] = {"seq": self.seq, "kind": self.kind}
+        for key, value in self.fields.items():
+            if key < "check":
+                before[key] = value
+            elif key > "check":
+                after[key] = value
+        head = _CANONICAL.encode(before)[1:-1] + "," if before else ""
+        tail = _CANONICAL.encode(after)[1:-1]
+        check = _checksum("{" + head + tail + "}")
+        return "{" + head + f'"check":"{check}",' + tail + "}"
 
     @classmethod
     def from_line(cls, line: str, expected_seq: int) -> "JournalRecord | None":
@@ -124,7 +137,7 @@ class JournalRecord:
         if not isinstance(payload, dict):
             return None
         check = payload.pop("check", None)
-        if check != _checksum(payload):
+        if check != _checksum(_CANONICAL.encode(payload)):
             return None
         seq = payload.pop("seq", None)
         kind = payload.pop("kind", None)

@@ -494,12 +494,14 @@ class SystemSnapshot:
         _set_rng_state(engine._assign_rng, rngs["assign"])
         _set_rng_state(engine._accuse_rng, rngs["accuse"])
         _set_rng_state(engine._audit_rng, rngs["audit"])
-        engine.log = [
-            AdversaryAction(
-                seq=seq, behavior=behavior, node=int(node), subject=subject
-            )
-            for seq, (behavior, node, subject) in enumerate(spec["log"])
-        ]
+        engine._restore_log(
+            [
+                AdversaryAction(
+                    seq=seq, behavior=behavior, node=int(node), subject=subject
+                )
+                for seq, (behavior, node, subject) in enumerate(spec["log"])
+            ]
+        )
         engine._behavior_of = (
             None
             if spec["behavior_of"] is None
@@ -551,12 +553,14 @@ class SystemSnapshot:
         _set_rng_state(injector._corrupt_rng, rngs["corrupt"])
         _set_rng_state(injector._partition_rng, rngs["partition"])
         _set_rng_state(injector._process_crash_rng, rngs["process_crash"])
-        injector.log = [
-            InjectedFault(
-                seq=seq, kind=FaultKind(kind), phase=phase, subject=subject
-            )
-            for seq, (kind, phase, subject) in enumerate(spec["log"])
-        ]
+        injector._restore_log(
+            [
+                InjectedFault(
+                    seq=seq, kind=FaultKind(kind), phase=phase, subject=subject
+                )
+                for seq, (kind, phase, subject) in enumerate(spec["log"])
+            ]
+        )
         injector._crashes_left = int(spec["crashes_left"])
         injector._component_of = (
             None
