@@ -295,18 +295,12 @@ class ChordRing:
         length = self.space.distance_cw(pred, vs_id)
         return Region(self.space, start, length)
 
-    def hosts_with_regions(
-        self, keys: np.ndarray
-    ) -> tuple[list[VirtualServer], np.ndarray, np.ndarray]:
-        """Vectorised :meth:`host_with_region` for an array of keys.
+    def _owner_positions(self, keys: np.ndarray) -> np.ndarray:
+        """Sorted-index positions of the servers owning ``keys``.
 
-        Returns the owning virtual servers plus their owned arcs as raw
-        ``(starts, lengths)`` int64 columns.  One ``searchsorted`` over
-        the sorted-id index serves the whole batch; the arithmetic —
-        including the full-ring convention for a single-VS ring —
-        mirrors the scalar method exactly.  This is what lets every
-        K-nary tree walk plant and leaf-test a whole tree level without
-        per-node index probes.
+        Validates the keys, then one ``searchsorted`` over the sorted-id
+        index answers the whole batch (a key past the last identifier
+        wraps to position 0).
         """
         arr = np.asarray(keys, dtype=np.int64)
         size = self.space.size
@@ -314,46 +308,74 @@ class ChordRing:
             bad = arr[(arr < 0) | (arr >= size)]
             self.space.validate(int(bad[0]))
         self._ensure_index()
-        assert self._sorted_ids is not None and self._sorted_vs is not None
+        assert self._sorted_ids is not None
+        idx = np.searchsorted(self._sorted_ids, arr, side="left")
+        idx[idx == len(self._sorted_ids)] = 0
+        return idx
+
+    def _arcs_at(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owned arcs of the servers at sorted-index positions ``idx``.
+
+        Raw ``(starts, lengths)`` int64 columns of each ``(predecessor,
+        vs_id]``; a single-VS ring owns the full ring from 0.
+        """
         ids = self._sorted_ids
-        idx = np.searchsorted(ids, arr, side="left")
-        idx[idx == len(ids)] = 0
-        hosts = [self._sorted_vs[i] for i in idx.tolist()]
+        assert ids is not None
+        size = self.space.size
         if len(ids) == 1:
             return (
-                hosts,
-                np.zeros(arr.size, dtype=np.int64),
-                np.full(arr.size, size, dtype=np.int64),
+                np.zeros(idx.size, dtype=np.int64),
+                np.full(idx.size, size, dtype=np.int64),
             )
         pred = ids[idx - 1]  # idx-1 == -1 wraps correctly
-        lengths = (ids[idx] - pred) % size
-        starts = (pred + 1) % size
+        return (pred + 1) % size, (ids[idx] - pred) % size
+
+    def arcs_of(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The arcs owning ``keys``, as raw ``(starts, lengths)`` columns.
+
+        :meth:`hosts_with_regions` without the host list: what a cut
+        that only tests region coverage needs (see
+        :meth:`~repro.ktree.tree.KnaryTree.view_leaves`).
+        """
+        return self._arcs_at(self._owner_positions(keys))
+
+    def hosts_with_regions(
+        self, keys: np.ndarray
+    ) -> tuple[list[VirtualServer], np.ndarray, np.ndarray]:
+        """Vectorised :meth:`host_with_region` for an array of keys.
+
+        Returns the owning virtual servers plus their owned arcs as raw
+        ``(starts, lengths)`` int64 columns (:meth:`arcs_of`).  One
+        ``searchsorted`` over the sorted-id index serves the whole
+        batch; the arithmetic — including the full-ring convention for
+        a single-VS ring — mirrors the scalar method exactly.  This is
+        what lets every K-nary tree walk plant and leaf-test a whole
+        tree level without per-node index probes.
+        """
+        idx = self._owner_positions(keys)
+        assert self._sorted_vs is not None
+        hosts = [self._sorted_vs[i] for i in idx.tolist()]
+        starts, lengths = self._arcs_at(idx)
         return hosts, starts, lengths
 
     def centers_of(self, vs_ids: np.ndarray) -> np.ndarray:
         """Vectorized ``region_of(vs).center`` for registered identifiers.
 
         One ``searchsorted`` over the sorted-id index replaces a
-        per-identifier predecessor lookup; the arithmetic mirrors
-        :meth:`region_of` + :meth:`IdentifierSpace.midpoint` exactly.
+        per-identifier predecessor lookup; each arc comes from the same
+        arithmetic as :meth:`arcs_of`, and its center is
+        :meth:`IdentifierSpace.midpoint`'s ``start + length // 2``.
         """
         arr = np.asarray(vs_ids, dtype=np.int64)
-        size = self.space.size
-        if len(self._vs_by_id) == 1:
-            missing = [int(v) for v in arr if int(v) not in self._vs_by_id]
-            if missing:
-                raise DHTError(f"no virtual server with id {missing[0]}")
-            return np.full(len(arr), size // 2, dtype=np.int64)
         self._ensure_index()
         assert self._sorted_ids is not None
         ids = self._sorted_ids
-        pos = np.searchsorted(ids, arr, side="left")
-        if np.any(pos >= len(ids)) or np.any(ids[np.minimum(pos, len(ids) - 1)] != arr):
-            bad = arr[(pos >= len(ids)) | (ids[np.minimum(pos, len(ids) - 1)] != arr)]
-            raise DHTError(f"no virtual server with id {int(bad[0])}")
-        pred = ids[pos - 1]  # pos-1 == -1 wraps to the last id, as intended
-        length = (arr - pred) % size
-        return (pred + 1 + length // 2) % size
+        pos = np.minimum(np.searchsorted(ids, arr, side="left"), len(ids) - 1)
+        bad = ids[pos] != arr
+        if bad.any():
+            raise DHTError(f"no virtual server with id {int(arr[bad][0])}")
+        starts, lengths = self._arcs_at(pos)
+        return (starts + lengths // 2) % self.space.size
 
     def fractions(self) -> np.ndarray:
         """Identifier-space fraction ``f`` owned by each VS, in ring order.

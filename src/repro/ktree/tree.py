@@ -31,6 +31,17 @@ All three create nodes through one bulk materialiser: a level's new
 children get one :func:`leaf_rule` probe and one registration, which
 writes their columns and their parents' child-table entries.
 
+Views
+-----
+A view's KT needs no probe of the view's hosts.  A node is a view leaf
+when one view arc covers its region, and an arc that covers a node
+covers everything below it.  :meth:`KnaryTree.view_leaves` therefore
+finds each slot's view arc with one
+:meth:`~repro.dht.chord.ChordRing.arcs_of` call and climbs parent
+pointers while the parent still fits that arc; a view-bounded
+:meth:`KnaryTree.descend_batch` tests each level's children against
+their keys' arcs the same way.
+
 Self-repair
 -----------
 Section 3.1.1's periodic top-down check is :meth:`KnaryTree.refresh_dirty`,
@@ -217,7 +228,11 @@ class KnaryTree:
         With a ``view`` — a ring holding a subset of this ring's virtual
         servers — the descent stops at the first node ``view`` covers
         (see :meth:`view_leaves`): the returned slots are the leaves of
-        the view's KT, and nothing below them materialises.
+        the view's KT, and nothing below them materialises.  Each key's
+        view arc (:meth:`~repro.dht.chord.ChordRing.arcs_of`) is found
+        once, before the level loop; a level then tests each key's child
+        against that arc, since a node the view covers lies inside the
+        arc of every key it holds.
         """
         size = self.ring.space.size
         k = self.k
@@ -229,13 +244,11 @@ class KnaryTree:
             return slots
         if int(key_arr.min()) < 0 or int(key_arr.max()) >= size:
             raise TreeError("descend_batch key outside the identifier space")
-        root_stops = bool(index.is_leaf[0])
-        if view is not None and not root_stops:
-            # A view with one virtual server covers the whole ring.
-            whole = np.full(1, size, dtype=np.int64)
-            root_stops = bool(leaf_rule(view, whole * 0, whole, k)[1][0])
-        if root_stops:
+        # A view with one virtual server covers the whole ring.
+        if index.is_leaf[0] or (view is not None and view.num_virtual_servers == 1):
             return slots  # the root is slot 0
+        if view is not None:
+            arc_start, arc_length = view.arcs_of(key_arr)
         active = np.arange(n, dtype=np.int64)
         at = np.zeros(n, dtype=np.int64)  # each active key's internal slot
         while active.size:
@@ -257,63 +270,62 @@ class KnaryTree:
             missing = np.flatnonzero(kids < 0)
             if missing.size:
                 kids[missing] = self._materialize(parents[missing], ranks[missing])
-            stop = index.is_leaf[kids]
+            key_kids = kids[inverse]
+            key_stop = index.is_leaf[key_kids]
             if view is not None:
-                stop |= leaf_rule(view, index.start[kids], index.length[kids], k)[1]
-            key_stop = stop[inverse]
-            slots[active[key_stop]] = kids[inverse[key_stop]]
+                key_stop |= (
+                    index.start[key_kids] - arc_start[active]
+                ) % size + index.length[key_kids] <= arc_length[active]
+            slots[active[key_stop]] = key_kids[key_stop]
             cont = ~key_stop
             active = active[cont]
-            at = kids[inverse[cont]]
+            at = key_kids[cont]
         return slots
 
     def view_leaves(self, slots: np.ndarray, view: ChordRing) -> np.ndarray:
-        """Cut leaf ``slots`` of this tree to the leaves of ``view``'s KT.
+        """Cut ``slots`` of this tree to the leaves of ``view``'s KT.
 
         ``view`` must hold a subset of this ring's virtual servers (a
         partition component or quarantine view).  Each view arc is then
         a union of consecutive ring arcs, so every region the ring
         covers the view covers too: the view's KT is an upper subtree of
-        this one, with the same regions, levels and linkage.  The view
-        leaf on a key's path is therefore the *shallowest* slot on its
-        ring leaf's root path that ``view`` covers (or that is too short
-        to split, the ``length < k`` rule).  One batched
-        :func:`leaf_rule` probe over the distinct path slots answers
-        coverage; the cut then propagates top-down one level at a time.
+        this one, with the same regions, levels and linkage.  A KT node
+        is a view leaf when one view arc covers its region, and that arc
+        then covers every node below it, so the view leaf on a slot's
+        root path is the *shallowest* ancestor whose region fits inside
+        the view arc holding the slot's region.  One
+        :meth:`~repro.dht.chord.ChordRing.arcs_of` probe finds each
+        slot's arc; the slots then climb parent pointers together while
+        the parent still fits, and the first parent that does not ends a
+        slot's climb.
+
         Returns one view-leaf slot per input slot (a slot that already
-        is a view leaf maps to itself).
+        is a view leaf maps to itself; so does a ring leaf shorter than
+        K, the ``length < k`` rule, whose region sits in no single view
+        arc).  With a single-VS view every slot maps to the root.  A
+        slot in no single view arc that could still split raises
+        :class:`TreeError`: ``view`` is then not a sub-ring of this one.
         """
         index = self.index
-        size = len(index)
-        parent = index.parent
-        on_path = np.zeros(size, dtype=bool)
-        current = np.unique(np.asarray(slots, dtype=np.int64))
-        while current.size:
-            on_path[current] = True
-            parents = parent[current]
-            parents = np.unique(parents[parents >= 0])
-            current = parents[~on_path[parents]]
-        path = np.flatnonzero(on_path)
-        is_view_leaf = np.zeros(size, dtype=bool)
-        is_view_leaf[path] = leaf_rule(
-            view, index.start[path], index.length[path], self.k
-        )[1]
-        cut = np.full(size, -1, dtype=np.int64)
-        levels = index.level[path]
-        order = np.argsort(levels, kind="stable")
-        by_level = path[order]
-        bounds = np.flatnonzero(np.diff(levels[order])) + 1
-        for group in np.split(by_level, bounds):
-            above = parent[group]
-            inherited = np.where(above >= 0, cut[np.maximum(above, 0)], -1)
-            cut[group] = np.where(
-                inherited >= 0,
-                inherited,
-                np.where(is_view_leaf[group], group, -1),
-            )
-        out = cut[np.asarray(slots, dtype=np.int64)]
-        if out.size and int(out.min()) < 0:
+        start, length, parent = index.start, index.length, index.parent
+        size = self.ring.space.size
+        out = np.array(slots, dtype=np.int64)
+        if view.num_virtual_servers == 1:
+            return np.zeros_like(out)
+        starts = start[out]
+        arc_start, arc_length = view.arcs_of(starts)
+        fits = (starts - arc_start) % size + length[out] <= arc_length
+        if not fits.all() and (length[out[~fits]] >= self.k).any():
             raise TreeError("view is not a sub-ring of the indexed ring")
+        active = np.flatnonzero(fits)
+        # The root never fits an arc of a multi-VS view, so no climb
+        # reaches it and every parent read below is a real slot.
+        while active.size:
+            up = parent[out[active]]
+            offsets = (start[up] - arc_start[active]) % size
+            climb = offsets + length[up] <= arc_length[active]
+            active = active[climb]
+            out[active] = up[climb]
         return out
 
     # ------------------------------------------------------------------

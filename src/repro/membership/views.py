@@ -27,6 +27,10 @@ untrusted node.
 
 from __future__ import annotations
 
+from itertools import compress
+
+import numpy as np
+
 from repro.dht.chord import ChordRing
 from repro.dht.virtual_server import VirtualServer
 
@@ -44,14 +48,36 @@ class ComponentRingView(ChordRing):
     """
 
     def __init__(self, ring: ChordRing, member_indices: tuple[int, ...]) -> None:
-        """Snapshot the component's nodes and the servers they host."""
+        """Snapshot the component's nodes and the servers they host.
+
+        The view's sorted index is the ring's, masked by one pass over
+        the servers' owners: no re-sort and no per-identifier lookup.
+        """
         super().__init__(ring.space)
         self.ring = ring
         members = frozenset(member_indices)
         self.nodes = [n for n in ring.nodes if n.index in members]
-        self._vs_by_id = {
-            vs.vs_id: vs for node in self.nodes for vs in node.virtual_servers
-        }
+        if not ring.num_virtual_servers:
+            return
+        ring._ensure_index()
+        ring_vs = ring._sorted_vs
+        assert ring._sorted_ids is not None and ring_vs is not None
+        keep = np.fromiter(
+            (vs.owner.index in members for vs in ring_vs),
+            dtype=bool,
+            count=len(ring_vs),
+        )
+        kept = list(compress(ring_vs, keep.tolist()))
+        hosted = sum(len(n.virtual_servers) for n in self.nodes)
+        if len(kept) != hosted:
+            # A server detached in flight still names its source as
+            # owner, but no node hosts it.
+            keep[keep] = on_node = [vs in vs.owner.virtual_servers for vs in kept]
+            kept = list(compress(kept, on_node))
+        if kept:
+            self._sorted_ids = ring._sorted_ids[keep]
+            self._sorted_vs = kept
+            self._vs_by_id = {vs.vs_id: vs for vs in kept}
 
     def remove_virtual_server(self, vs: VirtualServer | int) -> VirtualServer:
         """Remove a server on the whole ring, then drop it from the view."""

@@ -14,7 +14,9 @@ Four contracts from docs/performance.md are pinned here:
   ring's: :meth:`~repro.ktree.tree.KnaryTree.view_leaves` maps each
   ring leaf to the view leaf a fresh tree over the view reaches, and a
   view-bounded :meth:`~repro.ktree.tree.KnaryTree.descend_batch` stops
-  at that same node.
+  at that same node.  The cut's arc climb equals the path walk kept in
+  :mod:`tests.reference_cuts`, and a quarantined or partitioned round
+  probes no view host (no ``hosts_with_regions`` on a view).
 * Every key :class:`~repro.core.LoadBalancer` resolves — reporter and
   VSA keys, of the whole ring and of a partition view — goes through
   one path (leaf directory, then one batched descent over the misses,
@@ -30,9 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import AdversaryPlan
 from repro.core import BalancerConfig, LoadBalancer
 from repro.core.reference import SerialLoadBalancer
-from repro.dht import RingEventLog, crash_node, join_node, leave_node
+from repro.dht import ChordRing, RingEventLog, crash_node, join_node, leave_node
 from repro.exceptions import RegionError, TreeError
 from repro.faults import FaultPlan, PartitionSpec
 from repro.idspace import IdentifierSpace, Region
@@ -40,6 +43,7 @@ from repro.ktree import KnaryTree
 from repro.membership import ComponentRingView
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import ParetoLoadModel, apply_load_drift, build_scenario
+from tests.reference_cuts import path_walk_view_leaves
 
 MODEL = ParetoLoadModel(mu=1e4)
 
@@ -179,6 +183,17 @@ def _cut_ring(seed):
     return ring
 
 
+def _tiny_ring(seed):
+    """A 5-bit ring of 13 servers: with K=4 or K=8 its deepest regions
+    are shorter than K, so some ring leaves straddle a view arc."""
+    ring = ChordRing(IdentifierSpace(bits=5))
+    ring.populate(
+        num_nodes=7, vs_per_node=[1, 2, 2, 2, 2, 2, 2],
+        capacities=[10.0] * 7, rng=seed,
+    )
+    return ring
+
+
 def _members(ring, shape, fraction, seed):
     nodes = [n for n in ring.alive_nodes if n.virtual_servers]
     if shape == "single-node":
@@ -207,6 +222,17 @@ def _assert_cut_matches_view_tree(ring, view, k, keys):
         assert shape(index, int(cut[i])) == expected
         assert bounded_tree.index.alive[bounded[i]]
         assert shape(bounded_tree.index, int(bounded[i])) == expected
+
+
+def _component_views(ring, count, seed):
+    """``count`` partition components over the nodes with servers."""
+    nodes = [n.index for n in ring.alive_nodes if n.virtual_servers]
+    labels = np.random.default_rng(seed).integers(count, size=len(nodes))
+    labels[:count] = np.arange(count)  # no component is empty
+    return [
+        ComponentRingView(ring, tuple(np.asarray(nodes)[labels == c].tolist()))
+        for c in range(count)
+    ]
 
 
 class TestViewCut:
@@ -248,6 +274,130 @@ class TestViewCut:
             0, ring.space.size, size=200, dtype=np.int64
         )
         _assert_cut_matches_view_tree(ring, view, k, keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        k=st.sampled_from((2, 4, 8)),
+        tiny=st.booleans(),
+        shape=st.sampled_from(
+            ("fraction", "single-node", "single-vs", "components")
+        ),
+        fraction=st.sampled_from((0.1, 0.5, 0.9)),
+    )
+    def test_climb_equals_reference(self, seed, k, tiny, shape, fraction):
+        # Property: for ring leaves and for view leaves (the slots a
+        # view-bounded descent returns), the arc climb and the path walk
+        # give the same view leaf — over fractional, single-node,
+        # single-VS and partition-component views, and on a tiny ring
+        # whose leaves can be shorter than K.
+        ring = _tiny_ring(seed) if tiny else _cut_ring(seed)
+        if shape == "components":
+            views = _component_views(ring, 2 + seed % 2, seed)
+        else:
+            views = [ComponentRingView(ring, _members(ring, shape, fraction, seed))]
+        size = ring.space.size
+        keys = (
+            np.arange(size, dtype=np.int64)
+            if tiny
+            else np.random.default_rng(seed + 1).integers(
+                0, size, size=120, dtype=np.int64
+            )
+        )
+        tree = KnaryTree(ring, k)
+        ring_leaves = tree.descend_batch(keys)
+        for view in views:
+            view_leaves = tree.descend_batch(keys, view)
+            slots = np.concatenate([ring_leaves, view_leaves])
+            climbed = tree.view_leaves(slots, view)
+            assert np.array_equal(climbed, path_walk_view_leaves(tree, slots, view))
+            assert np.array_equal(climbed[keys.size :], view_leaves)
+
+    @pytest.mark.parametrize("k", (4, 8))
+    def test_short_leaf_across_arcs_maps_to_itself(self, k):
+        # A ring leaf shorter than K that straddles two view arcs is its
+        # own view leaf (the length < k rule), in both cuts.
+        for seed in range(50):
+            ring = _tiny_ring(seed)
+            view = ComponentRingView(ring, _members(ring, "fraction", 0.5, seed))
+            tree = KnaryTree(ring, k)
+            slots = tree.descend_batch(np.arange(32, dtype=np.int64))
+            starts = tree.index.start[slots]
+            arc_start, arc_length = view.arcs_of(starts)
+            straddles = (starts - arc_start) % 32 + tree.index.length[slots] > arc_length
+            if straddles.any():
+                short = slots[straddles]
+                assert (tree.index.length[short] < k).all()
+                assert np.array_equal(tree.view_leaves(short, view), short)
+                assert np.array_equal(path_walk_view_leaves(tree, short, view), short)
+                return
+        pytest.fail("no tiny ring had a short leaf across two view arcs")
+
+    @pytest.mark.parametrize("k", (2, 8))
+    def test_slot_outside_the_view_is_an_error(self, k):
+        # A ring that is not a sub-ring of the tree's: some ring leaf
+        # sits in no single arc of it, and both cuts refuse.
+        ring = _cut_ring(7)
+        foreign = _ring(8, num_nodes=40)
+        tree = KnaryTree(ring, k)
+        slots = tree.descend_batch(
+            np.random.default_rng(3).integers(0, ring.space.size, size=400)
+        )
+        with pytest.raises(TreeError):
+            tree.view_leaves(slots, foreign)
+        with pytest.raises(TreeError):
+            path_walk_view_leaves(tree, slots, foreign)
+
+
+def _view_probes(monkeypatch):
+    """Count ``hosts_with_regions`` calls made on a component view."""
+    calls = []
+    probe = ChordRing.hosts_with_regions
+
+    def counted(self, keys):
+        if isinstance(self, ComponentRingView):
+            calls.append(len(keys))
+        return probe(self, keys)
+
+    monkeypatch.setattr(ChordRing, "hosts_with_regions", counted)
+    return calls
+
+
+class TestViewRoundsProbeNoHosts:
+    def _rounds(self, bal, rounds):
+        kinds = []
+        parts = bal._round_parts
+
+        def recorded(alive, view):
+            out = parts(alive, view)
+            kinds.append(
+                "partition" if view is not None
+                else "quarantine" if out[0][0].ring is not bal.ring
+                else "ring"
+            )
+            return out
+
+        bal._round_parts = recorded
+        for _ in range(rounds):
+            bal.run_round()
+        return kinds
+
+    def test_quarantined_round(self, monkeypatch):
+        ring = build_scenario(MODEL, num_nodes=96, vs_per_node=4, rng=21).ring
+        bal = LoadBalancer(
+            ring, _config(), rng=7,
+            adversary=AdversaryPlan(seed=13, fraction=0.15, defense=True),
+        )
+        calls = _view_probes(monkeypatch)
+        assert "quarantine" in self._rounds(bal, 5)
+        assert calls == []
+
+    def test_partitioned_round(self, monkeypatch):
+        ring = _ring(4, num_nodes=60, vs_per_node=3)
+        bal = LoadBalancer(ring, _config(), rng=5, faults=SPLIT)
+        calls = _view_probes(monkeypatch)
+        assert "partition" in self._rounds(bal, 3)
+        assert calls == []
 
 
 class TestBulkRingProbe:

@@ -153,6 +153,9 @@ class TestComponentRingView:
                 grid.tolist(), hosts, starts.tolist(), lengths.tolist()
             ):
                 assert (host, start, length) == view.host_with_region(key)
+            arc_starts, arc_lengths = view.arcs_of(grid)
+            assert np.array_equal(arc_starts, starts)
+            assert np.array_equal(arc_lengths, lengths)
             ids = np.asarray(
                 [vs.vs_id for vs in view.virtual_servers], dtype=np.int64
             )
@@ -165,6 +168,25 @@ class TestComponentRingView:
                     probe(foreign)
             with pytest.raises(DHTError):
                 view.centers_of(np.asarray([foreign], dtype=np.int64))
+
+    def test_index_masks_the_ring_index_to_hosted_servers(self):
+        # The view's sorted index is the ring's restricted to the servers
+        # its members host; a server detached in flight (owner set, hosted
+        # by no node) is in no view.
+        ring = build_ring()
+        left, _ = split_indices(ring)
+        detached = ring.nodes[left[1]].virtual_servers[0]
+        ring.nodes[left[1]].unhost(detached)
+        view = ComponentRingView(ring, left)
+        hosted = sorted(
+            (vs.vs_id, vs) for n in view.nodes for vs in n.virtual_servers
+        )
+        assert view._sorted_ids.tolist() == [i for i, _ in hosted]
+        assert all(a is b for a, (_, b) in zip(view._sorted_vs, hosted))
+        assert view._vs_by_id == dict(hosted)
+        assert detached.vs_id not in view._vs_by_id
+        with pytest.raises(DHTError):
+            view.vs(detached.vs_id)
 
     def test_tree_builds_per_component(self):
         ring = build_ring()
