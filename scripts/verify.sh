@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Repository verify path: tier-1 tests, the observability suite, the
-# repro.lint static-analysis gate, the mypy strict-typing gate (when
-# mypy is installed), the generated-API freshness check, the chaos
-# smoke (a degraded balancing round under injected faults), the
-# incremental smoke (persistent-tree digest identity under churn), the
-# partition smoke (a network split healing under the conservation
-# gate) and the recovery smokes (a monitored chaos soak with process
-# crashes, and the durability-overhead bound), every example script,
-# and one untimed pass over the pytest benches.  Run from the
-# repository root:
+# Repository verify path: tier-1 tests (the observability suite is
+# part of them), the repro.lint static-analysis gate, the mypy
+# strict-typing gate (when mypy is installed), the generated-API
+# freshness check, the chaos smoke (a degraded balancing round under
+# injected faults), the incremental smoke (persistent-tree digest
+# identity under churn), the partition smoke (a network split healing
+# under the conservation gate) and the recovery smokes (a monitored
+# chaos soak with process crashes, and the durability-overhead bound),
+# every example script, and one untimed pass over the pytest benches.
+# Run from the repository root:
 #
 #   bash scripts/verify.sh
 #
@@ -20,9 +20,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q
-
-echo "== observability suite (unit + integration + docstring lint) =="
-python -m pytest -q tests/test_obs*.py
 
 echo "== repro.lint: static analysis + interprocedural effect gate =="
 # The flow pass builds the project call graph, infers transitive

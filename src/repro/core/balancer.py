@@ -919,7 +919,8 @@ class LoadBalancer:
         The tree shape a
         fresh tree would report is the LBI report paths plus the
         delivery paths *newly* stamped here (same stamp generation).
-        Trace events go through the reference's functions.
+        Trace events go through :mod:`repro.core.vsa`'s shared
+        ``vsa_publish_events`` / ``vsa_sweep_event``.
         """
         tracer = self.tracer
         assert self._tree is not None

@@ -16,9 +16,12 @@ i.e. choose the cheapest subset whose total is at least the node's
   smallest single VS that covers the remaining excess, else the largest
   VS and recurse.
 
-Both respect a ``keep_at_least`` floor (default 1): a node never sheds
-its last virtual server, since that would eject it from the ring — a
-constraint the paper leaves implicit.
+Both respect a ``keep_at_least`` floor: a node never sheds below that
+many virtual servers.  These functions default it to 1 (a node keeps
+its last virtual server, so it stays on the ring), but the balancing
+round passes :attr:`~repro.core.config.BalancerConfig.keep_at_least`,
+which defaults to 0 — the paper's scheme, where a very low-capacity
+node may shed every virtual server it hosts.
 
 A round selects for all its heavy nodes in one
 :func:`select_shed_subsets` call: nodes are grouped by VS count and the

@@ -103,7 +103,7 @@ class RecoveryError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulation engine hit an invalid state."""
+    """A simulation (churn, load dynamics, timed round) was misconfigured."""
 
 
 class WorkloadError(ReproError):

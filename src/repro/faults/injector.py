@@ -63,8 +63,8 @@ class InjectedFault:
     """One fault that actually fired, in injection order.
 
     ``seq`` totals the injector's history; ``phase`` names the protocol
-    surface the fault hit (``"lbi"``, ``"vsa"``, ``"vst"``,
-    ``"heartbeat"``, ``"ktree"``); ``subject`` identifies the affected
+    surface the fault hit (``"lbi"``, ``"vsa"``, ``"vst"``, ``"ktree"``,
+    ``"membership"``); ``subject`` identifies the affected
     message/node/transfer within that phase.
     """
 

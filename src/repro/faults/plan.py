@@ -11,8 +11,8 @@ the same system reproduces the identical fault sequence byte for byte.
 The modelled fault classes mirror how Mirrezaei & Shahparian and
 Roussopoulos & Baker stress their balancers:
 
-* **message drop** — an LBI report, VSA publication or heartbeat is
-  lost in flight (retried under the round's
+* **message drop** — an LBI report, VSA publication or tree-maintenance
+  tick is lost in flight (retried under the round's
   :class:`~repro.faults.retry.RetryPolicy`);
 * **message delay** — delivery succeeds but late, consuming simulated
   time from the phase's timeout budget;
@@ -174,7 +174,7 @@ class FaultPlan:
         against different workloads (and vice versa).
     drop:
         Per-message drop probability (LBI reports, VSA publications,
-        heartbeats, tree-maintenance messages).
+        tree-maintenance ticks).
     delay:
         Per-message delay probability; a delayed message still arrives
         but consumes up to ``delay_max`` simulated time units of the

@@ -354,23 +354,6 @@ class KnaryTree:
         live = self._live()
         return live[np.lexsort((-index.start[live], -index.level[live]))]
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(parents, children)`` slots of every materialised tree edge.
-
-        Parents come in descending-rank preorder (a node, then its
-        children's subtrees from the highest rank down) — the order that
-        sorts regions by descending end, shallower first — and each
-        parent's children by ascending rank.
-        """
-        index = self.index
-        live = self._live()
-        ends = index.start[live] + index.length[live]
-        preorder = live[np.lexsort((index.level[live], -ends))]
-        rows = index.child[preorder]
-        linked = rows >= 0
-        parents = np.repeat(preorder, self.k).reshape(rows.shape)
-        return parents[linked], rows[linked].astype(np.int64)
-
     # ------------------------------------------------------------------
     # Maintenance (self-repair)
     # ------------------------------------------------------------------

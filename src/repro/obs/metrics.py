@@ -61,14 +61,6 @@ class Gauge:
         """Replace the gauge's value."""
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Move the gauge up by ``amount``."""
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Move the gauge down by ``amount``."""
-        self.value -= amount
-
 
 class Histogram:
     """A distribution of observations with on-demand quantile summaries.

@@ -85,27 +85,15 @@ class TrialExecutor:
     Parameters
     ----------
     workers:
-        Worker process count when no explicit ``pool`` is given.
-    mode:
-        Pool mode (``"process"`` / ``"inline"``) when no explicit
-        ``pool`` is given; inline mode runs trials synchronously and is
-        what tests use to assert parallel/serial equivalence cheaply.
-    pool:
-        A pre-built :class:`~repro.parallel.pool.WorkerPool` to share
-        across sweeps; the executor then does not own (or close) it.
+        Worker process count of the executor's pool (one worker runs
+        trials inline, in the calling process).
 
-    Use as a context manager to release owned worker processes.
+    Use as a context manager to release the worker processes.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        mode: str = "process",
-        pool: WorkerPool | None = None,
-    ) -> None:
-        """Create the executor, building an owned pool unless given one."""
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else WorkerPool(workers, mode=mode)
+    def __init__(self, workers: int = 1) -> None:
+        """Create the executor and its worker pool."""
+        self.pool = WorkerPool(workers)
 
     def map(
         self,
@@ -131,14 +119,13 @@ class TrialExecutor:
         return [value for value, _ in pairs]
 
     def close(self) -> None:
-        """Release the owned pool (no-op for a shared pool)."""
-        if self._owns_pool:
-            self.pool.close()
+        """Release the pool's worker processes."""
+        self.pool.close()
 
     def __enter__(self) -> "TrialExecutor":
         """Context-manager entry: the executor itself."""
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: release the owned pool."""
+        """Context-manager exit: release the pool."""
         self.close()

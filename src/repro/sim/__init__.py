@@ -1,11 +1,10 @@
-"""Discrete-event simulation harness.
+"""Simulation harness.
 
 Provides the round/message-level timing model behind the paper's
-``O(log_K N)`` claims, a generic event engine, and churn processes that
-stress the K-nary tree's self-repair.
+``O(log_K N)`` claims, load dynamics over balancing epochs, and churn
+processes that stress the K-nary tree's self-repair.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
 from repro.sim.churn import ChurnProcess, ChurnTrace
 from repro.sim.dynamics import (
     DynamicsTrace,
@@ -13,17 +12,10 @@ from repro.sim.dynamics import (
     LoadDynamics,
     run_dynamic_simulation,
 )
-from repro.sim.heartbeat import FailureEvent, HeartbeatMonitor, HeartbeatTrace
 from repro.sim.protocol import TimedProtocolResult, simulate_timed_round
 from repro.sim.runner import PhaseTimings, measure_phase_rounds, sweep_phase_rounds
 
 __all__ = [
-    "FailureEvent",
-    "HeartbeatMonitor",
-    "HeartbeatTrace",
-    "Event",
-    "EventQueue",
-    "Simulator",
     "ChurnProcess",
     "ChurnTrace",
     "DynamicsTrace",

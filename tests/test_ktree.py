@@ -157,23 +157,6 @@ class TestLazyPaths:
         keys = list(zip(levels, tree.index.start[order].tolist()))
         assert keys == sorted(keys, reverse=True)
 
-    def test_edges_in_descending_rank_preorder(self, ring):
-        """Parents in the stack preorder that pushes children by ascending
-        rank (so pops the highest rank first); each parent's children by
-        ascending rank."""
-        tree = KnaryTree(ring, 3)
-        for key in [3, 700, 222, 1000, 512]:
-            tree.ensure_leaf_for_key(key)
-        child = tree.index.child
-        expected, stack = [], [0]
-        while stack:
-            slot = stack.pop()
-            kids = [c for c in child[slot].tolist() if c >= 0]
-            expected += [(slot, c) for c in kids]
-            stack.extend(kids)
-        parents, children = tree.edges()
-        assert list(zip(parents.tolist(), children.tolist())) == expected
-
     def test_invariants_on_lazy_tree(self, ring):
         tree = KnaryTree(ring, 2)
         for key in [3, 700, 222]:

@@ -28,9 +28,9 @@ class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge("height")
         g.set(17)
-        g.inc(3)
-        g.dec(2)
-        assert g.value == 18.0
+        assert g.value == 17.0
+        g.set(3)
+        assert g.value == 3.0
 
 
 class TestHistogram:

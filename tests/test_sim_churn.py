@@ -11,15 +11,19 @@ from repro.sim import ChurnProcess
 from repro.sim.runner import measure_phase_rounds, sweep_phase_rounds
 
 
-@pytest.fixture
-def system():
+def build_system(k):
     ring = ChordRing(IdentifierSpace(bits=14))
     ring.populate(12, 3, [1.0] * 12, rng=2)
     for vs in ring.virtual_servers:
         vs.load = 1.0
-    tree = KnaryTree(ring, 2)
+    tree = KnaryTree(ring, k)
     tree.build_full()
     return ring, tree
+
+
+@pytest.fixture
+def system():
+    return build_system(2)
 
 
 class TestChurnProcess:
@@ -57,12 +61,22 @@ class TestChurnProcess:
         assert len(ring.alive_nodes) == n_before + 5
         assert trace.stats.joins == 5
 
-    def test_crash_only_churn(self, system):
-        ring, tree = system
-        n_before = len(ring.alive_nodes)
-        process = ChurnProcess(ring, tree, join_rate=0, leave_rate=0, crash_rate=1, rng=7)
-        process.run(num_events=4)
-        assert len(ring.alive_nodes) == n_before - 4
+    def test_crash_only_churn(self):
+        """Section 3.1.1's repair claim on crashes: after each crash one
+        top-down refresh pass rebuilds the tree and the next finds
+        nothing to do, for a deep binary tree and a shallow 8-ary one."""
+        for k in (2, 8):
+            ring, tree = build_system(k)
+            n_before = len(ring.alive_nodes)
+            process = ChurnProcess(ring, tree, join_rate=0, leave_rate=0, crash_rate=1, rng=7)
+            trace = process.run(num_events=4)
+            assert len(ring.alive_nodes) == n_before - 4
+            tree.check_invariants()
+            ring.check_invariants()
+            assert trace.refreshes_to_stable == [2, 2, 2, 2]
+            quiet = {"replanted": 0, "pruned": 0, "grown": 0}
+            assert all(counts != quiet for counts in trace.repairs[0::2])
+            assert all(counts == quiet for counts in trace.repairs[1::2])
 
     def test_load_conserved_under_churn(self, system):
         ring, tree = system

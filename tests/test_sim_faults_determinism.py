@@ -1,19 +1,15 @@
-"""Seeded determinism of the failure simulations, with and without faults.
+"""Seeded determinism of the churn simulation, with and without faults.
 
 The reproducibility contract extends to the degraded paths: two runs of
-the heartbeat monitor or the churn process from identical seeds — and
-the identical :class:`~repro.faults.FaultPlan` — must report identical
-failure latencies, drop counts and repair-round histories.
+the churn process from identical seeds — and the identical
+:class:`~repro.faults.FaultPlan` — must report identical event counts,
+dropped refresh ticks and repair-round histories.
 """
-
-import pytest
 
 from repro.dht import ChordRing
 from repro.faults import FaultPlan
 from repro.idspace import IdentifierSpace
 from repro.ktree import KnaryTree
-from repro.exceptions import SimulationError
-from repro.sim import HeartbeatMonitor
 from repro.sim.churn import ChurnProcess
 
 
@@ -27,23 +23,6 @@ def build_system(seed=13, nodes=12):
     return ring, tree
 
 
-def heartbeat_digest(trace):
-    return (
-        trace.heartbeats_sent,
-        trace.heartbeats_dropped,
-        trace.probes_sent,
-        trace.false_suspicions,
-        trace.heartbeats_blocked,
-        trace.orphaned_subtrees,
-        trace.regraft_passes,
-        trace.partitions_healed,
-        [
-            (f.crashed_node, f.detection_latency, f.repair_latency, f.refresh_passes)
-            for f in trace.failures
-        ],
-    )
-
-
 def churn_digest(trace):
     return (
         trace.events,
@@ -51,128 +30,6 @@ def churn_digest(trace):
         trace.refreshes_to_stable,
         trace.repairs,
     )
-
-
-class TestHeartbeatDeterminism:
-    def run_monitor(self, faults, crash_at=2.5):
-        ring, tree = build_system()
-        monitor = HeartbeatMonitor(
-            ring, tree, heartbeat_interval=1.0, miss_threshold=3,
-            faults=faults, rng=17,
-        )
-        monitor.schedule_crash(0, at_time=crash_at)
-        return monitor.run(until=25.0)
-
-    def test_identical_seeds_identical_trace_without_faults(self):
-        a = self.run_monitor(None)
-        b = self.run_monitor(None)
-        assert heartbeat_digest(a) == heartbeat_digest(b)
-        assert len(a.failures) == 1
-
-    def test_identical_seeds_identical_trace_under_faults(self):
-        plan = FaultPlan(seed=6, drop=0.25)
-        a = self.run_monitor(plan)
-        b = self.run_monitor(plan)
-        assert heartbeat_digest(a) == heartbeat_digest(b)
-        assert a.heartbeats_dropped > 0
-
-    def test_different_fault_seed_changes_drop_pattern(self):
-        a = self.run_monitor(FaultPlan(seed=6, drop=0.25))
-        b = self.run_monitor(FaultPlan(seed=7, drop=0.25))
-        assert a.heartbeats_dropped != b.heartbeats_dropped or (
-            heartbeat_digest(a) != heartbeat_digest(b)
-        )
-
-    def test_crash_still_detected_within_bound_under_drops(self):
-        trace = self.run_monitor(FaultPlan(seed=6, drop=0.25))
-        assert len(trace.failures) == 1
-        ring_free = self.run_monitor(None)
-        event, clean = trace.failures[0], ring_free.failures[0]
-        assert event.crashed_node == clean.crashed_node == 0
-        # Drops never delay the declaration path (round-granular model).
-        assert event.detection_latency == clean.detection_latency
-
-    def test_drops_on_live_edges_cause_false_suspicions_not_repairs(self):
-        ring, tree = build_system()
-        monitor = HeartbeatMonitor(
-            ring, tree, heartbeat_interval=1.0, miss_threshold=2,
-            faults=FaultPlan(seed=1, drop=0.6), rng=3,
-        )
-        trace = monitor.run(until=40.0)  # nobody actually crashes
-        assert trace.heartbeats_dropped > 0
-        assert trace.probes_sent > 0
-        assert trace.false_suspicions == trace.probes_sent
-        assert trace.failures == []
-        tree.check_invariants()
-
-
-class TestHeartbeatPartition:
-    """Partition awareness of the heartbeat monitor."""
-
-    def run_partitioned(self, faults=None, at_time=2.0, heal_at=9.0):
-        ring, tree = build_system()
-        monitor = HeartbeatMonitor(
-            ring, tree, heartbeat_interval=1.0, miss_threshold=3,
-            faults=faults, rng=17,
-        )
-        half = len(ring.nodes) // 2
-        monitor.schedule_partition(
-            [list(range(half)), list(range(half, len(ring.nodes)))],
-            at_time=at_time,
-            heal_at=heal_at,
-        )
-        trace = monitor.run(until=20.0)
-        tree.check_invariants()
-        return trace
-
-    def test_partition_blocks_cross_component_heartbeats(self):
-        trace = self.run_partitioned()
-        assert trace.heartbeats_blocked > 0
-        assert trace.orphaned_subtrees > 0
-        assert trace.partitions_healed == 1
-        assert trace.regraft_passes >= 1
-        # Blocked edges never masquerade as lossy ones.
-        assert trace.heartbeats_dropped == 0
-        assert trace.probes_sent == 0
-        assert trace.failures == []
-
-    def test_orphans_declared_once_per_edge(self):
-        # Twice the window must not double the orphan count: each severed
-        # edge is declared orphaned exactly once per partition.
-        short = self.run_partitioned(at_time=2.0, heal_at=7.0)
-        long = self.run_partitioned(at_time=2.0, heal_at=12.0)
-        assert short.orphaned_subtrees == long.orphaned_subtrees
-        assert long.heartbeats_blocked > short.heartbeats_blocked
-
-    def test_partition_trace_is_deterministic(self):
-        a = self.run_partitioned(faults=FaultPlan(seed=6, drop=0.2))
-        b = self.run_partitioned(faults=FaultPlan(seed=6, drop=0.2))
-        assert heartbeat_digest(a) == heartbeat_digest(b)
-        assert a.heartbeats_blocked > 0
-        assert a.heartbeats_dropped > 0
-
-    def test_no_partition_means_zero_partition_counters(self):
-        ring, tree = build_system()
-        monitor = HeartbeatMonitor(ring, tree, heartbeat_interval=1.0)
-        trace = monitor.run(until=10.0)
-        assert trace.heartbeats_blocked == 0
-        assert trace.orphaned_subtrees == 0
-        assert trace.regraft_passes == 0
-        assert trace.partitions_healed == 0
-
-    def test_schedule_partition_validation(self):
-        ring, tree = build_system()
-        monitor = HeartbeatMonitor(ring, tree)
-        with pytest.raises(SimulationError):
-            monitor.schedule_partition([[0, 1]], at_time=1.0, heal_at=2.0)
-        with pytest.raises(SimulationError):
-            monitor.schedule_partition(
-                [[0], [1]], at_time=2.0, heal_at=2.0
-            )
-        with pytest.raises(SimulationError):
-            monitor.schedule_partition(
-                [[0, 1], [1, 2]], at_time=1.0, heal_at=2.0
-            )
 
 
 class TestChurnDeterminism:

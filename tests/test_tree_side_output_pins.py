@@ -1,62 +1,23 @@
 """Exact-value pins on the K-nary tree's side outputs.
 
 :mod:`test_sim_faults_determinism` checks that two identically seeded
-runs agree; these pins check *what* they agree on.  The heartbeat
-monitor walks the tree's parent/child edges in a fixed order and draws
-one fault decision per edge, so a reordered edge walk changes which
-heartbeats drop; a refresh that visits, prunes or grows a different
-node set changes the ``{replanted, pruned, grown}`` counters.  The
-values were recorded from the object-graph tree and must not move when
-the tree's representation changes.
+runs agree; these pins check *what* they agree on.  A refresh that
+visits, prunes or grows a different node set changes the
+``{replanted, pruned, grown}`` counters, both under a seeded churn
+process and over a scripted join/leave/crash sequence.  The values were
+recorded from the object-graph tree and must not move when the tree's
+representation changes.
 """
 
 import pytest
 
 from repro.dht import ChordRing, crash_node, join_node, leave_node
-from repro.faults import FaultPlan
 from repro.idspace import IdentifierSpace
 from repro.ktree import KnaryTree
 from repro.obs import MetricsRegistry
-from repro.sim import HeartbeatMonitor
 from repro.sim.churn import ChurnProcess
 
-from tests.test_sim_faults_determinism import build_system, churn_digest, heartbeat_digest
-
-
-def _monitor(faults):
-    ring, tree = build_system()
-    return HeartbeatMonitor(
-        ring, tree, heartbeat_interval=1.0, miss_threshold=3,
-        faults=faults, rng=17,
-    )
-
-
-class TestHeartbeatPins:
-    def test_crash_without_faults(self):
-        monitor = _monitor(None)
-        monitor.schedule_crash(0, at_time=2.5)
-        assert heartbeat_digest(monitor.run(until=25.0)) == (
-            7924, 0, 0, 0, 0, 0, 0, 0, [(0, 3.5, 2.0, 2)],
-        )
-
-    def test_crash_under_drops(self):
-        monitor = _monitor(FaultPlan(seed=6, drop=0.25))
-        monitor.schedule_crash(0, at_time=2.5)
-        assert heartbeat_digest(monitor.run(until=25.0)) == (
-            6005, 1919, 62, 62, 0, 0, 0, 0, [(0, 3.5, 2.0, 2)],
-        )
-
-    def test_partition_under_drops(self):
-        monitor = _monitor(FaultPlan(seed=6, drop=0.2))
-        half = len(monitor.ring.nodes) // 2
-        monitor.schedule_partition(
-            [list(range(half)), list(range(half, len(monitor.ring.nodes)))],
-            at_time=2.0,
-            heal_at=9.0,
-        )
-        assert heartbeat_digest(monitor.run(until=20.0)) == (
-            5208, 1232, 39, 39, 406, 34, 1, 1, [],
-        )
+from tests.test_sim_faults_determinism import build_system, churn_digest
 
 
 def _quiet():
